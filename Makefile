@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test check check-concur bench-smoke bench bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
+.PHONY: test check check-concur bench-smoke perf-smoke bench bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
 
 ## Tier-1: the full unit/integration suite (tests/ only).
 test:
@@ -23,6 +23,15 @@ check-concur:
 ## instrumentation overhead of the observability layer.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_obs_overhead.py -m benchmarks -s -p no:cacheprovider
+
+## Benchmark-harness smoke: one short traced wba_churn run (about 20 s).
+## Fails unless the run ends with "correct": true — an oracle failure or
+## a ledger wrap target the program no longer has (a "# problem" line)
+## makes it false (perfbench/README.md).
+perf-smoke:
+	@out="$$($(PYTHON) perfbench/run.py --workload wba_churn --seed 1 --seconds 2 --trace 1)"; \
+		status=$$?; echo "$$out"; \
+		[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": true'
 
 ## Serial vs concurrent device fan-out throughput; writes BENCH_pipeline.json.
 bench-pipeline:

@@ -530,12 +530,7 @@ class MetaComm:
                 device_image = binding.from_ldap.image(
                     entry.attributes.to_dict()
                 )
-                in_partition = binding.partition is None or (
-                    binding.partition.satisfied_by(device_image)
-                )
-                if in_partition and binding.from_ldap.partition.satisfied_by(
-                    device_image
-                ):
+                if binding.from_ldap.claims(device_image, binding.partition):
                     problems.append(
                         f"{binding.name}: directory entry {entry.dn} claims "
                         f"{key_attr}={values[0]} unknown to the device"

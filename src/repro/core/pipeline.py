@@ -444,8 +444,11 @@ class UpdateSequencePipeline:
             else {},
         )
         with self._stage("plan", trace, stages) as (span, info):
+            routed = self._route_shared(enriched)
             for index, binding in enumerate(self.bindings):
-                device_plan = self.plan_device_update(binding, enriched, index)
+                device_plan = self.plan_device_update(
+                    binding, enriched, index, routed=routed
+                )
                 if device_plan is not None:
                     plan.device_plans.append(device_plan)
             info["devices"] = len(plan.device_plans)
@@ -462,20 +465,52 @@ class UpdateSequencePipeline:
             )
         return plan
 
+    def _route_shared(
+        self, descriptor: UpdateDescriptor
+    ) -> list[TargetUpdate | None]:
+        """Translate *descriptor* once per distinct ``from_ldap`` mapping and
+        route it against every binding sharing that mapping (each PBX
+        reuses ``ldap_to_pbx`` with its own partition, section 4.1).
+        Indexed like :attr:`bindings`; None marks an unaffected binding.
+        The result lives for one :meth:`build_plan` call only — nothing is
+        cached on the shared mappings, so concurrent lanes stay safe."""
+        groups: dict[int, list[int]] = {}
+        for index, binding in enumerate(self.bindings):
+            groups.setdefault(id(binding.from_ldap), []).append(index)
+        routed: list[TargetUpdate | None] = [None] * len(self.bindings)
+        for indexes in groups.values():
+            members = [self.bindings[i] for i in indexes]
+            updates = members[0].from_ldap.translate(
+                descriptor,
+                instances=[(b.partition, b.name) for b in members],
+            )
+            for index, update in zip(indexes, updates):
+                routed[index] = update
+        return routed
+
     def plan_device_update(
         self,
         binding: "DeviceBinding",
         descriptor: UpdateDescriptor,
         index: int = 0,
+        *,
+        routed: list[TargetUpdate | None] | None = None,
     ) -> DevicePlan | None:
         """Translate + partition-route one descriptor for one binding and
         capture the repository's before-image.  Returns ``None`` when the
-        binding is not affected (irrelevant mapping or partition miss)."""
-        update = binding.from_ldap.translate(
-            descriptor,
-            extra_partition=binding.partition,
-            target_name=binding.name,
-        )
+        binding is not affected (irrelevant mapping or partition miss).
+
+        *routed* carries :meth:`build_plan`'s shared translations, indexed
+        like :attr:`bindings`; without it the binding is translated on its
+        own."""
+        if routed is not None:
+            update = routed[index]
+        else:
+            update = binding.from_ldap.translate(
+                descriptor,
+                extra_partition=binding.partition,
+                target_name=binding.name,
+            )
         if update is None or update.action is TargetAction.SKIP:
             return None
         return DevicePlan(

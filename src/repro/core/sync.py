@@ -163,7 +163,11 @@ class Synchronizer:
         session: Session,
         connection,
     ) -> None:
-        """Strip device data from entries the device no longer knows."""
+        """Strip device data from entries the device no longer knows.
+
+        Only entries inside the binding's partition are this device's to
+        clean up: on a partitioned fleet the other PBXes' stations are
+        absent from this device by design."""
         key_attr = binding.to_ldap.key_target
         if key_attr is None:
             return
@@ -173,8 +177,12 @@ class Synchronizer:
                 continue
             if values[0].lower() in device_keys:
                 continue
-            report.examined += 1
             old_device = binding.from_ldap.image(entry.attributes.to_dict()) or {}
+            if old_device and not binding.from_ldap.claims(
+                old_device, binding.partition
+            ):
+                continue  # another device's data (e.g. a different PBX prefix)
+            report.examined += 1
             if not old_device:
                 report.skipped += 1
                 continue

@@ -308,19 +308,19 @@ class LinkDispatcher:
         self._notifier.start()
 
     def stop(self) -> None:
-        """Stop both threads; fails any unflushed futures so no waiter hangs."""
+        """Stop both threads; fails any unflushed futures so no waiter hangs.
+
+        The orphans fail *before* the notifier is joined: a DDU listener
+        running on the notifier may be waiting on one of their futures
+        (its fan-out submitted into a link), and only failing them lets
+        it return.  Submits are refused from ``_stopped`` on, so no new
+        orphan can appear after the sweep."""
         with self._cond:
             self._stopped = True
             self._cond.notify_all()
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        with self._notify_cond:
-            self._notify_stop = True
-            self._notify_cond.notify_all()
-        if self._notifier is not None:
-            self._notifier.join()
-            self._notifier = None
         orphans: list[_LinkOp] = []
         with self._cond:
             for link in self._links:
@@ -331,6 +331,12 @@ class LinkDispatcher:
                 link._pending.clear()
         for op in orphans:
             op.future.set_exception(DeviceError("device link stopped"))
+        with self._notify_cond:
+            self._notify_stop = True
+            self._notify_cond.notify_all()
+        if self._notifier is not None:
+            self._notifier.join()
+            self._notifier = None
 
     # -- event loop --------------------------------------------------------------
 
@@ -462,7 +468,15 @@ class LinkDispatcher:
                 device, notification = self._notifications.popleft()
             # Delivered outside both conditions: a DDU listener may fan
             # back into the links (submit) or the LTAP gateway.
-            device._notify(notification)
+            try:
+                device._notify(notification)
+            except DeviceError:
+                with self._cond:
+                    stopping = self._stopped
+                if not stopping:
+                    raise
+                # stop() failed the link futures this DDU's fan-out was
+                # waiting on: the shutdown cut it short, not a fault.
 
     # -- counters used by DeviceLink.submit ---------------------------------------
 

@@ -7,7 +7,15 @@ DESIGN.md section 2 for how it substitutes for the wire-protocol servers
 the paper used.
 """
 
-from .backend import Backend, ChangeRecord, ChangeType, Csn, Transaction
+from .backend import (
+    Backend,
+    ChangeRecord,
+    ChangeType,
+    Changelog,
+    ChangelogTruncatedError,
+    Csn,
+    Transaction,
+)
 from .client import LdapConnection
 from .dn import DN, Ava, Rdn
 from .entry import Attributes, Entry
@@ -55,7 +63,8 @@ from .server import LdapServer
 
 __all__ = [
     "AddRequest", "AttributeType", "Attributes", "Ava", "Backend",
-    "BindRequest", "BusyError", "ChangeRecord", "ChangeType", "ClassKind",
+    "BindRequest", "BusyError", "ChangeRecord", "ChangeType", "Changelog",
+    "ChangelogTruncatedError", "ClassKind",
     "CompareRequest", "Csn", "DN", "DeleteRequest", "Entry",
     "EntryAlreadyExistsError", "Filter", "InvalidDnError", "LdapConnection",
     "LdapError", "LdapRequest", "LdapTcpServer", "LdifChange", "LdapResponse", "LdapResult", "LdapServer",

@@ -8,15 +8,19 @@ and 5.1).
 
 The backend keeps a changelog of committed updates, each stamped with a
 change sequence number (CSN).  The changelog feeds both replication
-agreements and post-commit listeners.
+agreements and post-commit listeners.  It is bounded by its readers: a
+fixed tail of :data:`CHANGELOG_TAIL` records, plus whatever a registered
+replication agreement has not shipped yet (docs/CONSISTENCY.md).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Protocol
 
 from .dn import DN, Rdn
 from .entry import Attributes, Entry
@@ -73,6 +77,89 @@ class ChangeRecord:
 
 
 ChangeListener = Callable[[ChangeRecord], None]
+
+#: Records a changelog retains behind its newest one when no registered
+#: reader needs older ones (the changelog's counterpart of the event
+#: journal's 1024-event ring).
+CHANGELOG_TAIL = 1024
+
+
+class ChangelogTruncatedError(LookupError):
+    """A reader asked for records the changelog no longer retains."""
+
+    def __init__(self, wanted: str, first: int):
+        super().__init__(
+            f"changelog records {wanted} were dropped; the oldest "
+            f"retained record is at position {first}"
+        )
+        #: Absolute position of the oldest retained record.
+        self.first = first
+
+
+class ChangelogReader(Protocol):
+    """Anything that consumes a changelog by absolute position (a
+    replication agreement): ``cursor`` is the position of its next record."""
+
+    cursor: int
+
+
+class Changelog:
+    """Committed records, addressed by absolute position.
+
+    Position 0 is the first record the backend ever committed and
+    :attr:`end` is one past the newest.  The log keeps the newest
+    :data:`CHANGELOG_TAIL` records, and never drops a record a registered
+    reader has not consumed yet.  Reads of dropped positions raise
+    :class:`ChangelogTruncatedError` rather than skipping records.
+
+    ``len()``, iteration and indexing cover the retained records only.
+    Appends run under the owning backend's lock."""
+
+    def __init__(self) -> None:
+        self._records: deque[ChangeRecord] = deque()
+        self._first = 0
+        #: CSN of the newest dropped record (None while nothing was dropped).
+        self.dropped_csn: Csn | None = None
+        self._readers: list[ChangelogReader] = []
+
+    @property
+    def first(self) -> int:
+        """Absolute position of the oldest retained record."""
+        return self._first
+
+    @property
+    def end(self) -> int:
+        """Absolute position the next committed record will take."""
+        return self._first + len(self._records)
+
+    def register(self, reader: ChangelogReader) -> None:
+        self._readers.append(reader)
+
+    def append(self, record: ChangeRecord) -> None:
+        self._records.append(record)
+        keep_from = self.end - CHANGELOG_TAIL
+        for reader in self._readers:
+            keep_from = min(keep_from, reader.cursor)
+        while self._first < keep_from:
+            self.dropped_csn = self._records.popleft().csn
+            self._first += 1
+
+    def since(self, position: int) -> list[ChangeRecord]:
+        """Every record from absolute *position* on."""
+        if position < self._first:
+            raise ChangelogTruncatedError(f"from position {position}", self._first)
+        return list(itertools.islice(self._records, position - self._first, None))
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __iter__(self) -> Iterator[ChangeRecord]:
+        return iter(list(self._records))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._records)[index]
+        return self._records[index]
 
 
 class Transaction:
@@ -151,7 +238,7 @@ class Backend:
         self._children: dict[tuple, set[tuple]] = {}
         self._lock = threading.RLock()
         self._seq = 0
-        self.changelog: list[ChangeRecord] = []
+        self.changelog = Changelog()
         self._listeners: list[ChangeListener] = []
         self._txn_buffer: list[ChangeRecord] | None = None
         # Equality indexes: attr (lower) -> normalized value -> set of DN keys.
@@ -597,7 +684,14 @@ class Backend:
             return [e.copy() for _, e in sorted(self._entries.items())]
 
     def changes_since(self, csn: Csn | None) -> list[ChangeRecord]:
+        """Records committed after *csn* (every record when None); raises
+        :class:`ChangelogTruncatedError` when some were already dropped."""
         with self._lock:
+            log = self.changelog
+            dropped = log.dropped_csn
+            if dropped is not None and (csn is None or csn < dropped):
+                wanted = "from the start" if csn is None else f"after {csn}"
+                raise ChangelogTruncatedError(wanted, log.first)
             if csn is None:
-                return list(self.changelog)
-            return [r for r in self.changelog if csn < r.csn]
+                return list(log)
+            return [r for r in log if csn < r.csn]

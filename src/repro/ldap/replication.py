@@ -37,7 +37,9 @@ class ReplicationAgreement:
 
     supplier: LdapServer
     consumer: LdapServer
-    cursor: int = 0  # index into the supplier changelog
+    #: Absolute changelog position of the next record to ship; the
+    #: supplier's changelog keeps every record from here on.
+    cursor: int = 0
 
 
 class ReplicationEngine:
@@ -58,7 +60,9 @@ class ReplicationEngine:
         """Add a one-way agreement.  Call twice for a multi-master pair."""
         self._register(supplier)
         self._register(consumer)
-        self.agreements.append(ReplicationAgreement(supplier, consumer))
+        agreement = ReplicationAgreement(supplier, consumer)
+        supplier.backend.changelog.register(agreement)
+        self.agreements.append(agreement)
 
     def connect_mesh(self, servers: list[LdapServer]) -> None:
         """Fully connect *servers* as multi-masters."""
@@ -109,10 +113,12 @@ class ReplicationEngine:
         raise RuntimeError("replication did not reach a fixpoint")
 
     def _drain(self, agreement: ReplicationAgreement) -> int:
-        changelog = agreement.supplier.backend.changelog
+        """Ship the supplier's records past the cursor; raises
+        :class:`~repro.ldap.backend.ChangelogTruncatedError` when the
+        supplier no longer holds them (history older than its retained
+        tail when the agreement was made)."""
         shipped = 0
-        while agreement.cursor < len(changelog):
-            record = changelog[agreement.cursor]
+        for record in agreement.supplier.backend.changelog.since(agreement.cursor):
             agreement.cursor += 1
             if self._apply(agreement.consumer, record):
                 shipped += 1

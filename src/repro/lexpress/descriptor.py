@@ -35,6 +35,14 @@ def normalize_attrs(
     return out
 
 
+def _by_lower(attrs: Mapping[str, list[str]] | None) -> dict[str, list[str]]:
+    """Lower-cased name → values; the first spelling of a name wins."""
+    out: dict[str, list[str]] = {}
+    for key, values in (attrs or {}).items():
+        out.setdefault(key.lower(), values)
+    return out
+
+
 def _get(attrs: Mapping[str, list[str]] | None, name: str) -> list[str]:
     if not attrs:
         return []
@@ -65,6 +73,10 @@ class UpdateDescriptor:
     new: dict[str, list[str]] | None = None
     explicit: frozenset[str] = frozenset()
     origin: str | None = None
+    #: Memo of :meth:`changed_attributes` (descriptors are immutable).
+    _changed: frozenset[str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "old", normalize_attrs(self.old))
@@ -84,15 +96,19 @@ class UpdateDescriptor:
     # -- derived ------------------------------------------------------------
 
     def changed_attributes(self) -> frozenset[str]:
-        """Lower-case names of attributes whose values differ old → new."""
-        old = self.old or {}
-        new = self.new or {}
-        names = {k.lower() for k in old} | {k.lower() for k in new}
-        changed = set()
-        for name in names:
-            if _get(self.old, name) != _get(self.new, name):
-                changed.add(name)
-        return frozenset(changed)
+        """Lower-case names of attributes whose values differ old → new
+        (computed once per descriptor)."""
+        changed = self._changed
+        if changed is None:
+            old = _by_lower(self.old)
+            new = _by_lower(self.new)
+            changed = frozenset(
+                name
+                for name in old.keys() | new.keys()
+                if old.get(name, []) != new.get(name, [])
+            )
+            object.__setattr__(self, "_changed", changed)
+        return changed
 
     def get_new(self, name: str) -> list[str]:
         return _get(self.new, name)

@@ -238,21 +238,44 @@ class CompiledMapping:
         descriptor: UpdateDescriptor,
         extra_partition: PartitionConstraint | None = None,
         target_name: str | None = None,
-    ) -> TargetUpdate | None:
+        *,
+        instances: Sequence[tuple[PartitionConstraint | None, str | None]]
+        | None = None,
+    ) -> TargetUpdate | None | list[TargetUpdate | None]:
         """Translate *descriptor* into an update against this mapping's target.
 
         Returns None when the mapping is irrelevant to the change (a modify
         that touches none of the mapped attributes).
+
+        With *instances* — ``(partition, target name)`` pairs, this mapping
+        bound once per repository instance (section 4.1) — the old and new
+        images are computed once and routed against every instance's
+        partition.  The result is then a list with one entry per instance:
+        its :class:`TargetUpdate`, or None where the instance is unaffected
+        (an irrelevant change, or a SKIP under the partitioning matrix).
         """
+        if instances is None:
+            return self._translate_instances(
+                descriptor, ((extra_partition, target_name),), keep_skip=True
+            )[0]
+        return self._translate_instances(descriptor, instances, keep_skip=False)
+
+    def _translate_instances(
+        self,
+        descriptor: UpdateDescriptor,
+        instances: Sequence[tuple[PartitionConstraint | None, str | None]],
+        keep_skip: bool,
+    ) -> list[TargetUpdate | None]:
+        """Images once, then per instance: partition tests, the routing
+        matrix, the Originator check; the old/new diff once, on demand."""
         if descriptor.source.lower() != self.source.lower():
             raise LexpressCompileError(
                 f"mapping {self.name!r} translates from {self.source!r}, "
                 f"got a descriptor from {descriptor.source!r}"
             )
         if not self.relevant(descriptor):
-            return None
+            return [None] * len(instances)
 
-        target = target_name or self.target
         if descriptor.op is UpdateOp.MODIFY:
             old_image, new_image = self._dual_images(
                 descriptor.old or {},
@@ -263,47 +286,72 @@ class CompiledMapping:
             old_image = self.image(descriptor.old)
             new_image = self.image(descriptor.new)
 
-        old_sat = self.partition.satisfied_by(old_image)
-        new_sat = self.partition.satisfied_by(new_image)
-        if extra_partition is not None:
-            old_sat = old_sat and extra_partition.satisfied_by(old_image)
-            new_sat = new_sat and extra_partition.satisfied_by(new_image)
-
-        action = route(old_sat, new_sat)
+        # Partition predicates read the images through the rule engines'
+        # canonical (lower-cased) view, built once for every instance.
+        old_low = lower_attrs(old_image) if old_image is not None else None
+        new_low = lower_attrs(new_image) if new_image is not None else None
+        old_base = self._satisfies(self.partition, old_low)
+        new_base = self._satisfies(self.partition, new_low)
         old_key = self.key_of(old_image)
         new_key = self.key_of(new_image)
+        diff: tuple[dict[str, list[str]], tuple[str, ...]] | None = None
 
-        changed: dict[str, list[str]] = {}
-        removed: list[str] = []
-        if action is TargetAction.MODIFY:
-            names = {n.lower() for n in (old_image or {})} | {
-                n.lower() for n in (new_image or {})
-            }
-            for name in sorted(names):
-                old_values = _lookup(old_image, name)
-                new_values = _lookup(new_image, name)
-                if old_values == new_values:
-                    continue
-                if new_values is None:
-                    removed.append(_spelling(old_image, name))
-                else:
-                    changed[_spelling(new_image, name)] = new_values
-            if not changed and not removed and old_key == new_key:
-                action = TargetAction.SKIP
+        out: list[TargetUpdate | None] = []
+        for partition, target_name in instances:
+            old_sat, new_sat = old_base, new_base
+            if partition is not None:
+                old_sat = old_sat and self._satisfies(partition, old_low)
+                new_sat = new_sat and self._satisfies(partition, new_low)
+            action = route(old_sat, new_sat)
+            changed: dict[str, list[str]] = {}
+            removed: tuple[str, ...] = ()
+            if action is TargetAction.MODIFY:
+                if diff is None:
+                    diff = _diff(old_image, new_image)
+                changed, removed = diff
+                if not changed and not removed and old_key == new_key:
+                    action = TargetAction.SKIP
+            if action is TargetAction.SKIP and not keep_skip:
+                out.append(None)
+                continue
+            target = target_name or self.target
+            out.append(
+                TargetUpdate(
+                    action=action,
+                    target=target,
+                    key=new_key if action is not TargetAction.DELETE else old_key,
+                    old_key=old_key,
+                    key_attribute=self.key_target,
+                    attributes=dict(new_image or {}),
+                    old_attributes=dict(old_image or {}),
+                    changed=dict(changed),
+                    removed=removed,
+                    conditional=self._is_conditional(descriptor, target),
+                    mapping=self.name,
+                )
+            )
+        return out
 
-        conditional = self._is_conditional(descriptor, target)
-        return TargetUpdate(
-            action=action,
-            target=target,
-            key=new_key if action is not TargetAction.DELETE else old_key,
-            old_key=old_key,
-            key_attribute=self.key_target,
-            attributes=dict(new_image or {}),
-            old_attributes=dict(old_image or {}),
-            changed=changed,
-            removed=tuple(removed),
-            conditional=conditional,
-            mapping=self.name,
+    def claims(
+        self,
+        image: Mapping[str, Sequence[str]] | None,
+        extra_partition: PartitionConstraint | None = None,
+    ) -> bool:
+        """Does a target-schema *image* satisfy this mapping's partition
+        (and *extra_partition*, an instance's own constraint)?"""
+        low = lower_attrs(image) if image is not None else None
+        return self._satisfies(self.partition, low) and (
+            extra_partition is None or self._satisfies(extra_partition, low)
+        )
+
+    def _satisfies(
+        self,
+        partition: PartitionConstraint,
+        low_image: Mapping[str, Sequence[str]] | None,
+    ) -> bool:
+        """One partition test under this mapping's engine mode."""
+        return partition.satisfied_by(
+            low_image, mode=self.lexpress_mode, mapping=self.name, canonical=True
         )
 
     def _is_conditional(self, descriptor: UpdateDescriptor, target: str) -> bool:
@@ -321,6 +369,35 @@ class CompiledMapping:
         return False
 
 
+def _diff(
+    old_image: dict[str, list[str]] | None,
+    new_image: dict[str, list[str]] | None,
+) -> tuple[dict[str, list[str]], tuple[str, ...]]:
+    """Target attributes whose values changed, and those that were unset."""
+    old_by = _by_lower(old_image)
+    new_by = _by_lower(new_image)
+    changed: dict[str, list[str]] = {}
+    removed: list[str] = []
+    for name in sorted(old_by.keys() | new_by.keys()):
+        old = old_by.get(name)
+        new = new_by.get(name)
+        if new is None:
+            removed.append(old[0])
+        elif old is None or old[1] != new[1]:
+            changed[new[0]] = new[1]
+    return changed, tuple(removed)
+
+
+def _by_lower(
+    image: dict[str, list[str]] | None,
+) -> dict[str, tuple[str, list[str]]]:
+    """Lower-cased name → (spelling, values); the first spelling wins."""
+    out: dict[str, tuple[str, list[str]]] = {}
+    for name, values in (image or {}).items():
+        out.setdefault(name.lower(), (name, values))
+    return out
+
+
 def _lookup(image: dict[str, list[str]] | None, lower_name: str) -> list[str] | None:
     if not image:
         return None
@@ -328,14 +405,6 @@ def _lookup(image: dict[str, list[str]] | None, lower_name: str) -> list[str] | 
         if name.lower() == lower_name:
             return values
     return None
-
-
-def _spelling(image: dict[str, list[str]] | None, lower_name: str) -> str:
-    if image:
-        for name in image:
-            if name.lower() == lower_name:
-                return name
-    return lower_name
 
 
 @dataclass

@@ -26,9 +26,10 @@ from typing import Mapping, Sequence
 
 from .ast import Expr
 from .bytecode import CodeObject
+from .codegen import run_rule
 from .compiler import compile_expr
 from .descriptor import TargetAction
-from .interpreter import execute, truthy
+from .interpreter import truthy
 from .lexer import tokenize
 from .parser import Parser
 
@@ -70,12 +71,34 @@ class PartitionConstraint:
     def deps(self) -> frozenset[str]:
         return self.code.deps
 
-    def satisfied_by(self, attrs: Mapping[str, Sequence[str]] | None) -> bool:
+    def satisfied_by(
+        self,
+        attrs: Mapping[str, Sequence[str]] | None,
+        *,
+        mode: str | None = None,
+        mapping: str = "partition",
+        canonical: bool = False,
+    ) -> bool:
         """Evaluate against an attribute image; a missing image never
-        satisfies (the object does not exist on that side)."""
+        satisfies (the object does not exist on that side).
+
+        *mode* picks the rule engine exactly as for mapping rules (see
+        :func:`~repro.lexpress.codegen.run_rule`): the interpreter by
+        default, the compiled-closure tier under ``"compiled"``, both with
+        a divergence check under ``"verify"``.  Closures are cached under
+        ``(mapping, code name)``."""
         if attrs is None:
             return False
-        return truthy(execute(self.code, attrs))
+        return truthy(
+            run_rule(
+                self.code,
+                attrs,
+                mapping=mapping,
+                attribute=self.code.name,
+                mode=mode,
+                canonical=canonical,
+            )
+        )
 
     def __repr__(self) -> str:
         return f"PartitionConstraint({self.source or self.code.name!r})"
@@ -94,5 +117,12 @@ class AlwaysTrue(PartitionConstraint):
     def deps(self) -> frozenset[str]:
         return frozenset()
 
-    def satisfied_by(self, attrs: Mapping[str, Sequence[str]] | None) -> bool:
+    def satisfied_by(
+        self,
+        attrs: Mapping[str, Sequence[str]] | None,
+        *,
+        mode: str | None = None,
+        mapping: str = "partition",
+        canonical: bool = False,
+    ) -> bool:
         return attrs is not None

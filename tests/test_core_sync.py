@@ -211,3 +211,50 @@ class TestPushDirectory:
         assert report.added == 0
         assert report.modified == 0
         assert report.skipped >= 1
+
+
+class TestPartitionedSync:
+    """Synchronizing one PBX of a fleet whose switches split the extension
+    space by prefix must leave every other PBX's data alone."""
+
+    PREFIXES = ("41", "42", "43", "44", "45", "46", "47", "48")
+
+    def test_sync_of_one_pbx_leaves_the_other_pbxes_alone(self):
+        system = MetaComm(
+            MetaCommConfig(
+                pbxes=[PbxConfig(f"pbx-{p}", (p,)) for p in self.PREFIXES]
+            )
+        )
+        conn = system.connection()
+        for prefix in self.PREFIXES:
+            for n in range(2):
+                cn = f"P{prefix}{n} Station"
+                conn.add(
+                    f"cn={cn},o=Lucent",
+                    person_attrs(cn, "Station", definityExtension=f"{prefix}0{n}"),
+                )
+        # A station administered on pbx-42 behind MetaComm's back.
+        system.pbx("pbx-42")._records["4209"] = {
+            "Extension": "4209", "Name": "Late, Lou",
+        }
+        counts = {
+            name: len(pbx.keys()) for name, pbx in system.pbxes.items()
+        }
+        directory = {
+            str(e.dn).lower(): e.attributes.normalized()
+            for e in system.find_person("(objectClass=person)")
+        }
+
+        report = system.sync.synchronize("pbx-42")
+
+        assert report.errors == []
+        assert report.added == 1 and report.deleted == 0
+        after = {
+            str(e.dn).lower(): e.attributes.normalized()
+            for e in system.find_person("(objectClass=person)")
+        }
+        assert {dn: after[dn] for dn in directory} == directory
+        assert set(after) - set(directory) == {"cn=lou late,o=lucent"}
+        for name, pbx in system.pbxes.items():
+            assert len(pbx.keys()) == counts[name], name
+        assert system.consistent()

@@ -251,6 +251,36 @@ class TestDeviceLinkUnit:
         with pytest.raises(DeviceError, match="link stopped"):
             device.submit("add", {"Extension": "101"})
 
+    def test_stop_releases_a_notifier_waiting_on_a_link_future(self):
+        # A DDU delivered on the notifier thread fans out into another
+        # link and waits on the future; stop() must fail that future
+        # before joining the notifier, or the join never returns.
+        dispatcher = LinkDispatcher()
+        source, target = make_device("src"), make_device("dst")
+        dispatcher.register(source)
+        target_link = dispatcher.register(target)
+        waiting = threading.Event()
+        outcome = []
+
+        def fan_out(_notification):
+            future = target.submit("add", {"Extension": "200"})
+            waiting.set()
+            try:
+                future.result()
+            except DeviceError as exc:
+                outcome.append(exc)
+
+        source.add_listener(fan_out)
+        dispatcher.start()
+        target_link.pause()  # the fan-out's op can never flush
+        source.submit("add", {"Extension": "100"}).result(timeout=5)
+        assert waiting.wait(timeout=5), "notifier never delivered the DDU"
+        stopper = threading.Thread(target=dispatcher.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive(), "stop() hung joining the notifier"
+        assert len(outcome) == 1 and "link stopped" in str(outcome[0])
+
     def test_snapshot_shape(self, dispatcher):
         device = make_device()
         link = dispatcher.register(device, LinkConfig(window=2, batch=3, queue_limit=5))
