@@ -33,7 +33,7 @@ perf-smoke:
 		status=$$?; echo "$$out"; \
 		[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": true'
 
-## Serial vs concurrent device fan-out throughput; writes BENCH_pipeline.json.
+## Serial vs device-link fan-out throughput; writes BENCH_pipeline.json.
 bench-pipeline:
 	$(PYTHON) -m pytest benchmarks/test_pipeline_throughput.py -m benchmarks -s -p no:cacheprovider
 
@@ -42,15 +42,16 @@ bench-pipeline:
 bench-lanes:
 	$(PYTHON) -m pytest benchmarks/test_lane_throughput.py -m benchmarks -s -p no:cacheprovider
 
-## Event-driven device links vs thread-per-device fan-out (16 devices,
+## Event-driven device links vs inline serial fan-out (16 devices,
 ## 2 ms serial craft channels); writes BENCH_links.json and fails when
 ## the link layer is < 2x the baseline (docs/DEVICE_LINKS.md).
 bench-links:
 	$(PYTHON) -m pytest benchmarks/test_links_throughput.py -m benchmarks -s -p no:cacheprovider
 
-## Health-plane overhead: pipeline throughput with the journal + health
-## board + background auditor on vs observability off; writes
-## BENCH_health.json and fails on > 5% regression.
+## Health-plane overhead: device-link pipeline throughput with the
+## journal + health board + background auditor on vs observability off,
+## 8 alternating runs; writes BENCH_health.json and fails when the ratio
+## of medians shows > 5% regression.
 bench-health:
 	$(PYTHON) -m pytest benchmarks/test_health_overhead.py -m benchmarks -s -p no:cacheprovider
 

@@ -1,22 +1,24 @@
-"""Device-link throughput: pipelined command streams vs thread-per-device.
+"""Device-link throughput: pipelined command streams vs inline serial fan-out.
 
 The event-driven link layer (docs/DEVICE_LINKS.md) replaces the fan-out
-stage's thread-per-device blocking writes with per-device command
-streams: one dispatcher thread coalesces queued ops into batches, pays
-**one** round-trip per batch, and keeps a bounded window of streams in
-flight per device.  This benchmark builds the fleet that refactor
-targets: sixteen devices (fifteen PBXes with disjoint extension
-prefixes plus the shared messaging platform), every link a *serial
-craft channel* costing ``link_commands`` sequential round-trips per
-blocking op — so the messaging platform, touched by every update, is
-the structural bottleneck the batching collapses.
+stage's inline blocking writes — one device after another, each paying
+its full round-trip — with per-device command streams: one dispatcher
+thread coalesces queued ops into batches, pays **one** round-trip per
+batch, and keeps a bounded window of streams in flight per device.
+This benchmark builds the fleet that refactor targets: sixteen devices
+(fifteen PBXes with disjoint extension prefixes plus the shared
+messaging platform), every link a *serial craft channel* costing
+``link_commands`` sequential round-trips per blocking op — so the
+messaging platform, touched by every update, is the structural
+bottleneck the batching collapses.
 
-Measures update sequences/second for the thread-per-device baseline
-(``fanout_workers`` pool, one blocking write per device) against
-``device_links=True`` on the same four-lane coordinator, repeats the
-comparison with a mixed-latency fleet (slow shared messaging link), and
-records a stalled-device observation showing the lane depth limit
-bounding queued work while a link is down.  Asserts the headline
+Measures update sequences/second for the inline serial baseline (the
+paper's fan-out: each lane worker applies its sequence's devices one
+blocking write at a time) against ``device_links=True`` on the same
+four-lane coordinator, repeats the comparison with a mixed-latency
+fleet (slow shared messaging link), and records a stalled-device
+observation showing the lane depth limit bounding queued work while a
+link is down.  Asserts the headline
 speedup (>= 2x on the uniform 2 ms fleet) and writes the results to
 ``BENCH_links.json``.  Run with::
 
@@ -50,7 +52,7 @@ PBX_COUNT = 15
 PBX_COMMANDS = 2
 #: Commands per blocking op on the messaging platform's channel.
 MESSAGING_COMMANDS = 3
-#: Required speedup of device links over thread-per-device fan-out.
+#: Required speedup of device links over inline serial fan-out.
 SPEEDUP_FLOOR = 2.0
 
 #: Disjoint two-digit extension prefixes: clients use 41..48, the rest
@@ -65,15 +67,14 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_links.json"
 
 def _fleet(mode: str, messaging_latency: float = LINK_LATENCY) -> MetaComm:
     """Sixteen devices on serial craft channels, rules on the compiled
-    tier.  ``mode`` selects the fan-out machinery: ``"threads"`` is the
-    thread-per-device baseline (a pool worker sleeps through every
-    device's round-trips), ``"links"`` the event-driven dispatcher."""
+    tier.  ``mode`` selects the fan-out machinery: ``"serial"`` is the
+    inline baseline (the lane worker sleeps through every device's
+    round-trips in turn), ``"links"`` the event-driven dispatcher."""
     config = MetaCommConfig(
         pbxes=[PbxConfig(f"pbx-{i + 1}", (p,)) for i, p in enumerate(PREFIXES)],
         coordinator_lanes=LANES,
         lexpress_mode="compiled",
         device_links=(mode == "links"),
-        fanout_workers=PBX_COUNT + 1 if mode == "threads" else 1,
     )
     system = MetaComm(config)
     for pbx in system.pbxes.values():
@@ -224,12 +225,12 @@ def test_device_link_throughput():
         ("uniform-2ms", LINK_LATENCY),
         ("slow-messaging-8ms", 4 * LINK_LATENCY),
     ):
-        baseline = _measure("threads", messaging_latency)
+        baseline = _measure("serial", messaging_latency)
         links = _measure("links", messaging_latency)
         results.append(
             {
                 "fleet": label,
-                "threads_seq_per_s": baseline["seq_per_s"],
+                "serial_seq_per_s": baseline["seq_per_s"],
                 "links_seq_per_s": links["seq_per_s"],
                 "speedup": round(
                     links["seq_per_s"] / baseline["seq_per_s"], 2
@@ -263,10 +264,10 @@ def test_device_link_throughput():
     RESULTS_PATH.write_text(json.dumps(document, indent=2) + "\n")
 
     print("\n=== device link throughput ===")
-    print("fleet               threads  links  speedup  mean batch")
+    print("fleet               serial  links  speedup  mean batch")
     for row in results:
         print(
-            f"{row['fleet']:<19} {row['threads_seq_per_s']:>7}  "
+            f"{row['fleet']:<19} {row['serial_seq_per_s']:>6}  "
             f"{row['links_seq_per_s']:>5}  {row['speedup']:>6}x  "
             f"{row['messaging_mean_batch']:>10}"
         )
@@ -279,6 +280,6 @@ def test_device_link_throughput():
 
     uniform = results[0]
     assert uniform["speedup"] >= SPEEDUP_FLOOR, (
-        f"device-link speedup {uniform['speedup']}x over thread-per-device "
+        f"device-link speedup {uniform['speedup']}x over inline serial "
         f"fan-out is below the {SPEEDUP_FLOOR}x floor on the uniform fleet"
     )

@@ -21,7 +21,7 @@ Two conventions of this codebase are modelled explicitly:
 * **held-lock contracts** — a method whose docstring says ``Caller holds
   ``_cond``.`` (or whose name ends in ``_unlocked``/``_locked``) is
   analyzed as if that lock were held on entry; the convention predates
-  the analyzer (``ShardedUpdateQueue._runnable`` et al.) and the pass
+  the analyzer (``UpdateQueue._runnable`` et al.) and the pass
   verifies rather than guesses it;
 * **attribute typing** — ``self.x = ClassName(...)`` assignments, a
   small role-name table for constructor parameters (``journal=...``),

@@ -22,7 +22,7 @@ from .pipeline import (
     UpdateSequencePipeline,
     merge_attrs,
 )
-from .queue import GlobalUpdateQueue, QueuedUpdate, ShardedUpdateQueue
+from .queue import QueuedUpdate, UpdateQueue
 from .sync import SyncReport, Synchronizer
 from .update_manager import DeviceBinding, UpdateManager
 
@@ -37,7 +37,6 @@ __all__ = [
     "FailurePolicy",
     "Filter",
     "FilterError",
-    "GlobalUpdateQueue",
     "LdapFilter",
     "MediatorError",
     "MetaComm",
@@ -45,7 +44,6 @@ __all__ = [
     "PbxConfig",
     "QueuedUpdate",
     "SequenceOutcome",
-    "ShardedUpdateQueue",
     "StageResult",
     "SyncReport",
     "Synchronizer",
@@ -53,6 +51,7 @@ __all__ = [
     "UmCrash",
     "UpdatePlan",
     "UpdateManager",
+    "UpdateQueue",
     "UpdateSequencePipeline",
     "VirtualMediator",
     "merge_attrs",

@@ -86,23 +86,18 @@ class MetaCommConfig:
     #: unless started — tests and the `monitor` CLI drive cycles
     #: explicitly.
     audit_interval: float = 0.5
-    #: Worker threads for the update pipeline's device fan-out stage.
-    #: 1 (default) preserves the paper's serial device order; >1 applies
-    #: the planned per-device updates concurrently (the repositories are
-    #: disjoint, so per-device histories are unchanged — see
-    #: docs/PIPELINE.md for the serialization argument).
-    fanout_workers: int = 1
-    #: Concurrent coordinator lanes for the Update Manager's drain path.
-    #: 1 (default) is the paper's single global queue, byte-identical in
-    #: behaviour; >1 builds a routing oracle from the mapping
+    #: Concurrent coordinator lanes for the Update Manager's queue.
+    #: 1 (default) is the paper's single global queue: sequences run one
+    #: at a time in serial order, whatever thread claimed them; >1 builds a routing oracle from the mapping
     #: configuration (repro.analysis.build_routing_plan) and shards
     #: provably-commuting updates over that many lanes, with a serial
     #: fallback lane for everything unprovable — see docs/CONCURRENCY.md.
     coordinator_lanes: int = 1
     #: Event-driven device links (docs/DEVICE_LINKS.md): replace the
-    #: blocking thread-per-device fan-out with one dispatcher thread
-    #: driving pipelined, batched command streams over every device link.
-    #: Off by default — the blocking paths stay byte-identical.
+    #: inline serial fan-out with one dispatcher thread driving
+    #: pipelined, batched command streams over every device link, so one
+    #: sequence's device round-trips overlap.  Off by default — the
+    #: paper's serial fan-out.
     device_links: bool = False
     #: Maximum command streams (flushed batches) in flight per link.
     link_window: int = 4
@@ -113,7 +108,6 @@ class MetaCommConfig:
     #: Maximum outstanding updates per coordinator lane before LTAP's
     #: admission control defers or rejects with ServerBusy.  ``None``
     #: (default) disables admission — the pre-link unbounded behaviour.
-    #: Requires ``coordinator_lanes > 1`` to take effect.
     lane_depth_limit: int | None = None
     #: What admission does at the limit: "reject" answers ServerBusy
     #: immediately, "defer" waits up to ``busy_timeout`` first.
@@ -273,7 +267,6 @@ class MetaComm:
             undo_on_failure=self.config.undo_on_failure,
             registry=self.obs.registry,
             tracer=self.obs.tracer,
-            fanout_workers=self.config.fanout_workers,
             journal=self.obs.journal,
             health=self.obs.health,
             coordinator_lanes=self.config.coordinator_lanes,
@@ -385,9 +378,9 @@ class MetaComm:
 
     def close(self) -> None:
         """Release background resources (auditor thread, coordinator
-        thread, fan-out pool, link dispatcher)."""
+        lanes, link dispatcher)."""
         self.auditor.stop()
-        self.um.close()
+        self.um.stop()
         if self.links is not None:
             # After the UM: coordinator lanes may still be draining work
             # through the links, and stop() fails any orphaned futures.

@@ -17,8 +17,8 @@ into explicit stages with first-class plan/outcome objects:
   each repository's before-image for saga compensation.  The result is an
   :class:`UpdatePlan` holding one :class:`DevicePlan` per affected device.
 * **fanout** — apply the planned updates to the device repositories,
-  either serially (the paper's discipline) or concurrently across devices
-  (see below).
+  either inline and serially (the paper's discipline) or through the
+  event-driven device links of :mod:`repro.devices.links` (see below).
 * **merge** — fold the closure-derived attributes and every device echo
   (defaults, truncations, generated ids) into one supplemental image.
   Attribute names are merged *case-insensitively* — LDAP attribute names
@@ -27,33 +27,33 @@ into explicit stages with first-class plan/outcome objects:
 * **supplemental** — write the merged image back through the LDAP filter,
   re-entering the originating session's entry lock.
 
-Why concurrent fan-out preserves the serialization discipline
--------------------------------------------------------------
+Why device-link fan-out preserves the serialization discipline
+----------------------------------------------------------------
 
-The queue serializes *sequences*: at most one update sequence is in its
-fanout stage at any time.  Within a sequence, each device binding receives
-at most one translated update, and the device repositories are disjoint
-(partitioned PBXes, the Messaging Platform) — so the per-repository
-apply order seen by any single device is identical in serial and parallel
-modes.  This is the same observation that lets multimaster replication
-propagate to independent peers without quiescing: concurrency across
-*non-conflicting* targets cannot reorder the per-target history.
+The update queue serializes *sequences* that do not provably commute
+(docs/CONCURRENCY.md).  Within a sequence, each device binding receives at
+most one translated update, and the device repositories are disjoint
+(partitioned PBXes, the Messaging Platform).  In links mode the stage
+submits every plan's apply onto its device's link before awaiting any of
+them; each link is a FIFO whose batches execute strictly in submission
+order, so the per-repository apply order seen by any single device is the
+order in which the sequences reached the fan-out stage — the queue's
+order, the same history serial mode produces.  Overlapping round-trips to
+*different* devices cannot reorder any one device's history.
 
-Failure policies run *after* the fan-out barrier, replaying the device
-outcomes in binding order — so error-log records, abort decisions and
-saga-compensation order are byte-for-byte identical in both modes.  In
-parallel mode a device that committed *after* the abort point (it could
-not know a predecessor failed) is rolled back to its before-image,
-restoring exactly the state serial mode would have left.  A barrier
-before the supplemental write guarantees the section-5.5 ordering in both
-modes.
+Failure policies run *after* the fan-out barrier (every link future
+awaited), replaying the device outcomes in binding order — so error-log
+records, abort decisions and saga-compensation order are byte-for-byte
+identical in both modes.  In links mode a device that committed *after*
+the abort point (its op was already on its link when a predecessor
+failed) is rolled back to its before-image, restoring exactly the state
+serial mode would have left.  The barrier also guarantees the
+section-5.5 ordering of the supplemental write in both modes.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, TYPE_CHECKING
@@ -145,7 +145,7 @@ class FailurePolicy:
     shipped behaviour).  ``undo_on_failure`` — saga-style compensation of
     the device updates already applied (section 4.4's sketched future).
     Both act on the fan-out outcomes *in binding order*, so their effects
-    are identical whether the fan-out ran serially or concurrently.
+    are identical whether the fan-out ran inline or over device links.
     """
 
     abort_on_failure: bool = True
@@ -188,7 +188,7 @@ class DeviceOutcome:
     unexpected: Exception | None = None
     #: Device echo / generated attributes for the fold-back merge.
     supplement: dict[str, list[str]] = field(default_factory=dict)
-    #: True when parallel mode undid a commit past the abort point.
+    #: True when links mode undid a commit past the abort point.
     rolled_back: bool = False
 
     @property
@@ -216,7 +216,7 @@ class SequenceOutcome:
     abort_index: int | None = None
     #: Device names compensated by the saga policy, in compensation order.
     compensated: list[str] = field(default_factory=list)
-    #: Device names rolled back past the abort point (parallel mode only).
+    #: Device names rolled back past the abort point (links mode only).
     rolled_back: list[str] = field(default_factory=list)
     supplement: dict[str, list[str]] = field(default_factory=dict)
     supplemental_written: bool = False
@@ -232,9 +232,10 @@ class SequenceOutcome:
 class UpdateSequencePipeline:
     """Executes update sequences as explicit stages with a fan-out policy.
 
-    ``fanout_workers`` selects the fan-out mode: ``1`` (the default)
-    preserves the paper's serial device order exactly; ``>1`` applies the
-    planned updates concurrently on a worker pool of that size.
+    The fan-out mode follows :meth:`attach_links`: without links the
+    planned updates are applied inline in the paper's serial device
+    order; with links they are submitted onto the event-driven device
+    links and awaited at a barrier.
     """
 
     def __init__(
@@ -245,7 +246,6 @@ class UpdateSequencePipeline:
         error_log: ErrorLog,
         policy: FailurePolicy | None = None,
         registry: MetricsRegistry | None = None,
-        fanout_workers: int = 1,
         compensate: Callable[[list, Trace | None], None] | None = None,
         journal=None,
         health=None,
@@ -260,16 +260,11 @@ class UpdateSequencePipeline:
         #: lifecycle events, the health board the per-device outcome feed.
         self.journal = journal
         self.health = health
-        if fanout_workers < 1:
-            raise ValueError("fanout_workers must be >= 1")
-        self._fanout_workers = fanout_workers
         self._compensate = compensate
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
         #: Event-driven device links by binding name (see
         #: :mod:`repro.devices.links`).  When attached, the fan-out stage
-        #: dispatches apply closures onto the links instead of the worker
-        #: pool: one dispatcher thread overlaps every device's round-trip
+        #: dispatches apply closures onto the links instead of applying
+        #: inline: one dispatcher thread overlaps every device's round-trip
         #: and coalesces ops into pipelined command streams.
         self._links: dict[str, "DeviceLink"] = {}
         #: The outcome of the most recent sequence (diagnostic handle).
@@ -298,7 +293,7 @@ class UpdateSequencePipeline:
         )
         self.rolled_back_total = self.registry.counter(
             "metacomm_um_rolled_back_total",
-            "Parallel-mode rollbacks of device commits past an abort point",
+            "Links-mode rollbacks of device commits past an abort point",
             labelnames=("device",),
         )
         self.stage_seconds = self.registry.histogram(
@@ -313,62 +308,12 @@ class UpdateSequencePipeline:
 
     # -- configuration -----------------------------------------------------------
 
-    @property
-    def fanout_workers(self) -> int:
-        # Single-int snapshot under the GIL; the setter swaps it under
-        # _pool_lock and _executor() re-reads it there before building.
-        return self._fanout_workers  # lexcheck: ignore[LX503]
-
-    @fanout_workers.setter
-    def fanout_workers(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("fanout_workers must be >= 1")
-        # Swap the pool reference under the lock, but drain it outside:
-        # shutdown(wait=True) blocks until in-flight applies finish, and
-        # those worker threads must not find the lock held (LX502).
-        stale = None
-        with self._pool_lock:
-            if workers != self._fanout_workers and self._pool is not None:
-                stale = self._pool
-                self._pool = None
-            self._fanout_workers = workers
-        if stale is not None:
-            stale.shutdown(wait=True)
-
-    @property
-    def parallel(self) -> bool:
-        return self._fanout_workers > 1
-
-    @property
-    def links_enabled(self) -> bool:
-        return bool(self._links)
-
     def attach_links(self, links: Mapping[str, "DeviceLink"]) -> None:
         """Route fan-out through event-driven device links.
 
         ``links`` maps binding names to their :class:`DeviceLink`; bindings
         without a link fall back to an inline (blocking) apply."""
         self._links = dict(links)
-
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._fanout_workers,
-                    thread_name_prefix="metacomm-fanout",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the fan-out worker pool (idempotent)."""
-        # Same discipline as the fanout_workers setter: detach under the
-        # lock, block on the drain after releasing it.
-        stale = None
-        with self._pool_lock:
-            stale = self._pool
-            self._pool = None
-        if stale is not None:
-            stale.shutdown(wait=True)
 
     # -- stage bookkeeping --------------------------------------------------------
 
@@ -554,25 +499,15 @@ class UpdateSequencePipeline:
         outcome = SequenceOutcome(plan=plan, stages=stages)
         self.last_outcome = outcome
 
-        if self._links:
-            mode = "links"
-        elif self.parallel:
-            mode = "parallel"
-        else:
-            mode = "serial"
         with self._stage(
             "fanout",
             trace,
             stages,
-            mode=mode,
+            mode="links" if self._links else "serial",
             devices=len(plan.device_plans),
         ):
-            if self._links and plan.device_plans:
+            if self._links:
                 outcomes = self._fanout_links(
-                    plan.device_plans, trace, serial
-                )
-            elif self.parallel and len(plan.device_plans) > 1:
-                outcomes = self._fanout_parallel(
                     plan.device_plans, trace, serial
                 )
             else:
@@ -636,20 +571,6 @@ class UpdateSequencePipeline:
                 break
         return outcomes
 
-    def _fanout_parallel(
-        self, plans: list[DevicePlan], trace: Trace | None, serial: int = 0
-    ) -> list[DeviceOutcome]:
-        """Concurrent fan-out: every plan is applied on the worker pool and
-        the stage joins all of them (the barrier) before any policy runs.
-        Optimistic with respect to failures — a commit past an abort point
-        is undone afterwards by :meth:`_rollback_past_abort`."""
-        pool = self._executor()
-        futures = [
-            pool.submit(self._apply_one, plan, trace, serial)
-            for plan in plans
-        ]
-        return [future.result() for future in futures]
-
     def _fanout_links(
         self, plans: list[DevicePlan], trace: Trace | None, serial: int = 0
     ) -> list[DeviceOutcome]:
@@ -682,7 +603,7 @@ class UpdateSequencePipeline:
     def _apply_one(
         self, plan: DevicePlan, trace: Trace | None, serial: int = 0
     ) -> DeviceOutcome:
-        """Apply one planned update at its repository (worker body).
+        """Apply one planned update at its repository (link op body).
 
         Also the health plane's **outcome feed**: every attempt emits a
         ``device.attempt`` then a ``device.commit``/``device.failure``
@@ -780,8 +701,8 @@ class UpdateSequencePipeline:
     def _count_applied(self, outcome: SequenceOutcome) -> None:
         """Account the fan-out counters once the sequence's fate is known.
 
-        Counting after the policy pass (instead of inside the workers)
-        keeps the totals identical in serial and parallel modes: a
+        Counting after the policy pass (instead of inside the link ops)
+        keeps the totals identical in serial and links modes: a
         speculative commit that was rolled back past an abort point never
         counts as fanned out — it shows up in ``rolled_back_total``."""
         for device_outcome in outcome.outcomes:
@@ -806,7 +727,7 @@ class UpdateSequencePipeline:
         the error-log records, abort decision and saga compensations that
         serial execution interleaves with its applies.  Deterministic by
         construction: the replay order is the binding order, regardless of
-        the order in which concurrent applies actually finished."""
+        the order in which the device links actually completed."""
         applied: list[tuple] = []
         for device_outcome in outcome.outcomes:
             if not device_outcome.executed:
@@ -846,14 +767,15 @@ class UpdateSequencePipeline:
     def _rollback_past_abort(
         self, outcome: SequenceOutcome, trace: Trace | None
     ) -> None:
-        """Undo commits past the abort point (parallel mode only).
+        """Undo commits past the abort point (links mode only).
 
         In serial mode a device past the failure is simply never reached;
-        a concurrent worker may already have committed before the policy
-        replay discovered the abort.  Restoring those repositories to
-        their before-images re-establishes the serial post-abort state.
-        Distinct from saga compensation: this is a parallelism artifact,
-        counted separately and applied in reverse binding order."""
+        in links mode every plan was already submitted, so a later device
+        may have committed before the policy replay discovered the abort.
+        Restoring those repositories to their before-images re-establishes
+        the serial post-abort state.  Distinct from saga compensation:
+        this is a concurrency artifact, counted separately and applied in
+        reverse binding order."""
         if outcome.abort_index is None:
             return
         late = [

@@ -1,4 +1,4 @@
-"""The Update Manager's update queues: global (paper-serial) and sharded.
+"""The Update Manager's update queue.
 
 Paper section 4.4: "the LDAP filter ... creates a lexpress update
 descriptor for the update that is then added to a global queue in the UM.
@@ -6,23 +6,21 @@ The main thread of the UM, the coordinator, iterates through the global
 update queue" and "The queue maintained by the UM enforces a serialization
 order."
 
-:class:`GlobalUpdateQueue` is that paper queue: a plain FIFO with a serial
-number per item — the serial *is* the system-wide serialization order that
-makes the reapplication technique converge.  Items are stamped with their
-enqueue time so the dequeue path can feed the enqueue→dequeue latency
-histogram, and the consistency auditor publishes how long the oldest
-unclaimed item has waited (``metacomm_queue_oldest_age_seconds``).
+:class:`UpdateQueue` is that queue.  Every claim draws the next number
+from one global serial counter — the serial *is* the system-wide
+serialization order that makes the reapplication technique converge.
 
-:class:`ShardedUpdateQueue` relaxes the single FIFO into N lanes plus one
-serial lane, *without giving up the serial numbers*: every claim still
-draws from one global counter, so the system-wide serialization order is
-preserved — lanes merely allow items the routing oracle
-(:mod:`repro.analysis.routing`) proved commuting to drain concurrently.
-Items the oracle cannot prove disjoint land on the serial lane, which
-drains under a barrier: a serial item runs only once every lane has
-quiesced past its serial, and lane items enqueued after it wait for it to
-finish.  See docs/CONCURRENCY.md for the protocol and its correctness
-argument.
+Without a routing plan (``coordinator_lanes=1``, the paper's
+configuration) the queue has one lane, ``"0"``: items run strictly one at
+a time in serial order, whichever thread claimed them.  With a plan, the
+queue has N lanes plus one serial lane: items the routing oracle
+(:mod:`repro.analysis.routing`) proved commuting drain concurrently on
+their lanes, and everything it cannot prove disjoint lands on the serial
+lane, which drains under a barrier — a serial item runs only once every
+lane has quiesced past its serial, and lane items claimed after it wait
+for it to finish.  The single lane is the degenerate case of the same
+protocol: nothing is proven commuting, so nothing overtakes.  See
+docs/CONCURRENCY.md for the protocol and its correctness argument.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from zlib import crc32
 
@@ -72,240 +69,72 @@ class QueuedUpdate:
 
     serial: int
     descriptor: UpdateDescriptor
-    #: ``time.perf_counter()`` at enqueue (0.0 for hand-built items).
+    #: ``time.perf_counter()`` at claim (0.0 for hand-built items).
     enqueued_at: float = field(default=0.0, compare=False)
-    #: Lane label assigned by the routing oracle (None on the global queue).
+    #: Lane label the item was claimed onto.
     lane: str | None = field(default=None, compare=False)
-    #: The oracle's reason: "partition" or one of the serial fallbacks.
+    #: The routing oracle's reason: "partition" or one of the serial
+    #: fallbacks (None without a routing plan).
     reason: str | None = field(default=None, compare=False)
 
 
-class GlobalUpdateQueue:
-    """FIFO of update descriptors with a global serialization order."""
+class UpdateQueue:
+    """Lanes over a single global serial counter.
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        journal=None,
-    ) -> None:
-        self._items: deque[QueuedUpdate] = deque()
-        self._serials = itertools.count(1)
-        self._last_serial = 0
-        self._lock = threading.Lock()
-        self.journal = journal
-        registry = registry if registry is not None else MetricsRegistry()
-        self._enqueued = registry.counter(
-            "metacomm_queue_enqueued_total",
-            "Update descriptors appended to the global queue",
-        )
-        self._processed = registry.counter(
-            "metacomm_queue_processed_total",
-            "Update descriptors removed from the global queue",
-        )
-        self._depth = registry.gauge(
-            "metacomm_queue_depth",
-            "Update descriptors currently waiting in the global queue",
-        )
-        self._oldest_age = registry.gauge(
-            "metacomm_queue_oldest_age_seconds",
-            "How long the oldest unclaimed update has waited "
-            "(refreshed on queue transitions and each audit cycle)",
-        )
-        self._wait = registry.histogram(
-            "metacomm_queue_wait_seconds",
-            "Enqueue-to-dequeue latency of the global queue",
-        )
-        self.statistics = StatsView(
-            {
-                "enqueued": lambda: self._enqueued.value,
-                "processed": lambda: self._processed.value,
-            }
-        )
-
-    def _emit(self, kind: str, item: QueuedUpdate, trace) -> None:
-        if self.journal is None:
-            return
-        descriptor = item.descriptor
-        op = getattr(descriptor, "op", None)
-        self.journal.emit(
-            kind,
-            trace=trace,
-            serial=item.serial,
-            op=getattr(op, "value", op),
-            key=getattr(descriptor, "key", None),
-        )
-
-    def _complete(self, item: QueuedUpdate, trace) -> None:
-        """The shared leaving-the-queue path of ``claim`` and ``dequeue``:
-        one place observes the wait histogram and emits ``update.claimed``,
-        so journal/metric emission cannot drift between the two."""
-        if item.enqueued_at:
-            self._wait.observe(time.perf_counter() - item.enqueued_at)
-        self._emit(UPDATE_CLAIMED, item, trace)
-
-    def enqueue(
-        self, descriptor: UpdateDescriptor, trace=None
-    ) -> QueuedUpdate:
-        item = QueuedUpdate(
-            next(self._serials), descriptor, time.perf_counter()
-        )
-        with self._lock:
-            self._items.append(item)
-            self._last_serial = item.serial
-            self._enqueued.inc()
-            self._depth.set(len(self._items))
-        self.refresh_staleness()
-        self._emit(UPDATE_ACCEPTED, item, trace)
-        return item
-
-    def claim(
-        self, descriptor: UpdateDescriptor, trace=None
-    ) -> QueuedUpdate:
-        """Atomically enqueue-and-dequeue one descriptor for its caller.
-
-        The threaded coordinator hand-off needs the serialization order
-        *and* a guarantee that the caller processes its own descriptor —
-        a separate ``enqueue()``/``dequeue()`` pair lets two interleaved
-        sessions swap items, pairing a job with the wrong entry lock.
-        ``claim`` assigns the serial and accounts the item as enqueued and
-        processed in one critical section; the item is never visible to
-        any other dequeuer."""
-        now = time.perf_counter()
-        with self._lock:
-            item = QueuedUpdate(next(self._serials), descriptor, now)
-            self._last_serial = item.serial
-            self._enqueued.inc()
-            self._processed.inc()
-        self._emit(UPDATE_ACCEPTED, item, trace)
-        self._complete(item, trace)
-        return item
-
-    def dequeue(self, trace=None) -> QueuedUpdate | None:
-        with self._lock:
-            if not self._items:
-                return None
-            item = self._items.popleft()
-            self._processed.inc()
-            self._depth.set(len(self._items))
-        self.refresh_staleness()
-        self._complete(item, trace)
-        return item
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
-
-    def peek_serial(self) -> int | None:
-        with self._lock:
-            return self._items[0].serial if self._items else None
-
-    @property
-    def last_serial(self) -> int:
-        """The highest serial issued so far (the serialization head)."""
-        with self._lock:
-            return self._last_serial
-
-    def oldest_age(self) -> float:
-        """Seconds the oldest unclaimed update has waited (0.0 if empty)."""
-        with self._lock:
-            if not self._items or not self._items[0].enqueued_at:
-                return 0.0
-            return time.perf_counter() - self._items[0].enqueued_at
-
-    def refresh_staleness(self) -> float:
-        """Recompute and publish the oldest-age gauge; returns the age.
-
-        Age is a function of *now*, so unlike depth it cannot be kept
-        current purely on queue transitions — the auditor calls this each
-        cycle (and tests call it directly)."""
-        age = self.oldest_age()
-        self._oldest_age.set(age)
-        return age
-
-    def lane_snapshot(self) -> list[dict]:
-        """The single FIFO viewed as one pseudo-lane, so monitoring code
-        renders identically against either queue class."""
-        return [
-            {
-                "lane": "0",
-                "depth": len(self),
-                "oldest_age": self.oldest_age(),
-                "last_serial": self.last_serial,
-            }
-        ]
-
-    def admit(
-        self,
-        descriptor: UpdateDescriptor,
-        rename: bool = False,
-        timeout: float | None = None,
-        trace=None,
-    ) -> str:
-        """Admission is a no-op on the paper-serial queue.
-
-        Interface parity with :meth:`ShardedUpdateQueue.admit`.  The
-        single FIFO is naturally bounded by client concurrency: every
-        producer either drains its own sequence synchronously or blocks
-        on the coordinator hand-off, so at most one update per client
-        session is ever outstanding."""
-        return "admitted"
-
-    def wake(self) -> None:
-        """Wake any consumer blocked on queue state (shutdown fast path).
-
-        The global FIFO has no condition waiters — consumers poll their
-        own work queues — so this is a no-op kept for interface parity
-        with :meth:`ShardedUpdateQueue.wake`."""
-
-
-class ShardedUpdateQueue:
-    """N FIFO lanes + one serial lane over a single global serial counter.
-
-    The routing oracle assigns every claimed descriptor a lane key (hashed
-    onto one of ``lanes`` labels) or sends it to the serial lane.  Claims
-    are atomic, per-lane order is FIFO by serial, and the **barrier
-    protocol** orders the serial lane against everything else:
+    The routing oracle, when there is one, assigns every claimed
+    descriptor a lane key (hashed onto one of ``lanes`` labels) or sends
+    it to the serial lane.  Claims are atomic, per-lane order is FIFO by
+    serial, and the **barrier protocol** orders the serial lane against
+    everything else:
 
     * a serial item with serial *S* becomes runnable only when it is the
       serial lane's oldest outstanding item **and** no lane holds an
       outstanding item with serial < *S* (all lanes have quiesced past
-      its enqueue point);
+      its claim point);
     * a lane item with serial *L* becomes runnable only when it is its
       lane's oldest outstanding item **and** no serial-lane item with
       serial < *L* is still outstanding.
 
     Serials never wait on larger serials, so the protocol is deadlock-free
     by strict descent.  ``claim`` → ``wait_turn`` → (process) → ``finish``
-    is the consumer contract; each step is safe under arbitrary thread
-    interleavings.
+    is the consumer contract for every lane count; each step is safe
+    under arbitrary thread interleavings.
     """
 
     def __init__(
         self,
-        plan,
-        lanes: int = 2,
+        plan=None,
+        lanes: int = 1,
         registry: MetricsRegistry | None = None,
         journal=None,
         depth_limit: int | None = None,
     ) -> None:
         if lanes < 1:
-            raise ValueError("a sharded queue needs at least one lane")
+            raise ValueError("an update queue needs at least one lane")
+        if plan is None and lanes > 1:
+            raise ValueError(
+                "more than one lane requires a routing plan "
+                "(repro.analysis.build_routing_plan)"
+            )
         if depth_limit is not None and depth_limit < 1:
             raise ValueError("depth_limit must be >= 1")
         self.plan = plan
         self.lanes = lanes
         #: Maximum *outstanding* (claimed, not yet finished) updates per
         #: lane before :meth:`admit` defers or rejects; ``None`` disables
-        #: admission control (the pre-link behaviour).
+        #: admission control.
         self.depth_limit = depth_limit
         self.journal = journal
-        self.labels: tuple[str, ...] = tuple(
-            [str(i) for i in range(lanes)] + [SERIAL_LANE]
-        )
+        self.labels: tuple[str, ...] = tuple(str(i) for i in range(lanes))
+        if plan is not None:
+            self.labels += (SERIAL_LANE,)
         self._cond = threading.Condition()
+        #: Threads inside a ``_cond.wait`` (so ``finish`` can skip the
+        #: notify when nobody is blocked — the single-lane common case).
+        self._blocked = 0
         self._serials = itertools.count(1)
         self._last_serial = 0
-        #: lane label -> serial -> enqueue stamp, for items claimed but not
+        #: lane label -> serial -> claim stamp, for items claimed but not
         #: yet running (the depth/staleness view).
         self._waiting: dict[str, dict[int, float]] = {
             label: {} for label in self.labels
@@ -318,73 +147,100 @@ class ShardedUpdateQueue:
         #: lane label -> highest serial ever claimed onto the lane.
         self._lane_last: dict[str, int] = {label: 0 for label in self.labels}
 
+        #: True while the staleness gauges may read non-zero (set by
+        #: :meth:`refresh_staleness`, cleared when the queue drains).
+        self._ages_published = False
+
+        # Every per-item instrument is bound to its child once: the
+        # per-item path must not pay a label lookup.
         registry = registry if registry is not None else MetricsRegistry()
         self._enqueued = registry.counter(
             "metacomm_queue_enqueued_total",
             "Update descriptors appended to the global queue",
-        )
+        ).labels()
         self._processed = registry.counter(
             "metacomm_queue_processed_total",
             "Update descriptors removed from the global queue",
-        )
-        self._lane_enqueued = registry.counter(
-            "metacomm_queue_lane_enqueued_total",
-            "Update descriptors routed onto each coordinator lane",
-            labelnames=("lane",),
-        )
-        self._serial_fallback = registry.counter(
-            "metacomm_queue_serial_fallback_total",
-            "Updates the routing oracle sent to the serial lane, by reason",
-            labelnames=("reason",),
-        )
+        ).labels()
         self._depth = registry.gauge(
             "metacomm_queue_depth",
             "Update descriptors currently waiting in the global queue",
-        )
-        self._lane_depth = registry.gauge(
-            "metacomm_queue_lane_depth",
-            "Update descriptors currently waiting on each lane",
-            labelnames=("lane",),
-        )
+        ).labels()
         self._oldest_age = registry.gauge(
             "metacomm_queue_oldest_age_seconds",
             "How long the oldest unclaimed update has waited "
-            "(the max over all lanes, so the queue-backlog alert rule "
-            "keeps firing under sharding)",
-        )
-        self._lane_oldest_age = registry.gauge(
-            "metacomm_queue_lane_oldest_age_seconds",
-            "How long each lane's oldest unclaimed update has waited",
-            labelnames=("lane",),
-        )
+            "(the max over all lanes; refreshed each audit cycle)",
+        ).labels()
         self._wait = registry.histogram(
             "metacomm_queue_wait_seconds",
             "Enqueue-to-dequeue latency of the global queue",
-        )
-        self._barrier_wait = registry.histogram(
-            "metacomm_queue_barrier_seconds",
-            "How long serial-lane items waited for all lanes to quiesce",
-        )
-        self._admission_deferred = registry.counter(
-            "metacomm_queue_admission_deferred_total",
-            "Updates that waited at admission for lane capacity",
-            labelnames=("lane",),
-        )
-        self._admission_rejected = registry.counter(
-            "metacomm_queue_admission_rejected_total",
-            "Updates rejected at admission because a lane stayed at its "
-            "depth limit (surfaced to LTAP clients as ServerBusy)",
-            labelnames=("lane",),
-        )
-        self.statistics = StatsView(
-            {
-                "enqueued": lambda: self._enqueued.value,
-                "processed": lambda: self._processed.value,
-                "serial_routed": lambda: self._serial_fallback.total(),
-                "admission_deferred": lambda: self._admission_deferred.total(),
-                "admission_rejected": lambda: self._admission_rejected.total(),
+        ).labels()
+        # Every statistic and series that can move in this configuration,
+        # and no other: the paper queue keeps its two historical counters,
+        # and a single lane's series would repeat the aggregates above.
+        stats = {
+            "enqueued": lambda: self._enqueued.value,
+            "processed": lambda: self._processed.value,
+        }
+        self._lane_enqueued: dict[str, object] = {}
+        self._lane_depth: dict[str, object] = {}
+        self._lane_oldest_age: dict[str, object] = {}
+        if plan is not None:
+            lane_enqueued = registry.counter(
+                "metacomm_queue_lane_enqueued_total",
+                "Update descriptors routed onto each coordinator lane",
+                labelnames=("lane",),
+            )
+            lane_depth = registry.gauge(
+                "metacomm_queue_lane_depth",
+                "Update descriptors currently waiting on each lane",
+                labelnames=("lane",),
+            )
+            lane_oldest_age = registry.gauge(
+                "metacomm_queue_lane_oldest_age_seconds",
+                "How long each lane's oldest unclaimed update has waited",
+                labelnames=("lane",),
+            )
+            for label in self.labels:
+                self._lane_enqueued[label] = lane_enqueued.labels(lane=label)
+                self._lane_depth[label] = lane_depth.labels(lane=label)
+                self._lane_oldest_age[label] = lane_oldest_age.labels(
+                    lane=label
+                )
+            self._serial_fallback = registry.counter(
+                "metacomm_queue_serial_fallback_total",
+                "Updates the routing oracle sent to the serial lane, "
+                "by reason",
+                labelnames=("reason",),
+            )
+            self._barrier_wait = registry.histogram(
+                "metacomm_queue_barrier_seconds",
+                "How long serial-lane items waited for all lanes to quiesce",
+            )
+            stats["serial_routed"] = lambda: self._serial_fallback.total()
+        if depth_limit is not None:
+            admission_deferred = registry.counter(
+                "metacomm_queue_admission_deferred_total",
+                "Updates that waited at admission for lane capacity",
+                labelnames=("lane",),
+            )
+            admission_rejected = registry.counter(
+                "metacomm_queue_admission_rejected_total",
+                "Updates rejected at admission because a lane stayed at "
+                "its depth limit (surfaced to LTAP clients as ServerBusy)",
+                labelnames=("lane",),
+            )
+            self._admission_deferred = {
+                label: admission_deferred.labels(lane=label)
+                for label in self.labels
             }
-        )
+            self._admission_rejected = {
+                label: admission_rejected.labels(lane=label)
+                for label in self.labels
+            }
+            stats["admission_deferred"] = admission_deferred.total
+            stats["admission_rejected"] = admission_rejected.total
+        self.statistics = StatsView(stats)
 
     # -- producing ----------------------------------------------------------
 
@@ -409,6 +265,14 @@ class ShardedUpdateQueue:
             return SERIAL_LANE
         return str(crc32(lane_key.encode("utf-8")) % self.lanes)
 
+    def _route(self, descriptor: UpdateDescriptor, rename: bool):
+        """The lane *descriptor* lands on and the oracle's decision (None
+        without a routing plan: the single lane takes everything)."""
+        if self.plan is None:
+            return "0", None
+        decision = self.plan.classify(descriptor, rename=rename)
+        return self.lane_of(decision.lane_key), decision
+
     def claim(
         self,
         descriptor: UpdateDescriptor,
@@ -418,10 +282,9 @@ class ShardedUpdateQueue:
     ) -> QueuedUpdate:
         """Atomically assign the next global serial and a lane.
 
-        Like :meth:`GlobalUpdateQueue.claim`, the item is never visible to
-        any other consumer — the caller (or the lane worker it hands the
-        item to) must call :meth:`wait_turn` before processing and
-        :meth:`finish` afterwards.
+        The item is never visible to any other consumer — the caller (or
+        the lane worker it hands the item to) must call :meth:`wait_turn`
+        before processing and :meth:`finish` afterwards.
 
         *dispatch*, when given, is invoked with the item inside the same
         critical section that assigns its serial.  The threaded hand-off
@@ -432,33 +295,34 @@ class ShardedUpdateQueue:
         lane's oldest outstanding serial while the older item sits
         behind it in the same FIFO.  *dispatch* must not block (a
         ``queue.Queue.put`` is fine)."""
-        decision = self.plan.classify(descriptor, rename=rename)
-        label = self.lane_of(decision.lane_key)
+        label, decision = self._route(descriptor, rename)
         now = time.perf_counter()
         with self._cond:
             serial = next(self._serials)
+            item = QueuedUpdate(
+                serial,
+                descriptor,
+                now,
+                lane=label,
+                reason=decision.reason if decision is not None else None,
+            )
+            if dispatch is not None:
+                # Hand off before recording: a failed dispatch then raises
+                # with nothing outstanding — a recorded serial nobody will
+                # finish would wedge its lane forever.
+                dispatch(item)
             self._last_serial = serial
             self._waiting[label][serial] = now
             self._outstanding[label].add(serial)
             self._lane_last[label] = serial
-            self._enqueued.inc()
-            self._lane_enqueued.labels(lane=label).inc()
-            if decision.serial:
-                self._serial_fallback.labels(reason=decision.reason).inc()
-            self._publish_depth()
-            item = QueuedUpdate(
-                serial, descriptor, now, lane=label, reason=decision.reason
-            )
-            if dispatch is not None:
-                try:
-                    dispatch(item)
-                except BaseException:
-                    # A failed hand-off must not leave the serial
-                    # outstanding — it would wedge the barrier forever.
-                    self._outstanding[label].discard(serial)
-                    self._waiting[label].pop(serial, None)
-                    self._publish_depth()
-                    raise
+            self._publish_depth(label)
+        self._enqueued.inc()
+        if decision is None:
+            self._emit(UPDATE_ACCEPTED, item, trace)
+            return item
+        self._lane_enqueued[label].inc()
+        if decision.serial:
+            self._serial_fallback.labels(reason=decision.reason).inc()
         self._emit(UPDATE_ACCEPTED, item, trace, reason=decision.reason)
         return item
 
@@ -475,13 +339,13 @@ class ShardedUpdateQueue:
 
         Called by LTAP's admission hook *before* the directory write, with
         a descriptor built from the inbound request: the routing oracle
-        says which lane the update would land on, and if that lane already
-        holds ``depth_limit`` outstanding updates the caller either defers
-        (bounded wait of ``timeout`` seconds for capacity) or — when the
-        wait expires, or ``timeout`` is ``None``/``0`` — gets
-        :class:`QueueSaturatedError`, which the gateway surfaces as a
-        typed ``ServerBusy`` LDAP result.  Returns ``"admitted"`` or
-        ``"deferred"`` on success.
+        (or, without one, the single lane) says which lane the update
+        would land on, and if that lane already holds ``depth_limit``
+        outstanding updates the caller either defers (bounded wait of
+        ``timeout`` seconds for capacity) or — when the wait expires, or
+        ``timeout`` is ``None``/``0`` — gets :class:`QueueSaturatedError`,
+        which the gateway surfaces as a typed ``ServerBusy`` LDAP result.
+        Returns ``"admitted"`` or ``"deferred"`` on success.
 
         Advisory by design: admission and the later :meth:`claim` are two
         critical sections, so concurrent admits can overshoot the limit by
@@ -489,30 +353,28 @@ class ShardedUpdateQueue:
         an exact semaphore."""
         if self.depth_limit is None:
             return "admitted"
-        decision = self.plan.classify(descriptor, rename=rename)
-        label = self.lane_of(decision.lane_key)
+        label, _ = self._route(descriptor, rename)
         deadline = (
             time.perf_counter() + timeout if timeout else None
         )
         status = "admitted"
         depth = 0
-        waited = 0.0
         started = time.perf_counter()
         with self._cond:
             while len(self._outstanding[label]) >= self.depth_limit:
                 if status == "admitted":
                     status = "deferred"
-                    self._admission_deferred.labels(lane=label).inc()
+                    self._admission_deferred[label].inc()
                 if deadline is None or time.perf_counter() >= deadline:
                     status = "rejected"
                     depth = len(self._outstanding[label])
                     break
-                self._cond.wait(timeout=0.05)
+                self._wait_locked()
         waited = time.perf_counter() - started
         # Journal emission stays outside _cond: listener callbacks must
         # never run under the queue's condition (LX502 discipline).
         if status == "rejected":
-            self._admission_rejected.labels(lane=label).inc()
+            self._admission_rejected[label].inc()
             if self.journal is not None:
                 self.journal.emit(
                     UPDATE_REJECTED,
@@ -541,6 +403,8 @@ class ShardedUpdateQueue:
         mine = self._outstanding[item.lane]
         if not mine or min(mine) != item.serial:
             return False
+        if self.plan is None:
+            return True
         if item.lane == SERIAL_LANE:
             return all(
                 not lane or min(lane) > item.serial
@@ -562,21 +426,24 @@ class ShardedUpdateQueue:
         Returns True once the item is runnable (it then counts as claimed
         for metrics/journal purposes); False when ``stop`` was set or
         ``timeout`` elapsed first — the caller must still call
-        :meth:`finish` so the barrier does not wedge on the abandoned
+        :meth:`finish` so the lane does not wedge on the abandoned
         serial."""
-        deadline = (
-            time.perf_counter() + timeout if timeout is not None else None
-        )
         with self._cond:
-            while not self._runnable(item):
-                if stop is not None and stop.is_set():
-                    return False
-                if deadline is not None and time.perf_counter() >= deadline:
-                    return False
-                self._cond.wait(timeout=0.05)
+            if not self._runnable(item):
+                deadline = (
+                    time.perf_counter() + timeout
+                    if timeout is not None
+                    else None
+                )
+                while not self._runnable(item):
+                    if stop is not None and stop.is_set():
+                        return False
+                    if deadline is not None and time.perf_counter() >= deadline:
+                        return False
+                    self._wait_locked()
             self._waiting[item.lane].pop(item.serial, None)
-            self._processed.inc()
-            self._publish_depth()
+            self._publish_depth(item.lane)
+        self._processed.inc()
         waited = (
             time.perf_counter() - item.enqueued_at if item.enqueued_at else 0.0
         )
@@ -594,9 +461,18 @@ class ShardedUpdateQueue:
         """Mark *item* done; wakes every consumer blocked on the barrier."""
         with self._cond:
             self._outstanding[item.lane].discard(item.serial)
-            self._waiting[item.lane].pop(item.serial, None)
-            self._publish_depth()
-            self._cond.notify_all()
+            if self._waiting[item.lane].pop(item.serial, None) is not None:
+                self._publish_depth(item.lane)
+            if self._blocked:
+                self._cond.notify_all()
+
+    def _wait_locked(self) -> None:
+        """One bounded condition wait (50 ms tick); caller holds ``_cond``."""
+        self._blocked += 1
+        try:
+            self._cond.wait(timeout=0.05)
+        finally:
+            self._blocked -= 1
 
     def wake(self) -> None:
         """Wake every barrier waiter so it re-checks its stop Event now.
@@ -608,16 +484,23 @@ class ShardedUpdateQueue:
         with self._cond:
             self._cond.notify_all()
 
-    def _publish_depth(self) -> None:
-        """Caller holds ``_cond``."""
-        total = 0
-        for label in self.labels:
-            depth = len(self._waiting[label])
-            total += depth
-            self._lane_depth.labels(lane=label).set(depth)
-        self._depth.set(total)
+    def _publish_depth(self, label: str) -> None:
+        """Republish the depth of the lane that changed, and the total.
+        Caller holds ``_cond``."""
+        depth = len(self._waiting[label])
+        if self.plan is not None:
+            self._lane_depth[label].set(depth)
+            depth = sum(len(waiting) for waiting in self._waiting.values())
+        self._depth.set(depth)
+        if not depth and self._ages_published:
+            # Drained: the backlog gauges drop on the transition instead
+            # of waiting for the next audit cycle.
+            self._ages_published = False
+            self._oldest_age.set(0.0)
+            for child in self._lane_oldest_age.values():
+                child.set(0.0)
 
-    # -- status (the GlobalUpdateQueue compatibility surface) ----------------
+    # -- status --------------------------------------------------------------
 
     def __len__(self) -> int:
         with self._cond:
@@ -648,16 +531,19 @@ class ShardedUpdateQueue:
     def refresh_staleness(self) -> float:
         """Publish per-lane and aggregate (max-lane) oldest-age gauges.
 
-        The aggregate lands on ``metacomm_queue_oldest_age_seconds`` — the
-        same series the single queue publishes — so the shipped
-        ``queue-backlog`` alert rule fires identically under sharding."""
+        Age is a function of *now*, so unlike depth it cannot be kept
+        current purely on queue transitions — the auditor calls this each
+        cycle.  The aggregate lands on ``metacomm_queue_oldest_age_seconds``
+        for every lane count, so the shipped ``queue-backlog`` alert rule
+        fires identically with or without sharding."""
         now = time.perf_counter()
         with self._cond:
             ages = {
                 label: self._lane_age(label, now) for label in self.labels
             }
-        for label, age in ages.items():
-            self._lane_oldest_age.labels(lane=label).set(age)
+            self._ages_published = any(ages.values())
+        for label, child in self._lane_oldest_age.items():
+            child.set(ages[label])
         aggregate = max(ages.values())
         self._oldest_age.set(aggregate)
         return aggregate

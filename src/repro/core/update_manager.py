@@ -10,11 +10,11 @@ The flow implemented here is the paper's:
 
 * **LDAP-originated updates** (WBA, browsers): LTAP traps the request,
   holds the entry lock, and fires the UM's AFTER trigger.  The trigger
-  builds a lexpress descriptor, appends it to the global queue, and the
-  coordinator drains the queue — running the staged update-sequence
-  pipeline of :mod:`repro.core.pipeline` (closure enrichment, per-device
-  planning, fan-out, fold-back merge, supplemental LDAP write) — all
-  while the lock is held.
+  builds a lexpress descriptor and claims its serial on the update queue;
+  once the queue says it is the descriptor's turn, the staged
+  update-sequence pipeline of :mod:`repro.core.pipeline` runs (closure
+  enrichment, per-device planning, fan-out, fold-back merge,
+  supplemental LDAP write) — all while the lock is held.
 
 * **Direct device updates (DDUs)**: the device filter hears the commit
   notification, builds a descriptor, and the UM forwards it through the
@@ -26,7 +26,7 @@ The flow implemented here is the paper's:
 * **Failures**: a device that rejects an update aborts the remaining
   sequence; the error is logged into the directory and the administrator
   notified (section 4.4).  Abort and saga compensation are pipeline
-  failure policies, identical in serial and parallel fan-out modes.
+  failure policies, identical in serial and device-link fan-out modes.
 """
 
 from __future__ import annotations
@@ -63,13 +63,8 @@ from .errorlog import ErrorLog
 from .filters.base import Filter, FilterError
 from .filters.device_filter import DeviceFilter
 from .filters.ldap_filter import LdapFilter
-from .pipeline import FailurePolicy, UpdateSequencePipeline, _descriptor_from_event
-from .queue import (
-    GlobalUpdateQueue,
-    QueuedUpdate,
-    QueueSaturatedError,
-    ShardedUpdateQueue,
-)
+from .pipeline import FailurePolicy, UpdateSequencePipeline
+from .queue import QueuedUpdate, QueueSaturatedError, UpdateQueue
 
 
 @dataclass
@@ -87,7 +82,7 @@ class DeviceBinding:
 
 
 class UpdateManager:
-    """Coordinator + global queue + staged pipeline fan-out."""
+    """Coordinator lanes + update queue + staged pipeline fan-out."""
 
     def __init__(
         self,
@@ -100,7 +95,6 @@ class UpdateManager:
         undo_on_failure: bool = False,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        fanout_workers: int = 1,
         journal=None,
         health=None,
         coordinator_lanes: int = 1,
@@ -127,35 +121,22 @@ class UpdateManager:
         #: ``busy_timeout`` seconds for capacity first.
         self.busy_policy = busy_policy
         self.busy_timeout = busy_timeout
-        if self.coordinator_lanes > 1:
-            # Sharded drain path: the routing oracle's lane keys spread
-            # provably-commuting updates over concurrent coordinator
-            # lanes; everything unprovable serializes behind the barrier.
-            if routing_plan is None:
-                raise ValueError(
-                    "coordinator_lanes > 1 requires a routing plan "
-                    "(repro.analysis.build_routing_plan)"
-                )
-            self.queue: GlobalUpdateQueue | ShardedUpdateQueue = (
-                ShardedUpdateQueue(
-                    routing_plan,
-                    lanes=self.coordinator_lanes,
-                    registry=self.registry,
-                    journal=journal,
-                    depth_limit=lane_depth_limit,
-                )
-            )
-        else:
-            # 1 lane = the paper's single global queue, byte-identical.
-            self.queue = GlobalUpdateQueue(
-                registry=self.registry, journal=journal
-            )
+        # One lane is the paper's single global queue; more lanes spread
+        # the routing oracle's provably-commuting updates over concurrent
+        # coordinator lanes, with everything unprovable serialized behind
+        # the barrier.
+        self.queue = UpdateQueue(
+            routing_plan if self.coordinator_lanes > 1 else None,
+            lanes=self.coordinator_lanes,
+            registry=self.registry,
+            journal=journal,
+            depth_limit=lane_depth_limit,
+        )
         self.connections = ConnectionManager(self._handle_connection_event)
-        self._thread: threading.Thread | None = None
         self._lane_threads: dict[str, threading.Thread] = {}
         self._lane_work: dict[str, object] = {}
-        #: How long a blocked trigger waits for the coordinator thread to
-        #: finish one sequence before giving up (section 4.4's serialized
+        #: How long a blocked trigger waits for its sequence's turn and
+        #: completion before giving up (section 4.4's serialized
         #: discipline means a stuck sequence must surface, not hang).
         self.coordinator_timeout: float = 30.0
         self._ldap_events = self.registry.counter(
@@ -202,7 +183,6 @@ class UpdateManager:
                 undo_on_failure=undo_on_failure,
             ),
             registry=self.registry,
-            fanout_workers=fanout_workers,
             # Late-bound so a monkeypatched ``um._compensate`` is honored.
             compensate=lambda applied, trace=None: self._compensate(
                 applied, trace
@@ -259,7 +239,7 @@ class UpdateManager:
     def closure(self, closure: ClosureEngine) -> None:
         self.pipeline.closure = closure
 
-    # -- failure policy / fan-out knobs (delegated to the pipeline) ---------------
+    # -- failure policy knobs (delegated to the pipeline) -------------------------
 
     @property
     def abort_on_failure(self) -> bool:
@@ -285,19 +265,6 @@ class UpdateManager:
             undo_on_failure=value,
         )
 
-    @property
-    def fanout_workers(self) -> int:
-        return self.pipeline.fanout_workers
-
-    @fanout_workers.setter
-    def fanout_workers(self, workers: int) -> None:
-        self.pipeline.fanout_workers = workers
-
-    def close(self) -> None:
-        """Stop the coordinator thread and the fan-out worker pool."""
-        self.stop()
-        self.pipeline.close()
-
     # -- connection sink (persistent connections deliver sync batches) -----------
 
     def _handle_connection_event(self, event, connection) -> None:
@@ -313,56 +280,24 @@ class UpdateManager:
     # -- threaded coordinator (the paper's "main thread of the UM") -----------------
 
     def start(self) -> None:
-        """Run the coordinator on its own thread.
+        """Run the coordinator on its own threads: one worker per lane.
 
         Section 4.4: "The main thread of the UM, the coordinator, iterates
-        through the global update queue."  In threaded mode, LTAP's trigger
-        claims the descriptor and *blocks until the coordinator signals
+        through the global update queue."  With one lane that is exactly
+        one coordinator thread.  LTAP's trigger claims the descriptor,
+        hands it to its lane's worker and *blocks until the worker signals
         completion* — so the entry lock is still held for the whole update
         sequence, exactly as in the synchronous mode.  Entry locks are
-        owned by sessions (not threads), so the coordinator can re-enter
-        the waiting client's lock for supplemental writes."""
-        import queue as _queue
-
-        if self.sharded:
-            self._start_lanes()
-            return
-        if self._thread is not None:
-            return
-        self._work: "_queue.Queue" = _queue.Queue()
-        self._stop = threading.Event()
-
-        def coordinator_loop():
-            while not self._stop.is_set():
-                try:
-                    job = self._work.get(timeout=0.05)
-                except _queue.Empty:
-                    continue
-                item, session, done, failure = job
-                try:
-                    self._process(item, session)
-                except Exception as exc:  # surfaced to the waiting trigger
-                    failure.append(exc)
-                finally:
-                    done.set()
-
-        self._thread = threading.Thread(
-            target=coordinator_loop, name="metacomm-coordinator", daemon=True
-        )
-        self._thread.start()
-
-    def _start_lanes(self) -> None:
-        """The coordinator *pool*: one worker per lane plus the serial
-        lane's.  Each worker runs the same staged pipeline the single
-        coordinator would; the sharded queue's barrier protocol decides
-        when each claimed item may start."""
+        owned by sessions (not threads), so the worker can re-enter the
+        waiting client's lock for supplemental writes.  The queue's
+        barrier protocol decides when each claimed item may start."""
         import queue as _queue
 
         if self._lane_threads:
             return
         self._stop = threading.Event()
 
-        def lane_loop(label: str, work: "_queue.Queue") -> None:
+        def lane_loop(work: "_queue.Queue") -> None:
             while not self._stop.is_set():
                 try:
                     job = work.get(timeout=0.05)
@@ -392,9 +327,8 @@ class UpdateManager:
                 except Exception as exc:  # surfaced to the waiting trigger
                     failure.append(exc)
                 finally:
-                    # Always release the serial from the barrier — an
-                    # abandoned outstanding serial would wedge every
-                    # later serial-lane item.
+                    # Always release the serial — an abandoned outstanding
+                    # serial would wedge every later item of its lane.
                     self.queue.finish(item)
                     done.set()
 
@@ -402,7 +336,7 @@ class UpdateManager:
             work: "_queue.Queue" = _queue.Queue()
             thread = threading.Thread(
                 target=lane_loop,
-                args=(label, work),
+                args=(work,),
                 name=f"metacomm-lane-{label}",
                 daemon=True,
             )
@@ -411,16 +345,13 @@ class UpdateManager:
             thread.start()
 
     def stop(self) -> None:
-        if self._thread is None and not self._lane_threads:
+        if not self._lane_threads:
             return
         self._stop.set()
         # Kick every barrier waiter out of its condition wait immediately
         # — without this, each lane worker finishes its current 50 ms
         # wait tick before noticing the stop Event.
         self.queue.wake()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
         for thread in self._lane_threads.values():
             thread.join(timeout=5)
         self._lane_threads = {}
@@ -428,12 +359,7 @@ class UpdateManager:
 
     @property
     def threaded(self) -> bool:
-        return self._thread is not None or bool(self._lane_threads)
-
-    @property
-    def sharded(self) -> bool:
-        """True when the drain path runs multiple coordinator lanes."""
-        return isinstance(self.queue, ShardedUpdateQueue)
+        return bool(self._lane_threads)
 
     # -- admission control (the LTAP gateway hook) ----------------------------------
 
@@ -448,10 +374,7 @@ class UpdateManager:
         :class:`~repro.ldap.result.ServerBusyError` when that lane is at
         its depth limit.  A rejected update never reaches the directory,
         so nothing is lost, duplicated, or left to compensate."""
-        if (
-            not isinstance(self.queue, ShardedUpdateQueue)
-            or self.queue.depth_limit is None
-        ):
+        if self.queue.depth_limit is None:
             return
         rename = isinstance(request, ModifyRdnRequest)
         descriptor = self._probe_descriptor(request)
@@ -533,71 +456,42 @@ class UpdateManager:
         descriptor = self.pipeline.intake_event(event, trace)
         if descriptor is None:
             return
-        if self.sharded:
-            # The descriptor folds a ModifyRDN into a MODIFY keyed by the
-            # new DN, so the oracle needs the operation kind from the
-            # trigger event to route renames onto the serial lane.
-            rename = event.change_type is ChangeType.MODIFY_RDN
-            if self._lane_threads:
-                done = threading.Event()
-                failure: list[Exception] = []
-                # The work-queue insert runs inside claim's critical
-                # section: serial assignment and hand-off must be atomic
-                # or two clients claiming into one lane can enqueue out
-                # of serial order and wedge the lane worker (see
-                # ShardedUpdateQueue.claim).
-                self.queue.claim(
-                    descriptor,
-                    trace=trace,
-                    rename=rename,
-                    dispatch=lambda item: self._lane_work[item.lane].put(
-                        (item, event.session, done, failure)
-                    ),
-                )
-                if not done.wait(timeout=self.coordinator_timeout):
-                    raise RuntimeError(
-                        "coordinator did not complete the sequence"
-                    )
-                if failure:
-                    raise failure[0]
-                return
-            item = self.queue.claim(descriptor, trace=trace, rename=rename)
-            # Synchronous sharded mode: the client thread is its own lane
-            # worker — the barrier still orders it against concurrent
-            # claims from other client threads.
-            try:
-                if not self.queue.wait_turn(
-                    item, timeout=self.coordinator_timeout, trace=trace
-                ):
-                    raise RuntimeError(
-                        "coordinator did not complete the sequence"
-                    )
-                self._process(item, event.session)
-            finally:
-                self.queue.finish(item)
-            return
-        if self._thread is not None:
-            # Atomic claim: the descriptor gets its serial and goes
-            # straight to the coordinator *paired with its own session*.
-            # The old enqueue-then-dequeue dance could hand this trigger a
-            # different session's item when two clients interleaved,
-            # pointing the supplemental write at the wrong entry lock.
-            item = self.queue.claim(descriptor, trace=trace)
+        # The descriptor folds a ModifyRDN into a MODIFY keyed by the new
+        # DN, so the routing oracle needs the operation kind from the
+        # trigger event to route renames onto the serial lane.
+        rename = event.change_type is ChangeType.MODIFY_RDN
+        if self._lane_work:
             done = threading.Event()
             failure: list[Exception] = []
-            self._work.put((item, event.session, done, failure))
+            # The work-queue insert runs inside claim's critical section:
+            # serial assignment and hand-off must be atomic or two clients
+            # claiming into one lane can enqueue out of serial order and
+            # wedge the lane worker (see UpdateQueue.claim).
+            self.queue.claim(
+                descriptor,
+                trace=trace,
+                rename=rename,
+                dispatch=lambda item: self._lane_work[item.lane].put(
+                    (item, event.session, done, failure)
+                ),
+            )
             if not done.wait(timeout=self.coordinator_timeout):
                 raise RuntimeError("coordinator did not complete the sequence")
             if failure:
                 raise failure[0]
             return
-        self.queue.enqueue(descriptor, trace=trace)
-        self._drain(event.session)
-
-    def _descriptor_from_event(
-        self, event: TriggerEvent
-    ) -> UpdateDescriptor | None:
-        return _descriptor_from_event(event)
+        # Synchronous mode: the client thread is its own lane worker — the
+        # queue still orders it against concurrent claims from other
+        # client threads.
+        item = self.queue.claim(descriptor, trace=trace, rename=rename)
+        try:
+            if not self.queue.wait_turn(
+                item, timeout=self.coordinator_timeout, trace=trace
+            ):
+                raise RuntimeError("coordinator did not complete the sequence")
+            self._process(item, event.session)
+        finally:
+            self.queue.finish(item)
 
     # -- DDU intake -------------------------------------------------------------------
 
@@ -650,14 +544,6 @@ class UpdateManager:
         raise KeyError(f"no binding for filter {source_filter!r}")
 
     # -- the coordinator --------------------------------------------------------------
-
-    def _drain(self, session: Session) -> None:
-        trace = session.state.get(OBS_TRACE) if session is not None else None
-        while True:
-            item = self.queue.dequeue(trace=trace)
-            if item is None:
-                return
-            self._process(item, session)
 
     def _process(self, item: QueuedUpdate, session: Session) -> None:
         trace = (

@@ -352,14 +352,7 @@ def witness_system(system, witness: LockWitness | None = None) -> LockWitness:
         "LtapGateway._quiesce_lock", gateway._quiesce_lock
     )
     queue = system.um.queue
-    if hasattr(queue, "_cond"):
-        queue._cond = witness.wrap("ShardedUpdateQueue._cond", queue._cond)
-    if hasattr(queue, "_lock"):
-        queue._lock = witness.wrap("GlobalUpdateQueue._lock", queue._lock)
-    pipeline = system.um.pipeline
-    pipeline._pool_lock = witness.wrap(
-        "UpdateSequencePipeline._pool_lock", pipeline._pool_lock
-    )
+    queue._cond = witness.wrap("UpdateQueue._cond", queue._cond)
     alerts = system.alerts
     alerts._lock = witness.wrap("AlertEngine._lock", alerts._lock)
     error_log = system.error_log

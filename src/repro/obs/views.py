@@ -1,7 +1,7 @@
 """Backward-compatible ``statistics`` views over registry metrics.
 
 The seed code exposed an ad-hoc ``statistics`` dict on each component
-(``UpdateManager``, ``GlobalUpdateQueue``, ``LtapGateway``, the filters,
+(``UpdateManager``, ``UpdateQueue``, ``LtapGateway``, the filters,
 ``LdapServer``); tests, benchmarks and examples read them — some with
 exact dict equality.  The metrics registry is now the single source of
 truth, and ``statistics`` became a read-only live view that *derives* the

@@ -414,12 +414,12 @@ class TestShippedTree:
 
     def test_static_order_includes_the_metric_edge(self):
         pairs = static_lock_order()
-        assert ("ShardedUpdateQueue._cond", "Metric._lock") in pairs
+        assert ("LinkDispatcher._cond", "Metric._lock") in pairs
 
     def test_lock_order_report_returns_graph(self):
         report, graph = lock_order_report()
         assert report.ok
-        assert "ShardedUpdateQueue._cond" in graph.nodes
+        assert "UpdateQueue._cond" in graph.nodes
         assert "Backend._lock" in graph.nodes
 
 
@@ -431,7 +431,7 @@ class TestCli:
         assert main(["check", "--concurrency"]) == 0
         out = capsys.readouterr().out
         assert "lock-order graph:" in out
-        assert "ShardedUpdateQueue._cond -> Metric._lock" in out
+        assert "LinkDispatcher._cond -> Metric._lock" in out
 
     def test_check_concurrency_json_has_lock_order(self, capsys):
         assert main(["check", "--concurrency", "--json"]) == 0
@@ -442,7 +442,7 @@ class TestCli:
             (e["held"], e["acquired"])
             for e in document["lock_order"]["edges"]
         }
-        assert ("ShardedUpdateQueue._cond", "Metric._lock") in pairs
+        assert ("LinkDispatcher._cond", "Metric._lock") in pairs
 
     def test_fail_on_warning_trips_on_lx503(self, tmp_path, capsys):
         (tmp_path / "box.py").write_text(GUARD_SKEW)

@@ -421,12 +421,21 @@ class TestIdentityResolution:
         assert system.consistent()
 
 
+#: The two fan-out modes: inline paper-serial, and the parallel
+#: event-driven device links with window and batch > 1.
+FANOUT_MODES = {
+    "serial": {},
+    "parallel": dict(device_links=True, link_window=4, link_batch=8),
+}
+
+
 class TestFanoutModes:
     """The staged pipeline must behave identically whether the fan-out
-    stage runs devices serially or on a worker pool — every scenario here
-    is checked against the consistent() oracle in both modes."""
+    stage applies devices inline and serially or over the device links —
+    every scenario here is checked against the consistent() oracle in
+    both modes."""
 
-    @pytest.fixture(params=[1, 4], ids=["serial", "parallel"])
+    @pytest.fixture(params=sorted(FANOUT_MODES))
     def fleet(self, request):
         fleet = MetaComm(
             MetaCommConfig(
@@ -435,7 +444,7 @@ class TestFanoutModes:
                     PbxConfig("pbx-2", ("4",)),
                     PbxConfig("pbx-3", ("4",)),
                 ],
-                fanout_workers=request.param,
+                **FANOUT_MODES[request.param],
             )
         )
         yield fleet
@@ -483,14 +492,14 @@ class TestFanoutModes:
         fleet.connection().add(
             "cn=A B,o=Lucent", person_attrs("A B", "B", definityExtension="4100")
         )
-        # Serial mode never reached pbx-3/messaging; parallel mode rolled
+        # Serial mode never reached pbx-3/messaging; links mode rolled
         # them back — either way nothing past the failure survives.
         assert not fleet.pbxes["pbx-3"].contains("4100")
         assert fleet.messaging.size() == 0
         assert len(fleet.error_log) == 1
 
     def test_best_effort_continues_past_failure(self):
-        for workers in (1, 4):
+        for mode in FANOUT_MODES.values():
             fleet = MetaComm(
                 MetaCommConfig(
                     pbxes=[
@@ -499,7 +508,7 @@ class TestFanoutModes:
                         PbxConfig("pbx-3", ("4",)),
                     ],
                     abort_on_failure=False,
-                    fanout_workers=workers,
+                    **mode,
                 )
             )
             try:

@@ -1,10 +1,10 @@
-"""Unit tests for the smaller core components: the error log, the global
-update queue, and ACL decision corners."""
+"""Unit tests for the smaller core components: the error log, the
+single-lane update queue, and ACL decision corners."""
 
 import pytest
 
 from repro.core.errorlog import ErrorLog
-from repro.core.queue import GlobalUpdateQueue
+from repro.core.queue import UpdateQueue
 from repro.ldap import DN, LdapConnection, LdapServer, Session
 from repro.lexpress import UpdateDescriptor, UpdateOp
 from repro.ltap import AccessControl, AclRule, Rights, Subject
@@ -67,56 +67,75 @@ class TestErrorLog:
         ErrorLog(server, "o=L")  # second instantiation must not fail
 
 
-class TestGlobalUpdateQueue:
+class TestSingleLaneQueue:
+    """The paper's global queue: one lane, no routing plan."""
+
     @staticmethod
     def descriptor(key):
         return UpdateDescriptor(
             UpdateOp.ADD, "ldap", key, new={"cn": [key]}
         )
 
+    @staticmethod
+    def run(queue, item):
+        assert queue.wait_turn(item, timeout=0.5)
+        queue.finish(item)
+
+    def test_one_lane_labelled_zero(self):
+        queue = UpdateQueue()
+        assert queue.labels == ("0",)
+        assert queue.claim(self.descriptor("a")).lane == "0"
+
+    def test_lanes_need_a_routing_plan(self):
+        with pytest.raises(ValueError, match="routing plan"):
+            UpdateQueue(lanes=2)
+
     def test_fifo_order(self):
-        queue = GlobalUpdateQueue()
-        for key in ("a", "b", "c"):
-            queue.enqueue(self.descriptor(key))
-        keys = [queue.dequeue().descriptor.key for _ in range(3)]
-        assert keys == ["a", "b", "c"]
+        queue = UpdateQueue()
+        items = [queue.claim(self.descriptor(key)) for key in "abc"]
+        # Only the oldest outstanding claim may run.
+        assert not queue.wait_turn(items[1], timeout=0.01)
+        order = []
+        for item in items:
+            assert queue.wait_turn(item, timeout=0.5)
+            order.append(item.descriptor.key)
+            queue.finish(item)
+        assert order == ["a", "b", "c"]
 
     def test_serials_strictly_increase(self):
-        queue = GlobalUpdateQueue()
-        serials = [queue.enqueue(self.descriptor(str(i))).serial for i in range(5)]
-        assert serials == sorted(serials)
-        assert len(set(serials)) == 5
-
-    def test_dequeue_empty_returns_none(self):
-        assert GlobalUpdateQueue().dequeue() is None
+        queue = UpdateQueue()
+        serials = [queue.claim(self.descriptor(str(i))).serial for i in range(5)]
+        assert serials == [1, 2, 3, 4, 5]
 
     def test_len_and_peek(self):
-        queue = GlobalUpdateQueue()
+        queue = UpdateQueue()
         assert len(queue) == 0
         assert queue.peek_serial() is None
-        item = queue.enqueue(self.descriptor("x"))
+        item = queue.claim(self.descriptor("x"))
         assert len(queue) == 1
         assert queue.peek_serial() == item.serial
+        self.run(queue, item)
+        assert len(queue) == 0
 
     def test_statistics(self):
-        queue = GlobalUpdateQueue()
-        queue.enqueue(self.descriptor("x"))
-        queue.dequeue()
-        queue.dequeue()
+        queue = UpdateQueue()
+        item = queue.claim(self.descriptor("x"))
+        assert queue.statistics == {"enqueued": 1, "processed": 0}
+        self.run(queue, item)
         assert queue.statistics == {"enqueued": 1, "processed": 1}
 
     def test_depth_gauge_tracks_transitions(self):
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        queue = GlobalUpdateQueue(registry=registry)
+        queue = UpdateQueue(registry=registry)
         assert registry.value("metacomm_queue_depth") == 0
-        queue.enqueue(self.descriptor("a"))
-        queue.enqueue(self.descriptor("b"))
+        first = queue.claim(self.descriptor("a"))
+        second = queue.claim(self.descriptor("b"))
         assert registry.value("metacomm_queue_depth") == 2
-        queue.dequeue()
+        self.run(queue, first)
         assert registry.value("metacomm_queue_depth") == 1
-        queue.dequeue()
+        self.run(queue, second)
         assert registry.value("metacomm_queue_depth") == 0
 
     def test_oldest_age_gauge(self):
@@ -125,38 +144,37 @@ class TestGlobalUpdateQueue:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        queue = GlobalUpdateQueue(registry=registry)
+        queue = UpdateQueue(registry=registry)
         assert queue.oldest_age() == 0.0
-        queue.enqueue(self.descriptor("a"))
+        first = queue.claim(self.descriptor("a"))
         time.sleep(0.01)
         age = queue.refresh_staleness()
         assert age >= 0.01
         assert registry.value("metacomm_queue_oldest_age_seconds") == age
-        # Age follows the *oldest* item: a second enqueue doesn't reset it.
-        queue.enqueue(self.descriptor("b"))
+        # Age follows the *oldest* item: a second claim doesn't reset it.
+        second = queue.claim(self.descriptor("b"))
         assert queue.oldest_age() >= age
-        queue.dequeue()
-        queue.dequeue()
-        # Drained: the gauge drops back to zero on the dequeue transition.
+        self.run(queue, first)
+        self.run(queue, second)
+        # Drained: the gauge drops back to zero on the transition.
         assert queue.oldest_age() == 0.0
         assert registry.value("metacomm_queue_oldest_age_seconds") == 0.0
 
-    def test_last_serial_tracks_claim_and_enqueue(self):
-        queue = GlobalUpdateQueue()
+    def test_last_serial_tracks_claims(self):
+        queue = UpdateQueue()
         assert queue.last_serial == 0
-        queue.enqueue(self.descriptor("a"))
+        queue.claim(self.descriptor("a"))
         assert queue.last_serial == 1
         queue.claim(self.descriptor("b"))
         assert queue.last_serial == 2
 
-    def test_journal_events_on_enqueue_claim_dequeue(self):
+    def test_journal_events_per_sequence(self):
         from repro.obs import EventJournal
 
         journal = EventJournal()
-        queue = GlobalUpdateQueue(journal=journal)
-        queue.enqueue(self.descriptor("a"), trace="trace-9")
-        queue.dequeue()
-        queue.claim(self.descriptor("b"))
+        queue = UpdateQueue(journal=journal)
+        self.run(queue, queue.claim(self.descriptor("a"), trace="trace-9"))
+        self.run(queue, queue.claim(self.descriptor("b")))
         kinds = [e.kind for e in journal.events()]
         assert kinds == [
             "update.accepted",
@@ -168,6 +186,7 @@ class TestGlobalUpdateQueue:
         assert first.trace_id == "trace-9"
         assert first.attributes["serial"] == 1
         assert first.attributes["op"] == "add"
+        assert first.attributes["lane"] == "0"
 
 
 class TestAclDecisions:

@@ -16,7 +16,7 @@ from repro.core import (
     MetaComm,
     MetaCommConfig,
     PbxConfig,
-    ShardedUpdateQueue,
+    UpdateQueue,
     UpdateManager,
 )
 from repro.core.queue import SERIAL_LANE
@@ -279,11 +279,11 @@ def queue_descriptor(key):
 class TestShardedQueue:
     @pytest.fixture
     def queue(self):
-        return ShardedUpdateQueue(ScriptedPlan(), lanes=3)
+        return UpdateQueue(ScriptedPlan(), lanes=3)
 
     def test_needs_at_least_one_lane(self):
         with pytest.raises(ValueError):
-            ShardedUpdateQueue(ScriptedPlan(), lanes=0)
+            UpdateQueue(ScriptedPlan(), lanes=0)
 
     def test_lane_assignment_is_deterministic(self, queue):
         assert queue.lane_of("k1") == queue.lane_of("k1")
@@ -386,7 +386,7 @@ class TestShardedQueue:
 
     def test_journal_events_carry_lane_labels(self):
         journal = EventJournal()
-        queue = ShardedUpdateQueue(ScriptedPlan(), lanes=2, journal=journal)
+        queue = UpdateQueue(ScriptedPlan(), lanes=2, journal=journal)
         lane_item = queue.claim(queue_descriptor("k1"))
         serial_item = queue.claim(queue_descriptor("serial:unclaimed"))
         assert queue.wait_turn(lane_item, timeout=0.1)
@@ -444,13 +444,17 @@ class TestMultiLaneCoordinator:
         finally:
             single.close()
 
-    def test_queue_class_follows_the_lane_count(self, fleet):
-        assert fleet.um.sharded
-        assert isinstance(fleet.um.queue, ShardedUpdateQueue)
+    def test_one_queue_class_for_every_lane_count(self, fleet):
+        assert type(fleet.um.queue) is UpdateQueue
+        assert fleet.um.queue.plan is not None
+        assert fleet.um.queue.labels == ("0", "1", "2", "3", SERIAL_LANE)
         single = MetaComm(lane_fleet_config(1))
         try:
-            assert not single.um.sharded
-            assert not isinstance(single.um.queue, ShardedUpdateQueue)
+            # The paper's queue is the same class with one lane and no
+            # routing plan: nothing is proven commuting.
+            assert type(single.um.queue) is UpdateQueue
+            assert single.um.queue.plan is None
+            assert single.um.queue.labels == ("0",)
         finally:
             single.close()
 
@@ -517,7 +521,7 @@ class TestMultiLaneCoordinator:
         # claim/wait_turn/finish run inline on the calling thread.
         fleet = MetaComm(lane_fleet_config(4))
         try:
-            assert fleet.um.sharded and not fleet.um.threaded
+            assert fleet.um.queue.lanes == 4 and not fleet.um.threaded
             errors = []
 
             def client(i):

@@ -3,9 +3,10 @@
 Covers the pipeline's plan/outcome objects, the case-insensitive
 fold-back merge, the atomic queue claim of the threaded hand-off, and —
 the heart of the refactor — the guarantee that the failure policies
-(abort, saga compensation) behave *identically* in serial and parallel
-fan-out modes: same error-log records, same compensation order, same
-final device states.
+(abort, saga compensation) behave *identically* in the inline serial
+fan-out and the parallel device-link fan-out (window and batch > 1):
+same error-log records, same compensation order, same final device
+states.
 """
 
 import threading
@@ -13,7 +14,7 @@ import threading
 import pytest
 
 from repro.core import MetaComm, MetaCommConfig, PbxConfig, merge_attrs
-from repro.core.queue import GlobalUpdateQueue
+from repro.core.queue import UpdateQueue
 from repro.devices import InvalidFieldError
 from repro.ldap import Modification
 from repro.ldap.dn import DN
@@ -63,6 +64,14 @@ def device_states(system):
 
 def explode(op, key):
     raise InvalidFieldError("injected device fault")
+
+
+#: The two fan-out modes: inline paper-serial, and the event-driven
+#: device links (the parallel mode) with window and batch > 1.
+FANOUT_MODES = {
+    "serial": {},
+    "parallel": dict(device_links=True, link_window=4, link_batch=8),
+}
 
 
 class TestMergeAttrs:
@@ -128,44 +137,66 @@ class TestSupplementalCaseInsensitive:
 
 
 class TestQueueClaim:
+    @staticmethod
+    def descriptor(key):
+        return UpdateDescriptor(UpdateOp.ADD, "ldap", key, new={"cn": [key]})
+
     def test_claim_returns_the_callers_descriptor(self):
-        queue = GlobalUpdateQueue()
-        foreign = UpdateDescriptor(UpdateOp.ADD, "ldap", "cn=other", new={"cn": ["other"]})
-        mine = UpdateDescriptor(UpdateOp.ADD, "ldap", "cn=mine", new={"cn": ["mine"]})
-        queue.enqueue(foreign)
+        queue = UpdateQueue()
+        foreign = queue.claim(self.descriptor("cn=other"))
+        mine = self.descriptor("cn=mine")
         item = queue.claim(mine)
-        # The old enqueue-then-dequeue dance would have handed back the
-        # foreign item here, pairing it with the wrong session.
+        # The claim pairs the serial with the caller's own descriptor; a
+        # shared dequeue could have handed back the foreign item here,
+        # pairing it with the wrong session.
         assert item.descriptor is mine
-        assert len(queue) == 1
-        assert queue.dequeue().descriptor is foreign
+        assert len(queue) == 2
+        # The foreign claim is older, so it keeps its place in line.
+        assert not queue.wait_turn(item, timeout=0.01)
+        queue.finish(foreign)
+        assert queue.wait_turn(item, timeout=0.5)
 
     def test_claim_assigns_the_global_serial(self):
-        queue = GlobalUpdateQueue()
-        first = queue.enqueue(UpdateDescriptor(UpdateOp.ADD, "ldap", "a", new={"cn": ["a"]}))
-        claimed = queue.claim(UpdateDescriptor(UpdateOp.ADD, "ldap", "b", new={"cn": ["b"]}))
+        queue = UpdateQueue()
+        first = queue.claim(self.descriptor("a"))
+        claimed = queue.claim(self.descriptor("b"))
         assert claimed.serial == first.serial + 1
 
     def test_claim_counts_as_enqueued_and_processed(self):
-        queue = GlobalUpdateQueue()
-        queue.claim(UpdateDescriptor(UpdateOp.ADD, "ldap", "a", new={"cn": ["a"]}))
+        queue = UpdateQueue()
+        item = queue.claim(self.descriptor("a"))
+        assert queue.statistics == {"enqueued": 1, "processed": 0}
+        # Processed once its turn comes, not at claim time.
+        assert queue.wait_turn(item, timeout=0.5)
+        queue.finish(item)
         assert queue.statistics == {"enqueued": 1, "processed": 1}
 
     def test_threaded_trigger_ignores_foreign_queue_items(self):
         system = MetaComm(MetaCommConfig())
         system.um.start()
+        ran = []
+        original = system.um.pipeline.run
+
+        def spying(descriptor, *args, **kwargs):
+            ran.append(descriptor.key)
+            return original(descriptor, *args, **kwargs)
+
+        system.um.pipeline.run = spying
         try:
-            # A descriptor parked on the queue by someone else must not be
-            # picked up by this trigger's hand-off.
-            foreign = UpdateDescriptor(UpdateOp.ADD, "ldap", "cn=parked", new={"cn": ["parked"]})
-            system.um.queue.enqueue(foreign)
+            # A descriptor claimed by someone else is never handed to this
+            # trigger's lane worker: the trigger waits its turn behind it,
+            # then processes its own descriptor only.
+            foreign = system.um.queue.claim(self.descriptor("cn=parked"))
+            timer = threading.Timer(0.1, system.um.queue.finish, (foreign,))
+            timer.start()
             system.connection().add(
                 "cn=A B,o=Lucent",
                 person_attrs("A B", "B", definityExtension="4100"),
             )
+            timer.join()
             assert system.pbx().contains("4100")
-            assert len(system.um.queue) == 1
-            assert system.um.queue.dequeue().descriptor is foreign
+            assert ran == ["cn=A B,o=Lucent"]
+            assert len(system.um.queue) == 0
         finally:
             system.um.stop()
 
@@ -208,13 +239,13 @@ class TestQueueClaim:
 class TestCompensationOrder:
     """Saga compensation with >= 3 bindings when a middle device rejects."""
 
-    @pytest.fixture(params=[1, 4], ids=["serial", "parallel"])
+    @pytest.fixture(params=sorted(FANOUT_MODES))
     def system(self, request):
         system = fleet(
             3,
             abort_on_failure=True,
             undo_on_failure=True,
-            fanout_workers=request.param,
+            **FANOUT_MODES[request.param],
         )
         yield system
         system.close()
@@ -246,7 +277,7 @@ class TestCompensationOrder:
         assert system.messaging.size() == 0
 
     def test_parallel_rollback_covers_devices_past_the_abort_point(self):
-        system = fleet(3, fanout_workers=4)
+        system = fleet(3, **FANOUT_MODES["parallel"])
         try:
             system.pbxes["pbx-1"].fault_injector = explode
             system.connection().add(
@@ -255,8 +286,9 @@ class TestCompensationOrder:
             )
             outcome = system.um.pipeline.last_outcome
             assert outcome.aborted and outcome.abort_index == 0
-            # The concurrent workers committed optimistically; the rollback
-            # pass undid them in reverse binding order.
+            # Every plan was already on its device link, so the later
+            # devices committed optimistically; the rollback pass undid
+            # them in reverse binding order.
             assert outcome.rolled_back == ["messaging", "pbx-3", "pbx-2"]
             assert (
                 system.obs.registry.value("metacomm_um_rolled_back_total") == 3
@@ -272,7 +304,8 @@ class TestCompensationOrder:
 
 
 class TestSerialParallelEquivalence:
-    """Byte-for-byte equivalent abort/saga semantics across modes."""
+    """Byte-for-byte equivalent abort/saga semantics across the serial and
+    the parallel (device-link) fan-out modes."""
 
     SCENARIOS = {
         "abort": dict(abort_on_failure=True, undo_on_failure=False),
@@ -286,8 +319,10 @@ class TestSerialParallelEquivalence:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_failure_injection_matches(self, scenario):
         results = {}
-        for workers in (1, 4):
-            system = fleet(3, fanout_workers=workers, **self.SCENARIOS[scenario])
+        for mode in FANOUT_MODES:
+            system = fleet(
+                3, **FANOUT_MODES[mode], **self.SCENARIOS[scenario]
+            )
             try:
                 compensations = []
                 original = system.um._compensate
@@ -309,7 +344,7 @@ class TestSerialParallelEquivalence:
                     "cn=A B,o=Lucent",
                     person_attrs("A B", "B", definityExtension="4100"),
                 )
-                results[workers] = {
+                results[mode] = {
                     "errors": error_records(system),
                     "compensations": compensations,
                     "devices": device_states(system),
@@ -318,12 +353,12 @@ class TestSerialParallelEquivalence:
                 }
             finally:
                 system.close()
-        assert results[1] == results[4], scenario
+        assert results["serial"] == results["parallel"], scenario
 
     def test_success_path_matches(self):
         results = {}
-        for workers in (1, 4):
-            system = fleet(3, fanout_workers=workers)
+        for mode in FANOUT_MODES:
+            system = fleet(3, **FANOUT_MODES[mode])
             try:
                 conn = system.connection()
                 conn.add(
@@ -335,7 +370,7 @@ class TestSerialParallelEquivalence:
                     [Modification.replace("definityRoom", "2B-110")],
                 )
                 entry = conn.get("cn=A B,o=Lucent")
-                results[workers] = {
+                results[mode] = {
                     "entry": sorted(
                         (k, tuple(v))
                         for k, v in entry.attributes.to_dict().items()
@@ -345,8 +380,8 @@ class TestSerialParallelEquivalence:
                 }
             finally:
                 system.close()
-        assert results[1] == results[4]
-        assert results[1]["consistent"]
+        assert results["serial"] == results["parallel"]
+        assert results["serial"]["consistent"]
 
 
 class TestStagedOutcome:
@@ -379,7 +414,7 @@ class TestStagedOutcome:
         assert not outcome.supplemental_written
 
     def test_stage_histogram_and_spans(self):
-        system = fleet(2, fanout_workers=2)
+        system = fleet(2, **FANOUT_MODES["parallel"])
         try:
             system.connection().add(
                 "cn=A B,o=Lucent",
@@ -396,27 +431,11 @@ class TestStagedOutcome:
                 "stage.fanout", "stage.merge", "ldap.supplemental",
             } <= names
             (fanout_span,) = trace.find("stage.fanout")
-            assert fanout_span.attributes["mode"] == "parallel"
+            assert fanout_span.attributes["mode"] == "links"
             # The in-flight gauge is back to zero once the barrier passed.
             assert (
                 system.obs.registry.value("metacomm_um_fanout_parallelism")
                 == 0
             )
-        finally:
-            system.close()
-
-    def test_fanout_workers_knob_is_live(self):
-        system = fleet(2)
-        try:
-            assert not system.um.pipeline.parallel
-            system.um.fanout_workers = 3
-            assert system.um.pipeline.parallel
-            system.connection().add(
-                "cn=A B,o=Lucent",
-                person_attrs("A B", "B", definityExtension="4100"),
-            )
-            assert system.consistent()
-            with pytest.raises(ValueError):
-                system.um.fanout_workers = 0
         finally:
             system.close()

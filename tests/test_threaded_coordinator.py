@@ -163,10 +163,10 @@ class TestShardedContention:
 
     @staticmethod
     def _queue(lanes=2):
-        from repro.core import ShardedUpdateQueue
+        from repro.core import UpdateQueue
         from tests.test_lane_routing import ScriptedPlan
 
-        return ShardedUpdateQueue(ScriptedPlan(), lanes=lanes)
+        return UpdateQueue(ScriptedPlan(), lanes=lanes)
 
     @staticmethod
     def _descriptor(key):
@@ -294,7 +294,7 @@ class TestShardedThreadedMode:
         system.um.stop()
 
     def test_start_stop(self, system):
-        assert system.um.threaded and system.um.sharded
+        assert system.um.threaded and system.um.queue.lanes == 2
         system.um.stop()
         assert not system.um.threaded
         system.um.start()
