@@ -17,7 +17,7 @@ check:
 ## unsuppressed warning or error, or on a witness.violation.
 check-concur:
 	$(PYTHON) -m repro check --concurrency --fail-on=warning
-	$(PYTHON) -m pytest tests/test_threaded_coordinator.py tests/test_stateful_system.py tests/test_lockwitness.py -x -q
+	$(PYTHON) -m pytest tests/test_threaded_coordinator.py tests/test_stateful_system.py tests/test_lockwitness.py tests/test_incremental_audit.py -x -q
 
 ## Smoke: one benchmark file with metrics enabled — gates the
 ## instrumentation overhead of the observability layer.
@@ -27,10 +27,12 @@ bench-smoke:
 ## Benchmark-harness smoke: one short traced wba_churn run (about 20 s).
 ## Fails unless the run ends with "correct": true — an oracle failure or
 ## a ledger wrap target the program no longer has (a "# problem" line)
-## makes it false (perfbench/README.md).
+## makes it false (perfbench/README.md).  The run's final JSON line (the
+## end-to-end metrics and the per-layer ledger) is kept in perf_smoke.json.
 perf-smoke:
 	@out="$$($(PYTHON) perfbench/run.py --workload wba_churn --seed 1 --seconds 2 --trace 1)"; \
 		status=$$?; echo "$$out"; \
+		echo "$$out" | tail -n 1 > perf_smoke.json; \
 		[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": true'
 
 ## Serial vs device-link fan-out throughput; writes BENCH_pipeline.json.

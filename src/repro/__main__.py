@@ -33,8 +33,9 @@ the document carries the acquisition-order graph under ``lock_order``.
     python -m repro stats [--lexpress=interpret|compiled|verify]
 
 ``--lexpress`` selects the rule execution engine for the workload
-(docs/LEXPRESS_COMPILER.md); ``compiled`` and ``verify`` add a
-``#``-prefixed compiled-rule-cache section ahead of the metrics.
+(docs/LEXPRESS_COMPILER.md; default ``compiled``); ``compiled`` and
+``verify`` add a ``#``-prefixed compiled-rule-cache section ahead of the
+metrics.
 
 ``monitor`` usage::
 
@@ -246,7 +247,7 @@ def cmd_check(args: list[str]) -> int:
 
 def _demo_system(
     lanes: int = 1,
-    lexpress_mode: str = "interpret",
+    lexpress_mode: str = "compiled",
     lock_witness: bool = False,
     links: bool = False,
 ):
@@ -297,7 +298,7 @@ def cmd_stats(args: list[str]) -> int:
     """
     from repro.lexpress import MODES, rule_cache
 
-    mode = "interpret"
+    mode = "compiled"
     for arg in args:
         if arg.startswith("--lexpress="):
             mode = arg.split("=", 1)[1]

@@ -18,6 +18,7 @@ synchronizer::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..devices.messaging.platform import MessagingPlatform
 from ..devices.pbx.definity import DefinityPbx, partition_expression
@@ -36,6 +37,7 @@ from ..obs import (
     Trace,
     default_rules,
 )
+from ..obs.audit import DirectoryView
 from ..obs.events import LEXPRESS_COMPILED
 from ..schemas.integrated import build_integrated_schema
 from ..schemas.mappings import DEFAULT_PHONE_PREFIX, standard_mappings
@@ -121,11 +123,13 @@ class MetaCommConfig:
     #: throwaway configurations.
     strict_analysis: bool = False
     #: Execution engine for lexpress rule evaluation
-    #: (docs/LEXPRESS_COMPILER.md): "interpret" (default) runs the
-    #: byte-code interpreter, "compiled" serves verifier-gated Python
-    #: closures from the process-wide rule cache, "verify" runs both and
-    #: raises LexpressDivergenceError on any disagreement.
-    lexpress_mode: str = "interpret"
+    #: (docs/LEXPRESS_COMPILER.md): "compiled" (default) serves
+    #: verifier-gated Python closures from the process-wide rule cache,
+    #: falling back to the byte-code interpreter for code the verifier
+    #: rejects; "interpret" runs the interpreter only; "verify" runs both
+    #: and raises LexpressDivergenceError on any disagreement (the
+    #: interpreter is the oracle).
+    lexpress_mode: str = "compiled"
     #: Wrap this system's subsystem locks in order-recording witness
     #: proxies (repro.obs.lockwitness): every acquisition pair is checked
     #: against the static LX5xx lock-order graph and reversals are
@@ -474,10 +478,16 @@ class MetaComm:
         return not self.inconsistencies()
 
     def inconsistencies(self) -> list[str]:
-        """Human-readable list of device↔directory disagreements."""
+        """Human-readable list of device↔directory disagreements.
+
+        A fresh full walk: one full directory read, then every device's
+        dump compared against it.  It never uses the auditor's maintained
+        view, so it is the reference that view is tested against."""
+        bindings = list(self.um.bindings)
+        view = self.directory_view(bindings)
         problems: list[str] = []
-        for binding in self.um.bindings:
-            problems.extend(self.binding_inconsistencies(binding))
+        for binding in bindings:
+            problems.extend(self._compare(binding, binding.filter.dump(), view))
         return problems
 
     def binding_inconsistencies(self, binding: DeviceBinding) -> list[str]:
@@ -485,17 +495,44 @@ class MetaComm:
 
         This is the consistency auditor's probe unit: sampling one binding
         per cycle keeps the audit low-rate while covering the whole
-        deployment round-robin."""
+        deployment round-robin.  The device dump is read in full every
+        time; the directory side is the auditor's maintained view, so the
+        probe costs the dump plus the entries changed since the last one."""
+        records = binding.filter.dump()
+        if not any(b is binding for b in self.um.bindings):
+            return self._compare(binding, records, self.directory_view([binding]))
+        with self.auditor.directory_view() as view:
+            return self._compare(binding, records, view)
+
+    def directory_view(
+        self,
+        bindings: list[DeviceBinding],
+        read: Callable[[DN], Entry | None] | None = None,
+    ) -> DirectoryView:
+        """A :class:`~repro.obs.audit.DirectoryView` of *bindings* built
+        from one full read of the people subtree.  Located entries come
+        from that read unless *read* fetches them live."""
+        base = self.um.ldap_filter.people_base
+        return DirectoryView(base, bindings, self.connection().search(base), read)
+
+    @staticmethod
+    def _compare(
+        binding: DeviceBinding, records: list[dict], view: DirectoryView
+    ) -> list[str]:
+        """The device↔directory comparison, shared by the probe and the
+        full walk: each device record must be found by its key and its
+        image must be a subset of the directory entry; each directory
+        entry the binding's partition claims must be on the device."""
         problems: list[str] = []
         key_attr = binding.to_ldap.key_target
         device_keys = set()
-        for record in binding.filter.dump():
+        for record in records:
             image = binding.to_ldap.image(record) or {}
             ldap_key = binding.to_ldap.key_of(image)
             if ldap_key is None:
                 continue
             device_keys.add(ldap_key.lower())
-            entry = self.um.ldap_filter.locate(key_attr, ldap_key)
+            entry = view.entry(key_attr, ldap_key)
             if entry is None:
                 problems.append(
                     f"{binding.name}: record {ldap_key} missing from directory"
@@ -513,21 +550,11 @@ class MetaComm:
                         f"{binding.name}: {ldap_key}: {name} device={values} "
                         f"directory={have}"
                     )
-        for entry in self.um.ldap_filter.person_entries():
-            values = entry.get(key_attr) if key_attr else []
-            if not values:
-                continue
-            if values[0].lower() not in device_keys:
-                # Only a problem when the entry claims data this device
-                # should hold (partition check).
-                device_image = binding.from_ldap.image(
-                    entry.attributes.to_dict()
-                )
-                if binding.from_ldap.claims(device_image, binding.partition):
-                    problems.append(
-                        f"{binding.name}: directory entry {entry.dn} claims "
-                        f"{key_attr}={values[0]} unknown to the device"
-                    )
+        for dn, key in view.unheld(binding, device_keys):
+            problems.append(
+                f"{binding.name}: directory entry {dn} claims "
+                f"{key_attr}={key} unknown to the device"
+            )
         return problems
 
     def monitor_snapshot(self) -> dict:

@@ -162,15 +162,22 @@ class CompiledMapping:
         )
 
     def image(
-        self, attrs: Mapping[str, Sequence[str]] | None
+        self,
+        attrs: Mapping[str, Sequence[str]] | None,
+        targets: frozenset[str] | None = None,
     ) -> dict[str, list[str]] | None:
-        """Full target-schema image of a source record (None in, None out)."""
+        """Full target-schema image of a source record (None in, None out).
+
+        *targets* (lower-case target names) restricts the image to the
+        rules producing them — all a partition test reads of it."""
         if attrs is None:
             return None
         attrs = normalize_attrs(attrs) or {}
         low = lower_attrs(attrs)
         out: dict[str, list[str]] = {}
         for rule in self.rules:
+            if targets is not None and rule.target.lower() not in targets:
+                continue
             values = self.evaluate(rule, low, canonical=True)
             if values is not None:
                 out[rule.target] = values
@@ -339,10 +346,19 @@ class CompiledMapping:
     ) -> bool:
         """Does a target-schema *image* satisfy this mapping's partition
         (and *extra_partition*, an instance's own constraint)?"""
+        return self.claimed(image, (extra_partition,))[0]
+
+    def claimed(
+        self,
+        image: Mapping[str, Sequence[str]] | None,
+        partitions: Sequence[PartitionConstraint | None],
+    ) -> list[bool]:
+        """:meth:`claims` for several instance partitions at once: this
+        mapping's own partition is tested once, then each instance's."""
         low = lower_attrs(image) if image is not None else None
-        return self._satisfies(self.partition, low) and (
-            extra_partition is None or self._satisfies(extra_partition, low)
-        )
+        if not self._satisfies(self.partition, low):
+            return [False] * len(partitions)
+        return [p is None or self._satisfies(p, low) for p in partitions]
 
     def _satisfies(
         self,

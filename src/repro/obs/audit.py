@@ -8,6 +8,14 @@ one device binding's slice per cycle (round-robin) against live state,
 **without quiescing** — updates keep flowing while the probe walks the
 device dump and the directory's materialized view.
 
+A probe reads the device dump in full (a real switch keeps no digests,
+and the dump is what exposes surgery behind MetaComm's back), but keeps
+the directory side as a :class:`DirectoryView` that a backend change
+listener keeps current: each commit only notes its DN, and the next probe
+re-images the noted entries.  So a probe costs the dump plus what
+changed, not a walk of the whole directory.  ``MetaComm.consistent()``
+stays a fresh full walk over the same comparison code.
+
 Because the system stays live, a probe can race an in-flight update
 sequence and see a transient disagreement (device committed, supplemental
 write not yet landed).  That is by design: the sampler reports what it
@@ -26,14 +34,252 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Sequence
 
+from ..ldap.backend import ChangeRecord, ChangeType
+from ..ldap.dn import DN
+from ..ldap.entry import Entry, _norm_value
+from ..ldap.filter import parse_filter
+from ..ldap.result import NoSuchObjectError
 from .events import AUDIT_CYCLE, AUDIT_MISMATCH
 
-__all__ = ["AuditReport", "ConsistencyAuditor"]
+__all__ = ["AuditReport", "ConsistencyAuditor", "DirectoryView"]
 
 #: How many problem strings an ``audit.mismatch`` journal event carries.
 _DETAIL_LIMIT = 3
+
+#: The directory entries a device may be asked to hold (the filter of
+#: ``LdapFilter.person_entries``).
+_PERSON = parse_filter("(objectClass=person)")
+
+
+def _binding_parts(bindings: Sequence) -> list:
+    """What a view depends on of the bindings."""
+    return [
+        part
+        for b in bindings
+        for part in (b, b.filter, b.to_ldap, b.from_ldap, b.partition)
+    ]
+
+
+class _ChangeSet:
+    """The DNs committed since the last probe, noted by a backend change
+    listener.  Both methods run under the backend's lock: the backend
+    calls listeners under it and the probe takes it to swap the sets."""
+
+    def __init__(self) -> None:
+        #: The view must be rebuilt; nothing is noted meanwhile.
+        self.stale = True
+        self.limit = 0
+        self.dirty: set[DN] = set()
+        #: Old DNs of renamed entries.
+        self.renamed: set[DN] = set()
+
+    def note(self, record: ChangeRecord) -> None:
+        if self.stale:
+            return
+        self.dirty.add(record.dn)
+        if record.after is not None:
+            self.dirty.add(record.after.dn)
+        if record.change_type is ChangeType.MODIFY_RDN:
+            self.renamed.add(record.dn)
+        if len(self.dirty) > self.limit:
+            # More changed DNs than entries: a rebuild costs no more, and
+            # the set stays bounded by the directory size.
+            self.stale = True
+            self.dirty, self.renamed = set(), set()
+
+    def take(self, limit: int) -> tuple[bool, set[DN], set[DN]]:
+        """Swap out (stale, dirty, renamed); at most *limit* DNs are
+        noted before the next take."""
+        taken = (self.stale, self.dirty, self.renamed)
+        self.stale, self.dirty, self.renamed = False, set(), set()
+        self.limit = limit
+        return taken
+
+
+class DirectoryView:
+    """The directory side of the device↔directory comparison.
+
+    It holds, for the entries under ``base``:
+
+    * key attribute → normalized value → DN keys, which stands in for the
+      ``locate()`` search of every device record (the smallest DN key
+      wins, as in the search's sorted result);
+    * per binding, the DN keys of the person entries that carry the
+      binding's key attribute and whose ``from_ldap`` image claims the
+      binding's partition — the entries the device must hold.
+
+    Both are functions of one entry's DN and attributes alone, so
+    :meth:`put` re-images a changed entry by itself.  The partition test
+    images only the rules the partitions read (``partition.deps``), tests
+    each mapping's own partition once per entry and each instance
+    partition once per binding, and is skipped when none of the source
+    attributes those rules read changed.  The view stores DN keys and
+    those source values, not entries: :meth:`entry` fetches the located
+    entry through ``read`` (a snapshot of *entries* when None).
+    """
+
+    def __init__(
+        self,
+        base: DN,
+        bindings: Sequence,
+        entries: Iterable[Entry],
+        read: Callable[[DN], Entry | None] | None = None,
+    ):
+        self.base = base
+        self.bindings = tuple(bindings)
+        self.parts = _binding_parts(self.bindings)
+        entries = list(entries)
+        if read is None:
+            snapshot = {entry.dn.normalized(): entry for entry in entries}
+
+            def read(dn: DN) -> Entry | None:
+                return snapshot.get(dn.normalized())
+
+        self.read = read
+        #: Per binding: its key attribute (lower case), or None.
+        self._key_attrs = tuple(
+            b.to_ldap.key_target.lower() if b.to_ldap.key_target else None
+            for b in self.bindings
+        )
+        # One partition group per from_ldap mapping: the image targets its
+        # partitions read, its bindings' positions and their partitions.
+        groups: dict[int, tuple] = {}
+        for index, binding in enumerate(self.bindings):
+            mapping = binding.from_ldap
+            _, targets, indexes = groups.setdefault(
+                id(mapping), (mapping, set(mapping.partition.deps), [])
+            )
+            if binding.partition is not None:
+                targets.update(binding.partition.deps)
+            indexes.append(index)
+        self._groups = []
+        #: The source attributes the claims of an entry depend on.
+        inputs = {attr for attr in self._key_attrs if attr is not None}
+        for mapping, targets, indexes in groups.values():
+            for rule in mapping.rules:
+                if rule.target.lower() in targets:
+                    inputs.update(rule.deps)
+            if mapping.key_source is not None:
+                inputs.add(mapping.key_source.lower())
+            self._groups.append(
+                (
+                    mapping,
+                    frozenset(targets),
+                    tuple(indexes),
+                    tuple(self.bindings[i].partition for i in indexes),
+                )
+            )
+        self._inputs = tuple(sorted(inputs))
+        self._dns: dict[tuple, DN] = {}
+        #: DN key → key attribute → the entry's values of it.
+        self._keys: dict[tuple, dict[str, list[str]]] = {}
+        self._located: dict[str, dict[str, set[tuple]]] = {
+            attr: {} for attr in self._key_attrs if attr is not None
+        }
+        #: Person DN key → (its input values, the bindings it claims).
+        self._claims: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
+        self._claimed: list[set[tuple]] = [set() for _ in self.bindings]
+        #: Parent DN key → how many of its children the view holds.
+        self._children: dict[tuple, int] = {}
+        for entry in entries:
+            self.put(entry.dn, entry)
+
+    def built_for(self, bindings: Sequence) -> bool:
+        """Are *bindings* and their mappings and partitions the very
+        objects this view was built for?"""
+        parts = _binding_parts(bindings)
+        return len(parts) == len(self.parts) and all(
+            a is b for a, b in zip(parts, self.parts)
+        )
+
+    def has_children(self, dn: DN) -> bool:
+        return dn.normalized() in self._children
+
+    def put(self, dn: DN, entry: Entry | None) -> None:
+        """Re-image the entry at *dn*; None means it is gone."""
+        key = dn.normalized()
+        before = self._drop(key)
+        if entry is None or not entry.dn.is_under(self.base):
+            return
+        self._dns[key] = entry.dn
+        self._children[key[1:]] = self._children.get(key[1:], 0) + 1
+        attributes = entry.attributes
+        keys: dict[str, list[str]] = {}
+        for attr, table in self._located.items():
+            values = attributes.get(attr)
+            if values:
+                keys[attr] = values
+                for value in values:
+                    table.setdefault(_norm_value(value), set()).add(key)
+        self._keys[key] = keys
+        if not keys or not _PERSON.matches(entry):
+            return
+        inputs = tuple(attributes.get(attr) for attr in self._inputs)
+        if before is not None and before[0] == inputs:
+            claims = before[1]
+        else:
+            claims = self._claims_of(attributes.to_dict(), keys)
+        self._claims[key] = (inputs, claims)
+        for index in claims:
+            self._claimed[index].add(key)
+
+    def _claims_of(
+        self, record: dict[str, list[str]], keys: dict[str, list[str]]
+    ) -> tuple[int, ...]:
+        claims: list[int] = []
+        for mapping, targets, indexes, partitions in self._groups:
+            image = mapping.image(record, targets)
+            for index, claimed in zip(indexes, mapping.claimed(image, partitions)):
+                if claimed and self._key_attrs[index] in keys:
+                    claims.append(index)
+        return tuple(claims)
+
+    def _drop(self, key: tuple) -> tuple[tuple, tuple[int, ...]] | None:
+        """Forget the entry at *key*; returns its claims record."""
+        if self._dns.pop(key, None) is None:
+            return None
+        parent = key[1:]
+        if self._children[parent] == 1:
+            del self._children[parent]
+        else:
+            self._children[parent] -= 1
+        for attr, values in self._keys.pop(key).items():
+            table = self._located[attr]
+            for value in values:
+                bucket = table.get(_norm_value(value))
+                if bucket is not None:
+                    bucket.discard(key)
+                    if not bucket:
+                        del table[_norm_value(value)]
+        before = self._claims.pop(key, None)
+        if before is not None:
+            for index in before[1]:
+                self._claimed[index].discard(key)
+        return before
+
+    def entry(self, attribute: str, value: str) -> Entry | None:
+        """The entry a ``(attribute=value)`` search under the base
+        returns first, or None."""
+        keys = self._located.get(attribute.lower(), {}).get(_norm_value(value))
+        if not keys:
+            return None
+        return self.read(self._dns[min(keys)])
+
+    def unheld(self, binding, device_keys: set[str]) -> list[tuple[DN, str]]:
+        """The entries *binding*'s partition claims whose key value (lower
+        case) is not in *device_keys*, as (DN, key value) in DN order."""
+        index = next(i for i, b in enumerate(self.bindings) if b is binding)
+        attr = self._key_attrs[index]
+        missing = sorted(
+            key
+            for key in self._claimed[index]
+            if self._keys[key][attr][0].lower() not in device_keys
+        )
+        return [(self._dns[key], self._keys[key][attr][0]) for key in missing]
 
 
 @dataclass
@@ -81,6 +327,8 @@ class ConsistencyAuditor:
     ``full=True``) and publishes what it saw; ``start()`` runs cycles on
     a daemon thread at ``interval`` seconds.  The auditor never takes the
     gateway quiesce — it reads live state and accepts sampling noise.
+    It owns the maintained :class:`DirectoryView` its probes compare
+    against, and serializes the probes on ``_lock``.
     """
 
     def __init__(self, system, interval: float = 0.5):
@@ -94,6 +342,13 @@ class ConsistencyAuditor:
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self.last_report: AuditReport | None = None
+        # The maintained directory view, built by the first probe and
+        # kept current by re-imaging the DNs the backend listener notes
+        # (it notes nothing until that first build).
+        self._view: DirectoryView | None = None
+        self._changes = _ChangeSet()
+        system.server.backend.add_listener(self._changes.note)
+        self._cycle_local = threading.local()
 
         self._cycles_total = registry.counter(
             "metacomm_audit_cycles_total",
@@ -117,6 +372,58 @@ class ConsistencyAuditor:
             "metacomm_audit_cycle_seconds",
             "Duration of one consistency-audit cycle",
         )
+        self._reimaged_total = registry.counter(
+            "metacomm_audit_reimaged_total",
+            "Directory entries the auditor re-imaged from its dirty set",
+        )
+        self._rebuilds_total = registry.counter(
+            "metacomm_audit_rebuilds_total",
+            "Full builds of the auditor's directory view",
+        )
+
+    # -- the maintained directory view -------------------------------------
+
+    @contextmanager
+    def directory_view(self) -> Iterator[DirectoryView]:
+        """The maintained directory view, brought up to date and held
+        for the caller's comparison; probes are serialized."""
+        with self._lock:
+            yield self._refresh()
+
+    def _refresh(self) -> DirectoryView:
+        """Caller holds ``_lock``."""
+        system = self.system
+        backend = system.server.backend
+        bindings = list(system.um.bindings)
+        with backend._lock:
+            stale, dirty, renamed = self._changes.take(max(backend.size(), 64))
+        view = self._view
+        if (
+            stale
+            or view is None
+            or not view.built_for(bindings)
+            or view.base != system.um.ldap_filter.people_base
+            # A renamed entry with children: its descendants were
+            # re-keyed without change records of their own.
+            or any(view.has_children(dn) for dn in renamed)
+        ):
+            view = system.directory_view(bindings, read=self._read_entry)
+            self._view = view
+            self._rebuilds_total.inc()
+        else:
+            for dn in dirty:
+                view.put(dn, self._read_entry(dn))
+            self._reimaged_total.inc(len(dirty))
+            self._cycle_local.reimaged = (
+                getattr(self._cycle_local, "reimaged", 0) + len(dirty)
+            )
+        return view
+
+    def _read_entry(self, dn: DN) -> Entry | None:
+        try:
+            return self.system.server.backend.get(dn)
+        except NoSuchObjectError:
+            return None
 
     # -- one cycle ---------------------------------------------------------
 
@@ -134,6 +441,7 @@ class ConsistencyAuditor:
                 self._next_binding += 1
 
         report = AuditReport(cycle=cycle, probed=tuple(b.name for b in probed))
+        self._cycle_local.reimaged = 0
         for binding in probed:
             problems = self.system.binding_inconsistencies(binding)
             if problems:
@@ -173,6 +481,7 @@ class ConsistencyAuditor:
                 cycle=cycle,
                 probed=list(report.probed),
                 mismatches=report.mismatch_count,
+                reimaged=self._cycle_local.reimaged,
                 queue_depth=report.queue_depth,
                 oldest_age=round(report.oldest_age, 6),
             )

@@ -92,8 +92,13 @@ class TestCli:
         for line in out.splitlines():
             assert line.startswith("#") or line[0].isalpha()
 
-    def test_stats_default_mode_has_no_cache_section(self, capsys):
+    def test_stats_default_mode_is_compiled(self, capsys):
         assert main(["stats"]) == 0
+        out = capsys.readouterr().out
+        assert "# lexpress compiled rule cache" in out
+
+    def test_stats_interpret_mode_has_no_cache_section(self, capsys):
+        assert main(["stats", "--lexpress=interpret"]) == 0
         out = capsys.readouterr().out
         assert "lexpress compiled rule cache" not in out
 

@@ -425,7 +425,9 @@ class TestMetaCommModes:
     def test_interpret_mode_leaves_mappings_alone(self):
         from repro.core import MetaComm, MetaCommConfig
 
-        with MetaComm(MetaCommConfig(organizations=("Marketing",))) as system:
+        with MetaComm(
+            MetaCommConfig(organizations=("Marketing",), lexpress_mode="interpret")
+        ) as system:
             assert all(
                 m.lexpress_mode is None for m in system.mappings.values()
             )
