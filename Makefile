@@ -17,7 +17,7 @@ check:
 ## unsuppressed warning or error, or on a witness.violation.
 check-concur:
 	$(PYTHON) -m repro check --concurrency --fail-on=warning
-	$(PYTHON) -m pytest tests/test_threaded_coordinator.py tests/test_stateful_system.py tests/test_lockwitness.py tests/test_incremental_audit.py -x -q
+	$(PYTHON) -m pytest tests/test_threaded_coordinator.py tests/test_stateful_system.py tests/test_lockwitness.py tests/test_incremental_audit.py tests/test_telemetry_golden.py -x -q
 
 ## Smoke: one benchmark file with metrics enabled — gates the
 ## instrumentation overhead of the observability layer.

@@ -272,7 +272,6 @@ class MetaComm:
             registry=self.obs.registry,
             tracer=self.obs.tracer,
             journal=self.obs.journal,
-            health=self.obs.health,
             coordinator_lanes=self.config.coordinator_lanes,
             routing_plan=routing_plan,
             lane_depth_limit=self.config.lane_depth_limit,

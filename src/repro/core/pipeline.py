@@ -77,6 +77,7 @@ from ..obs.events import (
     SEQUENCE_ABORTED,
     SUPPLEMENTAL_WRITE,
     UPDATE_PLANNED,
+    EventJournal,
 )
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Trace, trace_span
@@ -247,8 +248,7 @@ class UpdateSequencePipeline:
         policy: FailurePolicy | None = None,
         registry: MetricsRegistry | None = None,
         compensate: Callable[[list, Trace | None], None] | None = None,
-        journal=None,
-        health=None,
+        journal: EventJournal | None = None,
     ):
         self.bindings = list(bindings)
         self.closure = closure
@@ -256,10 +256,8 @@ class UpdateSequencePipeline:
         self.error_log = error_log
         self.policy = policy if policy is not None else FailurePolicy()
         self.registry = registry if registry is not None else MetricsRegistry()
-        #: Health-plane hooks (both optional): the event journal receives
-        #: lifecycle events, the health board the per-device outcome feed.
-        self.journal = journal
-        self.health = health
+        #: One event per lifecycle fact; counters of one kind derive from it.
+        self.journal = journal or EventJournal(registry=self.registry)
         self._compensate = compensate
         #: Event-driven device links by binding name (see
         #: :mod:`repro.devices.links`).  When attached, the fan-out stage
@@ -296,6 +294,8 @@ class UpdateSequencePipeline:
             "Links-mode rollbacks of device commits past an abort point",
             labelnames=("device",),
         )
+        self.journal.derive(SUPPLEMENTAL_WRITE, self.supplemental_total)
+        self.journal.derive(DEVICE_ROLLBACK, self.rolled_back_total)
         self.stage_seconds = self.registry.histogram(
             "metacomm_um_stage_seconds",
             "Duration of one pipeline stage of an update sequence",
@@ -399,15 +399,14 @@ class UpdateSequencePipeline:
             info["devices"] = len(plan.device_plans)
             if span is not None:
                 span.attributes["devices"] = len(plan.device_plans)
-        if self.journal is not None:
-            self.journal.emit(
-                UPDATE_PLANNED,
-                trace=trace,
-                serial=serial,
-                op=descriptor.op.value,
-                key=descriptor.key,
-                devices=[p.binding.name for p in plan.device_plans],
-            )
+        self.journal.emit(
+            UPDATE_PLANNED,
+            trace=trace,
+            serial=serial,
+            op=descriptor.op.value,
+            key=descriptor.key,
+            devices=[p.binding.name for p in plan.device_plans],
+        )
         return plan
 
     def _route_shared(
@@ -543,16 +542,14 @@ class UpdateSequencePipeline:
                         span.attributes["wrote"] = wrote
                     info["wrote"] = wrote
                 if wrote:
-                    self.supplemental_total.inc()
                     outcome.supplemental_written = True
-                    if self.journal is not None:
-                        self.journal.emit(
-                            SUPPLEMENTAL_WRITE,
-                            trace=trace,
-                            serial=serial,
-                            key=descriptor.key,
-                            attributes_written=len(supplement),
-                        )
+                    self.journal.emit(
+                        SUPPLEMENTAL_WRITE,
+                        trace=trace,
+                        serial=serial,
+                        key=descriptor.key,
+                        attributes_written=len(supplement),
+                    )
         return outcome
 
     # -- fan-out executors ---------------------------------------------------------
@@ -605,22 +602,20 @@ class UpdateSequencePipeline:
     ) -> DeviceOutcome:
         """Apply one planned update at its repository (link op body).
 
-        Also the health plane's **outcome feed**: every attempt emits a
-        ``device.attempt`` then a ``device.commit``/``device.failure``
-        journal event, and the timed outcome lands on the health board
-        (which owns the error window, streak and derived state)."""
+        Every attempt emits a ``device.attempt`` then a timed
+        ``device.commit``/``device.failure`` journal event — the health
+        board's outcome feed."""
         outcome = DeviceOutcome(plan=plan, executed=True)
         binding, update = plan.binding, plan.update
-        if self.journal is not None:
-            self.journal.emit(
-                DEVICE_ATTEMPT,
-                trace=trace,
-                serial=serial,
-                device=binding.name,
-                action=update.action.value,
-                key=update.key,
-                conditional=update.conditional,
-            )
+        self.journal.emit(
+            DEVICE_ATTEMPT,
+            trace=trace,
+            serial=serial,
+            device=binding.name,
+            action=update.action.value,
+            key=update.key,
+            conditional=update.conditional,
+        )
         started = time.perf_counter()
         with self.parallelism.track():
             with trace_span(
@@ -663,40 +658,30 @@ class UpdateSequencePipeline:
         serial: int,
         started: float,
     ) -> None:
-        """Publish one apply outcome to the journal and the health board."""
-        elapsed = time.perf_counter() - started
+        """Publish one apply outcome to the journal."""
+        duration = round(time.perf_counter() - started, 6)
         name = outcome.plan.binding.name
-        ok = outcome.applied
-        if self.journal is not None:
-            if ok:
-                self.journal.emit(
-                    DEVICE_COMMIT,
-                    trace=trace,
-                    serial=serial,
-                    device=name,
-                    key=outcome.plan.update.key,
-                    duration=round(elapsed, 6),
-                )
-            else:
-                error = outcome.error
-                message = (
-                    error.message
-                    if error is not None
-                    else str(outcome.unexpected)
-                )
-                self.journal.emit(
-                    DEVICE_FAILURE,
-                    trace=trace,
-                    serial=serial,
-                    device=name,
-                    key=outcome.plan.update.key,
-                    error=message,
-                    duration=round(elapsed, 6),
-                )
-        if self.health is not None:
-            self.health.record_outcome(name, elapsed, ok)
-            if ok and serial:
-                self.health.note_applied(name, serial)
+        key = outcome.plan.update.key
+        if outcome.applied:
+            self.journal.emit(
+                DEVICE_COMMIT,
+                trace=trace,
+                serial=serial,
+                device=name,
+                key=key,
+                duration=duration,
+            )
+            return
+        error = outcome.error
+        self.journal.emit(
+            DEVICE_FAILURE,
+            trace=trace,
+            serial=serial,
+            device=name,
+            key=key,
+            error=error.message if error is not None else str(outcome.unexpected),
+            duration=duration,
+        )
 
     def _count_applied(self, outcome: SequenceOutcome) -> None:
         """Account the fan-out counters once the sequence's fate is known.
@@ -754,14 +739,13 @@ class UpdateSequencePipeline:
             if self.policy.abort_on_failure:
                 outcome.aborted = True
                 outcome.abort_index = plan.index
-                if self.journal is not None:
-                    self.journal.emit(
-                        SEQUENCE_ABORTED,
-                        trace=trace,
-                        serial=outcome.plan.serial,
-                        device=plan.binding.name,
-                        error=exc.message,
-                    )
+                self.journal.emit(
+                    SEQUENCE_ABORTED,
+                    trace=trace,
+                    serial=outcome.plan.serial,
+                    device=plan.binding.name,
+                    error=exc.message,
+                )
                 break
 
     def _rollback_past_abort(
@@ -791,15 +775,13 @@ class UpdateSequencePipeline:
                     plan.binding.filter.compensate(plan.update, plan.before)
                 device_outcome.rolled_back = True
                 outcome.rolled_back.append(plan.binding.name)
-                self.rolled_back_total.labels(device=plan.binding.name).inc()
-                if self.journal is not None:
-                    self.journal.emit(
-                        DEVICE_ROLLBACK,
-                        trace=trace,
-                        serial=outcome.plan.serial,
-                        device=plan.binding.name,
-                        key=plan.update.key,
-                    )
+                self.journal.emit(
+                    DEVICE_ROLLBACK,
+                    trace=trace,
+                    serial=outcome.plan.serial,
+                    device=plan.binding.name,
+                    key=plan.update.key,
+                )
             except Exception as exc:  # rollback is best-effort
                 self.error_log.record(
                     target=plan.binding.name,

@@ -38,6 +38,7 @@ from ..obs.events import (
     UPDATE_CLAIMED,
     UPDATE_DEFERRED,
     UPDATE_REJECTED,
+    EventJournal,
 )
 from ..obs.metrics import MetricsRegistry
 from ..obs.views import StatsView
@@ -106,7 +107,7 @@ class UpdateQueue:
         plan=None,
         lanes: int = 1,
         registry: MetricsRegistry | None = None,
-        journal=None,
+        journal: EventJournal | None = None,
         depth_limit: int | None = None,
     ) -> None:
         if lanes < 1:
@@ -124,7 +125,6 @@ class UpdateQueue:
         #: lane before :meth:`admit` defers or rejects; ``None`` disables
         #: admission control.
         self.depth_limit = depth_limit
-        self.journal = journal
         self.labels: tuple[str, ...] = tuple(str(i) for i in range(lanes))
         if plan is not None:
             self.labels += (SERIAL_LANE,)
@@ -151,17 +151,20 @@ class UpdateQueue:
         #: :meth:`refresh_staleness`, cleared when the queue drains).
         self._ages_published = False
 
-        # Every per-item instrument is bound to its child once: the
-        # per-item path must not pay a label lookup.
+        # Gauges and histograms are bound to their children once; the
+        # enqueue, claim and rejection counts derive from the journal.
         registry = registry if registry is not None else MetricsRegistry()
-        self._enqueued = registry.counter(
+        self.journal = journal or EventJournal(registry=registry)
+        enqueued = registry.counter(
             "metacomm_queue_enqueued_total",
             "Update descriptors appended to the global queue",
-        ).labels()
-        self._processed = registry.counter(
+        )
+        processed = registry.counter(
             "metacomm_queue_processed_total",
             "Update descriptors removed from the global queue",
-        ).labels()
+        )
+        self.journal.derive(UPDATE_ACCEPTED, enqueued)
+        self.journal.derive(UPDATE_CLAIMED, processed)
         self._depth = registry.gauge(
             "metacomm_queue_depth",
             "Update descriptors currently waiting in the global queue",
@@ -179,10 +182,9 @@ class UpdateQueue:
         # and no other: the paper queue keeps its two historical counters,
         # and a single lane's series would repeat the aggregates above.
         stats = {
-            "enqueued": lambda: self._enqueued.value,
-            "processed": lambda: self._processed.value,
+            "enqueued": lambda: enqueued.value,
+            "processed": lambda: processed.value,
         }
-        self._lane_enqueued: dict[str, object] = {}
         self._lane_depth: dict[str, object] = {}
         self._lane_oldest_age: dict[str, object] = {}
         if plan is not None:
@@ -201,8 +203,9 @@ class UpdateQueue:
                 "How long each lane's oldest unclaimed update has waited",
                 labelnames=("lane",),
             )
+            self.journal.derive(UPDATE_ACCEPTED, lane_enqueued)
             for label in self.labels:
-                self._lane_enqueued[label] = lane_enqueued.labels(lane=label)
+                lane_enqueued.labels(lane=label)  # scrapes from zero
                 self._lane_depth[label] = lane_depth.labels(lane=label)
                 self._lane_oldest_age[label] = lane_oldest_age.labels(
                     lane=label
@@ -230,14 +233,13 @@ class UpdateQueue:
                 "its depth limit (surfaced to LTAP clients as ServerBusy)",
                 labelnames=("lane",),
             )
-            self._admission_deferred = {
-                label: admission_deferred.labels(lane=label)
-                for label in self.labels
-            }
-            self._admission_rejected = {
-                label: admission_rejected.labels(lane=label)
-                for label in self.labels
-            }
+            self.journal.derive(UPDATE_REJECTED, admission_rejected)
+            self._admission_deferred = {}
+            for label in self.labels:
+                self._admission_deferred[label] = admission_deferred.labels(
+                    lane=label
+                )
+                admission_rejected.labels(lane=label)  # scrapes from zero
             stats["admission_deferred"] = admission_deferred.total
             stats["admission_rejected"] = admission_rejected.total
         self.statistics = StatsView(stats)
@@ -245,8 +247,6 @@ class UpdateQueue:
     # -- producing ----------------------------------------------------------
 
     def _emit(self, kind: str, item: QueuedUpdate, trace, **extra) -> None:
-        if self.journal is None:
-            return
         descriptor = item.descriptor
         op = getattr(descriptor, "op", None)
         self.journal.emit(
@@ -316,11 +316,9 @@ class UpdateQueue:
             self._outstanding[label].add(serial)
             self._lane_last[label] = serial
             self._publish_depth(label)
-        self._enqueued.inc()
         if decision is None:
             self._emit(UPDATE_ACCEPTED, item, trace)
             return item
-        self._lane_enqueued[label].inc()
         if decision.serial:
             self._serial_fallback.labels(reason=decision.reason).inc()
         self._emit(UPDATE_ACCEPTED, item, trace, reason=decision.reason)
@@ -374,19 +372,17 @@ class UpdateQueue:
         # Journal emission stays outside _cond: listener callbacks must
         # never run under the queue's condition (LX502 discipline).
         if status == "rejected":
-            self._admission_rejected[label].inc()
-            if self.journal is not None:
-                self.journal.emit(
-                    UPDATE_REJECTED,
-                    trace=trace,
-                    key=getattr(descriptor, "key", None),
-                    lane=label,
-                    depth=depth,
-                    limit=self.depth_limit,
-                    waited=round(waited, 6),
-                )
+            self.journal.emit(
+                UPDATE_REJECTED,
+                trace=trace,
+                key=getattr(descriptor, "key", None),
+                lane=label,
+                depth=depth,
+                limit=self.depth_limit,
+                waited=round(waited, 6),
+            )
             raise QueueSaturatedError(label, depth, self.depth_limit)
-        if status == "deferred" and self.journal is not None:
+        if status == "deferred":
             self.journal.emit(
                 UPDATE_DEFERRED,
                 trace=trace,
@@ -443,7 +439,6 @@ class UpdateQueue:
                     self._wait_locked()
             self._waiting[item.lane].pop(item.serial, None)
             self._publish_depth(item.lane)
-        self._processed.inc()
         waited = (
             time.perf_counter() - item.enqueued_at if item.enqueued_at else 0.0
         )

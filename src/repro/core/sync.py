@@ -69,11 +69,8 @@ class Synchronizer:
         self.um = um
 
     def _progress(self, report: SyncReport, phase: str) -> None:
-        """One ``sync.progress`` journal event (no-op without a journal)."""
-        journal = getattr(self.um, "journal", None)
-        if journal is None:
-            return
-        journal.emit(
+        """One ``sync.progress`` journal event."""
+        self.um.journal.emit(
             SYNC_PROGRESS,
             device=report.device,
             direction=report.direction,

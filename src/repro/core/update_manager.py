@@ -55,7 +55,7 @@ from ..lexpress.partition import PartitionConstraint
 from ..ltap.connection import ConnectionManager
 from ..ltap.gateway import LtapGateway
 from ..ltap.triggers import Trigger, TriggerEvent
-from ..obs.events import DDU_RECEIVED, SAGA_COMPENSATED
+from ..obs.events import DDU_RECEIVED, SAGA_COMPENSATED, EventJournal
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import OBS_TRACE, Tracer, trace_span
 from ..obs.views import StatsView
@@ -95,8 +95,7 @@ class UpdateManager:
         undo_on_failure: bool = False,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        journal=None,
-        health=None,
+        journal: EventJournal | None = None,
         coordinator_lanes: int = 1,
         routing_plan=None,
         lane_depth_limit: int | None = None,
@@ -110,8 +109,8 @@ class UpdateManager:
         self.error_log = error_log
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
-        self.journal = journal
-        self.health = health
+        #: Shared with the queue and the pipeline (and their derived counters).
+        self.journal = journal or EventJournal(registry=self.registry)
         self.coordinator_lanes = max(1, coordinator_lanes)
         self.routing_plan = routing_plan
         if busy_policy not in ("reject", "defer"):
@@ -129,7 +128,7 @@ class UpdateManager:
             routing_plan if self.coordinator_lanes > 1 else None,
             lanes=self.coordinator_lanes,
             registry=self.registry,
-            journal=journal,
+            journal=self.journal,
             depth_limit=lane_depth_limit,
         )
         self.connections = ConnectionManager(self._handle_connection_event)
@@ -153,6 +152,8 @@ class UpdateManager:
             "Saga-style compensations of already-applied device updates",
             labelnames=("device",),
         )
+        self.journal.derive(DDU_RECEIVED, self._ddus)
+        self.journal.derive(SAGA_COMPENSATED, self._compensated)
         self._connection_events = self.registry.counter(
             "metacomm_um_connection_events_total",
             "Events delivered over explicit LTAP action connections",
@@ -187,8 +188,7 @@ class UpdateManager:
             compensate=lambda applied, trace=None: self._compensate(
                 applied, trace
             ),
-            journal=journal,
-            health=health,
+            journal=self.journal,
         )
 
         self.statistics = StatsView(
@@ -498,20 +498,18 @@ class UpdateManager:
     def _on_ddu(self, source_filter: Filter, descriptor: UpdateDescriptor) -> None:
         """Section 4.4's DDU sequence: device filter → LDAP filter → LTAP."""
         binding = self._binding_of(source_filter)
-        self._ddus.labels(device=binding.name).inc()
         trace = (
             self.tracer.start("ddu", device=binding.name, key=str(descriptor.key))
             if self.tracer is not None
             else None
         )
-        if self.journal is not None:
-            self.journal.emit(
-                DDU_RECEIVED,
-                trace=trace,
-                device=binding.name,
-                op=descriptor.op.value,
-                key=str(descriptor.key),
-            )
+        self.journal.emit(
+            DDU_RECEIVED,
+            trace=trace,
+            device=binding.name,
+            op=descriptor.op.value,
+            key=str(descriptor.key),
+        )
         try:
             update = self.pipeline.intake_ddu(binding, descriptor, trace)
             if update is None:
@@ -574,15 +572,13 @@ class UpdateManager:
             try:
                 with trace_span(trace, "filter.compensate", device=binding.name):
                     binding.filter.compensate(update, before)
-                self._compensated.labels(device=binding.name).inc()
-                if self.journal is not None:
-                    self.journal.emit(
-                        SAGA_COMPENSATED,
-                        trace=trace,
-                        device=binding.name,
-                        action=update.action.value,
-                        key=update.key,
-                    )
+                self.journal.emit(
+                    SAGA_COMPENSATED,
+                    trace=trace,
+                    device=binding.name,
+                    action=update.action.value,
+                    key=update.key,
+                )
             except Exception as exc:  # compensation is best-effort
                 self.error_log.record(
                     target=binding.name,

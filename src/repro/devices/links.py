@@ -38,13 +38,11 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from ..obs.events import LINK_FLUSH, EventJournal
+from ..obs.metrics import MetricsRegistry
 from .base import Device, DeviceError, DeviceNotification, link_execution
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..obs.events import EventJournal
-    from ..obs.metrics import MetricsRegistry
 
 __all__ = ["LinkBusy", "LinkConfig", "DeviceLink", "LinkDispatcher"]
 
@@ -148,7 +146,7 @@ class DeviceLink:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         self._stats["rejected"] += 1
-                        dispatcher._note_rejected(self.name)
+                        dispatcher._m_rejected.labels(device=self.name).inc()
                         raise LinkBusy(
                             f"{self.name}: link queue full "
                             f"({self.config.queue_limit} ops pending)"
@@ -157,7 +155,7 @@ class DeviceLink:
                 if not waited:
                     waited = True
                     self._stats["deferred"] += 1
-                    dispatcher._note_deferred(self.name)
+                    dispatcher._m_deferred.labels(device=self.name).inc()
                 dispatcher._cond.wait(remaining)
             self._pending.append(entry)
             self._stats["submitted"] += 1
@@ -224,8 +222,8 @@ class LinkDispatcher:
 
     def __init__(
         self,
-        metrics: "MetricsRegistry | None" = None,
-        journal: "EventJournal | None" = None,
+        metrics: MetricsRegistry | None = None,
+        journal: EventJournal | None = None,
     ):
         self._cond = threading.Condition()
         self._links: list[DeviceLink] = []
@@ -239,41 +237,50 @@ class LinkDispatcher:
         self._notifications: deque[tuple[Device, DeviceNotification]] = deque()
         self._notify_stop = False
         self._notifier: threading.Thread | None = None
-        self.journal = journal
-        self._m_ops = self._m_flushes = self._m_batch = None
-        self._m_inflight = self._m_deferred = self._m_rejected = None
-        if metrics is not None:
-            self._m_ops = metrics.counter(
-                "metacomm_link_ops_total",
-                "Operations completed over device links",
-                labelnames=("device", "outcome"),
-            )
-            self._m_flushes = metrics.counter(
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self.journal = journal or EventJournal(registry=metrics)
+        # The flush counters and the batch-size histogram derive from
+        # the ``link.flush`` events.
+        ops = metrics.counter(
+            "metacomm_link_ops_total",
+            "Operations completed over device links",
+            labelnames=("device", "outcome"),
+        )
+        self.journal.derive(LINK_FLUSH, ops, by="ok", outcome="ok")
+        self.journal.derive(LINK_FLUSH, ops, by="failed", outcome="error")
+        self.journal.derive(
+            LINK_FLUSH,
+            metrics.counter(
                 "metacomm_link_flushes_total",
                 "Command-stream flushes (one round-trip each) per device link",
                 labelnames=("device",),
-            )
-            self._m_batch = metrics.histogram(
+            ),
+        )
+        self.journal.derive(
+            LINK_FLUSH,
+            metrics.histogram(
                 "metacomm_link_batch_ops",
                 "Operations coalesced per flushed command stream",
                 labelnames=("device",),
                 buckets=(1, 2, 4, 8, 16, 32, 64),
-            )
-            self._m_inflight = metrics.gauge(
-                "metacomm_link_inflight_batches",
-                "Command streams currently in flight per device link",
-                labelnames=("device",),
-            )
-            self._m_deferred = metrics.counter(
-                "metacomm_link_submit_deferred_total",
-                "Submits that had to wait for link-queue space",
-                labelnames=("device",),
-            )
-            self._m_rejected = metrics.counter(
-                "metacomm_link_submit_rejected_total",
-                "Submits rejected because the link queue stayed full",
-                labelnames=("device",),
-            )
+            ),
+            by="ops",
+        )
+        self._m_inflight = metrics.gauge(
+            "metacomm_link_inflight_batches",
+            "Command streams currently in flight per device link",
+            labelnames=("device",),
+        )
+        self._m_deferred = metrics.counter(
+            "metacomm_link_submit_deferred_total",
+            "Submits that had to wait for link-queue space",
+            labelnames=("device",),
+        )
+        self._m_rejected = metrics.counter(
+            "metacomm_link_submit_rejected_total",
+            "Submits rejected because the link queue stayed full",
+            labelnames=("device",),
+        )
 
     # -- registration ------------------------------------------------------------
 
@@ -395,8 +402,7 @@ class LinkDispatcher:
                 head = link._inflight[0].deadline
                 if next_deadline is None or head < next_deadline:
                     next_deadline = head
-            if self._m_inflight is not None:
-                self._m_inflight.labels(device=link.name).set(len(link._inflight))
+            self._m_inflight.labels(device=link.name).set(len(link._inflight))
         if freed:
             # Queue space and window slots opened up — wake submitters.
             self._cond.notify_all()
@@ -438,23 +444,13 @@ class LinkDispatcher:
             link._stats["flushes"] += 1
             size = len(batch.ops)
             link._batch_hist[size] = link._batch_hist.get(size, 0) + 1
-        if self._m_ops is not None:
-            if ok_count:
-                self._m_ops.labels(device=link.name, outcome="ok").inc(ok_count)
-            if fail_count:
-                self._m_ops.labels(device=link.name, outcome="error").inc(fail_count)
-            self._m_flushes.labels(device=link.name).inc()
-            self._m_batch.labels(device=link.name).observe(size)
-        if self.journal is not None:
-            from ..obs.events import LINK_FLUSH
-
-            self.journal.emit(
-                LINK_FLUSH,
-                device=link.name,
-                ops=size,
-                ok=ok_count,
-                failed=fail_count,
-            )
+        self.journal.emit(
+            LINK_FLUSH,
+            device=link.name,
+            ops=size,
+            ok=ok_count,
+            failed=fail_count,
+        )
 
     # -- notifier thread ----------------------------------------------------------
 
@@ -477,16 +473,6 @@ class LinkDispatcher:
                     raise
                 # stop() failed the link futures this DDU's fan-out was
                 # waiting on: the shutdown cut it short, not a fault.
-
-    # -- counters used by DeviceLink.submit ---------------------------------------
-
-    def _note_deferred(self, name: str) -> None:
-        if self._m_deferred is not None:
-            self._m_deferred.labels(device=name).inc()
-
-    def _note_rejected(self, name: str) -> None:
-        if self._m_rejected is not None:
-            self._m_rejected.labels(device=name).inc()
 
     # -- introspection -----------------------------------------------------------
 

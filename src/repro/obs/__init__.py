@@ -9,7 +9,9 @@ The runtime health plane (see docs/OBSERVABILITY.md for the catalog):
   session from the LTAP trigger to the supplemental LDAP write, stored in
   a bounded ring buffer;
 * :mod:`repro.obs.events` — the structured event journal: an append-only
-  bounded stream of typed lifecycle events, each carrying its trace id;
+  bounded stream of typed lifecycle events, each carrying its trace id,
+  from which single-kind counters and the health board's outcome feed
+  are derived;
 * :mod:`repro.obs.health` — per-device-link telemetry (rolling latency
   percentiles, error rates, failure streaks) and the derived
   healthy/degraded/unreachable state;

@@ -29,7 +29,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .events import ALERT_CLEARED, ALERT_RAISED
+from .events import ALERT_CLEARED, ALERT_RAISED, EventJournal
 from .metrics import Counter, Gauge
 
 __all__ = [
@@ -199,7 +199,7 @@ class AlertEngine:
 
     def __init__(self, registry, journal=None, rules=None):
         self.registry = registry
-        self.journal = journal
+        self.journal = journal or EventJournal(registry=registry)
         self._rules: list[AlertRule] = list(
             rules if rules is not None else ()
         )
@@ -211,10 +211,13 @@ class AlertEngine:
             "Alert instances currently firing, per rule",
             labelnames=("rule",),
         )
-        self._fired_total = registry.counter(
-            "metacomm_alerts_fired_total",
-            "Alert raise transitions, per rule",
-            labelnames=("rule",),
+        self.journal.derive(
+            ALERT_RAISED,
+            registry.counter(
+                "metacomm_alerts_fired_total",
+                "Alert raise transitions, per rule",
+                labelnames=("rule",),
+            ),
         )
 
     # -- rule management ---------------------------------------------------
@@ -314,23 +317,20 @@ class AlertEngine:
                 )
             self._active_gauge.labels(rule=rule.name).set(active_count)
         for alert in raised:
-            self._fired_total.labels(rule=alert.rule).inc()
-            if self.journal is not None:
-                self.journal.emit(
-                    ALERT_RAISED,
-                    rule=alert.rule,
-                    expr=alert.expr,
-                    value=alert.value,
-                    **alert.labels,
-                )
+            self.journal.emit(
+                ALERT_RAISED,
+                rule=alert.rule,
+                expr=alert.expr,
+                value=alert.value,
+                **alert.labels,
+            )
         for alert in cleared:
-            if self.journal is not None:
-                self.journal.emit(
-                    ALERT_CLEARED,
-                    rule=alert.rule,
-                    expr=alert.expr,
-                    **alert.labels,
-                )
+            self.journal.emit(
+                ALERT_CLEARED,
+                rule=alert.rule,
+                expr=alert.expr,
+                **alert.labels,
+            )
         return self.active()
 
     # -- introspection -----------------------------------------------------

@@ -350,14 +350,21 @@ class ConsistencyAuditor:
         system.server.backend.add_listener(self._changes.note)
         self._cycle_local = threading.local()
 
-        self._cycles_total = registry.counter(
-            "metacomm_audit_cycles_total",
-            "Consistency-audit sampling cycles completed",
+        self.journal.derive(
+            AUDIT_CYCLE,
+            registry.counter(
+                "metacomm_audit_cycles_total",
+                "Consistency-audit sampling cycles completed",
+            ),
         )
-        self._mismatches_total = registry.counter(
-            "metacomm_audit_mismatches_total",
-            "Device/directory disagreements observed by the auditor",
-            labelnames=("device",),
+        self.journal.derive(
+            AUDIT_MISMATCH,
+            registry.counter(
+                "metacomm_audit_mismatches_total",
+                "Device/directory disagreements observed by the auditor",
+                labelnames=("device",),
+            ),
+            by="count",
         )
         self._last_mismatches = registry.gauge(
             "metacomm_audit_last_mismatches",
@@ -446,17 +453,13 @@ class ConsistencyAuditor:
             problems = self.system.binding_inconsistencies(binding)
             if problems:
                 report.mismatches[binding.name] = problems
-                self._mismatches_total.labels(device=binding.name).inc(
-                    len(problems)
+                self.journal.emit(
+                    AUDIT_MISMATCH,
+                    device=binding.name,
+                    count=len(problems),
+                    problems=problems[:_DETAIL_LIMIT],
+                    cycle=cycle,
                 )
-                if self.journal is not None:
-                    self.journal.emit(
-                        AUDIT_MISMATCH,
-                        device=binding.name,
-                        count=len(problems),
-                        problems=problems[:_DETAIL_LIMIT],
-                        cycle=cycle,
-                    )
 
         # Staleness gauges: queue depth/age and per-device serial lag.
         queue = self.system.um.queue
@@ -472,19 +475,17 @@ class ConsistencyAuditor:
         health.refresh_gauges(last_serial=report.last_serial)
 
         self._last_mismatches.set(report.mismatch_count)
-        self._cycles_total.inc()
         report.duration = time.perf_counter() - start
         self._cycle_seconds.observe(report.duration)
-        if self.journal is not None:
-            self.journal.emit(
-                AUDIT_CYCLE,
-                cycle=cycle,
-                probed=list(report.probed),
-                mismatches=report.mismatch_count,
-                reimaged=self._cycle_local.reimaged,
-                queue_depth=report.queue_depth,
-                oldest_age=round(report.oldest_age, 6),
-            )
+        self.journal.emit(
+            AUDIT_CYCLE,
+            cycle=cycle,
+            probed=list(report.probed),
+            mismatches=report.mismatch_count,
+            reimaged=self._cycle_local.reimaged,
+            queue_depth=report.queue_depth,
+            oldest_age=round(report.oldest_age, 6),
+        )
         self.last_report = report
 
         # Alert rules ride the audit clock (never the update hot path).

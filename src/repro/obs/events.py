@@ -16,6 +16,12 @@ in-memory store is a bounded ring (oldest events drop once ``capacity``
 is exceeded — counted, never silent) and the whole stream can be exported
 as JSONL for offline analysis (``python -m repro events --json``).
 
+Every lifecycle fact is emitted exactly once, here.  Counters that count
+one kind of event are *derived* from the journal (:meth:`EventJournal.derive`)
+and the health board's outcome feed subscribes to the device events, so
+the journal, the counters and the health board cannot drift apart
+(docs/OBSERVABILITY.md lists the derived counters).
+
 Journals follow the registry convention: created *disabled* they turn
 ``emit`` into a cheap no-op, which is what the health-plane overhead
 benchmark compares against.
@@ -28,7 +34,9 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
+
+from .metrics import MetricsRegistry
 
 __all__ = [
     "Event",
@@ -90,7 +98,7 @@ DEVICE_ATTEMPT = "device.attempt"
 DEVICE_COMMIT = "device.commit"
 #: The device rejected (or the link dropped) its planned update.
 DEVICE_FAILURE = "device.failure"
-#: Parallel mode undid a commit past the abort point.
+#: Links mode undid a commit past the abort point.
 DEVICE_ROLLBACK = "device.rollback"
 #: Saga compensation undid an already-applied device update.
 SAGA_COMPENSATED = "saga.compensated"
@@ -194,6 +202,14 @@ class Event:
 EventListener = Callable[[Event], None]
 
 
+class _Route:
+    """One kind's handler table entry: its events-total child (bound on
+    first emit) and the handlers subscribed to that kind alone."""
+
+    counter = None
+    handlers: tuple[EventListener, ...] = ()
+
+
 class EventJournal:
     """Append-only bounded ring of :class:`Event`\\ s, safe across threads.
 
@@ -203,13 +219,15 @@ class EventJournal:
     Subscribed listeners receive each event after it is stored — the
     ``--follow`` CLI and the test harness use this; listener exceptions
     are swallowed so a broken consumer can never damage the pipeline.
+    Handlers subscribed to particular kinds — derived counters, the
+    health board's outcome feed — run after the all-kinds listeners.
     """
 
     def __init__(
         self,
         capacity: int = 1024,
         enabled: bool = True,
-        registry=None,
+        registry: MetricsRegistry | None = None,
     ):
         if capacity < 1:
             raise ValueError("journal capacity must be >= 1")
@@ -221,19 +239,18 @@ class EventJournal:
         #: Immutable snapshot, replaced wholesale on (un)subscribe, so
         #: ``emit`` can iterate it without a lock or a copy.
         self._listeners: tuple[EventListener, ...] = ()
-        self._emitted = None
-        self._emitted_children: dict[str, object] = {}
-        self._dropped = None
-        if registry is not None:
-            self._emitted = registry.counter(
-                "metacomm_journal_events_total",
-                "Lifecycle events appended to the event journal",
-                labelnames=("kind",),
-            )
-            self._dropped = registry.counter(
-                "metacomm_journal_dropped_total",
-                "Journal events evicted from the bounded ring",
-            )
+        #: kind -> its route; read and extended under ``_lock``.
+        self._routes: dict[str, _Route] = {}
+        registry = registry if registry is not None else MetricsRegistry()
+        self._emitted = registry.counter(
+            "metacomm_journal_events_total",
+            "Lifecycle events appended to the event journal",
+            labelnames=("kind",),
+        )
+        self._dropped = registry.counter(
+            "metacomm_journal_dropped_total",
+            "Journal events evicted from the bounded ring",
+        )
 
     # -- producing ---------------------------------------------------------
 
@@ -256,32 +273,41 @@ class EventJournal:
             )
             self._events.append(event)
             # Snapshot inside the critical section: subscribe/unsubscribe
-            # swap the tuple under this lock, so the snapshot is the exact
-            # listener set that existed when the event entered the journal
-            # — and delivery below happens with the lock released.
-            listeners = self._listeners
-        if self._emitted is not None:
-            child = self._emitted_children.get(kind)
-            if child is None:
-                # Benign race: two threads may both build the child; the
-                # registry dedupes by label key, so both get the same one.
-                child = self._emitted.labels(kind=kind)
-                self._emitted_children[kind] = child
-            child.inc()
-            if dropping:
-                self._dropped.inc()
-        for listener in listeners:
+            # swap these tuples under this lock, so the snapshot is the
+            # exact handler set that existed when the event entered the
+            # journal — and delivery below happens with the lock released.
+            route = self._routes.get(kind)
+            if route is None:
+                route = self._routes[kind] = _Route()
+            handlers = self._listeners + route.handlers
+        counter = route.counter
+        if counter is None:
+            # Benign race: two threads may both bind the child; the
+            # registry dedupes by label key, so both get the same one.
+            counter = route.counter = self._emitted.labels(kind=kind)
+        counter.inc()
+        if dropping:
+            self._dropped.inc()
+        for handler in handlers:
             try:
-                listener(event)
+                handler(event)
             except Exception:
                 pass  # a broken consumer must never damage the pipeline
         return event
 
     # -- subscriptions -----------------------------------------------------
 
-    def subscribe(self, listener: EventListener) -> EventListener:
+    def subscribe(
+        self, listener: EventListener, kinds: Iterable[str] | None = None
+    ) -> EventListener:
+        """Deliver every event to ``listener`` — or, with ``kinds``, only
+        events of those kinds, after the all-kinds listeners."""
         with self._lock:
-            self._listeners = self._listeners + (listener,)
+            if kinds is None:
+                self._listeners = self._listeners + (listener,)
+            for kind in kinds or ():
+                route = self._routes.setdefault(kind, _Route())
+                route.handlers = route.handlers + (listener,)
         return listener
 
     def unsubscribe(self, listener: EventListener) -> None:
@@ -291,6 +317,38 @@ class EventJournal:
             self._listeners = tuple(
                 l for l in self._listeners if l != listener
             )
+            for route in self._routes.values():
+                route.handlers = tuple(
+                    h for h in route.handlers if h != listener
+                )
+
+    def derive(self, kind: str, metric, by: str | None = None, **labels) -> None:
+        """Derive ``metric`` from ``kind``: per event a counter adds one, or
+        its ``by`` attribute, and a histogram observes ``by`` (zeros are
+        skipped).  Labels not fixed by ``labels`` take the value of the
+        event attribute of the same name."""
+        names = tuple(name for name in metric.labelnames if name not in labels)
+        record = "observe" if metric.kind == "histogram" else "inc"
+        #: label values -> bound record method, so an event pays no
+        #: ``.labels()`` lookup.
+        children: dict[tuple, Callable[[float], None]] = {}
+
+        def handler(event: Event) -> None:
+            attributes = event.attributes
+            amount = attributes[by] if by is not None else 1
+            if not amount:
+                return
+            key = tuple([attributes[name] for name in names])
+            child = children.get(key)
+            if child is None:
+                # Benign race: the registry dedupes by label key.
+                child = getattr(
+                    metric.labels(**labels, **dict(zip(names, key))), record
+                )
+                children[key] = child
+            child(amount)
+
+        self.subscribe(handler, kinds=(kind,))
 
     # -- reading -----------------------------------------------------------
 
@@ -321,6 +379,9 @@ class EventJournal:
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
+
+    def __bool__(self) -> bool:
+        return True  # even when empty: ``journal or EventJournal()``
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events())

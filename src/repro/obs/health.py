@@ -10,10 +10,11 @@ from what the pipeline already observes on every fan-out:
 * the consecutive-failure streak;
 * the last update serial the device applied (for replication-lag gauges).
 
-Two feeds converge here.  The **outcome feed** comes from the pipeline's
-fan-out stage (:meth:`HealthBoard.record_outcome`): did this device
-accept its planned update, and how long did the whole apply take?  It
-owns the error window, the streak, and therefore the derived state.  The
+Two feeds converge here.  The **outcome feed** comes from the event
+journal: the board subscribes to the fan-out stage's ``device.commit``
+and ``device.failure`` events (:meth:`HealthBoard.record_outcome`) — did
+this device accept its planned update, and how long did the apply take?
+It owns the error window, the streak, and therefore the derived state.  The
 **link feed** comes from :mod:`repro.devices.base` via each device's
 ``op_observer`` hook (:meth:`HealthBoard.link_observer`): the raw
 wall-clock of every add/modify/delete at the device, including direct
@@ -28,7 +29,7 @@ States (exported as ``metacomm_device_health``, 0/1/2):
   p95 above ``degraded_p95`` when configured);
 * ``unreachable`` — ``unreachable_streak`` consecutive failures.
 
-State transitions are emitted into the event journal
+State transitions are emitted into the same journal
 (``health.transition``) so the record of a device going dark — and
 coming back — is auditable after the fact.
 """
@@ -39,6 +40,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+
+from .events import DEVICE_COMMIT, DEVICE_FAILURE, HEALTH_TRANSITION, EventJournal
+from .metrics import MetricsRegistry
 
 __all__ = [
     "HEALTHY",
@@ -84,37 +88,32 @@ class LatencyReservoir:
         """The p-th percentile (0..100) of the window; 0.0 when empty."""
         with self._lock:
             samples = sorted(self._samples)
-        if not samples:
-            return 0.0
-        if p <= 0:
-            return samples[0]
-        if p >= 100:
-            return samples[-1]
-        rank = (p / 100.0) * (len(samples) - 1)
-        low = int(rank)
-        high = min(low + 1, len(samples) - 1)
-        weight = rank - low
-        return samples[low] * (1.0 - weight) + samples[high] * weight
+        return _nearest_rank(samples, p)
 
     def quantiles(self) -> dict[str, float]:
         """The dashboard trio: p50/p95/p99 in one sorted pass."""
         with self._lock:
             samples = sorted(self._samples)
-        if not samples:
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-        def _at(p: float) -> float:
-            rank = (p / 100.0) * (len(samples) - 1)
-            low = int(rank)
-            high = min(low + 1, len(samples) - 1)
-            weight = rank - low
-            return samples[low] * (1.0 - weight) + samples[high] * weight
-
-        return {"p50": _at(50), "p95": _at(95), "p99": _at(99)}
+        return {f"p{p}": _nearest_rank(samples, p) for p in (50, 95, 99)}
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._samples)
+
+
+def _nearest_rank(samples: list[float], p: float) -> float:
+    """The interpolated p-th percentile of sorted ``samples`` (0.0 if none)."""
+    if not samples:
+        return 0.0
+    if p <= 0:
+        return samples[0]
+    if p >= 100:
+        return samples[-1]
+    rank = (p / 100.0) * (len(samples) - 1)
+    low = int(rank)
+    high = min(low + 1, len(samples) - 1)
+    weight = rank - low
+    return samples[low] * (1.0 - weight) + samples[high] * weight
 
 
 @dataclass(frozen=True)
@@ -257,23 +256,28 @@ class DeviceHealth:
 
 
 class HealthBoard:
-    """All device links' health, fed by the pipeline and the devices.
+    """All device links' health, fed by the journal and the devices.
 
     The board is the single writer of the ``metacomm_device_*`` metric
     families; it also emits ``health.transition`` journal events whenever
-    an outcome flips a device's derived state.
+    an outcome flips a device's derived state.  Without a ``registry`` or
+    a ``journal`` it uses private ones.
     """
 
     def __init__(
         self,
-        registry=None,
-        journal=None,
+        registry: MetricsRegistry | None = None,
+        journal: EventJournal | None = None,
         policy: HealthPolicy | None = None,
         enabled: bool = True,
     ):
         self.enabled = enabled
         self.policy = policy if policy is not None else HealthPolicy()
-        self.journal = journal
+        registry = registry if registry is not None else MetricsRegistry()
+        self.journal = journal or EventJournal(registry=registry)
+        self.journal.subscribe(
+            self._on_outcome, kinds=(DEVICE_COMMIT, DEVICE_FAILURE)
+        )
         self._devices: dict[str, DeviceHealth] = {}
         self._states: dict[str, str] = {}
         self._lock = threading.Lock()
@@ -281,47 +285,38 @@ class HealthBoard:
         #: children, resolved once per device — ``.labels()`` key building
         #: is measurable on the per-outcome hot path.
         self._hot_children: dict[str, tuple] = {}
-        self._state_gauge = None
-        if registry is not None:
-            self._state_gauge = registry.gauge(
-                "metacomm_device_health",
-                "Derived device-link health (0=healthy 1=degraded "
-                "2=unreachable)",
-                labelnames=("device",),
-            )
-            self._attempts = registry.counter(
-                "metacomm_device_attempts_total",
-                "Fan-out apply outcomes per device link",
-                labelnames=("device", "outcome"),
-            )
-            self._streak_gauge = registry.gauge(
-                "metacomm_device_consecutive_failures",
-                "Current consecutive-failure streak of a device link",
-                labelnames=("device",),
-            )
-            self._error_rate_gauge = registry.gauge(
-                "metacomm_device_error_rate",
-                "Rolling error rate of a device link over the health window",
-                labelnames=("device",),
-            )
-            self._latency_gauge = registry.gauge(
-                "metacomm_device_link_latency_seconds",
-                "Rolling latency percentile of a device link "
-                "(refreshed each audit cycle)",
-                labelnames=("device", "quantile"),
-            )
-            self._lag_gauge = registry.gauge(
-                "metacomm_device_last_applied_lag",
-                "Update serials between the global queue head and the "
-                "last serial this device applied",
-                labelnames=("device",),
-            )
-        else:
-            self._attempts = None
-            self._streak_gauge = None
-            self._error_rate_gauge = None
-            self._latency_gauge = None
-            self._lag_gauge = None
+        self._state_gauge = registry.gauge(
+            "metacomm_device_health",
+            "Derived device-link health (0=healthy 1=degraded 2=unreachable)",
+            labelnames=("device",),
+        )
+        self._attempts = registry.counter(
+            "metacomm_device_attempts_total",
+            "Fan-out apply outcomes per device link",
+            labelnames=("device", "outcome"),
+        )
+        self._streak_gauge = registry.gauge(
+            "metacomm_device_consecutive_failures",
+            "Current consecutive-failure streak of a device link",
+            labelnames=("device",),
+        )
+        self._error_rate_gauge = registry.gauge(
+            "metacomm_device_error_rate",
+            "Rolling error rate of a device link over the health window",
+            labelnames=("device",),
+        )
+        self._latency_gauge = registry.gauge(
+            "metacomm_device_link_latency_seconds",
+            "Rolling latency percentile of a device link "
+            "(refreshed each audit cycle)",
+            labelnames=("device", "quantile"),
+        )
+        self._lag_gauge = registry.gauge(
+            "metacomm_device_last_applied_lag",
+            "Update serials between the global queue head and the "
+            "last serial this device applied",
+            labelnames=("device",),
+        )
 
     # -- device registry ---------------------------------------------------
 
@@ -343,9 +338,7 @@ class HealthBoard:
 
     # -- feeds -------------------------------------------------------------
 
-    def _hot(self, name: str) -> tuple | None:
-        if self._attempts is None:
-            return None
+    def _hot(self, name: str) -> tuple:
         children = self._hot_children.get(name)
         if children is None:
             # Benign race: both threads resolve the same registry children.
@@ -358,18 +351,25 @@ class HealthBoard:
             self._hot_children[name] = children
         return children
 
+    def _on_outcome(self, event) -> None:
+        """The outcome feed: one ``device.commit``/``device.failure``."""
+        attributes = event.attributes
+        name = attributes["device"]
+        ok = event.kind == DEVICE_COMMIT
+        self.record_outcome(name, attributes["duration"], ok)
+        if ok and attributes["serial"]:
+            self.note_applied(name, attributes["serial"])
+
     def record_outcome(self, name: str, seconds: float, ok: bool) -> None:
-        """The fan-out feed: one per-device apply outcome."""
+        """One per-device apply outcome."""
         if not self.enabled:
             return
         health = self.device(name)
         health.record_outcome(seconds, ok)
-        children = self._hot(name)
-        if children is not None:
-            ok_child, error_child, streak_child, _ = children
-            (ok_child if ok else error_child).inc()
-            streak_child.set(health.streak)
-        self._after_change(health, children)
+        ok_child, error_child, streak_child, state_child = self._hot(name)
+        (ok_child if ok else error_child).inc()
+        streak_child.set(health.streak)
+        self._after_change(health, state_child)
 
     def record_link(
         self, name: str, op: str, seconds: float, ok: bool
@@ -394,19 +394,16 @@ class HealthBoard:
 
     # -- derived / export --------------------------------------------------
 
-    def _after_change(
-        self, health: DeviceHealth, children: tuple | None
-    ) -> None:
+    def _after_change(self, health: DeviceHealth, state_child) -> None:
         """Detect a state transition and publish it (gauge + journal)."""
         state = health.state
         with self._lock:
             previous = self._states.get(health.name, HEALTHY)
             self._states[health.name] = state
-        if children is not None:
-            children[3].set(STATE_CODES[state])
-        if state != previous and self.journal is not None:
+        state_child.set(STATE_CODES[state])
+        if state != previous:
             self.journal.emit(
-                "health.transition",
+                HEALTH_TRANSITION,
                 device=health.name,
                 previous=previous,
                 state=state,
@@ -424,20 +421,14 @@ class HealthBoard:
             return
         for health in self.devices():
             name = health.name
-            if self._error_rate_gauge is not None:
-                self._error_rate_gauge.labels(device=name).set(
-                    health.error_rate
+            self._error_rate_gauge.labels(device=name).set(health.error_rate)
+            self._streak_gauge.labels(device=name).set(health.streak)
+            self._state_gauge.labels(device=name).set(STATE_CODES[health.state])
+            for quantile, value in health.reservoir.quantiles().items():
+                self._latency_gauge.labels(device=name, quantile=quantile).set(
+                    value
                 )
-                self._streak_gauge.labels(device=name).set(health.streak)
-                self._state_gauge.labels(device=name).set(
-                    STATE_CODES[health.state]
-                )
-            if self._latency_gauge is not None:
-                for quantile, value in health.reservoir.quantiles().items():
-                    self._latency_gauge.labels(
-                        device=name, quantile=quantile
-                    ).set(value)
-            if self._lag_gauge is not None and last_serial is not None:
+            if last_serial is not None:
                 lag = max(0, last_serial - health.last_applied_serial)
                 self._lag_gauge.labels(device=name).set(lag)
 

@@ -34,7 +34,8 @@ import threading
 import traceback
 from dataclasses import dataclass
 
-from .events import WITNESS_VIOLATION
+from .events import WITNESS_VIOLATION, EventJournal
+from .metrics import MetricsRegistry
 
 __all__ = ["LockWitness", "WitnessViolation", "witness_system"]
 
@@ -81,7 +82,8 @@ class LockWitness:
     """Order-recording proxies over the runtime's locks."""
 
     def __init__(self, journal=None, registry=None, static_order=None):
-        self.journal = journal
+        registry = registry if registry is not None else MetricsRegistry()
+        self.journal = journal or EventJournal(registry=registry)
         #: name -> set of names observed/declared to be acquired later.
         self._after: dict[str, set[str]] = {}
         self._static_pairs: set[tuple[str, str]] = set()
@@ -92,23 +94,22 @@ class LockWitness:
         self._violations: list[WitnessViolation] = []
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._acquisitions = None
-        self._violation_count = None
-        self._edge_gauge = None
-        if registry is not None:
-            self._acquisitions = registry.counter(
-                "metacomm_lockwitness_acquisitions_total",
-                "Lock acquisitions recorded by the runtime lock witness.",
-                labelnames=("lock",),
-            )
-            self._violation_count = registry.counter(
+        self._acquisitions = registry.counter(
+            "metacomm_lockwitness_acquisitions_total",
+            "Lock acquisitions recorded by the runtime lock witness.",
+            labelnames=("lock",),
+        )
+        self.journal.derive(
+            WITNESS_VIOLATION,
+            registry.counter(
                 "metacomm_lockwitness_violations_total",
                 "Acquisition-order reversals the lock witness observed.",
-            )
-            self._edge_gauge = registry.gauge(
-                "metacomm_lockwitness_edges",
-                "Distinct acquisition-order pairs observed at runtime.",
-            )
+            ),
+        )
+        self._edge_gauge = registry.gauge(
+            "metacomm_lockwitness_edges",
+            "Distinct acquisition-order pairs observed at runtime.",
+        )
 
     # -- wrapping -----------------------------------------------------------
 
@@ -158,8 +159,7 @@ class LockWitness:
         return held
 
     def _note_acquired(self, name: str) -> None:
-        if self._acquisitions is not None:
-            self._acquisitions.labels(lock=name).inc()
+        self._acquisitions.labels(lock=name).inc()
         stack = self._stack()
         for entry in reversed(stack):
             if entry.name == name and not entry.suspended:
@@ -201,14 +201,10 @@ class LockWitness:
                 violation = None
                 self._after.setdefault(held.name, set()).add(acquired)
                 self._observed.add((held.name, acquired))
-                if self._edge_gauge is not None:
-                    self._edge_gauge.set(len(self._observed))
+                self._edge_gauge.set(len(self._observed))
         if violation is None:
             return
-        if self._violation_count is not None:
-            self._violation_count.inc()
-        if self.journal is not None:
-            self.journal.emit(WITNESS_VIOLATION, **violation.to_dict())
+        self.journal.emit(WITNESS_VIOLATION, **violation.to_dict())
 
     def _path(self, start: str, goal: str) -> list[str] | None:
         """A path start -> ... -> goal in the graph, or None.

@@ -50,15 +50,6 @@ class StatsView(Mapping):
             return dict(self) == dict(other)
         return NotImplemented
 
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def to_dict(self) -> dict:
-        return dict(self)
-
     # Mapping deliberately unhashable once __eq__ is defined.
     __hash__ = None  # type: ignore[assignment]
 

@@ -6,10 +6,11 @@ import threading
 
 import pytest
 
-from repro.obs import EventJournal, MetricsRegistry, Tracer
+from repro.obs import EventJournal, HealthBoard, MetricsRegistry, Tracer
 from repro.obs.events import (
     EVENT_KINDS,
     DEVICE_COMMIT,
+    DEVICE_FAILURE,
     UPDATE_ACCEPTED,
     UPDATE_PLANNED,
 )
@@ -116,15 +117,31 @@ class TestEventJournal:
         assert len(seen) == 2
 
     def test_broken_listener_does_not_break_emit(self):
-        journal = EventJournal()
+        registry = MetricsRegistry()
+        journal = EventJournal(registry=registry)
+        board = HealthBoard(registry, journal=journal)
 
         def broken(event):
             raise RuntimeError("boom")
 
         journal.subscribe(broken)
+        # A broken handler of the same kind, running after the health
+        # feed and before the derived count, loses neither of them.
+        journal.subscribe(broken, kinds=(DEVICE_FAILURE,))
+        derived = registry.counter("derived_total", labelnames=("device",))
+        journal.derive(DEVICE_FAILURE, derived)
         event = journal.emit(UPDATE_ACCEPTED)
         assert event is not None
         assert len(journal) == 1
+        journal.emit(DEVICE_FAILURE, device="pbx", serial=1, duration=0.01)
+        assert derived.value_for(device="pbx") == 1
+        assert board.device("pbx").failures == 1
+        assert registry.value(
+            "metacomm_device_attempts_total", device="pbx", outcome="error"
+        ) == 1
+        assert registry.value(
+            "metacomm_journal_events_total", kind=DEVICE_FAILURE
+        ) == 1
 
     def test_listener_may_subscribe_during_emit(self):
         # Listeners run after ``_lock`` is released (LX502/LX504): a
