@@ -1,11 +1,20 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test check check-concur bench-smoke perf-smoke bench bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
+.PHONY: test test-isolated check check-concur bench-smoke perf-smoke bench bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
 
 ## Tier-1: the full unit/integration suite (tests/ only).
 test:
 	$(PYTHON) -m pytest -x -q
+
+## Every tests/test_*.py in a process of its own, two at a time: catches a
+## test that passes only because an earlier file warmed process-wide state.
+## Fails if any file fails, and prints the tail of that file's output.
+test-isolated:
+	@ls tests/test_*.py | xargs -P 2 -I{} sh -c \
+		'out=$$($(PYTHON) -m pytest -q -p no:cacheprovider {} 2>&1) \
+		&& echo "ok      {}" \
+		|| { echo "FAILED  {}"; echo "$$out" | tail -n 25; exit 1; }'
 
 ## lexcheck: static analysis of the shipped mapping configuration
 ## (docs/ANALYSIS.md).  Fails on any unsuppressed warning or error.

@@ -34,7 +34,7 @@ def test_e10_mailbox_id_written_back(benchmark):
     ext = benchmark(add_user)
     entry = system.find_person(f"(definityExtension={ext})")[0]
     mailbox = system.messaging.mailbox_of(f"+1 908 582 {ext}")
-    assert entry.get("mpMailboxId") == [mailbox]
+    assert entry.get("mpMailboxId") == (mailbox,)
     report(
         "E10: device-generated mailbox id folded back into the directory",
         ["metric", "value"],

@@ -293,7 +293,7 @@ class LdapFilter(Filter):
     ) -> list[Modification]:
         mods = []
         for name, values in attrs.items():
-            if existing.get(name) != list(values):
+            if existing.get(name) != tuple(values):
                 mods.append(Modification.replace(name, *values))
         return mods
 

@@ -133,7 +133,7 @@ class Synchronizer:
                 name: values
                 for name, values in image.items()
                 if name.lower() != "lastupdater"
-                and entry.get(name) != values
+                and entry.get(name) != tuple(values)
             }
             if not diff:
                 report.skipped += 1

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Protocol
 from .dn import DN, Rdn
 from .entry import Attributes, Entry
 from .filter import Filter, parse_filter
-from .protocol import ModOp, Modification, Scope
+from .protocol import Modification, Scope
 from .result import (
     EntryAlreadyExistsError,
     LdapError,
@@ -58,7 +58,11 @@ class Csn:
 
 @dataclass(frozen=True)
 class ChangeRecord:
-    """One committed update, with before/after images for listeners."""
+    """One committed update, with before/after images for listeners.
+
+    The images are the stored entry objects themselves (the entry the
+    update replaced or removed, and the one it stored): entries are
+    immutable, so a retained record costs no copy."""
 
     csn: Csn
     change_type: ChangeType
@@ -189,7 +193,7 @@ class Transaction:
     # -- buffered operations ----------------------------------------------
 
     def add(self, entry: Entry) -> None:
-        self._ops.append(("add", (entry.copy(),)))
+        self._ops.append(("add", (entry,)))
 
     def delete(self, dn: DN) -> None:
         self._ops.append(("delete", (dn,)))
@@ -416,21 +420,17 @@ class Backend:
             return dn.normalized() in self._entries
 
     def get(self, dn: DN) -> Entry:
-        """Return a copy of the entry at *dn* (raises when absent)."""
+        """Return the (immutable) entry stored at *dn*; raises when absent."""
         with self._lock:
-            return self._require(dn).copy()
+            return self._require(dn)
 
     # -- update operations ---------------------------------------------------
 
     def add(self, entry: Entry, origin: Csn | None = None) -> ChangeRecord:
-        entry = entry.copy()
-        if not entry.rdn_consistent():
-            # Real servers insert missing RDN attributes; we do the same.
-            for attr, value in entry.dn.rdn.items():
-                if not entry.attributes.has_value(attr, value):
-                    values = entry.attributes.get(attr)
-                    values.append(value)
-                    entry.attributes.put(attr, values)
+        # Real servers insert missing RDN attributes; we do the same.
+        missing = self._rdn_additions(entry.attributes, entry.dn.rdn)
+        if missing:
+            entry = Entry(entry.dn, entry.attributes.modified(missing))
         if self.schema is not None:
             self.schema.check_entry(entry)
         with self._lock:
@@ -452,7 +452,7 @@ class Backend:
                 self._children.setdefault(parent_key, set()).add(key)
             self._store(entry)
             record = ChangeRecord(
-                self._next_csn(), ChangeType.ADD, entry.dn, None, entry.copy(),
+                self._next_csn(), ChangeType.ADD, entry.dn, None, entry,
                 origin=origin,
             )
             self._commit(record)
@@ -474,7 +474,7 @@ class Backend:
                     if not siblings:
                         del self._children[parent_key]
             record = ChangeRecord(
-                self._next_csn(), ChangeType.DELETE, dn, entry.copy(), None,
+                self._next_csn(), ChangeType.DELETE, dn, entry, None,
                 origin=origin,
             )
             self._commit(record)
@@ -489,8 +489,7 @@ class Backend:
         modifications = tuple(modifications)
         with self._lock:
             entry = self._require(dn)
-            updated = entry.copy()
-            self._apply_modifications(updated, modifications)
+            updated = Entry(entry.dn, entry.attributes.modified(modifications))
             if self.schema is not None:
                 self.schema.check_entry(updated)
             if not updated.rdn_consistent():
@@ -503,8 +502,8 @@ class Backend:
                 self._next_csn(),
                 ChangeType.MODIFY,
                 dn,
-                entry.copy(),
-                updated.copy(),
+                entry,
+                updated,
                 modifications,
                 origin=origin,
             )
@@ -512,20 +511,13 @@ class Backend:
             return record
 
     @staticmethod
-    def _apply_modifications(
-        entry: Entry, modifications: Iterable[Modification]
-    ) -> None:
-        for mod in modifications:
-            if mod.op is ModOp.ADD:
-                entry.attributes.add_values(mod.attribute, list(mod.values))
-            elif mod.op is ModOp.DELETE:
-                entry.attributes.delete_values(
-                    mod.attribute, list(mod.values) if mod.values else None
-                )
-            elif mod.op is ModOp.REPLACE:
-                entry.attributes.put(mod.attribute, list(mod.values))
-            else:  # pragma: no cover - enum is closed
-                raise LdapError(ResultCode.PROTOCOL_ERROR, f"bad mod op {mod.op}")
+    def _rdn_additions(attributes: Attributes, rdn: Rdn) -> list[Modification]:
+        """ADDs of the RDN values *attributes* lacks."""
+        return [
+            Modification.add(attr, value)
+            for attr, value in rdn.items()
+            if not attributes.has_value(attr, value)
+        ]
 
     def modify_rdn(
         self,
@@ -551,64 +543,52 @@ class Backend:
             if new_key != old_key and new_key in self._entries:
                 raise EntryAlreadyExistsError(f"entry exists: {new_dn}")
 
-            updated = entry.copy()
+            kept = {(attr.lower(), value) for attr, value in new_rdn.items()}
+            attributes = entry.attributes
             if delete_old_rdn:
-                for attr, value in dn.rdn.items():
-                    if any(
-                        a.lower() == attr.lower() and v == value
-                        for a, v in new_rdn.items()
-                    ):
-                        continue
-                    try:
-                        updated.attributes.delete_values(attr, [value])
-                    except LdapError:
-                        pass
-            for attr, value in new_rdn.items():
-                if not updated.attributes.has_value(attr, value):
-                    values = updated.attributes.get(attr)
-                    values.append(value)
-                    updated.attributes.put(attr, values)
-            renamed = Entry(new_dn, updated.attributes)
+                attributes = attributes.modified(
+                    Modification.delete(attr, value)
+                    for attr, value in dn.rdn.items()
+                    if (attr.lower(), value) not in kept
+                    and attributes.has_value(attr, value)
+                )
+            renamed = Entry(
+                new_dn,
+                attributes.modified(self._rdn_additions(attributes, new_rdn)),
+            )
             if self.schema is not None:
                 self.schema.check_entry(renamed)
 
-            # Re-key the whole subtree below the renamed entry.
-            moves: list[tuple[tuple, tuple, Entry]] = []
+            # Re-key the whole subtree below the renamed entry; the
+            # descendants keep their Attributes.
+            remap = {old_key: new_key}
+            moved = [renamed]
             for desc_key, desc in list(self._entries.items()):
                 if desc.dn.is_descendant_of(dn):
                     depth = len(desc.dn.rdns) - len(dn.rdns)
                     rebased = DN(desc.dn.rdns[:depth] + new_dn.rdns)
-                    moves.append((desc_key, rebased.normalized(), Entry(rebased, desc.attributes)))
-
-            parent_key = dn.parent().normalized()
-            self._unstore(old_key)
-            children = self._children.pop(old_key, set())
-            self._store(renamed)
-            siblings = self._children.setdefault(parent_key, set())
+                    remap[desc_key] = rebased.normalized()
+                    moved.append(Entry(rebased, desc.attributes))
+            for key in remap:
+                self._unstore(key)
+            for stored in moved:
+                self._store(stored)
+            rekeyed = {}
+            for key, new in remap.items():
+                child_set = self._children.pop(key, None)
+                if child_set is not None:
+                    rekeyed[new] = {remap.get(c, c) for c in child_set}
+            self._children.update(rekeyed)
+            siblings = self._children[dn.parent().normalized()]
             siblings.discard(old_key)
             siblings.add(new_key)
-
-            remap = {old_key: new_key}
-            for desc_key, new_desc_key, moved in moves:
-                self._unstore(desc_key)
-                self._store(moved)
-                remap[desc_key] = new_desc_key
-                child_set = self._children.pop(desc_key, None)
-                if child_set is not None:
-                    self._children[new_desc_key] = child_set
-            # Rewrite child-set membership to the re-keyed names.
-            for key, child_set in list(self._children.items()):
-                rewritten = {remap.get(c, c) for c in child_set}
-                self._children[key] = rewritten
-            if children:
-                self._children[new_key] = {remap.get(c, c) for c in children}
 
             record = ChangeRecord(
                 self._next_csn(),
                 ChangeType.MODIFY_RDN,
                 dn,
-                entry.copy(),
-                renamed.copy(),
+                entry,
+                renamed,
                 (),
                 new_rdn,
                 origin=origin,
@@ -666,13 +646,8 @@ class Backend:
     @staticmethod
     def _project(entry: Entry, attributes: tuple[str, ...]) -> Entry:
         if not attributes or "*" in attributes:
-            return entry.copy()
-        wanted = {a.lower() for a in attributes}
-        projected = Attributes()
-        for name, values in entry.attributes.items():
-            if name.lower() in wanted:
-                projected.put(name, values)
-        return Entry(entry.dn, projected)
+            return entry
+        return Entry(entry.dn, entry.attributes.select(attributes))
 
     def compare(self, dn: DN, attribute: str, value: str) -> bool:
         with self._lock:
@@ -681,7 +656,7 @@ class Backend:
 
     def all_entries(self) -> list[Entry]:
         with self._lock:
-            return [e.copy() for _, e in sorted(self._entries.items())]
+            return [e for _, e in sorted(self._entries.items())]
 
     def changes_since(self, csn: Csn | None) -> list[ChangeRecord]:
         """Records committed after *csn* (every record when None); raises

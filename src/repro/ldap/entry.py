@@ -1,14 +1,22 @@
-"""Directory entries and attribute collections.
+"""Directory entries, attribute collections and the modifications that
+produce new ones.
 
 LDAP attributes are weakly typed: every value is a string, attribute names
 are case-insensitive, and an attribute holds a *set* of values (the paper's
 section 5.3 complains that LDAP sets only hold atomic values — we model
 exactly that).  :class:`Attributes` preserves the case of the first writer
 for round-tripping to LDIF while comparing case-insensitively.
+
+Entries are immutable.  A write builds one new :class:`Entry` through
+:meth:`Attributes.modified`, and the DIT, the changelog's images, listeners
+and read results all share that object: nobody can change server state
+behind the server's back, because nobody can change an entry.
 """
 
 from __future__ import annotations
 
+import enum
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .dn import DN
@@ -20,96 +28,134 @@ def _norm_value(value: str) -> str:
     return " ".join(value.lower().split())
 
 
+class ModOp(enum.Enum):
+    ADD = "add"
+    DELETE = "delete"
+    REPLACE = "replace"
+
+
+@dataclass(frozen=True)
+class Modification:
+    """One component of a Modify operation."""
+
+    op: ModOp
+    attribute: str
+    values: tuple[str, ...] = ()
+
+    @classmethod
+    def add(cls, attribute: str, *values: str) -> "Modification":
+        return cls(ModOp.ADD, attribute, tuple(values))
+
+    @classmethod
+    def delete(cls, attribute: str, *values: str) -> "Modification":
+        return cls(ModOp.DELETE, attribute, tuple(values))
+
+    @classmethod
+    def replace(cls, attribute: str, *values: str) -> "Modification":
+        return cls(ModOp.REPLACE, attribute, tuple(values))
+
+
 class Attributes:
-    """A case-insensitive mapping from attribute name to a list of values.
+    """An immutable, case-insensitive mapping from attribute name to a
+    tuple of values.
 
     Values keep insertion order (deterministic LDIF output) but compare as
     sets under caseIgnore matching, which is what real directory servers do
-    for directoryString syntax.
+    for directoryString syntax.  :meth:`modified` is the only way to get a
+    changed collection, and it returns a new one that shares the value
+    tuples of every attribute it leaves alone.
     """
 
     __slots__ = ("_data", "_names")
 
     def __init__(self, initial: Mapping[str, Iterable[str] | str] | None = None):
-        self._data: dict[str, list[str]] = {}
+        self._data: dict[str, tuple[str, ...]] = {}
         self._names: dict[str, str] = {}  # lower-case -> original spelling
-        if initial:
-            for name, values in initial.items():
-                self.put(name, values)
+        for name, values in (initial or {}).items():
+            self._set(name, values)
 
-    # -- mutation ---------------------------------------------------------
+    # -- building (only while nobody else holds the collection) ------------
 
-    def put(self, name: str, values: Iterable[str] | str) -> None:
-        """Replace all values of *name*."""
-        if isinstance(values, str):
-            values = [values]
-        values = [str(v) for v in values]
+    def _set(self, name: str, values: Iterable[str] | str) -> None:
+        """Replace all values of *name*; no values drops the attribute."""
+        values = (values,) if isinstance(values, str) else tuple(map(str, values))
         key = name.lower()
         if not values:
             self._data.pop(key, None)
             self._names.pop(key, None)
             return
-        self._data[key] = list(values)
+        self._data[key] = values
         self._names.setdefault(key, name)
 
-    def add_values(self, name: str, values: Iterable[str] | str) -> None:
+    def _add(self, name: str, values: tuple[str, ...]) -> None:
         """Add values, rejecting duplicates like a real server would."""
-        if isinstance(values, str):
-            values = [values]
-        key = name.lower()
-        current = self._data.setdefault(key, [])
-        self._names.setdefault(key, name)
+        current = self._data.get(name.lower(), ())
         existing = {_norm_value(v) for v in current}
-        for value in values:
-            value = str(value)
+        for value in map(str, values):
             if _norm_value(value) in existing:
                 raise LdapError(
                     ResultCode.ATTRIBUTE_OR_VALUE_EXISTS,
                     f"attribute {name} already has value {value!r}",
                 )
-            current.append(value)
             existing.add(_norm_value(value))
-        if not current:
-            del self._data[key]
-            self._names.pop(key, None)
+        self._set(name, current + values)
 
-    def delete_values(self, name: str, values: Iterable[str] | str | None) -> None:
-        """Delete specific values, or the whole attribute when *values* is None."""
-        key = name.lower()
-        if key not in self._data:
+    def _delete(self, name: str, values: tuple[str, ...]) -> None:
+        """Delete specific values, or the whole attribute when *values* is empty."""
+        current = self._data.get(name.lower())
+        if current is None:
             raise LdapError(
                 ResultCode.UNDEFINED_ATTRIBUTE_TYPE, f"no such attribute: {name}"
             )
-        if values is None:
-            del self._data[key]
-            self._names.pop(key, None)
-            return
-        if isinstance(values, str):
-            values = [values]
-        current = self._data[key]
+        remaining = list(current) if values else []
         for value in values:
             target = _norm_value(str(value))
-            for i, have in enumerate(current):
+            for i, have in enumerate(remaining):
                 if _norm_value(have) == target:
-                    del current[i]
+                    del remaining[i]
                     break
             else:
                 raise LdapError(
                     ResultCode.UNDEFINED_ATTRIBUTE_TYPE,
                     f"attribute {name} has no value {value!r}",
                 )
-        if not current:
-            del self._data[key]
-            self._names.pop(key, None)
+        self._set(name, remaining)
 
-    def remove(self, name: str) -> None:
-        self._data.pop(name.lower(), None)
-        self._names.pop(name.lower(), None)
+    def modified(self, modifications: Iterable[Modification]) -> "Attributes":
+        """A new collection with *modifications* applied in order.
+
+        LDAP Modify semantics: ADD rejects a value already present
+        (ATTRIBUTE_OR_VALUE_EXISTS); DELETE with no values drops the
+        attribute, and DELETE of an absent attribute or value raises
+        UNDEFINED_ATTRIBUTE_TYPE; REPLACE with no values drops the
+        attribute.  Emptied attributes disappear.  ``self`` is unchanged,
+        also when a modification raises."""
+        result = Attributes()
+        result._data = dict(self._data)
+        result._names = dict(self._names)
+        for mod in modifications:
+            if mod.op is ModOp.ADD:
+                result._add(mod.attribute, mod.values)
+            elif mod.op is ModOp.DELETE:
+                result._delete(mod.attribute, mod.values)
+            elif mod.op is ModOp.REPLACE:
+                result._set(mod.attribute, mod.values)
+            else:  # pragma: no cover - enum is closed
+                raise LdapError(ResultCode.PROTOCOL_ERROR, f"bad mod op {mod.op}")
+        return result
+
+    def select(self, names: Iterable[str]) -> "Attributes":
+        """The named attributes only, sharing their value tuples."""
+        wanted = {name.lower() for name in names}
+        result = Attributes()
+        result._data = {k: v for k, v in self._data.items() if k in wanted}
+        result._names = {k: self._names[k] for k in result._data}
+        return result
 
     # -- access -----------------------------------------------------------
 
-    def get(self, name: str) -> list[str]:
-        return list(self._data.get(name.lower(), []))
+    def get(self, name: str) -> tuple[str, ...]:
+        return self._data.get(name.lower(), ())
 
     def first(self, name: str, default: str | None = None) -> str | None:
         values = self._data.get(name.lower())
@@ -121,24 +167,18 @@ class Attributes:
     def has_value(self, name: str, value: str) -> bool:
         target = _norm_value(value)
         return any(
-            _norm_value(v) == target for v in self._data.get(name.lower(), [])
+            _norm_value(v) == target for v in self._data.get(name.lower(), ())
         )
 
     def names(self) -> list[str]:
         return [self._names[k] for k in self._data]
 
-    def items(self) -> Iterator[tuple[str, list[str]]]:
+    def items(self) -> Iterator[tuple[str, tuple[str, ...]]]:
         for key, values in self._data.items():
-            yield self._names[key], list(values)
+            yield self._names[key], values
 
     def to_dict(self) -> dict[str, list[str]]:
         return {self._names[k]: list(v) for k, v in self._data.items()}
-
-    def copy(self) -> "Attributes":
-        clone = Attributes()
-        clone._data = {k: list(v) for k, v in self._data.items()}
-        clone._names = dict(self._names)
-        return clone
 
     def normalized(self) -> dict[str, frozenset[str]]:
         """Comparison form: lower-case names to sets of normalized values."""
@@ -161,11 +201,11 @@ class Attributes:
 
 
 class Entry:
-    """A directory entry: a DN plus its attributes.
+    """An immutable directory entry: a DN plus its attributes.
 
-    Entries are value objects from the caller's point of view; the backend
-    stores copies so that callers can never mutate server state behind the
-    server's back.
+    The constructor shares an :class:`Attributes` it is given and builds
+    one from any other mapping.  Assigning to ``dn`` or ``attributes``
+    raises :class:`AttributeError`; a changed entry is a new entry.
     """
 
     __slots__ = ("dn", "attributes")
@@ -173,17 +213,22 @@ class Entry:
     def __init__(self, dn: DN | str, attributes: Mapping | Attributes | None = None):
         if isinstance(dn, str):
             dn = DN.parse(dn)
-        self.dn = dn
-        if isinstance(attributes, Attributes):
-            self.attributes = attributes.copy()
-        else:
-            self.attributes = Attributes(attributes or {})
+        if not isinstance(attributes, Attributes):
+            attributes = Attributes(attributes)
+        object.__setattr__(self, "dn", dn)
+        object.__setattr__(self, "attributes", attributes)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Entry is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Entry is immutable: cannot delete {name!r}")
 
     @property
-    def object_classes(self) -> list[str]:
+    def object_classes(self) -> tuple[str, ...]:
         return self.attributes.get("objectClass")
 
-    def get(self, name: str) -> list[str]:
+    def get(self, name: str) -> tuple[str, ...]:
         return self.attributes.get(name)
 
     def first(self, name: str, default: str | None = None) -> str | None:
@@ -191,9 +236,6 @@ class Entry:
 
     def has(self, name: str) -> bool:
         return self.attributes.has(name)
-
-    def copy(self) -> "Entry":
-        return Entry(self.dn, self.attributes.copy())
 
     def rdn_consistent(self) -> bool:
         """True when every AVA of the RDN appears among the attributes."""

@@ -289,12 +289,13 @@ def parse_ldif(text: str | TextIO) -> list[Entry]:
             if attrs:
                 raise LdifSyntaxError("attributes before dn line")
             return
-        entry = Entry(dn)
+        # One value list per attribute, under its first spelling.
+        grouped: dict[str, list[str]] = {}
+        spelling: dict[str, str] = {}
         for name, value in attrs:
-            values = entry.attributes.get(name)
-            values.append(value)
-            entry.attributes.put(name, values)
-        entries.append(entry)
+            first = spelling.setdefault(name.lower(), name)
+            grouped.setdefault(first, []).append(value)
+        entries.append(Entry(dn, grouped))
         dn, attrs = None, []
 
     for line in _unfold(lines):

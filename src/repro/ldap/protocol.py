@@ -16,38 +16,11 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .dn import DN, Rdn
-from .entry import Entry
+from .entry import Entry, ModOp, Modification  # noqa: F401 - re-exported
 from .filter import Filter
 from .result import ResultCode
 
 _message_ids = itertools.count(1)
-
-
-class ModOp(enum.Enum):
-    ADD = "add"
-    DELETE = "delete"
-    REPLACE = "replace"
-
-
-@dataclass(frozen=True)
-class Modification:
-    """One component of a Modify operation."""
-
-    op: ModOp
-    attribute: str
-    values: tuple[str, ...] = ()
-
-    @classmethod
-    def add(cls, attribute: str, *values: str) -> "Modification":
-        return cls(ModOp.ADD, attribute, tuple(values))
-
-    @classmethod
-    def delete(cls, attribute: str, *values: str) -> "Modification":
-        return cls(ModOp.DELETE, attribute, tuple(values))
-
-    @classmethod
-    def replace(cls, attribute: str, *values: str) -> "Modification":
-        return cls(ModOp.REPLACE, attribute, tuple(values))
 
 
 class Scope(enum.Enum):

@@ -99,7 +99,7 @@ class WebAdmin:
         for name, value in cleaned.items():
             attribute = FIELDS_BY_NAME[name].attribute
             if value:
-                if entry.get(attribute) != [value]:
+                if entry.get(attribute) != (value,):
                     mods.append(Modification.replace(attribute, value))
             elif entry.has(attribute):
                 mods.append(Modification.delete(attribute))

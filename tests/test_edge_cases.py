@@ -183,4 +183,4 @@ class TestNetCodecEdges:
         )
         again = decode_response(encode_response(response))
         assert again.result.ok
-        assert again.entries[0].get("mail") == ["a@x", "b@x"]
+        assert again.entries[0].get("mail") == ("a@x", "b@x")

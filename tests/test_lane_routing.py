@@ -497,7 +497,7 @@ class TestMultiLaneCoordinator:
         )
         fleet.terminal("pbx-0").execute("change station 4100 room 2B-110")
         (entry,) = fleet.find_person("(definityExtension=4100)")
-        assert entry.get("definityRoom") == ["2B-110"]
+        assert entry.get("definityRoom") == ("2B-110",)
         assert fleet.consistent()
         assert dict(fleet.um.queue.statistics)["serial_routed"] >= 1
         barrier_events = fleet.obs.journal.events(LANE_BARRIER)

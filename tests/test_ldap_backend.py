@@ -4,10 +4,13 @@ import pytest
 
 from repro.ldap import (
     DN,
+    Attributes,
     ChangeType,
     Entry,
     EntryAlreadyExistsError,
+    LdapConnection,
     LdapError,
+    LdapServer,
     Modification,
     NoSuchObjectError,
     Rdn,
@@ -15,6 +18,7 @@ from repro.ldap import (
     Scope,
 )
 from repro.ldap.backend import Backend
+from repro.ltap import LtapGateway, Trigger
 
 
 @pytest.fixture
@@ -59,7 +63,10 @@ class TestAdd:
     def test_stored_entry_isolated_from_caller(self, backend):
         entry = Entry("cn=Iso,o=Lucent", {"objectClass": "person", "cn": "Iso"})
         backend.add(entry)
-        entry.attributes.put("cn", "Mutated")
+        with pytest.raises(AttributeError):
+            entry.attributes.put("cn", "Mutated")
+        with pytest.raises(AttributeError):
+            entry.attributes = Attributes({"cn": "Mutated"})
         assert backend.get(DN.parse("cn=Iso,o=Lucent")).first("cn") == "Iso"
 
 
@@ -93,7 +100,7 @@ class TestModify:
 
     def test_add_value(self, backend):
         backend.modify(self.DN_JOHN, [Modification.add("mail", "jdoe@lucent.com")])
-        assert backend.get(self.DN_JOHN).get("mail") == ["jdoe@lucent.com"]
+        assert backend.get(self.DN_JOHN).get("mail") == ("jdoe@lucent.com",)
 
     def test_delete_attribute(self, backend):
         backend.modify(self.DN_JOHN, [Modification.delete("telephoneNumber")])
@@ -130,7 +137,7 @@ class TestModifyRdn:
         assert backend.contains(new_dn)
         assert not backend.contains(self.DN_JOHN)
         entry = backend.get(new_dn)
-        assert entry.get("cn") == ["John Q Doe"]
+        assert entry.get("cn") == ("John Q Doe",)
         assert entry.first("telephoneNumber") == "+1 908 582 9000"
 
     def test_rename_keeps_old_value_when_not_deleting(self, backend):
@@ -197,8 +204,54 @@ class TestSearch:
 
     def test_results_are_copies(self, backend):
         (hit,) = backend.search(DN.parse("o=Lucent"), Scope.SUB, "(cn=John Doe)")
-        hit.attributes.put("cn", "Tampered")
+        with pytest.raises(AttributeError):
+            hit.attributes.put("cn", "Tampered")
+        with pytest.raises(AttributeError):
+            hit.attributes = Attributes({"cn": "Tampered"})
         assert backend.get(hit.dn).first("cn") == "John Doe"
+
+
+class TestImmutableEntries:
+    def test_no_handed_out_entry_can_be_mutated(self):
+        """Reads, changelog images and trigger images share the stored
+        entry objects; every way of changing one raises, and the DIT stays
+        as it was."""
+        server = LdapServer(["o=Lucent"])
+        gateway = LtapGateway(server)
+        events, records = [], []
+        gateway.register_trigger(Trigger(action=events.append))
+        server.backend.add_listener(records.append)
+        conn = LdapConnection(gateway)
+        conn.add("o=Lucent", {"objectClass": "organization", "o": "Lucent"})
+        conn.add("cn=X,o=Lucent", {"objectClass": "person", "cn": "X", "sn": "S"})
+        conn.modify("cn=X,o=Lucent", [Modification.replace("sn", "T")])
+        backend = server.backend
+        dn, base = DN.parse("cn=X,o=Lucent"), DN.parse("o=Lucent")
+        handed_out = {
+            "get": backend.get(dn),
+            "search hit": backend.search(base, Scope.SUB, "(cn=X)")[0],
+            "projected hit": backend.search(base, Scope.SUB, "(cn=X)", ["sn"])[0],
+            "all_entries": backend.all_entries()[-1],
+            "record before": records[-1].before,
+            "record after": records[-1].after,
+            "trigger before": events[-1].before,
+            "trigger after": events[-1].after,
+        }
+        assert handed_out["get"] is records[-1].after is events[-1].after
+        state = [(e.dn, e.attributes.to_dict()) for e in backend.all_entries()]
+        attempts = [
+            lambda e: setattr(e, "dn", DN.parse("cn=Y,o=Lucent")),
+            lambda e: setattr(e, "attributes", Attributes({"sn": "Z"})),
+            lambda e: delattr(e, "attributes"),
+            lambda e: e.get("sn").append("Z"),
+            lambda e: e.attributes.put("sn", "Z"),
+        ]
+        for entry in handed_out.values():
+            for attempt in attempts:
+                with pytest.raises(AttributeError):
+                    attempt(entry)
+        assert [(e.dn, e.attributes.to_dict()) for e in backend.all_entries()] == state
+        assert backend.get(dn).get("sn") == ("T",)
 
 
 class TestChangelogAndListeners:

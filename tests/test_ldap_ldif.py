@@ -47,7 +47,7 @@ class TestParse:
     def test_multi_valued(self):
         text = "dn: cn=X,o=L\nmail: a@x\nmail: b@x\n"
         (entry,) = parse_ldif(text)
-        assert entry.get("mail") == ["a@x", "b@x"]
+        assert entry.get("mail") == ("a@x", "b@x")
 
     def test_records_without_blank_separator(self):
         text = "dn: o=A\no: A\ndn: o=B\no: B\n"

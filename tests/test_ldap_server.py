@@ -60,7 +60,7 @@ class TestCrudThroughConnection:
         conn.replace("cn=Jill Lu,o=R&D,o=Lucent", {"sn": "Lu-Chen", "mail": ["j@l"]})
         entry = conn.get("cn=Jill Lu,o=R&D,o=Lucent")
         assert entry.first("sn") == "Lu-Chen"
-        assert entry.get("mail") == ["j@l"]
+        assert entry.get("mail") == ("j@l",)
 
     def test_modify_rdn(self, conn):
         conn.modify_rdn("cn=Jill Lu,o=R&D,o=Lucent", "cn=Jill L")

@@ -219,7 +219,9 @@ class TestJournalPipelineIntegration:
 
     def test_ldap_add_leaves_a_complete_event_trail(self, system):
         self.add_person(system)
-        kinds = [e.kind for e in system.obs.journal]
+        # The process-wide rule cache journals lexpress.compiled the first
+        # time any system in the process compiles a rule.
+        kinds = [e.kind for e in system.obs.journal if e.kind != "lexpress.compiled"]
         assert kinds[:3] == [
             "update.accepted",
             "update.claimed",

@@ -120,7 +120,7 @@ class TestSupplementalCaseInsensitive:
         )
         assert wrote
         entry = conn.get("cn=A B,o=Lucent")
-        assert entry.get("definityRoom") == ["2B"]
+        assert entry.get("definityRoom") == ("2B",)
 
     def test_sequence_supplement_has_one_key_per_attribute(self):
         # The merge stage must never hand the LDAP filter a supplement

@@ -16,6 +16,7 @@ from hypothesis.stateful import (
     Bundle,
     RuleBasedStateMachine,
     invariant,
+    multiple,
     rule,
 )
 
@@ -28,7 +29,7 @@ from repro.ldap import (
     Modification,
     Rdn,
 )
-from repro.ldap.backend import Backend
+from repro.ldap.backend import Backend, ChangeRecord
 from repro.ldap.replication import ReplicationEngine
 from repro.lexpress import ClosureEngine
 from repro.schemas import standard_mappings
@@ -42,7 +43,13 @@ _NAMES = ["alpha", "beta", "gamma", "delta", "epsilon"]
 
 
 class DitMachine(RuleBasedStateMachine):
-    """Random adds/deletes/modifies/renames against a model dict."""
+    """Random adds, deletes, value adds/deletes/replaces and renames
+    against a model of every entry's full attribute values.
+
+    Entries are immutable and shared: ``get()`` results and changelog
+    images are the stored objects themselves.  The machine keeps every
+    ``get()`` result and change record it saw, with the model state of
+    that time, and checks that none of them changes afterwards."""
 
     def __init__(self):
         super().__init__()
@@ -50,14 +57,29 @@ class DitMachine(RuleBasedStateMachine):
         self.backend.add(
             Entry("o=root", {"objectClass": "organization", "o": "root"})
         )
-        # Model: normalized-dn-string -> attrs dict
-        self.model: dict[str, dict] = {"o=root": {}}
+        # Model: lower-cased DN string -> lower-cased name -> values.
+        self.model: dict[str, dict[str, list[str]]] = {
+            "o=root": {"objectclass": ["organization"], "o": ["root"]}
+        }
+        #: (entry, its model attributes when it was read)
+        self.reads: list[tuple[Entry, dict]] = []
+        #: (change record, model attributes before, model attributes after)
+        self.images: list[tuple[ChangeRecord, dict | None, dict | None]] = []
 
     entries = Bundle("entries")
 
     @staticmethod
-    def _norm(dn: DN) -> str:
-        return str(dn).lower()
+    def _attrs(entry: Entry | None) -> dict | None:
+        if entry is None:
+            return None
+        return {name.lower(): list(vals) for name, vals in entry.attributes.items()}
+
+    def _state(self, key: str) -> dict | None:
+        attrs = self.model.get(key)
+        return None if attrs is None else {k: list(v) for k, v in attrs.items()}
+
+    def _keep(self, record: ChangeRecord, before: dict | None, key: str) -> None:
+        self.images.append((record, before, self._state(key)))
 
     @rule(target=entries, name=st.sampled_from(_NAMES),
           parent=st.none() | entries)
@@ -65,13 +87,14 @@ class DitMachine(RuleBasedStateMachine):
         parent_dn = DN.parse(parent) if parent else DN.parse("o=root")
         dn = parent_dn.child(Rdn.single("cn", name))
         entry = Entry(dn, {"objectClass": "person", "cn": name, "sn": name})
-        key = self._norm(dn)
+        key = str(dn).lower()
         if key in self.model or str(parent_dn).lower() not in self.model:
             with pytest.raises(LdapError):
                 self.backend.add(entry)
             return str(dn)
-        self.backend.add(entry)
-        self.model[key] = {"cn": name}
+        record = self.backend.add(entry)
+        self.model[key] = {"objectclass": ["person"], "cn": [name], "sn": [name]}
+        self._keep(record, None, key)
         return str(dn)
 
     @rule(dn=entries)
@@ -84,29 +107,102 @@ class DitMachine(RuleBasedStateMachine):
             with pytest.raises(LdapError):
                 self.backend.delete(DN.parse(dn))
             return
-        self.backend.delete(DN.parse(dn))
+        before = self._state(key)
+        record = self.backend.delete(DN.parse(dn))
         del self.model[key]
+        self._keep(record, before, key)
+
+    def _modify(self, dn: str, modification: Modification, expect) -> None:
+        """Apply *modification* to ``description``.  *expect* maps the
+        model's current values to the new ones, or to None when the server
+        must refuse the change."""
+        key = dn.lower()
+        before = self._state(key)
+        values = None if before is None else expect(before.get("description", []))
+        if values is None:
+            with pytest.raises(LdapError):
+                self.backend.modify(DN.parse(dn), [modification])
+            return
+        record = self.backend.modify(DN.parse(dn), [modification])
+        if values:
+            self.model[key]["description"] = values
+        else:
+            del self.model[key]["description"]
+        self._keep(record, before, key)
 
     @rule(dn=entries, value=st.text(alphabet="xyz", min_size=1, max_size=4))
     def modify_entry(self, dn, value):
+        self._modify(
+            dn, Modification.replace("description", value), lambda _: [value]
+        )
+
+    @rule(dn=entries, value=st.text(alphabet="xyz", min_size=1, max_size=2))
+    def add_value(self, dn, value):
+        self._modify(
+            dn,
+            Modification.add("description", value),
+            lambda values: None if value in values else values + [value],
+        )
+
+    @rule(dn=entries, value=st.text(alphabet="xyz", min_size=1, max_size=2))
+    def delete_value(self, dn, value):
+        self._modify(
+            dn,
+            Modification.delete("description", value),
+            lambda values: (
+                [v for v in values if v != value] if value in values else None
+            ),
+        )
+
+    @rule(target=entries, dn=entries, name=st.sampled_from(_NAMES),
+          delete_old=st.booleans())
+    def rename_entry(self, dn, name, delete_old):
+        old = DN.parse(dn)
+        new_rdn = Rdn.single("cn", name)
+        key, new_key = dn.lower(), str(old.parent().child(new_rdn)).lower()
+        if key not in self.model or (new_key != key and new_key in self.model):
+            with pytest.raises(LdapError):
+                self.backend.modify_rdn(old, new_rdn, delete_old)
+            return multiple()
+        before = self._state(key)
+        record = self.backend.modify_rdn(old, new_rdn, delete_old)
+        attrs = self.model.pop(key)
+        if delete_old and old.rdn.value != name:
+            attrs["cn"].remove(old.rdn.value)
+        if name not in attrs["cn"]:
+            attrs["cn"].append(name)
+        self.model[new_key] = attrs
+        # The subtree below moves with it.
+        moved = [k[: -len(key)] + new_key for k in self.model if k.endswith("," + key)]
+        for desc in moved:
+            self.model[desc] = self.model.pop(desc[: -len(new_key)] + key)
+        self._keep(record, before, new_key)
+        return multiple(new_key, *moved)
+
+    @rule(dn=entries)
+    def read_entry(self, dn):
         key = dn.lower()
         if key not in self.model:
             with pytest.raises(LdapError):
-                self.backend.modify(
-                    DN.parse(dn), [Modification.replace("description", value)]
-                )
+                self.backend.get(DN.parse(dn))
             return
-        self.backend.modify(
-            DN.parse(dn), [Modification.replace("description", value)]
-        )
-        self.model[key]["description"] = value
+        entry = self.backend.get(DN.parse(dn))
+        self.reads.append((entry, self._state(key)))
 
     @invariant()
     def model_matches_backend(self):
         actual = {
-            str(e.dn).lower() for e in self.backend.all_entries()
+            str(e.dn).lower(): self._attrs(e) for e in self.backend.all_entries()
         }
-        assert actual == set(self.model)
+        assert actual == self.model
+
+    @invariant()
+    def earlier_results_are_unchanged(self):
+        for entry, attrs in self.reads:
+            assert self._attrs(entry) == attrs
+        for record, before, after in self.images:
+            assert self._attrs(record.before) == before
+            assert self._attrs(record.after) == after
 
     @invariant()
     def every_entry_has_its_parent(self):
