@@ -58,10 +58,10 @@ def ablate_dependencies(mapping: CompiledMapping) -> CompiledMapping:
 COUNTER = {"evaluations": 0}
 
 
-def counting_execute(original_execute):
-    def wrapper(code, attrs, value=None):
+def counting_run_rule(original_run_rule):
+    def wrapper(*args, **kwargs):
         COUNTER["evaluations"] += 1
-        return original_execute(code, attrs, value)
+        return original_run_rule(*args, **kwargs)
 
     return wrapper
 
@@ -77,7 +77,7 @@ def test_a4_rule_evaluations(benchmark, analysis, monkeypatch):
 
     COUNTER["evaluations"] = 0
     monkeypatch.setattr(
-        mapping_module, "execute", counting_execute(mapping_module.execute)
+        mapping_module, "run_rule", counting_run_rule(mapping_module.run_rule)
     )
 
     def run():

@@ -8,26 +8,29 @@ standard ``pbx_to_ldap`` mapping — the exact computation the Update
 Manager's enrich/plan stages run per update — under each
 ``lexpress_mode``.
 
-Asserts the headline speedup (compiled >= 2x over the interpreter), that
-verify mode completes the whole run with zero divergences, and writes
-the results to ``BENCH_e7.json``.  Run with::
+The three cells run in alternation (``conftest.alternate``); the gate
+is the same-run ratio of medians, compiled over interpreter, which must
+reach 2.  Also asserts that verify mode completes every run with zero
+divergences, and writes each cell's median, quartiles and runs plus the
+rule cache's statistics to ``BENCH_e7.json`` (``conftest.record``).
+Run with::
 
     make bench-e7
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
+
+from conftest import alternate, record
 
 from repro.lexpress import rule_cache
 from repro.schemas import standard_mappings
 
 #: image() evaluations per measured run.
 ITERATIONS = 10_000
-#: Best-of runs per mode.
-REPEATS = 3
+#: Alternating runs per mode.
+REPEATS = 5
 #: Required speedup of compiled closures over the interpreter.
 SPEEDUP_FLOOR = 2.0
 
@@ -41,66 +44,47 @@ RECORD = {
     "CoveragePath": "ops",
 }
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e7.json"
 
-
-def _measure(mode: str | None) -> float:
-    """Best-of image() evaluations per second under *mode*."""
+def _cell(mode: str | None):
+    """A cell timing ITERATIONS image() evaluations under *mode*; the
+    cache is warmed here, outside every timed run."""
     mapping = standard_mappings()["pbx_to_ldap"]
     mapping.lexpress_mode = mode
-    expected = mapping.image(RECORD)  # warm the cache outside the timing
-    best = 0.0
-    for _ in range(REPEATS):
+    expected = mapping.image(RECORD)
+
+    def run() -> float:
         start = time.perf_counter()
         for _ in range(ITERATIONS):
             mapping.image(RECORD)
         elapsed = time.perf_counter() - start
-        best = max(best, ITERATIONS / elapsed)
-    assert mapping.image(RECORD) == expected
-    return best
+        assert mapping.image(RECORD) == expected
+        return ITERATIONS / elapsed
+
+    return run
 
 
 @pytest.mark.benchmarks
 def test_e7_compiled_vs_interpreter():
     rule_cache().clear()
-    rates = {
-        mode or "interpret": _measure(mode)
-        for mode in (None, "compiled", "verify")
+    cells = {
+        mode or "interpret": _cell(mode) for mode in (None, "compiled", "verify")
     }
-    speedup = rates["compiled"] / rates["interpret"]
+    samples = alternate(cells, REPEATS)
     cache = rule_cache().stats()
-
-    document = {
-        "benchmark": "e7_compiled_rule_evaluation",
-        "workload": {
+    document = record(
+        "BENCH_e7.json",
+        "e7_compiled_rule_evaluation",
+        {
             "mapping": "pbx_to_ldap",
             "iterations": ITERATIONS,
-            "repeats": REPEATS,
-            "metric": "full image() evaluations per second, best of repeats",
+            "metric": "full image() evaluations per second",
         },
-        "results": [
-            {"mode": mode, "images_per_s": round(rate, 1)}
-            for mode, rate in rates.items()
-        ],
-        "compiled_speedup": round(speedup, 2),
-        "cache": {
-            "entries": cache["entries"],
-            "compiles": cache["compiles"],
-            "rejected": cache["rejected"],
-        },
-    }
-    RESULTS_PATH.write_text(json.dumps(document, indent=2) + "\n")
-
-    print("\n=== E7: rule evaluation engines ===")
-    print("mode       images/s")
-    for mode, rate in rates.items():
-        print(f"{mode:<9} {rate:>9,.0f}")
-    print(f"compiled speedup: {speedup:.2f}x")
+        samples,
+        ("compiled", "interpret", SPEEDUP_FLOOR),
+        extra={"cache": {k: cache[k] for k in ("entries", "compiles", "rejected")}},
+    )
 
     # verify mode ran both engines for every evaluation without raising:
     # the shipped mapping library has zero divergences on this workload.
     assert cache["rejected"] == 0, "verifier rejected a shipped rule"
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"compiled closures are {speedup:.2f}x the interpreter, below "
-        f"the {SPEEDUP_FLOOR}x floor"
-    )
+    assert document["gate"]["passed"], document["gate"]

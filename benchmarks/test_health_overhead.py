@@ -8,25 +8,22 @@ its largest configuration (4 PBXes + messaging on device links, simulated
 management-link latency) twice per repeat: once with the plane **fully
 enabled** — journal + health board + queue gauges + the auditor sampling
 in the background — and once with ``observability=False``.  The two
-cells alternate, and which one runs first alternates too, so host drift
-lands on both sides alike.
+cells run in alternation (``conftest.alternate``).
 
-The gate is the same-run ratio of medians, plane-on over plane-off; the
-interquartile range of each side is recorded beside it.  Writes the
-measurements to ``BENCH_health.json`` and asserts the ratio stays at or
-above ``RATIO_FLOOR`` (i.e. < 5% regression).  Run with::
+The gate is the same-run ratio of medians, plane-on over plane-off,
+which must stay at or above ``RATIO_FLOOR`` (i.e. < 5% regression).
+Writes each cell's median, quartiles and runs to ``BENCH_health.json``
+(``conftest.record``).  Run with::
 
     make bench-health
 """
 
-import json
-import statistics
 import time
-from pathlib import Path
+from functools import partial
 
 import pytest
 
-from conftest import person_attrs
+from conftest import alternate, person_attrs, record
 
 from repro.core import MetaComm, MetaCommConfig, PbxConfig
 
@@ -36,15 +33,13 @@ LINK_LATENCY = 0.002
 PBXES = 4
 #: Update sequences per measured run.
 UPDATES = 60
-#: Alternating plane-on/plane-off run pairs.
+#: Alternating runs per cell.
 REPEATS = 8
 #: Background auditor sampling interval while measuring (seconds).
 AUDIT_INTERVAL = 0.05
 #: median plane-on throughput must stay >= this fraction of the median
 #: plane-off throughput of the same run.
 RATIO_FLOOR = 0.95
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_health.json"
 
 
 def _fleet(observability: bool) -> MetaComm:
@@ -83,63 +78,25 @@ def _run_once(observability: bool) -> float:
         system.close()
 
 
-def _summary(samples: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(samples, n=4)
-    return {
-        "median_seq_per_s": round(median, 1),
-        "q1_seq_per_s": round(q1, 1),
-        "q3_seq_per_s": round(q3, 1),
-        "iqr_seq_per_s": round(q3 - q1, 1),
-        "runs": [round(s, 1) for s in samples],
-    }
-
-
 @pytest.mark.benchmarks
 def test_health_plane_overhead():
-    plane_on: list[float] = []
-    plane_off: list[float] = []
-    for repeat in range(REPEATS):
-        order = (True, False) if repeat % 2 == 0 else (False, True)
-        for observability in order:
-            rate = _run_once(observability)
-            (plane_on if observability else plane_off).append(rate)
-    on, off = _summary(plane_on), _summary(plane_off)
-    ratio = statistics.median(plane_on) / statistics.median(plane_off)
-
-    document = {
-        "benchmark": "health_plane_overhead",
-        "workload": {
+    cells = {
+        "plane-on": partial(_run_once, True),
+        "plane-off": partial(_run_once, False),
+    }
+    document = record(
+        "BENCH_health.json",
+        "health_plane_overhead",
+        {
             "pbxes": PBXES,
             "devices": PBXES + 1,
             "fan_out": "device links",
             "updates_per_run": UPDATES,
-            "repeats": REPEATS,
             "link_latency_s": LINK_LATENCY,
             "audit_interval_s": AUDIT_INTERVAL,
-            "metric": (
-                "update sequences per second; median and quartiles over "
-                "alternating plane-on/plane-off runs"
-            ),
+            "metric": "update sequences per second",
         },
-        "results": {
-            "plane_on": on,
-            "plane_off": off,
-            "ratio_of_medians": round(ratio, 3),
-            "ratio_floor": RATIO_FLOOR,
-            "passed": ratio >= RATIO_FLOOR,
-        },
-    }
-    RESULTS_PATH.write_text(json.dumps(document, indent=2) + "\n")
-
-    print("\n=== health plane overhead (4-PBX fleet, device links) ===")
-    for label, cell in (("plane off", off), ("plane on", on)):
-        print(
-            f"{label:<10} median {cell['median_seq_per_s']:7.1f} seq/s  "
-            f"IQR {cell['q1_seq_per_s']:.1f}-{cell['q3_seq_per_s']:.1f}"
-        )
-    print(f"ratio of medians: {ratio:.3f}   (floor {RATIO_FLOOR})")
-
-    assert ratio >= RATIO_FLOOR, (
-        f"health plane costs {(1 - ratio) * 100:.1f}% throughput "
-        f"(allowed {(1 - RATIO_FLOOR) * 100:.0f}%)"
+        alternate(cells, REPEATS),
+        ("plane-on", "plane-off", RATIO_FLOOR),
     )
+    assert document["gate"]["passed"], document["gate"]

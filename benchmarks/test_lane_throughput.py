@@ -10,21 +10,23 @@ serializes the whole stream behind one coordinator; more lanes overlap
 the link latency of provably-independent sequences.
 
 Measures update sequences/second for ``coordinator_lanes`` in {1, 2, 4,
-8}, checks the ``consistent()`` oracle and that *nothing* fell back to
-the serial lane after every run, asserts the headline speedup (>= 2x at
-four lanes) and writes the results to ``BENCH_lanes.json``.  Run with::
+8} and checks the ``consistent()`` oracle and that *nothing* fell back
+to the serial lane after every run.  The four cells run in alternation
+(``conftest.alternate``); the gate is the same-run ratio of medians,
+four lanes over one, which must reach 2.  Writes each cell's median,
+quartiles and runs to ``BENCH_lanes.json`` (``conftest.record``).  Run
+with::
 
     make bench-lanes
 """
 
-import json
 import threading
 import time
-from pathlib import Path
+from functools import partial
 
 import pytest
 
-from conftest import person_attrs
+from conftest import alternate, person_attrs, record
 
 from repro.core import MetaComm, MetaCommConfig, PbxConfig
 
@@ -34,14 +36,12 @@ LINK_LATENCY = 0.002
 CLIENTS = 8
 #: Person adds per client per measured run.
 UPDATES_PER_CLIENT = 5
-#: Best-of runs per lane count.
-REPEATS = 3
+#: Alternating runs per lane count.
+REPEATS = 5
 #: Lane counts to sweep.
 LANES = (1, 2, 4, 8)
 #: Required speedup of 4 lanes over 1 lane.
 SPEEDUP_FLOOR = 2.0
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_lanes.json"
 
 
 def _fleet(lanes: int) -> MetaComm:
@@ -112,49 +112,21 @@ def _run_once(lanes: int) -> float:
         system.close()
 
 
-def _measure(lanes: int) -> float:
-    return max(_run_once(lanes) for _ in range(REPEATS))
-
-
 @pytest.mark.benchmarks
 def test_coordinator_lane_throughput():
-    results = []
-    baseline = None
-    for lanes in LANES:
-        rate = _measure(lanes)
-        if baseline is None:
-            baseline = rate
-        results.append(
-            {
-                "lanes": lanes,
-                "seq_per_s": round(rate, 1),
-                "speedup": round(rate / baseline, 2),
-            }
-        )
-
-    document = {
-        "benchmark": "coordinator_lane_throughput",
-        "workload": {
+    cells = {f"lanes-{n}": partial(_run_once, n) for n in LANES}
+    document = record(
+        "BENCH_lanes.json",
+        "coordinator_lane_throughput",
+        {
             "clients": CLIENTS,
             "updates_per_client": UPDATES_PER_CLIENT,
-            "repeats": REPEATS,
+            "lanes": LANES,
             "link_latency_s": LINK_LATENCY,
-            "metric": "update sequences per second, best of repeats",
+            "metric": "update sequences per second",
             "partitioning": "8 PBXes, disjoint extension prefixes 41..48",
         },
-        "results": results,
-    }
-    RESULTS_PATH.write_text(json.dumps(document, indent=2) + "\n")
-
-    print("\n=== coordinator lane throughput ===")
-    print("lanes  seq/s  speedup")
-    for row in results:
-        print(
-            f"{row['lanes']:>5}  {row['seq_per_s']:>5}  {row['speedup']:>6}x"
-        )
-
-    by_lanes = {row["lanes"]: row for row in results}
-    assert by_lanes[4]["speedup"] >= SPEEDUP_FLOOR, (
-        f"4-lane speedup {by_lanes[4]['speedup']}x over the single-lane "
-        f"coordinator is below the {SPEEDUP_FLOOR}x floor"
+        alternate(cells, REPEATS),
+        ("lanes-4", "lanes-1", SPEEDUP_FLOOR),
     )
+    assert document["gate"]["passed"], document["gate"]

@@ -18,21 +18,24 @@ blocking write at a time) against ``device_links=True`` on the same
 four-lane coordinator, repeats the comparison with a mixed-latency
 fleet (slow shared messaging link), and records a stalled-device
 observation showing the lane depth limit bounding queued work while a
-link is down.  Asserts the headline
-speedup (>= 2x on the uniform 2 ms fleet) and writes the results to
-``BENCH_links.json``.  Run with::
+link is down.  The four cells run in alternation
+(``conftest.alternate``); the gate is the same-run ratio of medians,
+links over serial on the uniform 2 ms fleet, which must reach 2.
+Writes each cell's median, quartiles and runs, the median messaging
+batch and the stall observation to ``BENCH_links.json``
+(``conftest.record``).  Run with::
 
     make bench-links
 """
 
-import json
+import statistics
 import threading
 import time
-from pathlib import Path
+from functools import partial
 
 import pytest
 
-from conftest import person_attrs
+from conftest import alternate, person_attrs, record
 
 from repro.core import MetaComm, MetaCommConfig, PbxConfig
 
@@ -42,8 +45,8 @@ LINK_LATENCY = 0.002
 CLIENTS = 8
 #: Person adds per client per measured run.
 UPDATES_PER_CLIENT = 5
-#: Best-of runs per mode.
-REPEATS = 3
+#: Alternating runs per (fleet, mode) cell.
+REPEATS = 5
 #: Coordinator lanes in both modes (the production sharded queue).
 LANES = 4
 #: PBX count; with the messaging platform the fleet is 16 devices.
@@ -54,6 +57,8 @@ PBX_COMMANDS = 2
 MESSAGING_COMMANDS = 3
 #: Required speedup of device links over inline serial fan-out.
 SPEEDUP_FLOOR = 2.0
+#: Messaging link latency per fleet: uniform, and a slow shared link.
+FLEETS = {"uniform": LINK_LATENCY, "slow-messaging": 4 * LINK_LATENCY}
 
 #: Disjoint two-digit extension prefixes: clients use 41..48, the rest
 #: of the fleet (51..57) is provisioned but idle — it still costs link
@@ -62,10 +67,8 @@ PREFIXES = [str(41 + i) for i in range(CLIENTS)] + [
     str(51 + i) for i in range(PBX_COUNT - CLIENTS)
 ]
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_links.json"
 
-
-def _fleet(mode: str, messaging_latency: float = LINK_LATENCY) -> MetaComm:
+def _fleet(mode: str, messaging_latency: float) -> MetaComm:
     """Sixteen devices on serial craft channels, rules on the compiled
     tier.  ``mode`` selects the fan-out machinery: ``"serial"`` is the
     inline baseline (the lane worker sleeps through every device's
@@ -88,9 +91,10 @@ def _fleet(mode: str, messaging_latency: float = LINK_LATENCY) -> MetaComm:
     return system
 
 
-def _run_once(mode: str, messaging_latency: float = LINK_LATENCY) -> dict:
+def _run_once(mode: str, messaging_latency: float, batches: list[float]) -> float:
     """One measured run: CLIENTS threads adding into disjoint partitions;
-    returns the rate plus (for links) the messaging link's batching."""
+    returns sequences/second and, in links mode, appends the messaging
+    link's mean batch to *batches*."""
     system = _fleet(mode, messaging_latency)
     try:
         errors: list[Exception] = []
@@ -129,28 +133,14 @@ def _run_once(mode: str, messaging_latency: float = LINK_LATENCY) -> dict:
         assert stats["processed"] == total
         # Partition-disjoint traffic never serializes behind one lane.
         assert stats.get("serial_routed", 0) == 0
-        sample = {"seq_per_s": total / elapsed}
         if mode == "links":
             rows = {row["device"]: row for row in system.links.snapshot()}
             messaging = rows["messaging"]
             assert messaging["completed"] == total
-            sample["messaging_flushes"] = messaging["flushes"]
-            sample["messaging_mean_batch"] = round(
-                total / messaging["flushes"], 2
-            )
-        return sample
+            batches.append(total / messaging["flushes"])
+        return total / elapsed
     finally:
         system.close()
-
-
-def _measure(mode: str, messaging_latency: float = LINK_LATENCY) -> dict:
-    best = None
-    for _ in range(REPEATS):
-        sample = _run_once(mode, messaging_latency)
-        if best is None or sample["seq_per_s"] > best["seq_per_s"]:
-            best = sample
-    best["seq_per_s"] = round(best["seq_per_s"], 1)
-    return best
 
 
 def _observe_stall() -> dict:
@@ -220,66 +210,39 @@ def _observe_stall() -> dict:
 
 @pytest.mark.benchmarks
 def test_device_link_throughput():
-    results = []
-    for label, messaging_latency in (
-        ("uniform-2ms", LINK_LATENCY),
-        ("slow-messaging-8ms", 4 * LINK_LATENCY),
-    ):
-        baseline = _measure("serial", messaging_latency)
-        links = _measure("links", messaging_latency)
-        results.append(
-            {
-                "fleet": label,
-                "serial_seq_per_s": baseline["seq_per_s"],
-                "links_seq_per_s": links["seq_per_s"],
-                "speedup": round(
-                    links["seq_per_s"] / baseline["seq_per_s"], 2
-                ),
-                "messaging_flushes": links["messaging_flushes"],
-                "messaging_mean_batch": links["messaging_mean_batch"],
-            }
-        )
-    stall = _observe_stall()
-
-    document = {
-        "benchmark": "device_link_throughput",
-        "workload": {
+    batches: dict[str, list[float]] = {fleet: [] for fleet in FLEETS}
+    cells = {
+        f"{mode}-{fleet}": partial(_run_once, mode, latency, batches[fleet])
+        for fleet, latency in FLEETS.items()
+        for mode in ("serial", "links")
+    }
+    samples = alternate(cells, REPEATS)
+    document = record(
+        "BENCH_links.json",
+        "device_link_throughput",
+        {
             "devices": PBX_COUNT + 1,
             "clients": CLIENTS,
             "updates_per_client": UPDATES_PER_CLIENT,
-            "repeats": REPEATS,
             "coordinator_lanes": LANES,
             "link_latency_s": LINK_LATENCY,
+            "messaging_latency_s": FLEETS,
             "pbx_commands": PBX_COMMANDS,
             "messaging_commands": MESSAGING_COMMANDS,
-            "metric": "update sequences per second, best of repeats",
+            "metric": "update sequences per second",
             "fleet": (
                 "15 PBXes (disjoint prefixes, serial craft channels) "
                 "+ 1 messaging platform touched by every update"
             ),
         },
-        "results": results,
-        "stalled_link": stall,
-    }
-    RESULTS_PATH.write_text(json.dumps(document, indent=2) + "\n")
-
-    print("\n=== device link throughput ===")
-    print("fleet               serial  links  speedup  mean batch")
-    for row in results:
-        print(
-            f"{row['fleet']:<19} {row['serial_seq_per_s']:>6}  "
-            f"{row['links_seq_per_s']:>5}  {row['speedup']:>6}x  "
-            f"{row['messaging_mean_batch']:>10}"
-        )
-    print(
-        f"stalled link: {stall['writers']} writers held to "
-        f"{stall['peak_lane_outstanding']} outstanding "
-        f"(limit {stall['lane_depth_limit']}), "
-        f"{stall['admission_deferred']} deferred at admission"
+        samples,
+        ("links-uniform", "serial-uniform", SPEEDUP_FLOOR),
+        extra={
+            "messaging_median_batch": {
+                fleet: round(statistics.median(b), 2)
+                for fleet, b in batches.items()
+            },
+            "stalled_link": _observe_stall(),
+        },
     )
-
-    uniform = results[0]
-    assert uniform["speedup"] >= SPEEDUP_FLOOR, (
-        f"device-link speedup {uniform['speedup']}x over inline serial "
-        f"fan-out is below the {SPEEDUP_FLOOR}x floor on the uniform fleet"
-    )
+    assert document["gate"]["passed"], document["gate"]

@@ -11,21 +11,22 @@ mode pays that latency once per device; links mode overlaps them, so the
 expected ceiling is roughly the device count.
 
 Measures update sequences/second for 1, 2 and 4 PBXes (plus the
-messaging platform), serial vs links, on one synchronous client,
-checks the ``consistent()`` oracle after every run, asserts the headline
-speedup (>= 1.5x with four PBXes) and writes the results to
-``BENCH_pipeline.json``.  Run with::
+messaging platform), serial vs links, on one synchronous client, and
+checks the ``consistent()`` oracle after every run.  The six cells run
+in alternation (``conftest.alternate``); the gate is the same-run ratio
+of medians, links over serial with four PBXes, which must reach 1.5.
+Writes each cell's median, quartiles and runs to ``BENCH_pipeline.json``
+(``conftest.record``).  Run with::
 
     make bench-pipeline
 """
 
-import json
 import time
-from pathlib import Path
+from functools import partial
 
 import pytest
 
-from conftest import person_attrs
+from conftest import alternate, person_attrs, record
 
 from repro.core import MetaComm, MetaCommConfig, PbxConfig
 
@@ -33,12 +34,12 @@ from repro.core import MetaComm, MetaCommConfig, PbxConfig
 LINK_LATENCY = 0.002
 #: Update sequences per measured run.
 UPDATES = 25
-#: Best-of runs per (config, mode) cell.
-REPEATS = 3
+#: Alternating runs per (config, mode) cell.
+REPEATS = 5
+#: PBX counts to sweep.
+PBXES = (1, 2, 4)
 #: Required links speedup at the largest configuration.
 SPEEDUP_FLOOR = 1.5
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 
 
 def _fleet(n_pbxes: int, links: bool) -> MetaComm:
@@ -77,49 +78,23 @@ def _run_once(n_pbxes: int, links: bool) -> float:
         system.close()
 
 
-def _measure(n_pbxes: int, links: bool) -> float:
-    return max(_run_once(n_pbxes, links) for _ in range(REPEATS))
-
-
 @pytest.mark.benchmarks
 def test_links_fanout_throughput():
-    results = []
-    for n_pbxes in (1, 2, 4):
-        serial = _measure(n_pbxes, links=False)
-        links = _measure(n_pbxes, links=True)
-        results.append(
-            {
-                "pbxes": n_pbxes,
-                "devices": n_pbxes + 1,  # + messaging platform
-                "serial_seq_per_s": round(serial, 1),
-                "links_seq_per_s": round(links, 1),
-                "speedup": round(links / serial, 2),
-            }
-        )
-
-    document = {
-        "benchmark": "pipeline_fanout_throughput",
-        "workload": {
-            "updates_per_run": UPDATES,
-            "repeats": REPEATS,
-            "link_latency_s": LINK_LATENCY,
-            "metric": "update sequences per second, best of repeats",
-        },
-        "results": results,
+    cells = {
+        f"{mode}-{n}pbx": partial(_run_once, n, mode == "links")
+        for n in PBXES
+        for mode in ("serial", "links")
     }
-    RESULTS_PATH.write_text(json.dumps(document, indent=2) + "\n")
-
-    print("\n=== pipeline fan-out throughput ===")
-    print("pbxes  devices  serial/s  links/s  speedup")
-    for row in results:
-        print(
-            f"{row['pbxes']:>5}  {row['devices']:>7}  "
-            f"{row['serial_seq_per_s']:>8}  {row['links_seq_per_s']:>7}  "
-            f"{row['speedup']:>6}x"
-        )
-
-    largest = results[-1]
-    assert largest["speedup"] >= SPEEDUP_FLOOR, (
-        f"device-link fan-out speedup {largest['speedup']}x with "
-        f"{largest['devices']} devices is below the {SPEEDUP_FLOOR}x floor"
+    document = record(
+        "BENCH_pipeline.json",
+        "pipeline_fanout_throughput",
+        {
+            "pbxes": PBXES,
+            "updates_per_run": UPDATES,
+            "link_latency_s": LINK_LATENCY,
+            "metric": "update sequences per second",
+        },
+        alternate(cells, REPEATS),
+        ("links-4pbx", "serial-4pbx", SPEEDUP_FLOOR),
     )
+    assert document["gate"]["passed"], document["gate"]
