@@ -1,18 +1,19 @@
 """E7 (compiled tier) — interpreter vs compiled-closure rule evaluation.
 
 The compilation tier (docs/LEXPRESS_COMPILER.md) lowers verified lexpress
-byte code into plain Python closures served from the process-wide
-compiled-rule cache.  This benchmark measures the payoff on the E7
-steady-state workload: full target-schema ``image()`` evaluation of the
-standard ``pbx_to_ldap`` mapping — the exact computation the Update
-Manager's enrich/plan stages run per update — under each
+byte code into plain Python closures, bound to each rule when its mapping
+is built.  This benchmark measures the payoff on the E7 steady-state
+workload: full target-schema ``image()`` evaluation of the standard
+``pbx_to_ldap`` mapping — the exact computation the Update Manager's
+enrich/plan stages run per update — with the mapping built once per
 ``lexpress_mode``.
 
 The three cells run in alternation (``conftest.alternate``); the gate
 is the same-run ratio of medians, compiled over interpreter, which must
 reach 2.  Also asserts that verify mode completes every run with zero
 divergences, and writes each cell's median, quartiles and runs plus the
-rule cache's statistics to ``BENCH_e7.json`` (``conftest.record``).
+compiled mapping's bind statistics to ``BENCH_e7.json``
+(``conftest.record``).
 Run with::
 
     make bench-e7
@@ -24,7 +25,7 @@ import pytest
 
 from conftest import alternate, record
 
-from repro.lexpress import rule_cache
+from repro.lexpress import MODES
 from repro.schemas import standard_mappings
 
 #: image() evaluations per measured run.
@@ -45,11 +46,9 @@ RECORD = {
 }
 
 
-def _cell(mode: str | None):
-    """A cell timing ITERATIONS image() evaluations under *mode*; the
-    cache is warmed here, outside every timed run."""
-    mapping = standard_mappings()["pbx_to_ldap"]
-    mapping.lexpress_mode = mode
+def _cell(mapping):
+    """A cell timing ITERATIONS image() evaluations of *mapping*; its
+    expected image is computed here, outside every timed run."""
     expected = mapping.image(RECORD)
 
     def run() -> float:
@@ -65,12 +64,15 @@ def _cell(mode: str | None):
 
 @pytest.mark.benchmarks
 def test_e7_compiled_vs_interpreter():
-    rule_cache().clear()
-    cells = {
-        mode or "interpret": _cell(mode) for mode in (None, "compiled", "verify")
-    }
+    mappings = {mode: standard_mappings(mode=mode)["pbx_to_ldap"] for mode in MODES}
+    cells = {mode: _cell(mapping) for mode, mapping in mappings.items()}
     samples = alternate(cells, REPEATS)
-    cache = rule_cache().stats()
+    runners = mappings["compiled"].runners
+    bound = {
+        "runners": len(runners),
+        "compiles": sum(r.status == "compiled" for r in runners),
+        "rejected": sum(r.status == "rejected" for r in runners),
+    }
     document = record(
         "BENCH_e7.json",
         "e7_compiled_rule_evaluation",
@@ -81,10 +83,10 @@ def test_e7_compiled_vs_interpreter():
         },
         samples,
         ("compiled", "interpret", SPEEDUP_FLOOR),
-        extra={"cache": {k: cache[k] for k in ("entries", "compiles", "rejected")}},
+        extra={"bind": bound},
     )
 
     # verify mode ran both engines for every evaluation without raising:
     # the shipped mapping library has zero divergences on this workload.
-    assert cache["rejected"] == 0, "verifier rejected a shipped rule"
+    assert bound["rejected"] == 0, "verifier rejected a shipped rule"
     assert document["gate"]["passed"], document["gate"]

@@ -296,7 +296,7 @@ def cmd_stats(args: list[str]) -> int:
     trace summaries are emitted as ``#``-prefixed comment lines, so the
     whole thing can be piped straight into a scrape file.
     """
-    from repro.lexpress import MODES, rule_cache
+    from repro.lexpress import MODES
 
     mode = "compiled"
     for arg in args:
@@ -318,9 +318,13 @@ def cmd_stats(args: list[str]) -> int:
     system.obs.tracer.finish_open()
 
     if mode != "interpret":
-        cache = rule_cache().stats()
-        pairs = " ".join(f"{key}={cache[key]}" for key in sorted(cache))
-        print(f"# lexpress compiled rule cache ({mode} mode): {pairs}")
+        runners = system.lexpress_runners
+        print(
+            f"# lexpress compiled rules ({mode} mode): "
+            f"compile_seconds={sum(r.seconds for r in runners)} "
+            f"compiles={sum(r.status == 'compiled' for r in runners)} "
+            f"rejected={sum(r.status == 'rejected' for r in runners)}"
+        )
     for trace in system.traces():
         spans = ", ".join(
             f"{span.name}={span.duration * 1e6:.0f}us" for span in trace.spans

@@ -27,7 +27,6 @@ from ..ldap.client import LdapConnection
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
 from ..ldap.server import LdapServer
-from .. import lexpress
 from ..lexpress.partition import PartitionConstraint
 from ..ltap.gateway import LtapGateway
 from ..obs import (
@@ -123,12 +122,13 @@ class MetaCommConfig:
     #: throwaway configurations.
     strict_analysis: bool = False
     #: Execution engine for lexpress rule evaluation
-    #: (docs/LEXPRESS_COMPILER.md): "compiled" (default) serves
-    #: verifier-gated Python closures from the process-wide rule cache,
-    #: falling back to the byte-code interpreter for code the verifier
-    #: rejects; "interpret" runs the interpreter only; "verify" runs both
-    #: and raises LexpressDivergenceError on any disagreement (the
-    #: interpreter is the oracle).
+    #: (docs/LEXPRESS_COMPILER.md), bound once per rule and partition when
+    #: the system builds its mappings: "compiled" (default) runs
+    #: verifier-gated Python closures, falling back to the byte-code
+    #: interpreter for code the verifier rejects; "interpret" runs the
+    #: interpreter only; "verify" runs both and raises
+    #: LexpressDivergenceError on any disagreement (the interpreter is the
+    #: oracle).  An unknown mode raises ValueError at boot.
     lexpress_mode: str = "compiled"
     #: Wrap this system's subsystem locks in order-recording witness
     #: proxies (repro.obs.lockwitness): every acquisition pair is checked
@@ -183,24 +183,8 @@ class MetaComm:
             tracer=self.obs.tracer,
         )
         self.error_log = ErrorLog(self.server, suffix)
-        self.mappings = standard_mappings(self.config.phone_prefix)
-
         mode = self.config.lexpress_mode
-        if mode not in lexpress.MODES:
-            raise ValueError(
-                f"lexpress_mode must be one of {', '.join(lexpress.MODES)}; "
-                f"got {mode!r}"
-            )
-        self._lexpress_listener = None
-        if mode != "interpret":
-            for mapping in self.mappings.values():
-                mapping.lexpress_mode = mode
-
-            def _on_compile(event: dict, _journal=self.obs.journal) -> None:
-                _journal.emit(LEXPRESS_COMPILED, **event)
-
-            self._lexpress_listener = _on_compile
-            lexpress.rule_cache().subscribe(_on_compile)
+        self.mappings = standard_mappings(self.config.phone_prefix, mode)
 
         people_container = (
             DN.parse(self.config.people_container)
@@ -226,7 +210,9 @@ class MetaComm:
                     ),
                     to_ldap=self.mappings["pbx_to_ldap"],
                     from_ldap=self.mappings["ldap_to_pbx"],
-                    partition=PartitionConstraint.compile(partition_expression(pbx)),
+                    partition=PartitionConstraint.compile(
+                        partition_expression(pbx), mode
+                    ),
                 )
             )
 
@@ -244,6 +230,22 @@ class MetaComm:
             )
 
         self._bindings = bindings
+        #: Every rule and partition runner of this system, each bound once
+        #: to ``config.lexpress_mode``.  Each compile attempt (none in
+        #: interpret mode) is journaled as one ``lexpress.compiled`` event.
+        self.lexpress_runners = [
+            run for mapping in self.mappings.values() for run in mapping.runners
+        ] + [b.partition.run for b in bindings if b.partition is not None]
+        for runner in self.lexpress_runners:
+            if runner.status is not None:
+                self.obs.journal.emit(
+                    LEXPRESS_COMPILED,
+                    mapping=runner.mapping,
+                    attribute=runner.attribute,
+                    status=runner.status,
+                    seconds=runner.seconds,
+                    fingerprint=runner.fingerprint,
+                )
         if self.config.strict_analysis:
             # Boot gate: a configuration with error-severity findings
             # (overlapping partitions, broken byte code, ...) would corrupt
@@ -388,9 +390,6 @@ class MetaComm:
             # After the UM: coordinator lanes may still be draining work
             # through the links, and stop() fails any orphaned futures.
             self.links.stop()
-        if self._lexpress_listener is not None:
-            lexpress.rule_cache().unsubscribe(self._lexpress_listener)
-            self._lexpress_listener = None
 
     def __enter__(self) -> "MetaComm":
         return self

@@ -26,14 +26,7 @@ from .closure import (
     check_cycles,
     dependency_graph,
 )
-from .codegen import (
-    MODES,
-    CompiledClosure,
-    CompiledRuleCache,
-    compile_closure,
-    rule_cache,
-    run_rule,
-)
+from .codegen import MODES, CompiledClosure, Runner, bind, compile_closure
 from .compiler import compile_expr, optimize_expr
 from .descriptor import (
     TargetAction,
@@ -67,16 +60,15 @@ from .partition import AlwaysTrue, PartitionConstraint, route
 
 __all__ = [
     "AlwaysTrue", "ClosureEngine", "ClosureResult", "CodeObject",
-    "CompiledClosure", "CompiledMapping", "CompiledRule",
-    "CompiledRuleCache", "Conflict", "CycleReport",
-    "CyclicDependencyError", "FixpointError", "Instruction",
+    "CompiledClosure", "CompiledMapping", "CompiledRule", "Conflict",
+    "CycleReport", "CyclicDependencyError", "FixpointError", "Instruction",
     "LexpressCompileError", "LexpressDivergenceError", "LexpressError",
     "LexpressRuntimeError", "LexpressSyntaxError", "MODES",
-    "MappingInstance", "MappingSetBuilder", "Op",
-    "PartitionConstraint", "Span", "TargetAction", "TargetUpdate", "Token",
-    "TokenType", "UpdateDescriptor", "UpdateOp", "analyze_cycles",
+    "MappingInstance", "MappingSetBuilder", "Op", "PartitionConstraint",
+    "Runner", "Span", "TargetAction", "TargetUpdate", "Token", "TokenType",
+    "UpdateDescriptor", "UpdateOp", "analyze_cycles", "bind",
     "check_cycles", "compile_closure", "compile_description",
     "compile_expr", "compile_mapping", "dependency_graph", "execute",
     "known_functions", "lower_attrs", "normalize_attrs", "optimize_expr",
-    "parse", "route", "rule_cache", "run_rule", "tokenize", "truthy",
+    "parse", "route", "tokenize", "truthy",
 ]

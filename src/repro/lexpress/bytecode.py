@@ -120,10 +120,10 @@ class CodeObject:
     def fingerprint(self) -> str:
         """Stable content hash of the instruction stream and constant pool.
 
-        The compiled-rule cache (:mod:`repro.lexpress.codegen`) keys its
-        entries by ``(mapping, attribute, fingerprint)``: recompiling a
-        description — or mutating a code object in place — changes the
-        fingerprint and invalidates the cached closure."""
+        A lowered closure carries it
+        (:class:`~repro.lexpress.codegen.CompiledClosure`) to name the
+        code it was built from, and each bound runner reports its prefix
+        in ``lexpress.compiled`` events (:func:`~repro.lexpress.codegen.bind`)."""
         cached = self._fingerprint
         if cached is not None:
             return cached

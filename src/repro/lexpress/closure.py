@@ -52,9 +52,8 @@ def _rule_values(
     """Evaluate one rule to normalized attribute values.
 
     The single entry point for every rule evaluation in this module:
-    with a mapping, the evaluation honors its ``lexpress_mode`` (serving
-    compiled closures from the process cache); without one (compile-time
-    probes), it runs the plain interpreter."""
+    with a mapping, the rule runs on the engine it was bound to; without
+    one (compile-time probes), it runs the plain interpreter."""
     if mapping is None:
         return _as_values(execute(rule.code, attrs, canonical=canonical))
     return mapping.evaluate(rule, attrs, canonical=canonical)

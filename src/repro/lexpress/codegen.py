@@ -27,10 +27,10 @@ back to the interpreter silently.  ``lexpress_mode="verify"`` runs both
 engines and raises :class:`~repro.lexpress.errors.LexpressDivergenceError`
 (with the rule's source span) on any disagreement.
 
-The process-wide :class:`CompiledRuleCache` (see :func:`rule_cache`)
-keys closures by ``(mapping, attribute)`` and validates entries against
-:meth:`CodeObject.fingerprint`, so recompiling a description naturally
-invalidates stale closures.
+:func:`bind` resolves the mode once per code object, when a mapping or
+partition is built: the :class:`Runner` it returns holds its closure (or
+none) and evaluates with no lock and no lookup.  Recompiling a
+description builds new runners.
 """
 
 from __future__ import annotations
@@ -55,14 +55,6 @@ Value = Any  # None | str | bool | list[str]
 MODES = ("interpret", "compiled", "verify")
 
 _registry = global_registry()
-_HITS = _registry.counter(
-    "metacomm_lexpress_cache_hits_total",
-    "Compiled-rule cache lookups served by an existing closure",
-)
-_MISSES = _registry.counter(
-    "metacomm_lexpress_cache_misses_total",
-    "Compiled-rule cache lookups that triggered a (re)compile",
-)
 _COMPILES = _registry.counter(
     "metacomm_lexpress_compiles_total",
     "Byte-code objects lowered to Python closures",
@@ -421,8 +413,8 @@ def compile_closure(code: CodeObject, name: str | None = None) -> CompiledClosur
 
     Raises :class:`LexpressRuntimeError` for code that cannot be lowered
     (empty sentinels, unknown opcodes).  Callers wanting the safety gate
-    should go through :class:`CompiledRuleCache`, which verifies first and
-    falls back to the interpreter on rejection."""
+    go through :func:`bind`, which verifies first and falls back to the
+    interpreter on rejection."""
     emitter = _ClosureEmitter(code)
     source, namespace = emitter.emit()
     label = name or code.name or "<lexpress>"
@@ -457,121 +449,7 @@ def verified_compile(
 
 
 # ---------------------------------------------------------------------------
-# The process-wide compiled-rule cache
-# ---------------------------------------------------------------------------
-
-
-class CompiledRuleCache:
-    """Thread-safe cache of lowered rules, keyed by (mapping, attribute).
-
-    Entries carry the source code object's fingerprint; a lookup with a
-    different fingerprint (a recompiled description, a patched code
-    object) recompiles and replaces the entry, so invalidation is
-    automatic.  ``None`` closures record verifier rejections — those keys
-    are served by the interpreter without re-verifying every call."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._entries: dict[
-            tuple[str, str], tuple[str, CompiledClosure | None]
-        ] = {}
-        self._listeners: tuple[Callable[[dict], None], ...] = ()
-        self.hits = 0
-        self.misses = 0
-        self.compiles = 0
-        self.rejected = 0
-        self.compile_seconds = 0.0
-
-    def get_or_compile(
-        self, mapping: str, attribute: str, code: CodeObject
-    ) -> CompiledClosure | None:
-        key = (mapping, attribute)
-        fingerprint = code.fingerprint()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] == fingerprint:
-                self.hits += 1
-                _HITS.inc()
-                return entry[1]
-            self.misses += 1
-        _MISSES.inc()
-
-        started = time.perf_counter()
-        closure = verified_compile(code, mapping, attribute)
-        elapsed = time.perf_counter() - started
-        with self._lock:
-            self._entries[key] = (fingerprint, closure)
-            self.compile_seconds += elapsed
-            if closure is None:
-                self.rejected += 1
-            else:
-                self.compiles += 1
-            listeners = self._listeners
-        _COMPILE_SECONDS.inc(elapsed)
-        if closure is None:
-            _FALLBACKS.inc()
-        else:
-            _COMPILES.inc()
-        event = {
-            "mapping": mapping,
-            "attribute": attribute,
-            "status": "compiled" if closure is not None else "rejected",
-            "seconds": elapsed,
-            "fingerprint": fingerprint[:12],
-        }
-        for listener in listeners:
-            try:
-                listener(event)
-            except Exception:  # pragma: no cover - listeners are best-effort
-                pass
-        return closure
-
-    # -- observability -------------------------------------------------------
-
-    def subscribe(self, listener: Callable[[dict], None]) -> None:
-        """Call *listener* with an event dict after every (re)compile."""
-        with self._lock:
-            if listener not in self._listeners:
-                self._listeners = self._listeners + (listener,)
-
-    def unsubscribe(self, listener: Callable[[dict], None]) -> None:
-        with self._lock:
-            self._listeners = tuple(
-                entry for entry in self._listeners if entry is not listener
-            )
-
-    def stats(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "compiles": self.compiles,
-                "rejected": self.rejected,
-                "compile_seconds": self.compile_seconds,
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.compiles = self.rejected = 0
-            self.compile_seconds = 0.0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-_CACHE = CompiledRuleCache()
-
-
-def rule_cache() -> CompiledRuleCache:
-    """The process-wide compiled-rule cache."""
-    return _CACHE
-
-
-# ---------------------------------------------------------------------------
-# Mode dispatch
+# Engine binding
 # ---------------------------------------------------------------------------
 
 _TLS = threading.local()
@@ -584,57 +462,102 @@ def _frame() -> _CFrame:
     return frame
 
 
-def run_rule(
-    code: CodeObject,
-    attrs: Mapping[str, Sequence[str]],
-    value: Value = None,
-    *,
-    mapping: str = "",
-    attribute: str = "",
-    mode: str | None = None,
-    canonical: bool = False,
-) -> Value:
-    """Evaluate one rule under *mode* (None or "interpret" = interpreter).
+class Runner:
+    """One code object bound to its engine; see :func:`bind`.
 
-    The drop-in replacement for :func:`execute` on the mapping/closure
-    hot paths: "compiled" serves the evaluation from the process cache
-    (falling back to the interpreter when the verifier rejected the
-    code), "verify" runs both engines and raises
-    :class:`LexpressDivergenceError` on disagreement."""
-    if mode is None or mode == "interpret":
-        return execute(code, attrs, value, canonical=canonical)
+    ``runner(attrs, value=None, canonical=False)`` evaluates the rule
+    with the same result domain as
+    :func:`~repro.lexpress.interpreter.execute`.  ``status`` records what
+    binding did: ``"compiled"``, ``"rejected"`` (the verifier gate refused
+    the code, so the interpreter serves it) or None (interpret mode, no
+    compile attempted); ``seconds`` is what the gate and lowering cost and
+    ``fingerprint`` the code's :meth:`CodeObject.fingerprint` prefix."""
 
-    closure = _CACHE.get_or_compile(mapping, attribute, code)
-    if closure is None:
-        return execute(code, attrs, value, canonical=canonical)
+    __slots__ = (
+        "code", "closure", "mapping", "attribute", "status", "seconds",
+        "fingerprint",
+    )
 
-    if not canonical:
-        attrs = lower_attrs(attrs)
-    if mode == "compiled":
+    def __init__(
+        self,
+        code: CodeObject,
+        mapping: str,
+        attribute: str,
+        closure: CompiledClosure | None = None,
+        status: str | None = None,
+        seconds: float = 0.0,
+    ):
+        self.code = code
+        self.closure = closure
+        self.mapping = mapping
+        self.attribute = attribute
+        self.status = status
+        self.seconds = seconds
+        self.fingerprint = code.fingerprint()[:12]
+
+    def __call__(
+        self,
+        attrs: Mapping[str, Sequence[str]],
+        value: Value = None,
+        canonical: bool = False,
+    ) -> Value:
+        return execute(self.code, attrs, value, canonical=canonical)
+
+
+class _CompiledRunner(Runner):
+    __slots__ = ()
+
+    def __call__(self, attrs, value=None, canonical=False):
+        if not canonical:
+            attrs = lower_attrs(attrs)
         frame = _frame()
         frame.groups = ()
         frame.value = value
-        return closure.fn(attrs, frame)
+        return self.closure.fn(attrs, frame)
 
-    if mode == "verify":
-        interpreted = execute(code, attrs, value, canonical=True)
-        frame = _frame()
-        frame.groups = ()
-        frame.value = value
-        compiled_value = closure.fn(attrs, frame)
-        if interpreted != compiled_value or type(interpreted) is not type(
-            compiled_value
-        ):
+
+class _VerifyRunner(_CompiledRunner):
+    """Runs both engines; the interpreter is the oracle."""
+
+    __slots__ = ()
+
+    def __call__(self, attrs, value=None, canonical=False):
+        if not canonical:
+            attrs = lower_attrs(attrs)
+        interpreted = execute(self.code, attrs, value, canonical=True)
+        compiled = _CompiledRunner.__call__(self, attrs, value, True)
+        if interpreted != compiled or type(interpreted) is not type(compiled):
             _DIVERGENCES.inc()
             raise LexpressDivergenceError(
-                mapping,
-                attribute,
+                self.mapping,
+                self.attribute,
                 interpreted,
-                compiled_value,
-                span=code.span,
+                compiled,
+                span=self.code.span,
             )
         return interpreted
 
-    raise ValueError(
-        f"unknown lexpress_mode {mode!r} (expected one of {', '.join(MODES)})"
-    )
+
+def bind(code: CodeObject, mode: str, *, mapping: str, attribute: str) -> Runner:
+    """Bind *code* to the engine *mode* names, once, at build time.
+
+    "interpret" runs the byte-code interpreter; "compiled" runs the
+    verified closure, or the interpreter when the verifier gate rejects
+    the code; "verify" runs both and raises
+    :class:`LexpressDivergenceError` on any disagreement."""
+    if mode not in MODES:
+        raise ValueError(
+            f"unknown lexpress_mode {mode!r} (expected one of {', '.join(MODES)})"
+        )
+    if mode == "interpret":
+        return Runner(code, mapping, attribute)
+    started = time.perf_counter()
+    closure = verified_compile(code, mapping, attribute)
+    seconds = time.perf_counter() - started
+    _COMPILE_SECONDS.inc(seconds)
+    if closure is None:
+        _FALLBACKS.inc()
+        return Runner(code, mapping, attribute, status="rejected", seconds=seconds)
+    _COMPILES.inc()
+    kind = _CompiledRunner if mode == "compiled" else _VerifyRunner
+    return kind(code, mapping, attribute, closure, "compiled", seconds)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .ast import AttrRef, MappingDecl, Span
+from .ast import AttrRef, Expr, MappingDecl, Span
 from .bytecode import CodeObject
 from .compiler import compile_expr
 from .descriptor import (
@@ -31,7 +31,7 @@ from .descriptor import (
     UpdateOp,
     normalize_attrs,
 )
-from .codegen import run_rule
+from .codegen import Runner, bind
 from .errors import LexpressCompileError
 from .interpreter import lower_attrs
 from .parser import parse
@@ -40,10 +40,11 @@ from .partition import AlwaysTrue, PartitionConstraint, route
 
 @dataclass(frozen=True)
 class CompiledRule:
-    """One ``map target = expr;`` rule, compiled."""
+    """One ``map target = expr;`` rule, compiled and bound to its engine."""
 
     target: str
     code: CodeObject
+    run: Runner
     #: Source position of the ``map`` statement (None for synthesized rules).
     span: "Span | None" = None
 
@@ -64,9 +65,13 @@ def _as_values(result) -> list[str] | None:
 
 
 class CompiledMapping:
-    """A compiled one-direction schema mapping."""
+    """A compiled one-direction schema mapping.
 
-    def __init__(self, decl: MappingDecl):
+    *mode* (``MetaCommConfig.lexpress_mode``) binds every rule and the
+    partition to one engine as the mapping is built
+    (:func:`~repro.lexpress.codegen.bind`)."""
+
+    def __init__(self, decl: MappingDecl, mode: str = "interpret"):
         self.name = decl.name
         self.source = decl.source
         self.target = decl.target
@@ -78,21 +83,13 @@ class CompiledMapping:
         #: analysis (span resolution and inline suppression comments).
         self.decl = decl
         self.source_text: str | None = None
-        #: Execution engine for this mapping's rules: None/"interpret"
-        #: runs the byte-code interpreter, "compiled" serves closures from
-        #: the process-wide cache, "verify" runs both and raises on any
-        #: disagreement.  Set per MetaComm system from
-        #: ``MetaCommConfig.lexpress_mode``.
-        self.lexpress_mode: str | None = None
 
-        rules = [
-            CompiledRule(
-                r.target,
-                compile_expr(r.expr, f"{decl.name}.{r.target}"),
-                span=r.span,
-            )
-            for r in decl.rules
-        ]
+        def rule(target: str, expr: Expr, span: Span | None) -> CompiledRule:
+            code = compile_expr(expr, f"{decl.name}.{target}")
+            run = bind(code, mode, mapping=decl.name, attribute=target)
+            return CompiledRule(target, code, run, span)
+
+        rules = [rule(r.target, r.expr, r.span) for r in decl.rules]
         # The key attribute must always be mapped; default to identity.
         if self.key_target is not None and not any(
             r.target.lower() == self.key_target.lower() for r in rules
@@ -102,24 +99,24 @@ class CompiledMapping:
                     f"mapping {self.name!r}: key target without key source"
                 )
             rules.insert(
-                0,
-                CompiledRule(
-                    self.key_target,
-                    compile_expr(
-                        AttrRef(self.key_source), f"{decl.name}.{self.key_target}"
-                    ),
-                    span=decl.span,
-                ),
+                0, rule(self.key_target, AttrRef(self.key_source), decl.span)
             )
         self.rules: tuple[CompiledRule, ...] = tuple(rules)
         if decl.partition is not None:
             self.partition: PartitionConstraint = PartitionConstraint.from_expr(
-                decl.partition, f"{decl.name}.partition"
+                decl.partition, f"{decl.name}.partition", mode
             )
         else:
             self.partition = AlwaysTrue()
 
     # -- analysis ------------------------------------------------------------
+
+    @property
+    def runners(self) -> tuple[Runner, ...]:
+        """Every bound code object of this mapping: its rules, then its
+        partition (an unpartitioned mapping has none to run)."""
+        own = () if isinstance(self.partition, AlwaysTrue) else (self.partition.run,)
+        return tuple(rule.run for rule in self.rules) + own
 
     @property
     def deps(self) -> frozenset[str]:
@@ -148,18 +145,8 @@ class CompiledMapping:
         *,
         canonical: bool = False,
     ) -> list[str] | None:
-        """Evaluate one rule under this mapping's engine mode."""
-        return _as_values(
-            run_rule(
-                rule.code,
-                attrs,
-                value,
-                mapping=self.name,
-                attribute=rule.target,
-                mode=self.lexpress_mode,
-                canonical=canonical,
-            )
-        )
+        """Evaluate one rule on the engine it was bound to."""
+        return _as_values(rule.run(attrs, value, canonical))
 
     def image(
         self,
@@ -297,8 +284,8 @@ class CompiledMapping:
         # canonical (lower-cased) view, built once for every instance.
         old_low = lower_attrs(old_image) if old_image is not None else None
         new_low = lower_attrs(new_image) if new_image is not None else None
-        old_base = self._satisfies(self.partition, old_low)
-        new_base = self._satisfies(self.partition, new_low)
+        old_base = self.partition.satisfied_by(old_low, canonical=True)
+        new_base = self.partition.satisfied_by(new_low, canonical=True)
         old_key = self.key_of(old_image)
         new_key = self.key_of(new_image)
         diff: tuple[dict[str, list[str]], tuple[str, ...]] | None = None
@@ -307,8 +294,8 @@ class CompiledMapping:
         for partition, target_name in instances:
             old_sat, new_sat = old_base, new_base
             if partition is not None:
-                old_sat = old_sat and self._satisfies(partition, old_low)
-                new_sat = new_sat and self._satisfies(partition, new_low)
+                old_sat = old_sat and partition.satisfied_by(old_low, canonical=True)
+                new_sat = new_sat and partition.satisfied_by(new_low, canonical=True)
             action = route(old_sat, new_sat)
             changed: dict[str, list[str]] = {}
             removed: tuple[str, ...] = ()
@@ -356,19 +343,9 @@ class CompiledMapping:
         """:meth:`claims` for several instance partitions at once: this
         mapping's own partition is tested once, then each instance's."""
         low = lower_attrs(image) if image is not None else None
-        if not self._satisfies(self.partition, low):
+        if not self.partition.satisfied_by(low, canonical=True):
             return [False] * len(partitions)
-        return [p is None or self._satisfies(p, low) for p in partitions]
-
-    def _satisfies(
-        self,
-        partition: PartitionConstraint,
-        low_image: Mapping[str, Sequence[str]] | None,
-    ) -> bool:
-        """One partition test under this mapping's engine mode."""
-        return partition.satisfied_by(
-            low_image, mode=self.lexpress_mode, mapping=self.name, canonical=True
-        )
+        return [p is None or p.satisfied_by(low, canonical=True) for p in partitions]
 
     def _is_conditional(self, descriptor: UpdateDescriptor, target: str) -> bool:
         """Section 5.4: the update is headed back to where it came from."""
@@ -443,8 +420,11 @@ class MappingInstance:
         )
 
 
-def compile_description(source: str) -> dict[str, CompiledMapping]:
-    """Compile a lexpress description file into its mappings by name.
+def compile_description(
+    source: str, mode: str = "interpret"
+) -> dict[str, CompiledMapping]:
+    """Compile a lexpress description file into its mappings by name, each
+    rule bound to the engine *mode* names.
 
     "Descriptions for new sources ... can be added dynamically (to running
     programs) by compiling them at run-time" — this function is that
@@ -454,15 +434,15 @@ def compile_description(source: str) -> dict[str, CompiledMapping]:
     for decl in description.mappings:
         if decl.name in out:
             raise LexpressCompileError(f"duplicate mapping name {decl.name!r}")
-        mapping = CompiledMapping(decl)
+        mapping = CompiledMapping(decl, mode)
         mapping.source_text = source
         out[decl.name] = mapping
     return out
 
 
-def compile_mapping(source: str) -> CompiledMapping:
+def compile_mapping(source: str, mode: str = "interpret") -> CompiledMapping:
     """Compile a description expected to hold exactly one mapping."""
-    mappings = compile_description(source)
+    mappings = compile_description(source, mode)
     if len(mappings) != 1:
         raise LexpressCompileError(
             f"expected exactly one mapping, found {len(mappings)}"

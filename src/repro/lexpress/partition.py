@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from .ast import Expr
 from .bytecode import CodeObject
-from .codegen import run_rule
+from .codegen import bind
 from .compiler import compile_expr
 from .descriptor import TargetAction
 from .interpreter import truthy
@@ -44,14 +44,24 @@ def route(old_satisfies: bool, new_satisfies: bool) -> TargetAction:
 
 
 class PartitionConstraint:
-    """A compiled predicate over a target-schema attribute image."""
+    """A compiled predicate over a target-schema attribute image.
 
-    def __init__(self, code: CodeObject, source: str = ""):
+    *mode* binds the predicate's engine once, exactly as for mapping rules
+    (:func:`~repro.lexpress.codegen.bind`): the interpreter by default,
+    the compiled-closure tier under ``"compiled"``, both with a
+    divergence check under ``"verify"``."""
+
+    def __init__(
+        self, code: CodeObject, source: str = "", mode: str = "interpret"
+    ):
         self.code = code
         self.source = source
+        self.run = bind(code, mode, mapping="partition", attribute=code.name)
 
     @classmethod
-    def compile(cls, expression: str) -> "PartitionConstraint":
+    def compile(
+        cls, expression: str, mode: str = "interpret"
+    ) -> "PartitionConstraint":
         """Compile a lexpress expression, e.g.
         ``prefix(Extension, "41")`` or
         ``prefix(telephoneNumber, "+1 908 582 9") and present(cn)``."""
@@ -61,11 +71,13 @@ class PartitionConstraint:
 
         if parser.peek().type is not TokenType.EOF:
             raise parser.error("trailing input after partition expression")
-        return cls(compile_expr(expr, f"partition:{expression}"), expression)
+        return cls(compile_expr(expr, f"partition:{expression}"), expression, mode)
 
     @classmethod
-    def from_expr(cls, expr: Expr, name: str = "partition") -> "PartitionConstraint":
-        return cls(compile_expr(expr, name))
+    def from_expr(
+        cls, expr: Expr, name: str = "partition", mode: str = "interpret"
+    ) -> "PartitionConstraint":
+        return cls(compile_expr(expr, name), mode=mode)
 
     @property
     def deps(self) -> frozenset[str]:
@@ -75,30 +87,13 @@ class PartitionConstraint:
         self,
         attrs: Mapping[str, Sequence[str]] | None,
         *,
-        mode: str | None = None,
-        mapping: str = "partition",
         canonical: bool = False,
     ) -> bool:
         """Evaluate against an attribute image; a missing image never
-        satisfies (the object does not exist on that side).
-
-        *mode* picks the rule engine exactly as for mapping rules (see
-        :func:`~repro.lexpress.codegen.run_rule`): the interpreter by
-        default, the compiled-closure tier under ``"compiled"``, both with
-        a divergence check under ``"verify"``.  Closures are cached under
-        ``(mapping, code name)``."""
+        satisfies (the object does not exist on that side)."""
         if attrs is None:
             return False
-        return truthy(
-            run_rule(
-                self.code,
-                attrs,
-                mapping=mapping,
-                attribute=self.code.name,
-                mode=mode,
-                canonical=canonical,
-            )
-        )
+        return truthy(self.run(attrs, canonical=canonical))
 
     def __repr__(self) -> str:
         return f"PartitionConstraint({self.source or self.code.name!r})"
@@ -107,7 +102,7 @@ class PartitionConstraint:
 class AlwaysTrue(PartitionConstraint):
     """Degenerate constraint for unpartitioned targets: any existing image
     satisfies it, so the routing matrix reduces to the descriptor's own
-    operation kind."""
+    operation kind.  It has no runner: there is nothing to evaluate."""
 
     def __init__(self) -> None:  # no code object needed
         self.code = CodeObject("partition:always")
@@ -121,8 +116,6 @@ class AlwaysTrue(PartitionConstraint):
         self,
         attrs: Mapping[str, Sequence[str]] | None,
         *,
-        mode: str | None = None,
-        mapping: str = "partition",
         canonical: bool = False,
     ) -> bool:
         return attrs is not None

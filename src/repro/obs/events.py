@@ -118,9 +118,10 @@ AUDIT_MISMATCH = "audit.mismatch"
 ALERT_RAISED = "alert.raised"
 #: A previously firing alert's condition went away.
 ALERT_CLEARED = "alert.cleared"
-#: A lexpress rule was lowered to a Python closure (or rejected by the
-#: verifier gate) — emitted per (mapping, attribute) compile, carrying
-#: ``status`` (compiled/rejected), ``seconds`` and the code fingerprint.
+#: A lexpress rule or partition was lowered to a Python closure (or
+#: rejected by the verifier gate) — emitted at boot, once per bound code
+#: object, carrying ``status`` (compiled/rejected), ``seconds`` and the
+#: code fingerprint.
 LEXPRESS_COMPILED = "lexpress.compiled"
 #: The runtime lock witness observed an acquisition order that reverses
 #: an already-recorded (or statically derived) pair — carries both lock

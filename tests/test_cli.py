@@ -84,10 +84,12 @@ class TestCli:
         out = capsys.readouterr().out
         cache_lines = [
             line for line in out.splitlines()
-            if line.startswith("# lexpress compiled rule cache")
+            if line.startswith("# lexpress compiled rules")
         ]
         assert len(cache_lines) == 1
         assert "compiles=" in cache_lines[0]
+        assert "rejected=0" in cache_lines[0]
+        assert "compile_seconds=" in cache_lines[0]
         # The output stays valid Prometheus text end to end.
         for line in out.splitlines():
             assert line.startswith("#") or line[0].isalpha()
@@ -95,12 +97,12 @@ class TestCli:
     def test_stats_default_mode_is_compiled(self, capsys):
         assert main(["stats"]) == 0
         out = capsys.readouterr().out
-        assert "# lexpress compiled rule cache" in out
+        assert "# lexpress compiled rules" in out
 
     def test_stats_interpret_mode_has_no_cache_section(self, capsys):
         assert main(["stats", "--lexpress=interpret"]) == 0
         out = capsys.readouterr().out
-        assert "lexpress compiled rule cache" not in out
+        assert "lexpress compiled rules" not in out
 
     def test_stats_bad_lexpress_mode_is_exit_2(self, capsys):
         assert main(["stats", "--lexpress=bogus"]) == 2
@@ -223,7 +225,10 @@ class TestEventsCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         events = [json.loads(line) for line in lines]
         assert all("kind" in e and "seq" in e for e in events)
-        assert events[0]["kind"] == "update.accepted"
+        # Boot journals the rule compiles; the first update comes next.
+        kinds = [e["kind"] for e in events]
+        first = kinds.index("update.accepted")
+        assert first > 0 and set(kinds[:first]) == {"lexpress.compiled"}
 
     def test_limit(self, capsys):
         assert main(["events", "--limit=3"]) == 0

@@ -1,30 +1,28 @@
 """Tests for the lexpress compilation tier: the constant-folding /
-dead-branch optimizer, closure code generation, the process-wide
-compiled-rule cache, ``run_rule`` mode dispatch, and the MetaComm
-``lexpress_mode`` wiring (docs/LEXPRESS_COMPILER.md)."""
+dead-branch optimizer, closure code generation, engine binding
+(``bind``), and the MetaComm ``lexpress_mode`` wiring
+(docs/LEXPRESS_COMPILER.md)."""
+
+from collections import Counter
 
 import pytest
 
 from repro.lexpress import (
+    AlwaysTrue,
     CodeObject,
     LexpressCompileError,
     LexpressDivergenceError,
     LexpressRuntimeError,
     Op,
+    bind,
     compile_closure,
     compile_expr,
+    compile_mapping,
     execute,
     lower_attrs,
-    rule_cache,
-    run_rule,
     tokenize,
 )
-from repro.lexpress.codegen import (
-    CompiledClosure,
-    CompiledRuleCache,
-    _CFrame,
-    verified_compile,
-)
+from repro.lexpress.codegen import CompiledClosure, _CFrame, verified_compile
 from repro.lexpress.parser import Parser
 
 
@@ -211,114 +209,37 @@ class TestVerifiedCompile:
         assert verified_compile(broken_code(), "m", "a") is None
 
 
-# -- the compiled-rule cache -------------------------------------------------
-
-
-class TestCompiledRuleCache:
-    def test_miss_then_hit(self):
-        cache = CompiledRuleCache()
-        code = expr_code('upper(Name)')
-        first = cache.get_or_compile("m", "a", code)
-        second = cache.get_or_compile("m", "a", code)
-        assert first is second
-        stats = cache.stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
-        assert stats["compiles"] == 1 and stats["entries"] == 1
-
-    def test_recompiling_a_rule_invalidates_the_entry(self):
-        cache = CompiledRuleCache()
-        old = expr_code('upper(Name)')
-        stale = cache.get_or_compile("m", "a", old)
-        # The description was recompiled: same key, different byte code.
-        new = expr_code('lower(Name)')
-        fresh = cache.get_or_compile("m", "a", new)
-        assert fresh is not stale
-        assert fresh.fingerprint == new.fingerprint() != stale.fingerprint
-        stats = cache.stats()
-        assert stats["entries"] == 1 and stats["compiles"] == 2
-        frame = _CFrame()
-        assert fresh.fn(lower_attrs({"Name": ["Ab"]}), frame) == "ab"
-
-    def test_rejections_are_cached_and_served_without_reverifying(self):
-        cache = CompiledRuleCache()
-        code = broken_code()
-        assert cache.get_or_compile("m", "a", code) is None
-        assert cache.get_or_compile("m", "a", code) is None
-        stats = cache.stats()
-        assert stats["rejected"] == 1 and stats["hits"] == 1
-
-    def test_listeners_see_every_compile_outcome(self):
-        cache = CompiledRuleCache()
-        events = []
-        cache.subscribe(events.append)
-        cache.get_or_compile("m", "good", expr_code('upper(Name)'))
-        cache.get_or_compile("m", "good", expr_code('upper(Name)'))  # hit
-        cache.get_or_compile("m", "bad", broken_code())
-        assert [(e["attribute"], e["status"]) for e in events] == [
-            ("good", "compiled"),
-            ("bad", "rejected"),
-        ]
-        assert all(e["mapping"] == "m" and "fingerprint" in e for e in events)
-        cache.unsubscribe(events.append)
-
-    def test_unsubscribed_listeners_go_quiet(self):
-        cache = CompiledRuleCache()
-        events = []
-        listener = events.append
-        cache.subscribe(listener)
-        cache.unsubscribe(listener)
-        cache.get_or_compile("m", "a", expr_code('upper(Name)'))
-        assert events == []
-
-    def test_clear_resets_entries_and_counters(self):
-        cache = CompiledRuleCache()
-        cache.get_or_compile("m", "a", expr_code('upper(Name)'))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats()["misses"] == 0
-
-
-# -- run_rule mode dispatch --------------------------------------------------
-
-
-@pytest.fixture
-def fresh_cache(monkeypatch):
-    cache = CompiledRuleCache()
-    monkeypatch.setattr("repro.lexpress.codegen._CACHE", cache)
-    return cache
+# -- engine binding ----------------------------------------------------------
 
 
 class TestRunRule:
-    def test_default_mode_is_plain_interpretation(self, fresh_cache):
-        code = expr_code('upper(Name)')
-        assert run_rule(code, {"Name": ["ab"]}) == "AB"
-        assert len(fresh_cache) == 0
+    """Running one rule through the runner :func:`bind` returns."""
 
-    def test_compiled_mode_serves_the_cache(self, fresh_cache):
+    def test_default_mode_is_plain_interpretation(self):
+        runner = bind(expr_code('upper(Name)'), "interpret", mapping="m", attribute="a")
+        assert runner({"Name": ["ab"]}) == "AB"
+        assert runner.status is None and runner.closure is None
+
+    def test_compiled_mode_runs_the_verified_closure(self):
         code = expr_code('concat(upper(Name), "-", Room)')
         attrs = {"Name": ["ab"], "Room": ["2B"]}
-        result = run_rule(
-            code, attrs, mapping="m", attribute="a", mode="compiled"
-        )
-        assert result == execute(code, attrs)
-        assert fresh_cache.stats()["compiles"] == 1
+        runner = bind(code, "compiled", mapping="m", attribute="a")
+        assert runner.status == "compiled"
+        assert runner.closure.fingerprint == code.fingerprint()
+        assert runner.fingerprint == code.fingerprint()[:12]
+        assert runner(attrs) == execute(code, attrs)
 
-    def test_compiled_mode_falls_back_on_rejected_code(self, fresh_cache):
+    def test_compiled_mode_falls_back_on_rejected_code(self):
         code = broken_code()
-        result = run_rule(
-            code, {}, mapping="m", attribute="a", mode="compiled"
-        )
-        assert result == execute(code, {}) == "b"
-        assert fresh_cache.stats()["rejected"] == 1
+        runner = bind(code, "compiled", mapping="m", attribute="a")
+        assert runner.status == "rejected" and runner.closure is None
+        assert runner({}) == execute(code, {}) == "b"
 
-    def test_verify_mode_agrees_on_honest_closures(self, fresh_cache):
-        code = expr_code('upper(Name)')
-        result = run_rule(
-            code, {"Name": ["ab"]}, mapping="m", attribute="a", mode="verify"
-        )
-        assert result == "AB"
+    def test_verify_mode_agrees_on_honest_closures(self):
+        runner = bind(expr_code('upper(Name)'), "verify", mapping="m", attribute="a")
+        assert runner({"Name": ["ab"]}) == "AB"
 
-    def test_verify_mode_raises_on_divergence(self, fresh_cache):
+    def test_verify_mode_raises_on_divergence(self, monkeypatch):
         code = expr_code('upper(Name)')
         lying = CompiledClosure(
             name="m.a",
@@ -326,20 +247,32 @@ class TestRunRule:
             source="",
             fingerprint=code.fingerprint(),
         )
-        fresh_cache._entries[("m", "a")] = (code.fingerprint(), lying)
+        monkeypatch.setattr(
+            "repro.lexpress.codegen.verified_compile", lambda *args: lying
+        )
+        runner = bind(code, "verify", mapping="m", attribute="a")
         with pytest.raises(LexpressDivergenceError) as exc_info:
-            run_rule(
-                code, {"Name": ["ab"]},
-                mapping="m", attribute="a", mode="verify",
-            )
+            runner({"Name": ["ab"]})
         error = exc_info.value
         assert error.mapping == "m" and error.attribute == "a"
         assert error.interpreted == "AB" and error.compiled == "WRONG"
         assert "divergence" in str(error)
 
-    def test_unknown_mode_is_an_error(self, fresh_cache):
+    def test_unknown_mode_is_an_error(self):
         with pytest.raises(ValueError, match="lexpress_mode"):
-            run_rule(expr_code('Name'), {}, mode="bogus")
+            bind(expr_code('Name'), "bogus", mapping="m", attribute="a")
+
+    def test_mappings_bind_every_rule_and_partition_when_built(self):
+        mapping = compile_mapping(
+            "mapping m { source a; target b; map X = upper(Name);"
+            " partition when present(X); }",
+            mode="compiled",
+        )
+        assert [(r.attribute, r.status) for r in mapping.runners] == [
+            ("X", "compiled"),
+            ("m.partition", "compiled"),
+        ]
+        assert mapping.image({"Name": ["ab"]}) == {"X": ["AB"]}
 
 
 # -- MetaComm wiring ---------------------------------------------------------
@@ -359,6 +292,18 @@ def _provision(system):
     )
 
 
+def _own_fingerprints(system) -> Counter:
+    """Fingerprint prefixes of every rule and partition of *system*'s
+    mappings and device bindings."""
+    codes = []
+    for mapping in system.mappings.values():
+        codes += [rule.code for rule in mapping.rules]
+        if not isinstance(mapping.partition, AlwaysTrue):
+            codes.append(mapping.partition.code)
+    codes += [b.partition.code for b in system.um.bindings if b.partition]
+    return Counter(code.fingerprint()[:12] for code in codes)
+
+
 class TestMetaCommModes:
     def test_invalid_mode_is_rejected_at_boot(self):
         from repro.core import MetaComm, MetaCommConfig
@@ -370,8 +315,6 @@ class TestMetaCommModes:
         from repro.core import MetaComm, MetaCommConfig
         from repro.obs.events import LEXPRESS_COMPILED
 
-        # A warm process-wide cache would serve hits and journal nothing.
-        rule_cache().clear()
         system = MetaComm(
             MetaCommConfig(
                 organizations=("Marketing",), lexpress_mode="compiled"
@@ -389,13 +332,46 @@ class TestMetaCommModes:
         finally:
             system.close()
 
+    def test_co_hosted_systems_journal_only_their_own_compiles(self):
+        # Two systems in one process, with different dial plans so their
+        # telephone-number rules differ: each journals one compile per
+        # rule and partition it binds, and nothing of the other's.
+        from repro.core import MetaComm, MetaCommConfig
+        from repro.obs.events import LEXPRESS_COMPILED
+
+        systems = []
+        try:
+            for prefix in ("+1 908 582 ", "+1 212 555 "):
+                system = MetaComm(
+                    MetaCommConfig(
+                        organizations=("Marketing",),
+                        phone_prefix=prefix,
+                        lexpress_mode="compiled",
+                    )
+                )
+                systems.append(system)
+                _provision(system)
+            journaled = [
+                Counter(
+                    e.attributes["fingerprint"]
+                    for e in system.obs.journal.events(LEXPRESS_COMPILED)
+                )
+                for system in systems
+            ]
+            for system, seen in zip(systems, journaled):
+                assert seen == _own_fingerprints(system)
+            assert journaled[0] != journaled[1]
+            assert sum(journaled[0].values()) == sum(journaled[1].values())
+        finally:
+            for system in systems:
+                system.close()
+
     def test_verify_mode_runs_the_workload_without_divergence(self):
         # The acceptance gate: the shipped mapping library produces
         # identical values from both engines across a full provisioning
         # fan-out (any disagreement raises LexpressDivergenceError).
         from repro.core import MetaComm, MetaCommConfig
 
-        rule_cache().clear()
         system = MetaComm(
             MetaCommConfig(
                 organizations=("Marketing",), lexpress_mode="verify"
@@ -405,29 +381,16 @@ class TestMetaCommModes:
             _provision(system)
             system.terminal().execute("change station 4100 room 2B-110")
             assert system.consistent()
-            assert rule_cache().stats()["compiles"] > 0
+            assert all(r.status == "compiled" for r in system.lexpress_runners)
         finally:
             system.close()
 
-    def test_close_unsubscribes_the_compile_listener(self):
-        from repro.core import MetaComm, MetaCommConfig
-
-        before = len(rule_cache()._listeners)
-        system = MetaComm(
-            MetaCommConfig(
-                organizations=("Marketing",), lexpress_mode="compiled"
-            )
-        )
-        assert len(rule_cache()._listeners) == before + 1
-        system.close()
-        assert len(rule_cache()._listeners) == before
-
     def test_interpret_mode_leaves_mappings_alone(self):
         from repro.core import MetaComm, MetaCommConfig
+        from repro.obs.events import LEXPRESS_COMPILED
 
         with MetaComm(
             MetaCommConfig(organizations=("Marketing",), lexpress_mode="interpret")
         ) as system:
-            assert all(
-                m.lexpress_mode is None for m in system.mappings.values()
-            )
+            assert all(r.status is None for r in system.lexpress_runners)
+            assert system.obs.journal.events(LEXPRESS_COMPILED) == []

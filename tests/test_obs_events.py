@@ -219,8 +219,8 @@ class TestJournalPipelineIntegration:
 
     def test_ldap_add_leaves_a_complete_event_trail(self, system):
         self.add_person(system)
-        # The process-wide rule cache journals lexpress.compiled the first
-        # time any system in the process compiles a rule.
+        # The system journals one lexpress.compiled per bound rule at boot,
+        # before any update.
         kinds = [e.kind for e in system.obs.journal if e.kind != "lexpress.compiled"]
         assert kinds[:3] == [
             "update.accepted",

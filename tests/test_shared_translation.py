@@ -13,7 +13,8 @@ import pytest
 
 from repro.core import MetaComm, MetaCommConfig, PbxConfig
 from repro.lexpress import LexpressDivergenceError
-from repro.lexpress.codegen import CompiledClosure, CompiledRuleCache
+from repro.lexpress import codegen
+from repro.lexpress.codegen import CompiledClosure
 from repro.lexpress.descriptor import TargetAction, UpdateDescriptor, UpdateOp
 from repro.lexpress.mapping import CompiledMapping
 from repro.schemas import PERSON_CLASSES
@@ -236,21 +237,9 @@ def test_plan_stage_keeps_binding_order_and_indexes():
 
 
 class TestPartitionEngines:
-    @pytest.fixture
-    def fresh_cache(self, monkeypatch):
-        cache = CompiledRuleCache()
-        monkeypatch.setattr("repro.lexpress.codegen._CACHE", cache)
-        return cache
+    """Instance partitions are bound to the system's mode when it boots."""
 
-    @pytest.fixture
-    def system(self):
-        system = fleet("verify")
-        try:
-            yield system
-        finally:
-            system.close()
-
-    def _add(self, system):
+    def _add(self):
         attrs = {
             "objectClass": list(PERSON_CLASSES),
             "cn": "Jo Smith",
@@ -259,41 +248,53 @@ class TestPartitionEngines:
         }
         return UpdateDescriptor(UpdateOp.ADD, "ldap", "cn=Jo Smith,o=Lucent", new=attrs)
 
-    def test_compiled_mode_serves_partitions_from_the_closure_cache(
-        self, fresh_cache, system
-    ):
-        for binding in system.um.bindings:
-            binding.from_ldap.lexpress_mode = "compiled"
-        system.um.pipeline.build_plan(self._add(system))
-        partition = system.um.binding("pbx-41").partition
-        assert ("ldap_to_pbx", partition.code.name) in fresh_cache._entries
+    def test_compiled_mode_serves_partitions_from_the_closure_cache(self):
+        system = fleet("compiled")
+        try:
+            binding = system.um.binding("pbx-41")
+            for partition in (binding.partition, binding.from_ldap.partition):
+                assert partition.run.status == "compiled"
+            plan = system.um.pipeline.build_plan(self._add())
+            names = [p.binding.name for p in plan.device_plans]
+            assert [n for n in names if n.startswith("pbx-")] == ["pbx-41"]
+        finally:
+            system.close()
 
     def test_verify_mode_raises_on_a_diverging_partition_closure(
-        self, fresh_cache, system
+        self, monkeypatch
     ):
-        partition = system.um.binding("pbx-41").partition
-        code = partition.code
-        lying = CompiledClosure(
-            name=code.name,
-            fn=lambda attrs, frame: False,
-            source="",
-            fingerprint=code.fingerprint(),
-        )
-        fresh_cache._entries[("ldap_to_pbx", code.name)] = (
-            code.fingerprint(),
-            lying,
-        )
-        with pytest.raises(LexpressDivergenceError) as exc_info:
-            system.um.pipeline.build_plan(self._add(system))
-        error = exc_info.value
-        assert error.mapping == "ldap_to_pbx"
-        assert error.attribute == code.name
-        assert error.interpreted is True and error.compiled is False
+        honest = codegen.verified_compile
 
-    def test_interpret_mode_never_compiles_partitions(self, fresh_cache, system):
-        for binding in system.um.bindings:
-            binding.from_ldap.lexpress_mode = "interpret"
-        system.um.pipeline.build_plan(self._add(system))
-        binding = system.um.binding("pbx-41")
-        for code in (binding.partition.code, binding.from_ldap.partition.code):
-            assert ("ldap_to_pbx", code.name) not in fresh_cache._entries
+        def lying_partitions(code, mapping="", attribute=None):
+            closure = honest(code, mapping, attribute)
+            if not code.name.startswith("partition:"):
+                return closure
+            return CompiledClosure(
+                name=code.name,
+                fn=lambda attrs, frame: False,
+                source="",
+                fingerprint=code.fingerprint(),
+            )
+
+        monkeypatch.setattr(codegen, "verified_compile", lying_partitions)
+        system = fleet("verify")
+        try:
+            code = system.um.binding("pbx-41").partition.code
+            with pytest.raises(LexpressDivergenceError) as exc_info:
+                system.um.pipeline.build_plan(self._add())
+            error = exc_info.value
+            assert error.mapping == "partition"
+            assert error.attribute == code.name
+            assert error.interpreted is True and error.compiled is False
+        finally:
+            system.close()
+
+    def test_interpret_mode_never_compiles_partitions(self):
+        system = fleet("interpret")
+        try:
+            binding = system.um.binding("pbx-41")
+            for partition in (binding.partition, binding.from_ldap.partition):
+                assert partition.run.status is None
+                assert partition.run.closure is None
+        finally:
+            system.close()

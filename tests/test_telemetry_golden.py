@@ -36,7 +36,6 @@ from repro.lexpress.descriptor import UpdateDescriptor, UpdateOp
 from repro.obs.events import (
     DEVICE_COMMIT,
     DEVICE_FAILURE,
-    LEXPRESS_COMPILED,
     LINK_FLUSH,
 )
 from repro.schemas import PERSON_CLASSES
@@ -49,10 +48,6 @@ CONFIGS = {
         coordinator_lanes=2, device_links=True, lane_depth_limit=1
     ),
 }
-
-#: Emitted once per rule by the process-wide lexpress rule cache, so how
-#: many a system sees depends on what the process compiled before it.
-VOLATILE_KINDS = {LEXPRESS_COMPILED}
 
 #: Derived counters: (family, event kind, label attribute or None,
 #: amount attribute or None).  The family's value for one label must
@@ -145,8 +140,6 @@ def metric_shape(system: MetaComm) -> dict:
         samples = {}
         for sample in family["samples"]:
             labels = sample["labels"]
-            if labels.get("kind") in VOLATILE_KINDS:
-                continue
             key = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
             if family["kind"] == "counter":
                 samples[key] = sample["value"]
@@ -170,8 +163,6 @@ def journal_shape(system: MetaComm) -> dict:
     thread's next event is a race: flushes are compared as a multiset."""
     ordered, flushes = [], Counter()
     for event in system.obs.journal.events():
-        if event.kind in VOLATILE_KINDS:
-            continue
         entry = [event.kind, sorted(event.attributes)]
         if event.kind == LINK_FLUSH:
             flushes[json.dumps(entry)] += 1
@@ -224,8 +215,7 @@ def test_derived_counters_match_the_journal(name):
             assert +observed == +expected, family
         events_total = registry.get("metacomm_journal_events_total")
         for kind, count in Counter(e.kind for e in seen).items():
-            if kind not in VOLATILE_KINDS:
-                assert events_total.value_for(kind=kind) == count, kind
+            assert events_total.value_for(kind=kind) == count, kind
 
         flushes = [e for e in seen if e.kind == LINK_FLUSH]
         assert bool(flushes) == (system.links is not None)
