@@ -2,9 +2,18 @@
 
 The paper adds entry locks so that "no other LDAP update to this object is
 allowed to proceed until the UM completes the update sequence".  We remove
-the locks and show the failure mode they prevent: concurrent writers
-interleave with in-flight trigger processing, and the device ends up
-disagreeing with the directory (a lost update).
+the locks and show the failure mode they prevent: a writer's update is
+lost although the directory committed it last.
+
+The Update Manager's single-lane queue runs sequences one at a time in
+the order their triggers claim it, so device writes never overlap and the
+device no longer ends up disagreeing with the directory.  What the locks
+still guard is the window between a writer's directory commit and its
+claim on the queue.  Without them, a second writer can commit and finish
+its whole sequence inside that window; the first writer's older image then
+reaches the device last, and its supplemental write-back reverts the
+directory to match.  Both sides agree, so ``consistent()`` stays True, and
+the later update is gone from both.
 """
 
 import threading
@@ -14,93 +23,127 @@ from conftest import fresh_system, person_attrs, report
 from repro.ldap import Modification
 
 ROWS: list[tuple] = []
+DN = "cn=Hot,o=Marketing,o=Lucent"
+#: How long one writer waits for the other at an injected point (seconds);
+#: with locks on, A's wait for B always runs out.
+HOLD = 0.1
 
 
-def _disable_locks(system) -> None:
-    """Ablate: turn the lock manager into a no-op."""
-    system.gateway.locks.acquire = lambda dn, owner, timeout=None: None
-    system.gateway.locks.release = lambda dn, owner: None
+class _Schedule:
+    """Forces one interleaving per round through the gateway's snapshots.
+
+    Writer A enters the gateway first (holding the entry lock, when locks
+    are on) before writer B starts.  B's before-image waits until A has
+    committed; A's after-image (the first snapshot showing A's value) then
+    waits until B's update has returned, holding A between its commit and
+    its trigger processing.  With entry locks B cannot commit while A holds
+    the entry, so that wait times out and the round runs serially: A, B."""
+
+    def __init__(self, gateway):
+        self.original = gateway._snapshot
+        gateway._snapshot = self.snapshot
+        self.start_round(None)
+
+    def start_round(self, a_value: str | None) -> None:
+        self.a_value = a_value
+        self.a_entered = threading.Event()
+        self.a_committed = threading.Event()
+        self.b_done = threading.Event()
+
+    def snapshot(self, dn):
+        writer = threading.current_thread().name
+        if writer == "writer-a":
+            self.a_entered.set()
+        elif writer == "writer-b":
+            self.a_committed.wait(timeout=HOLD)
+        snap = self.original(dn)
+        if (
+            writer == "writer-a"
+            and not self.a_committed.is_set()
+            and snap is not None
+            and snap.first("definityRoom") == self.a_value
+        ):
+            self.a_committed.set()
+            self.b_done.wait(timeout=HOLD)
+        return snap
 
 
-def _race(system, rounds: int = 30) -> int:
-    """Two threads race on the *same* attribute of the same entry;
-    returns the number of rounds where the device ended up holding a value
-    the directory does not (a lost update at the device)."""
+def _race(system, schedule: _Schedule, rounds: int) -> int:
+    """Two threads write the *same* attribute of the same entry, A's
+    commit first and B's last; returns the number of rounds where B's
+    value is not what both the directory and the device hold (a lost
+    update)."""
     conn_a = system.connection()
     conn_b = system.connection()
-    dn = "cn=Hot,o=Marketing,o=Lucent"
-    mismatches = 0
+    lost = 0
     for i in range(rounds):
-        barrier = threading.Barrier(2, timeout=5)
+        schedule.start_round(f"A{i}")
 
-        def write(conn, value):
+        def write(conn, value, done=None):
             try:
-                barrier.wait()
-                conn.modify(dn, [Modification.replace("definityRoom", value)])
+                conn.modify(DN, [Modification.replace("definityRoom", value)])
             except Exception:
                 pass
+            if done is not None:
+                done.set()
 
-        t1 = threading.Thread(target=write, args=(conn_a, f"A{i}"))
-        t2 = threading.Thread(target=write, args=(conn_b, f"B{i}"))
-        t1.start(); t2.start()
+        t1 = threading.Thread(
+            target=write, args=(conn_a, f"A{i}"), name="writer-a"
+        )
+        t2 = threading.Thread(
+            target=write, args=(conn_b, f"B{i}", schedule.b_done),
+            name="writer-b",
+        )
+        t1.start()
+        schedule.a_entered.wait(timeout=5)
+        t2.start()
         t1.join(); t2.join()
-        entry = system.connection().get(dn)
+        room = system.connection().get(DN).first("definityRoom")
         station = system.pbx().station("4100")
-        if entry.first("definityRoom") != station.get("Room"):
-            mismatches += 1
-    return mismatches
+        if room != f"B{i}" or station.get("Room") != room:
+            lost += 1
+    return lost
 
 
-def _fresh_hot_system():
+def _scheduled_system(locks: bool):
     system = fresh_system(lock_timeout=5.0)
-    system.connection().add(
-        "cn=Hot,o=Marketing,o=Lucent",
-        person_attrs("Hot", "H", definityExtension="4100"),
-    )
-    return system
+    system.connection().add(DN, person_attrs("Hot", "H", definityExtension="4100"))
+    if not locks:
+        # Ablate: turn the lock manager into a no-op.
+        system.gateway.locks.acquire = lambda dn, owner, timeout=None: None
+        system.gateway.locks.release = lambda dn, owner: None
+    return system, _Schedule(system.gateway)
 
 
 def test_a1_with_locks_no_lost_updates(benchmark):
     def run():
-        system = _fresh_hot_system()
-        return _race(system, rounds=10), system
+        system, schedule = _scheduled_system(locks=True)
+        return _race(system, schedule, rounds=10), system
 
-    mismatches, system = benchmark.pedantic(run, rounds=1)
-    assert mismatches == 0
+    lost, system = benchmark.pedantic(run, rounds=1)
+    assert lost == 0
     assert system.consistent()
-    ROWS.append(("with LTAP locks", 10, mismatches, system.consistent()))
+    ROWS.append(("with LTAP locks", 10, lost, system.consistent()))
 
 
 def test_a1_without_locks_interleaving_appears(benchmark):
     """Without locks the race *can* interleave.  The probabilistic failure
-    is made deterministic by injecting a delay inside trigger processing."""
-    import time
+    is made deterministic by the injected schedule: B commits and finishes
+    while A sits between its commit and its trigger processing."""
 
     def run():
-        system = _fresh_hot_system()
-        _disable_locks(system)
-        # Widen the snapshot→trigger window: with locks this section is
-        # serialized per entry, without them the two writers' trigger
-        # processing reorders against their commit order.
-        original_snapshot = system.gateway._snapshot
+        system, schedule = _scheduled_system(locks=False)
+        return _race(system, schedule, rounds=10), system
 
-        def slow_snapshot(dn):
-            snap = original_snapshot(dn)
-            time.sleep(0.003)
-            return snap
-
-        system.gateway._snapshot = slow_snapshot
-        return _race(system, rounds=10), system
-
-    mismatches, system = benchmark.pedantic(run, rounds=1)
-    ROWS.append(("locks ablated", 10, mismatches, system.consistent()))
+    lost, system = benchmark.pedantic(run, rounds=1)
+    ROWS.append(("locks ablated", 10, lost, system.consistent()))
     report(
         "A1: lost updates with and without LTAP entry locks",
-        ["configuration", "racing rounds", "device/directory mismatches",
+        ["configuration", "racing rounds", "lost updates",
          "consistent at end"],
         ROWS,
     )
     # Shape: the unlocked system exhibits interleaving the locked one
-    # never does.  (The final mismatch count may self-heal on the last
-    # round, so assert on the observation count.)
-    assert mismatches >= 1, "expected at least one interleaving without locks"
+    # never does.  (consistent() cannot see it: both sides lost the same
+    # update, so assert on the observation count.)
+    assert lost >= 1, "expected at least one interleaving without locks"

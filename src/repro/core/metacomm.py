@@ -331,9 +331,15 @@ class MetaComm:
             self, interval=self.config.audit_interval
         )
 
-        # Equality indexes on the hot lookup paths: entry location by
-        # device key and the person-class searches of every fan-out.
-        for attribute in ("definityExtension", "telephoneNumber", "objectClass"):
+        # Equality indexes on what the system searches by value: every
+        # binding's directory key (LdapFilter.locate, sync), plus the two
+        # below.  objectClass is left out: its person bucket is the DIT.
+        indexed = {b.to_ldap.key_target for b in bindings}
+        # The room roster: WBA and LTAP clients list everyone in a room.
+        indexed.add("definityRoom")
+        # Identity resolution by name on the DDU add-station path.
+        indexed.add("cn")
+        for attribute in sorted(indexed):
             self.server.backend.create_index(attribute)
 
         #: The runtime lock witness, when enabled — order-recording

@@ -364,7 +364,8 @@ class Backend:
         """DN keys matching an indexed Equality inside *compiled*, or None
         when the filter cannot use an index.
 
-        Caller holds ``_lock``."""
+        The set returned is the index's own bucket, not a copy: the
+        caller holds ``_lock`` while it reads it and never mutates it."""
         from .entry import _norm_value
         from .filter import And, Equality
 
@@ -379,11 +380,10 @@ class Backend:
             if table is None:
                 continue
             bucket = table.get(_norm_value(probe.value), set())
-            # Most selective indexed probe wins (an objectClass=person
-            # bucket may hold the whole directory; a key attribute holds
-            # one entry).
+            # Most selective indexed probe wins (a room bucket holds a
+            # dozen entries; a key attribute holds one).
             if best is None or len(bucket) < len(best):
-                best = set(bucket)
+                best = bucket
         return best
 
     # -- structure helpers --------------------------------------------------
