@@ -501,7 +501,8 @@ class MetaComm:
         per cycle keeps the audit low-rate while covering the whole
         deployment round-robin.  The device dump is read in full every
         time; the directory side is the auditor's maintained view, so the
-        probe costs the dump plus the entries changed since the last one."""
+        probe costs the dump plus the entries changed since the last one,
+        and images only the records that changed or whose entry did."""
         records = binding.filter.dump()
         if not any(b is binding for b in self.um.bindings):
             return self._compare(binding, records, self.directory_view([binding]))
@@ -526,13 +527,37 @@ class MetaComm:
         """The device↔directory comparison, shared by the probe and the
         full walk: each device record must be found by its key and its
         image must be a subset of the directory entry; each directory
-        entry the binding's partition claims must be on the device."""
+        entry the binding's partition claims must be on the device.
+
+        A record equal to one the view's memo holds, whose memoized entry
+        is still the one its key locates, was consistent before and both
+        sides are unchanged (entries are immutable), so it is not imaged
+        again.  A fresh view's memo is empty: the full walk images every
+        record.  Records with a problem are never memoized, so persistent
+        drift is reported on every comparison."""
         problems: list[str] = []
-        key_attr = binding.to_ldap.key_target
+        to_ldap = binding.to_ldap
+        key_attr = to_ldap.key_target
+        key_source = to_ldap.key_source
+        memo = view.verified(binding)
+        verified: dict[str, tuple[dict, str, Entry]] = {}
         device_keys = set()
+        hits = 0
         for record in records:
-            image = binding.to_ldap.image(record) or {}
-            ldap_key = binding.to_ldap.key_of(image)
+            source = record.get(key_source)
+            device_key = source[0] if source else None
+            pair = memo.get(device_key)
+            if (
+                pair is not None
+                and pair[0] == record
+                and view.entry(key_attr, pair[1]) is pair[2]
+            ):
+                device_keys.add(pair[1].lower())
+                verified[device_key] = pair
+                hits += 1
+                continue
+            image = to_ldap.image(record) or {}
+            ldap_key = to_ldap.key_of(image)
             if ldap_key is None:
                 continue
             device_keys.add(ldap_key.lower())
@@ -542,6 +567,7 @@ class MetaComm:
                     f"{binding.name}: record {ldap_key} missing from directory"
                 )
                 continue
+            clean = True
             for name, values in image.items():
                 if name.lower() == "lastupdater":
                     continue  # bookkeeping, not user data
@@ -550,10 +576,14 @@ class MetaComm:
                 # disambiguator on cn); the device's view must be a
                 # subset of the directory's.
                 if not set(values) <= set(have):
+                    clean = False
                     problems.append(
                         f"{binding.name}: {ldap_key}: {name} device={values} "
                         f"directory={have}"
                     )
+            if clean and device_key is not None:
+                verified[device_key] = (record, ldap_key, entry)
+        view.remember(binding, verified, len(records) - hits)
         for dn, key in view.unheld(binding, device_keys):
             problems.append(
                 f"{binding.name}: directory entry {dn} claims "

@@ -559,16 +559,19 @@ class Backend:
             if self.schema is not None:
                 self.schema.check_entry(renamed)
 
-            # Re-key the whole subtree below the renamed entry; the
-            # descendants keep their Attributes.
+            # Re-key the subtree below the renamed entry, walked through
+            # the child sets; the descendants keep their Attributes.
             remap = {old_key: new_key}
             moved = [renamed]
-            for desc_key, desc in list(self._entries.items()):
-                if desc.dn.is_descendant_of(dn):
-                    depth = len(desc.dn.rdns) - len(dn.rdns)
-                    rebased = DN(desc.dn.rdns[:depth] + new_dn.rdns)
-                    remap[desc_key] = rebased.normalized()
-                    moved.append(Entry(rebased, desc.attributes))
+            below = list(self._children.get(old_key, ()))
+            while below:
+                desc_key = below.pop()
+                desc = self._entries[desc_key]
+                depth = len(desc.dn.rdns) - len(dn.rdns)
+                rebased = DN(desc.dn.rdns[:depth] + new_dn.rdns)
+                remap[desc_key] = rebased.normalized()
+                moved.append(Entry(rebased, desc.attributes))
+                below.extend(self._children.get(desc_key, ()))
             for key in remap:
                 self._unstore(key)
             for stored in moved:

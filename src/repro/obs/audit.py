@@ -12,8 +12,11 @@ A probe reads the device dump in full (a real switch keeps no digests,
 and the dump is what exposes surgery behind MetaComm's back), but keeps
 the directory side as a :class:`DirectoryView` that a backend change
 listener keeps current: each commit only notes its DN, and the next probe
-re-images the noted entries.  So a probe costs the dump plus what
-changed, not a walk of the whole directory.  ``MetaComm.consistent()``
+re-images the noted entries.  The view also remembers, per binding, the
+device records the last probe found consistent and the entries they
+matched; a record that is unchanged and still locates the same entry is
+not imaged again.  So a probe costs the dump plus what changed on either
+side, not a walk of the whole directory.  ``MetaComm.consistent()``
 stays a fresh full walk over the same comparison code.
 
 Because the system stays live, a probe can race an in-flight update
@@ -110,9 +113,12 @@ class DirectoryView:
       wins, as in the search's sorted result);
     * per binding, the DN keys of the person entries that carry the
       binding's key attribute and whose ``from_ldap`` image claims the
-      binding's partition — the entries the device must hold.
+      binding's partition — the entries the device must hold;
+    * per binding, the memo of the pairs its last comparison verified
+      (:meth:`verified`, :meth:`remember`), which lives and dies with
+      the view.
 
-    Both are functions of one entry's DN and attributes alone, so
+    The first two are functions of one entry's DN and attributes alone, so
     :meth:`put` re-images a changed entry by itself.  The partition test
     images only the rules the partitions read (``partition.deps``), tests
     each mapping's own partition once per entry and each instance
@@ -185,6 +191,14 @@ class DirectoryView:
         self._claimed: list[set[tuple]] = [set() for _ in self.bindings]
         #: Parent DN key → how many of its children the view holds.
         self._children: dict[tuple, int] = {}
+        #: Per binding: device key → (the dumped record as last verified,
+        #: its LDAP key, the entry it matched) — the last comparison's
+        #: consistent pairs.
+        self._verified: list[dict[str, tuple[dict, str, Entry]]] = [
+            {} for _ in self.bindings
+        ]
+        #: Device records the comparisons against this view have imaged.
+        self.imaged = 0
         for entry in entries:
             self.put(entry.dn, entry)
 
@@ -269,10 +283,24 @@ class DirectoryView:
             return None
         return self.read(self._dns[min(keys)])
 
+    def _index(self, binding) -> int:
+        return next(i for i, b in enumerate(self.bindings) if b is binding)
+
+    def verified(self, binding) -> dict[str, tuple[dict, str, Entry]]:
+        """*binding*'s memo: device key → (record, LDAP key, entry) of
+        each pair its last comparison found consistent."""
+        return self._verified[self._index(binding)]
+
+    def remember(self, binding, verified: dict, imaged: int) -> None:
+        """Replace *binding*'s memo with *verified*, after a comparison
+        that imaged *imaged* device records."""
+        self._verified[self._index(binding)] = verified
+        self.imaged += imaged
+
     def unheld(self, binding, device_keys: set[str]) -> list[tuple[DN, str]]:
         """The entries *binding*'s partition claims whose key value (lower
         case) is not in *device_keys*, as (DN, key value) in DN order."""
-        index = next(i for i, b in enumerate(self.bindings) if b is binding)
+        index = self._index(binding)
         attr = self._key_attrs[index]
         missing = sorted(
             key
@@ -395,7 +423,12 @@ class ConsistencyAuditor:
         """The maintained directory view, brought up to date and held
         for the caller's comparison; probes are serialized."""
         with self._lock:
-            yield self._refresh()
+            view = self._refresh()
+            imaged = view.imaged
+            yield view
+            self._cycle_local.imaged = (
+                getattr(self._cycle_local, "imaged", 0) + view.imaged - imaged
+            )
 
     def _refresh(self) -> DirectoryView:
         """Caller holds ``_lock``."""
@@ -449,6 +482,7 @@ class ConsistencyAuditor:
 
         report = AuditReport(cycle=cycle, probed=tuple(b.name for b in probed))
         self._cycle_local.reimaged = 0
+        self._cycle_local.imaged = 0
         for binding in probed:
             problems = self.system.binding_inconsistencies(binding)
             if problems:
@@ -483,6 +517,7 @@ class ConsistencyAuditor:
             probed=list(report.probed),
             mismatches=report.mismatch_count,
             reimaged=self._cycle_local.reimaged,
+            imaged=self._cycle_local.imaged,
             queue_depth=report.queue_depth,
             oldest_age=round(report.oldest_age, 6),
         )

@@ -103,7 +103,8 @@ def _probe_matches_full_walk(system: MetaComm) -> list[str]:
 
 class AuditViewMachine(RuleBasedStateMachine):
     """Random LTAP, direct, device-side and transactional writes; after
-    each step every binding's probe equals the fresh full walk."""
+    each step every binding's probe equals the fresh full walk, whether
+    the probe imaged a record or took it from the memo."""
 
     def __init__(self):
         super().__init__()
@@ -113,6 +114,8 @@ class AuditViewMachine(RuleBasedStateMachine):
         self.backend = self.system.server.backend
         self.container = 0
         self.container_renames = 0
+        #: Device records the probes took from the memo without imaging.
+        self.memo_hits = 0
         for n, ext in zip(_PEOPLE, _EXTENSIONS[:4]):
             self.conn.add(f"cn=User {n},{self._base(n)}", _person(n, ext))
 
@@ -123,6 +126,13 @@ class AuditViewMachine(RuleBasedStateMachine):
         assert registry.value("metacomm_audit_rebuilds_total") <= (
             1 + self.container_renames
         )
+        # A last probe with nothing changed takes every pair the previous
+        # one memoized from the memo, and still equals the full walk.
+        view = self.system.auditor._view
+        memoized = sum(len(view.verified(b)) for b in self.system.um.bindings)
+        hits = self.memo_hits
+        self.probe_matches_full_walk()
+        assert self.memo_hits - hits == memoized
         self.system.close()
 
     def _dn(self, n: int) -> str | None:
@@ -255,7 +265,11 @@ class AuditViewMachine(RuleBasedStateMachine):
 
     @invariant()
     def probe_matches_full_walk(self):
+        cycle = self.system.auditor._cycle_local
+        cycle.imaged = 0
         _probe_matches_full_walk(self.system)
+        dumped = sum(len(b.filter.dump()) for b in self.system.um.bindings)
+        self.memo_hits += dumped - cycle.imaged
 
 
 AuditViewMachine.TestCase.settings = settings(
@@ -298,6 +312,56 @@ class TestMaintainedView:
         system.auditor.run_cycle(full=True)
         assert system.obs.journal.last("audit.cycle").attributes["reimaged"] == 0
         assert registry.value("metacomm_audit_rebuilds_total") == 1
+
+    def test_unchanged_records_are_not_imaged_again(self, system):
+        system.auditor.run_cycle(full=True)
+        assert system.obs.journal.last("audit.cycle").attributes["imaged"] == 6
+        system.auditor.run_cycle(full=True)
+        assert system.obs.journal.last("audit.cycle").attributes["imaged"] == 0
+        # One person's entry and PBX record change: both of their device
+        # records are imaged again, the other four are memo hits.
+        system.connection().modify(
+            "cn=User 0,o=Sales,o=Lucent",
+            [Modification.replace("definityRoom", "2B")],
+        )
+        assert system.auditor.run_cycle(full=True).ok
+        assert system.obs.journal.last("audit.cycle").attributes["imaged"] == 2
+
+    @pytest.mark.parametrize(
+        "drift",
+        ["device surgery", "direct directory write", "device delete"],
+    )
+    def test_a_memoized_pair_that_drifts_is_reported(self, system, drift):
+        assert _probe_matches_full_walk(system) == []
+        user = "cn=User 0,o=Sales,o=Lucent"
+        if drift == "device surgery":
+            system.pbxes["pbx-41"].modify("4101", {"Room": "9Z-999"}, agent=UM_AGENT)
+            expected = [
+                "pbx-41: 4101: definityRoom device=['9Z-999'] directory=()"
+            ]
+        elif drift == "direct directory write":
+            system.direct_connection().modify(
+                user, [Modification.replace("sn", "Other")]
+            )
+            expected = ["pbx-41: 4101: sn device=['0'] directory=('Other',)"]
+        else:
+            system.pbxes["pbx-41"].delete("4101", agent=UM_AGENT)
+            expected = [
+                f"pbx-41: directory entry {user} claims "
+                "definityExtension=4101 unknown to the device"
+            ]
+        assert _probe_matches_full_walk(system) == expected
+
+    def test_a_mismatching_record_is_reported_on_every_probe(self, system):
+        system.auditor.run_cycle(full=True)
+        system.pbxes["pbx-41"].modify("4101", {"Name": "Imposter, Ida"}, agent=UM_AGENT)
+        for _ in range(3):
+            problems = _probe_matches_full_walk(system)
+            assert problems and all(p.startswith("pbx-41: 4101: ") for p in problems)
+            report = system.auditor.run_cycle(full=True)
+            assert report.mismatches == {"pbx-41": problems}
+            # The drifting record is imaged again every time.
+            assert system.obs.journal.last("audit.cycle").attributes["imaged"] == 1
 
     def test_rolled_back_transaction_leaves_nothing_to_reimage(self, system):
         system.auditor.run_cycle(full=True)

@@ -167,6 +167,68 @@ class TestModifyRdn:
         backend.modify_rdn(self.DN_JOHN, Rdn.parse("cn=John Doe"))
         assert backend.contains(self.DN_JOHN)
 
+    def test_rename_rekeys_two_levels_of_descendants(self, backend):
+        backend.create_index("telephoneNumber")
+        for dn, attrs in [
+            ("ou=Field,o=Marketing,o=Lucent", {"objectClass": "organizationalUnit", "ou": "Field"}),
+            ("cn=Ann,ou=Field,o=Marketing,o=Lucent", {"objectClass": "person", "cn": "Ann", "telephoneNumber": "100"}),
+            ("cn=Bob,ou=Field,o=Marketing,o=Lucent", {"objectClass": "person", "cn": "Bob", "telephoneNumber": "200"}),
+            # A sibling subtree that must not move.
+            ("cn=Cy,o=R&D,o=Lucent", {"objectClass": "person", "cn": "Cy", "telephoneNumber": "100"}),
+        ]:
+            backend.add(Entry(dn, attrs))
+        renamed = []
+        backend.add_listener(renamed.append)
+        old = DN.parse("o=Marketing,o=Lucent")
+
+        backend.modify_rdn(old, Rdn.parse("o=Sales"))
+
+        new = [
+            "o=Sales,o=Lucent",
+            "cn=John Doe,o=Sales,o=Lucent",
+            "ou=Field,o=Sales,o=Lucent",
+            "cn=Ann,ou=Field,o=Sales,o=Lucent",
+            "cn=Bob,ou=Field,o=Sales,o=Lucent",
+        ]
+        for dn in new:
+            assert backend.get(DN.parse(dn)).dn == DN.parse(dn)
+        assert not any(e.dn.is_under(old) for e in backend.all_entries())
+        assert backend.contains(DN.parse("cn=Cy,o=R&D,o=Lucent"))
+        children = {
+            parent: {str(backend._entries[k].dn) for k in keys}
+            for parent, keys in backend._children.items()
+        }
+        key = lambda dn: DN.parse(dn).normalized()  # noqa: E731
+        assert children[key("o=Sales,o=Lucent")] == {
+            "cn=John Doe,o=Sales,o=Lucent",
+            "ou=Field,o=Sales,o=Lucent",
+        }
+        assert children[key("ou=Field,o=Sales,o=Lucent")] == {
+            "cn=Ann,ou=Field,o=Sales,o=Lucent",
+            "cn=Bob,ou=Field,o=Sales,o=Lucent",
+        }
+        assert old.normalized() not in backend._children
+        assert backend._indexes["telephonenumber"]["100"] == {
+            key("cn=Ann,ou=Field,o=Sales,o=Lucent"),
+            key("cn=Cy,o=R&D,o=Lucent"),
+        }
+        assert [
+            str(e.dn)
+            for e in backend.search(DN.parse("o=Lucent"), filter="(telephoneNumber=100)")
+        ] == ["cn=Ann,ou=Field,o=Sales,o=Lucent", "cn=Cy,o=R&D,o=Lucent"]
+        assert [
+            str(e.dn)
+            for e in backend.search(
+                DN.parse("o=Sales,o=Lucent"), filter="(telephoneNumber=200)"
+            )
+        ] == ["cn=Bob,ou=Field,o=Sales,o=Lucent"]
+        (record,) = renamed
+        assert record.change_type is ChangeType.MODIFY_RDN
+        assert record.dn == old and record.before.dn == old
+        assert record.after.dn == DN.parse("o=Sales,o=Lucent")
+        assert record.new_rdn == Rdn.parse("o=Sales")
+        assert list(backend.changelog)[-1] is record
+
 
 class TestSearch:
     def test_base_scope(self, backend):
