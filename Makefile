@@ -43,13 +43,17 @@ bench-smoke:
 ## Benchmark-harness smoke: one short traced wba_churn run (about 20 s).
 ## Fails unless the run ends with "correct": true — an oracle failure or
 ## a ledger wrap target the program no longer has (a "# problem" line)
-## makes it false (perfbench/README.md).  The run's final JSON line (the
-## end-to-end metrics and the per-layer ledger) is kept in perf_smoke.json.
+## makes it false (perfbench/README.md).  It also fails when obs.spans
+## reads 0: the traced run counts spans through system.traces(), so a
+## zero means the journal's trace views came back empty.  The run's final
+## JSON line (the end-to-end metrics and the per-layer ledger) is kept in
+## perf_smoke.json.
 perf-smoke:
 	@out="$$($(PYTHON) perfbench/run.py --workload wba_churn --seed 1 --seconds 2 --trace 1)"; \
 		status=$$?; echo "$$out"; \
 		echo "$$out" | tail -n 1 > perf_smoke.json; \
-		[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": true'
+		[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": true' \
+		&& $(PYTHON) -c 'import json, sys; spans = json.load(open("perf_smoke.json"))["metrics"]["obs.spans"]["value"]; sys.exit(0 if spans > 0 else "perf-smoke: obs.spans is 0")'
 
 ## Serial vs device-link fan-out throughput at 1, 2 and 4 PBXes; writes
 ## BENCH_pipeline.json and fails when links/serial at 4 PBXes < 1.5.

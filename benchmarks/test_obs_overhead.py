@@ -1,7 +1,8 @@
 """Smoke benchmark: instrumentation overhead of the observability layer.
 
-The metrics registry and trace spans sit on every hop of the update
-pipeline, so they must be cheap.  This runs the E1 mixed-stream workload
+The metrics registry and the event journal (with the per-stage timings
+its traces are read from) sit on every hop of the update pipeline, so
+they must be cheap.  This runs the E1 mixed-stream workload
 with observability enabled and disabled, the two cells in alternation
 (``conftest.alternate``), and gates the same-run ratio of medians,
 events/s on over off.

@@ -9,6 +9,7 @@ check       lexcheck — static analysis of the mapping configuration
 stats       run the demo workload, dump metrics (Prometheus text) + traces
 monitor     run the demo workload, show the health-plane dashboard
 events      run the demo workload, print the event journal
+explain     print one update's timeline, read from the event journal
 experiments list the experiment harness and how to run it
 
 ``check`` usage::
@@ -61,6 +62,17 @@ JSONL with ``--json`` (pipe to a file for offline analysis).
 ``--witness`` runs the workload under the runtime lock witness
 (docs/CONCURRENCY.md) so any ``witness.violation`` events appear in the
 stream.
+
+``explain`` usage::
+
+    python -m repro explain <trace-id|serial> [--from=JOURNAL.jsonl]
+
+Prints one update's timeline from the journal alone: its LTAP legs, the
+queue wait, each pipeline stage, each device's commit or failure (and
+any rollback or compensation) with its duration, and the supplemental
+write, then the time no stage accounts for.  Reads the demo workload's
+journal, or a JSONL export (``python -m repro events --json``) with
+``--from``.  Exit code is 1 when the journal holds no such trace.
 """
 
 from __future__ import annotations
@@ -311,11 +323,9 @@ def cmd_stats(args: list[str]) -> int:
             return 2
 
     system = _demo_system(lexpress_mode=mode)
-    # Flush before dumping: close any trace still open (so the export
-    # never shows dangling in-flight spans) and release the background
-    # machinery — the workload is done, the dump must be self-consistent.
+    # Release the background machinery before dumping: the workload is
+    # done, the dump must be self-consistent.
     system.close()
-    system.obs.tracer.finish_open()
 
     if mode != "interpret":
         runners = system.lexpress_runners
@@ -539,6 +549,99 @@ def cmd_events(args: list[str]) -> int:
     return 0
 
 
+#: Journal events shown under the fan-out stage of a timeline.
+_FANOUT_EVENTS = (
+    "device.commit",
+    "device.failure",
+    "device.rollback",
+    "saga.compensated",
+    "sequence.aborted",
+)
+
+
+def _render_timeline(trace) -> str:
+    """One trace as an indented timeline, stage by stage (µs)."""
+    identity = " ".join(f"{k}={v}" for k, v in trace.attributes.items())
+    lines = [f"{trace.trace_id} ({trace.name}) {identity}".rstrip()]
+    if trace.serial is not None:
+        lines[0] += f" serial={trace.serial}"
+
+    def row(depth: int, label: str, seconds: float | None, note: str = "") -> None:
+        took = f"{seconds * 1e6:9.0f} us" if seconds is not None else " " * 12
+        lines.append(f"{'  ' * depth}{label:<{34 - 2 * depth}}{took}  {note}".rstrip())
+
+    notes: dict[str, str] = {}
+    for event in trace.events:
+        attrs = event.attributes
+        if event.kind == "update.claimed":
+            notes["queue.wait"] = f"lane={attrs['lane']}"
+        elif event.kind == "queue.barrier":
+            notes["barrier"] = " (cleared the serial-lane barrier)"
+        elif event.kind == "update.planned":
+            notes["stage.plan"] = "devices=" + ",".join(attrs["devices"])
+            notes["stage.fanout"] = f"mode={attrs['mode']}"
+        elif event.kind == "supplemental.write":
+            notes["ldap.supplemental"] = (
+                f"wrote {attrs['attributes_written']} attributes"
+            )
+    if "barrier" in notes:
+        notes["queue.wait"] = notes.get("queue.wait", "") + notes["barrier"]
+    if not trace.finished:
+        lines.append("  (open: no update.done in the journal)")
+    for name, seconds in trace.stages.items():
+        row(1, name, seconds, notes.get(name, ""))
+        if name != "stage.fanout":
+            continue
+        for event in trace.events:
+            if event.kind in _FANOUT_EVENTS:
+                attrs = event.attributes
+                detail = attrs.get("error") or attrs.get("key") or ""
+                row(2, f"{event.kind} {attrs['device']}",
+                    attrs.get("duration"), str(detail))
+    if trace.finished:
+        row(1, "(not in any stage)", trace.duration - sum(trace.stages.values()))
+        row(0, "total", trace.duration)
+    return "\n".join(lines)
+
+
+def cmd_explain(args: list[str]) -> int:
+    """Print one update's timeline, read from the event journal."""
+    import json
+
+    from repro.obs.events import Event
+    from repro.obs.trace import traces
+
+    source = None
+    wanted = None
+    for arg in args:
+        if arg.startswith("--from="):
+            source = arg.split("=", 1)[1]
+        elif not arg.startswith("--") and wanted is None:
+            wanted = arg
+        else:
+            print(f"explain: unknown option {arg!r}", file=sys.stderr)
+            return 2
+    if wanted is None:
+        print("explain: expected a trace id or a serial", file=sys.stderr)
+        return 2
+    if source is None:
+        system = _demo_system()
+        system.close()
+        events = system.obs.journal.events()
+    else:
+        with open(source, encoding="utf-8") as handle:
+            events = [
+                Event(d["seq"], d["ts"], d["kind"], d["trace_id"], d["attributes"])
+                for d in map(json.loads, filter(str.strip, handle))
+            ]
+    for trace in reversed(traces(events)):
+        if wanted in (trace.trace_id, str(trace.serial)):
+            print(_render_timeline(trace))
+            return 0
+    print(f"explain: no trace {wanted!r} in the journal", file=sys.stderr)
+    return 1
+
+
 def cmd_experiments(args: list[str]) -> int:
     print(
         "Experiment harness (one module per DESIGN.md row):\n"
@@ -559,6 +662,7 @@ COMMANDS = {
     "stats": cmd_stats,
     "monitor": cmd_monitor,
     "events": cmd_events,
+    "explain": cmd_explain,
     "experiments": cmd_experiments,
 }
 

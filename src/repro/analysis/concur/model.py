@@ -78,7 +78,6 @@ ROLE_TYPES = {
     "health": "HealthBoard",
     "board": "HealthBoard",
     "registry": "MetricsRegistry",
-    "tracer": "Tracer",
     "backend": "Backend",
     "pipeline": "UpdateSequencePipeline",
     "error_log": "ErrorLog",

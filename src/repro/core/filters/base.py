@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from ...lexpress.descriptor import TargetAction, TargetUpdate, UpdateDescriptor
-from ...obs.metrics import MetricsRegistry
+from ...obs.metrics import LabelCache, MetricsRegistry
 from ...obs.views import StatsView
 
 
@@ -78,6 +78,8 @@ class Filter(abc.ABC):
             "Latency of applying one translated update at a repository",
             labelnames=("filter",),
         )
+        self._event_children = LabelCache(self._events, filter=name)
+        self._apply_children = LabelCache(self._apply_seconds)
         self.statistics = StatsView(
             {
                 event: (
@@ -97,11 +99,11 @@ class Filter(abc.ABC):
         )
 
     def _count(self, event: str, amount: int = 1) -> None:
-        self._events.labels(filter=self.name, event=event).inc(amount)
+        self._event_children[event].inc(amount)
 
     def _apply_timer(self):
         """Histogram timer for one ``apply`` call (used by subclasses)."""
-        return self._apply_seconds.labels(filter=self.name).time()
+        return self._apply_children[self.name].time()
 
     # -- unified repository API (section 4.1) ---------------------------------
 

@@ -107,7 +107,13 @@ class DeviceFilter(Filter):
             return None
 
     def dump(self) -> list[dict[str, list[str]]]:
-        return [_to_lists(r) for r in self.device.dump()]
+        # The device hands out fresh copies: list-wrap their values in
+        # place rather than copying every record a second time.
+        records = self.device.dump()
+        for record in records:
+            for name, value in record.items():
+                record[name] = [value]
+        return records
 
     # -- applying updates -----------------------------------------------------------
 

@@ -33,8 +33,10 @@ from ..obs import (
     AlertEngine,
     ConsistencyAuditor,
     Observability,
-    Trace,
+    TraceView,
     default_rules,
+    last_trace,
+    traces,
 )
 from ..obs.audit import DirectoryView
 from ..obs.events import LEXPRESS_COMPILED
@@ -74,13 +76,12 @@ class MetaCommConfig:
     #: Section 4.4 future work: saga-style compensation — undo the device
     #: updates already applied in an aborted sequence.
     undo_on_failure: bool = False
-    #: Collect metrics and per-update traces (repro.obs).  Disabling turns
-    #: every instrument into a no-op — the baseline of the overhead
-    #: benchmark.
+    #: Collect metrics and the event journal, with its per-update traces
+    #: (repro.obs).  Disabling turns every instrument into a no-op — the
+    #: baseline of the overhead benchmark.
     observability: bool = True
-    #: How many recent update traces the ring buffer retains.
-    trace_capacity: int = 256
-    #: How many lifecycle events the journal's bounded ring retains.
+    #: How many lifecycle events the journal's bounded ring retains — and
+    #: so how far back ``traces()`` reaches.
     journal_capacity: int = 1024
     #: Cadence (seconds) of the background consistency auditor when
     #: started via ``system.auditor.start()``.  The auditor never runs
@@ -158,13 +159,13 @@ class MetaComm:
 
             analyze_concurrency_strict()
 
-        #: This system's health plane: metrics registry, trace ring
-        #: buffer, event journal and device-health board.  Every component
-        #: below reports here, so one scrape (``metrics_text``), one trace
-        #: query or one journal read covers the whole Figure-1 pipeline.
+        #: This system's health plane: metrics registry, event journal
+        #: (and the traces read from it) and device-health board.  Every
+        #: component below reports here, so one scrape (``metrics_text``),
+        #: one trace query or one journal read covers the whole Figure-1
+        #: pipeline.
         self.obs = Observability(
             enabled=self.config.observability,
-            trace_capacity=self.config.trace_capacity,
             journal_capacity=self.config.journal_capacity,
         )
         self.schema = build_integrated_schema()
@@ -180,7 +181,7 @@ class MetaComm:
             self.server,
             lock_timeout=self.config.lock_timeout,
             registry=self.obs.registry,
-            tracer=self.obs.tracer,
+            journal=self.obs.journal,
         )
         self.error_log = ErrorLog(self.server, suffix)
         mode = self.config.lexpress_mode
@@ -272,7 +273,6 @@ class MetaComm:
             abort_on_failure=self.config.abort_on_failure,
             undo_on_failure=self.config.undo_on_failure,
             registry=self.obs.registry,
-            tracer=self.obs.tracer,
             journal=self.obs.journal,
             coordinator_lanes=self.config.coordinator_lanes,
             routing_plan=routing_plan,
@@ -461,19 +461,20 @@ class MetaComm:
 
     # -- observability ---------------------------------------------------------------
 
-    def traces(self, name: str | None = None) -> list[Trace]:
-        """Recent update traces (``name``: ``"update"`` or ``"ddu"``)."""
-        return self.obs.tracer.traces(name)
+    def traces(self, name: str | None = None) -> list[TraceView]:
+        """Recent update traces, read from the journal (``name``:
+        ``"update"`` or ``"ddu"``)."""
+        return traces(self.obs.journal.events(), name)
 
-    def last_trace(self, name: str | None = None) -> Trace | None:
-        return self.obs.tracer.last(name)
+    def last_trace(self, name: str | None = None) -> TraceView | None:
+        return last_trace(self.obs.journal.events(), name)
 
     def metrics_text(self) -> str:
         """This system's metrics in Prometheus text exposition format."""
         return self.obs.prometheus()
 
     def metrics_json(self) -> str:
-        """Metrics + trace ring buffer as a JSON document."""
+        """Metrics + the journal's traces as a JSON document."""
         return self.obs.json()
 
     def consistent(self) -> bool:

@@ -54,7 +54,6 @@ section-5.5 ordering of the supplemental write in both modes.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, TYPE_CHECKING
 
@@ -76,11 +75,12 @@ from ..obs.events import (
     DEVICE_ROLLBACK,
     SEQUENCE_ABORTED,
     SUPPLEMENTAL_WRITE,
+    UPDATE_DONE,
     UPDATE_PLANNED,
+    Event,
     EventJournal,
 )
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Trace, trace_span
+from ..obs.metrics import LabelCache, MetricsRegistry
 from .errorlog import ErrorLog
 from .filters.base import ApplyResult, FilterError
 from .filters.ldap_filter import LdapFilter
@@ -104,8 +104,9 @@ __all__ = [
 #: The stages of one update sequence, in execution order.
 STAGES = ("intake", "enrich", "plan", "fanout", "merge", "supplemental")
 
-#: Span names per stage.  ``enrich`` and ``supplemental`` keep their
-#: historical names so existing trace consumers stay valid.
+#: Span names per stage — the keys of a closing ``update.done``'s stage
+#: timings.  ``enrich`` and ``supplemental`` keep their historical names
+#: so existing trace consumers stay valid.
 STAGE_SPANS = {
     "intake": "stage.intake",
     "enrich": "closure.enrich",
@@ -114,6 +115,7 @@ STAGE_SPANS = {
     "merge": "stage.merge",
     "supplemental": "ldap.supplemental",
 }
+_SPAN_STAGES = {span: stage for stage, span in STAGE_SPANS.items()}
 
 
 def merge_attrs(
@@ -247,7 +249,7 @@ class UpdateSequencePipeline:
         error_log: ErrorLog,
         policy: FailurePolicy | None = None,
         registry: MetricsRegistry | None = None,
-        compensate: Callable[[list, Trace | None], None] | None = None,
+        compensate: Callable[[list, str | None], None] | None = None,
         journal: EventJournal | None = None,
     ):
         self.bindings = list(bindings)
@@ -301,6 +303,10 @@ class UpdateSequencePipeline:
             "Duration of one pipeline stage of an update sequence",
             labelnames=("stage",),
         )
+        self._stage_children = LabelCache(self.stage_seconds)
+        self.journal.subscribe(self._observe_stages, kinds=(UPDATE_DONE,))
+        self._fanout_children = LabelCache(self.fanout_total)
+        self._reapplied_children = LabelCache(self.reapplied_total)
         self.parallelism = self.registry.gauge(
             "metacomm_um_fanout_parallelism",
             "Device applies currently in flight in the fan-out stage",
@@ -317,39 +323,33 @@ class UpdateSequencePipeline:
 
     # -- stage bookkeeping --------------------------------------------------------
 
-    @contextmanager
+    @staticmethod
     def _stage(
-        self,
-        stage: str,
-        trace: Trace | None,
-        stages: list[StageResult] | None = None,
-        **attributes,
-    ):
-        info: dict = {}
-        start = time.perf_counter()
-        try:
-            with trace_span(trace, STAGE_SPANS[stage], **attributes) as span:
-                yield span, info
-        finally:
-            duration = time.perf_counter() - start
-            self.stage_seconds.labels(stage=stage).observe(duration)
-            if stages is not None:
-                stages.append(StageResult(stage, duration, info))
+        stages: list[StageResult] | None, stage: str, started: float, **info
+    ) -> float:
+        """Close ``stage``, begun at ``started``: record its duration and
+        return the clock reading, which starts the next stage."""
+        now = time.perf_counter()
+        if stages is not None:
+            stages.append(StageResult(stage, now - started, info))
+        return now
+
+    def _observe_stages(self, event: Event) -> None:
+        """The stage histogram, derived from each closing ``update.done``."""
+        children = self._stage_children
+        for span, seconds in event.attributes["stages"].items():
+            stage = _SPAN_STAGES.get(span)
+            if stage is not None:
+                children[stage].observe(seconds)
 
     # -- intake ------------------------------------------------------------------
 
-    def intake_event(
-        self, event: TriggerEvent, trace: Trace | None
-    ) -> UpdateDescriptor | None:
+    def intake_event(self, event: TriggerEvent) -> UpdateDescriptor | None:
         """Build the descriptor for an LDAP-originated update (LTAP event)."""
-        with self._stage("intake", trace, origin="ldap-event"):
-            return _descriptor_from_event(event)
+        return _descriptor_from_event(event)
 
     def intake_ddu(
-        self,
-        binding: "DeviceBinding",
-        descriptor: UpdateDescriptor,
-        trace: Trace | None,
+        self, binding: "DeviceBinding", descriptor: UpdateDescriptor
     ) -> TargetUpdate | None:
         """Translate a direct device update for forwarding through LTAP.
 
@@ -358,9 +358,7 @@ class UpdateSequencePipeline:
         LTAP has obtained the proper locks (section 4.4) — so both intake
         paths converge on :meth:`intake_event`.
         """
-        with self._stage("intake", trace, origin="ddu"):
-            with trace_span(trace, "ddu.translate", device=binding.name):
-                update = binding.to_ldap.translate(descriptor)
+        update = binding.to_ldap.translate(descriptor)
         if update is None or update.action is TargetAction.SKIP:
             return None
         return update
@@ -370,16 +368,17 @@ class UpdateSequencePipeline:
     def build_plan(
         self,
         descriptor: UpdateDescriptor,
-        trace: Trace | None = None,
+        trace: str | None = None,
         serial: int = 0,
         stages: list[StageResult] | None = None,
     ) -> UpdatePlan:
         """Run the enrich and plan stages for one descriptor."""
+        started = time.perf_counter()
         if descriptor.op is UpdateOp.DELETE:
             enriched = descriptor
         else:
-            with self._stage("enrich", trace, stages):
-                enriched = self._enrich(descriptor)
+            enriched = self._enrich(descriptor)
+            started = self._stage(stages, "enrich", started)
         plan = UpdatePlan(
             descriptor=descriptor,
             enriched=enriched,
@@ -388,17 +387,14 @@ class UpdateSequencePipeline:
             if descriptor.op is not UpdateOp.DELETE
             else {},
         )
-        with self._stage("plan", trace, stages) as (span, info):
-            routed = self._route_shared(enriched)
-            for index, binding in enumerate(self.bindings):
-                device_plan = self.plan_device_update(
-                    binding, enriched, index, routed=routed
-                )
-                if device_plan is not None:
-                    plan.device_plans.append(device_plan)
-            info["devices"] = len(plan.device_plans)
-            if span is not None:
-                span.attributes["devices"] = len(plan.device_plans)
+        routed = self._route_shared(enriched)
+        for index, binding in enumerate(self.bindings):
+            device_plan = self.plan_device_update(
+                binding, enriched, index, routed=routed
+            )
+            if device_plan is not None:
+                plan.device_plans.append(device_plan)
+        self._stage(stages, "plan", started, devices=len(plan.device_plans))
         self.journal.emit(
             UPDATE_PLANNED,
             trace=trace,
@@ -406,6 +402,7 @@ class UpdateSequencePipeline:
             op=descriptor.op.value,
             key=descriptor.key,
             devices=[p.binding.name for p in plan.device_plans],
+            mode="links" if self._links else "serial",
         )
         return plan
 
@@ -486,7 +483,7 @@ class UpdateSequencePipeline:
         self,
         descriptor: UpdateDescriptor,
         session: Session | None,
-        trace: Trace | None = None,
+        trace: str | None = None,
         serial: int = 0,
     ) -> SequenceOutcome:
         """Execute one update sequence: enrich → plan → fanout → merge →
@@ -498,49 +495,35 @@ class UpdateSequencePipeline:
         outcome = SequenceOutcome(plan=plan, stages=stages)
         self.last_outcome = outcome
 
-        with self._stage(
-            "fanout",
-            trace,
-            stages,
-            mode="links" if self._links else "serial",
-            devices=len(plan.device_plans),
-        ):
-            if self._links:
-                outcomes = self._fanout_links(
-                    plan.device_plans, trace, serial
-                )
-            else:
-                outcomes = self._fanout_serial(
-                    plan.device_plans, trace, serial
-                )
-            outcome.outcomes = outcomes
-            self._raise_unexpected(outcomes)
-            self._apply_failure_policy(outcome, trace)
-            if outcome.aborted:
-                self._rollback_past_abort(outcome, trace)
-            self._count_applied(outcome)
-
+        started = time.perf_counter()
+        if self._links:
+            outcomes = self._fanout_links(plan.device_plans, trace, serial)
+        else:
+            outcomes = self._fanout_serial(plan.device_plans, trace, serial)
+        outcome.outcomes = outcomes
+        self._raise_unexpected(outcomes)
+        self._apply_failure_policy(outcome, trace)
+        if outcome.aborted:
+            self._rollback_past_abort(outcome, trace)
+        self._count_applied(outcome)
+        started = self._stage(stages, "fanout", started)
         if outcome.aborted:
             return outcome
 
-        with self._stage("merge", trace, stages) as (_span, info):
-            supplement = merge_attrs({}, plan.base_supplement)
-            for device_outcome in outcome.outcomes:
-                if device_outcome.applied:
-                    merge_attrs(supplement, device_outcome.supplement)
-            outcome.supplement = supplement
-            info["attributes"] = len(supplement)
+        supplement = merge_attrs({}, plan.base_supplement)
+        for device_outcome in outcome.outcomes:
+            if device_outcome.applied:
+                merge_attrs(supplement, device_outcome.supplement)
+        outcome.supplement = supplement
+        started = self._stage(stages, "merge", started, attributes=len(supplement))
 
         if supplement and descriptor.op is not UpdateOp.DELETE:
             dn = DN.parse(descriptor.key) if descriptor.key else None
             if dn is not None:
-                with self._stage("supplemental", trace, stages) as (span, info):
-                    wrote = self.ldap_filter.apply_supplemental(
-                        dn, supplement, session
-                    )
-                    if span is not None:
-                        span.attributes["wrote"] = wrote
-                    info["wrote"] = wrote
+                wrote = self.ldap_filter.apply_supplemental(
+                    dn, supplement, session
+                )
+                self._stage(stages, "supplemental", started, wrote=wrote)
                 if wrote:
                     outcome.supplemental_written = True
                     self.journal.emit(
@@ -555,7 +538,7 @@ class UpdateSequencePipeline:
     # -- fan-out executors ---------------------------------------------------------
 
     def _fanout_serial(
-        self, plans: list[DevicePlan], trace: Trace | None, serial: int = 0
+        self, plans: list[DevicePlan], trace: str | None, serial: int = 0
     ) -> list[DeviceOutcome]:
         """The paper's discipline: one device at a time, in binding order,
         stopping at the first failure when the policy says abort."""
@@ -569,7 +552,7 @@ class UpdateSequencePipeline:
         return outcomes
 
     def _fanout_links(
-        self, plans: list[DevicePlan], trace: Trace | None, serial: int = 0
+        self, plans: list[DevicePlan], trace: str | None, serial: int = 0
     ) -> list[DeviceOutcome]:
         """Event-driven fan-out: each plan's apply closure is queued on its
         device link, where the dispatcher coalesces it with other
@@ -598,7 +581,7 @@ class UpdateSequencePipeline:
         return outcomes
 
     def _apply_one(
-        self, plan: DevicePlan, trace: Trace | None, serial: int = 0
+        self, plan: DevicePlan, trace: str | None, serial: int = 0
     ) -> DeviceOutcome:
         """Apply one planned update at its repository (link op body).
 
@@ -618,24 +601,16 @@ class UpdateSequencePipeline:
         )
         started = time.perf_counter()
         with self.parallelism.track():
-            with trace_span(
-                trace,
-                "filter.apply",
-                device=binding.name,
-                conditional=update.conditional,
-            ) as span:
-                try:
-                    result = binding.filter.apply(update)
-                except FilterError as exc:
-                    if span is not None:
-                        span.attributes["error"] = exc.message
-                    outcome.error = exc
-                    self._note_outcome(outcome, trace, serial, started)
-                    return outcome
-                except Exception as exc:  # re-raised after the barrier
-                    outcome.unexpected = exc
-                    self._note_outcome(outcome, trace, serial, started)
-                    return outcome
+            try:
+                result = binding.filter.apply(update)
+            except FilterError as exc:
+                outcome.error = exc
+                self._note_outcome(outcome, trace, serial, started)
+                return outcome
+            except Exception as exc:  # re-raised after the barrier
+                outcome.unexpected = exc
+                self._note_outcome(outcome, trace, serial, started)
+                return outcome
             outcome.result = result
             self._note_outcome(outcome, trace, serial, started)
             if update.key is not None and (
@@ -654,7 +629,7 @@ class UpdateSequencePipeline:
     def _note_outcome(
         self,
         outcome: DeviceOutcome,
-        trace: Trace | None,
+        trace: str | None,
         serial: int,
         started: float,
     ) -> None:
@@ -694,9 +669,9 @@ class UpdateSequencePipeline:
             if not device_outcome.applied or device_outcome.rolled_back:
                 continue
             name = device_outcome.plan.binding.name
-            self.fanout_total.labels(device=name).inc()
+            self._fanout_children[name].inc()
             if device_outcome.plan.update.conditional:
-                self.reapplied_total.labels(device=name).inc()
+                self._reapplied_children[name].inc()
 
     def _raise_unexpected(self, outcomes: list[DeviceOutcome]) -> None:
         for outcome in outcomes:
@@ -706,7 +681,7 @@ class UpdateSequencePipeline:
     # -- failure policies ----------------------------------------------------------
 
     def _apply_failure_policy(
-        self, outcome: SequenceOutcome, trace: Trace | None
+        self, outcome: SequenceOutcome, trace: str | None
     ) -> None:
         """Replay the fan-out outcomes in binding order, producing exactly
         the error-log records, abort decision and saga compensations that
@@ -749,7 +724,7 @@ class UpdateSequencePipeline:
                 break
 
     def _rollback_past_abort(
-        self, outcome: SequenceOutcome, trace: Trace | None
+        self, outcome: SequenceOutcome, trace: str | None
     ) -> None:
         """Undo commits past the abort point (links mode only).
 
@@ -771,8 +746,8 @@ class UpdateSequencePipeline:
         for device_outcome in reversed(late):
             plan = device_outcome.plan
             try:
-                with trace_span(trace, "filter.rollback", device=plan.binding.name):
-                    plan.binding.filter.compensate(plan.update, plan.before)
+                started = time.perf_counter()
+                plan.binding.filter.compensate(plan.update, plan.before)
                 device_outcome.rolled_back = True
                 outcome.rolled_back.append(plan.binding.name)
                 self.journal.emit(
@@ -781,6 +756,7 @@ class UpdateSequencePipeline:
                     serial=outcome.plan.serial,
                     device=plan.binding.name,
                     key=plan.update.key,
+                    duration=round(time.perf_counter() - started, 6),
                 )
             except Exception as exc:  # rollback is best-effort
                 self.error_log.record(

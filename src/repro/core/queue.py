@@ -449,7 +449,7 @@ class UpdateQueue:
             # wedged-barrier investigation greps for.
             self._barrier_wait.observe(waited)
             self._emit(LANE_BARRIER, item, trace, waited=round(waited, 6))
-        self._emit(UPDATE_CLAIMED, item, trace)
+        self._emit(UPDATE_CLAIMED, item, trace, waited=round(waited, 6))
         return True
 
     def finish(self, item: QueuedUpdate) -> None:

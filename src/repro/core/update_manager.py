@@ -55,15 +55,20 @@ from ..lexpress.partition import PartitionConstraint
 from ..ltap.connection import ConnectionManager
 from ..ltap.gateway import LtapGateway
 from ..ltap.triggers import Trigger, TriggerEvent
-from ..obs.events import DDU_RECEIVED, SAGA_COMPENSATED, EventJournal
+from ..obs.events import (
+    DDU_RECEIVED,
+    SAGA_COMPENSATED,
+    UPDATE_DONE,
+    EventJournal,
+)
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import OBS_TRACE, Tracer, trace_span
+from ..obs.trace import OBS_SERIAL, OBS_STAGES, OBS_TRACE, new_trace_id
 from ..obs.views import StatsView
 from .errorlog import ErrorLog
 from .filters.base import Filter, FilterError
 from .filters.device_filter import DeviceFilter
 from .filters.ldap_filter import LdapFilter
-from .pipeline import FailurePolicy, UpdateSequencePipeline
+from .pipeline import STAGE_SPANS, FailurePolicy, UpdateSequencePipeline
 from .queue import QueuedUpdate, QueueSaturatedError, UpdateQueue
 
 
@@ -94,7 +99,6 @@ class UpdateManager:
         abort_on_failure: bool = True,
         undo_on_failure: bool = False,
         registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         journal: EventJournal | None = None,
         coordinator_lanes: int = 1,
         routing_plan=None,
@@ -108,8 +112,8 @@ class UpdateManager:
         bindings = list(bindings)
         self.error_log = error_log
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer
-        #: Shared with the queue and the pipeline (and their derived counters).
+        #: Shared with the queue and the pipeline (and their derived
+        #: metrics); also where each DDU's journey closes (``update.done``).
         self.journal = journal or EventJournal(registry=self.registry)
         self.coordinator_lanes = max(1, coordinator_lanes)
         self.routing_plan = routing_plan
@@ -452,8 +456,13 @@ class UpdateManager:
 
     def _on_ldap_event(self, event: TriggerEvent) -> None:
         self._ldap_events.inc()
-        trace = event.session.state.get(OBS_TRACE)
-        descriptor = self.pipeline.intake_event(event, trace)
+        state = event.session.state
+        trace = state.get(OBS_TRACE)
+        started = time.perf_counter()
+        descriptor = self.pipeline.intake_event(event)
+        stages = state.get(OBS_STAGES)
+        if stages is not None:
+            stages["stage.intake"] = time.perf_counter() - started
         if descriptor is None:
             return
         # The descriptor folds a ModifyRDN into a MODIFY keyed by the new
@@ -496,32 +505,38 @@ class UpdateManager:
     # -- DDU intake -------------------------------------------------------------------
 
     def _on_ddu(self, source_filter: Filter, descriptor: UpdateDescriptor) -> None:
-        """Section 4.4's DDU sequence: device filter → LDAP filter → LTAP."""
+        """Section 4.4's DDU sequence: device filter → LDAP filter → LTAP.
+
+        The DDU owns its journey's trace: the forwarded LTAP write and the
+        sequence it triggers time their stages into this trace, and the
+        closing ``update.done`` is emitted here."""
         binding = self._binding_of(source_filter)
-        trace = (
-            self.tracer.start("ddu", device=binding.name, key=str(descriptor.key))
-            if self.tracer is not None
-            else None
-        )
+        started = time.perf_counter()
+        key = str(descriptor.key)
+        trace = new_trace_id() if self.journal.enabled else None
         self.journal.emit(
             DDU_RECEIVED,
             trace=trace,
             device=binding.name,
             op=descriptor.op.value,
-            key=str(descriptor.key),
+            key=key,
         )
+        session = Session()
+        stages: dict[str, float] = {}
         try:
-            update = self.pipeline.intake_ddu(binding, descriptor, trace)
+            begun = time.perf_counter()
+            update = self.pipeline.intake_ddu(binding, descriptor)
+            forwarding = time.perf_counter()
+            stages["ddu.translate"] = forwarding - begun
             if update is None:
                 return
-            session = Session()
             if trace is not None:
                 session.state[OBS_TRACE] = trace
+                session.state[OBS_STAGES] = stages
             try:
-                with trace_span(trace, "ddu.forward", device=binding.name):
-                    self.ldap_filter.forward_ddu(
-                        update, origin=binding.name, session=session
-                    )
+                self.ldap_filter.forward_ddu(
+                    update, origin=binding.name, session=session
+                )
             except FilterError as exc:
                 self.pipeline.aborted_total.labels(target="ldap").inc()
                 self.error_log.record(
@@ -529,11 +544,22 @@ class UpdateManager:
                     message=str(exc),
                     context=f"DDU from {binding.name} key={descriptor.key}",
                 )
-            finally:
-                session.state.pop(OBS_TRACE, None)
+            # The forward's own share: what the LTAP write and the
+            # sequence it triggered did not time themselves.
+            nested = sum(stages.values()) - stages["ddu.translate"]
+            stages["ddu.forward"] = time.perf_counter() - forwarding - nested
         finally:
             if trace is not None:
-                trace.finish()
+                self.journal.emit(
+                    UPDATE_DONE,
+                    trace=trace,
+                    name="ddu",
+                    device=binding.name,
+                    key=key,
+                    serial=session.state.get(OBS_SERIAL),
+                    duration=time.perf_counter() - started,
+                    stages=stages,
+                )
 
     def _binding_of(self, source_filter: Filter) -> DeviceBinding:
         for binding in self.bindings:
@@ -544,23 +570,26 @@ class UpdateManager:
     # -- the coordinator --------------------------------------------------------------
 
     def _process(self, item: QueuedUpdate, session: Session) -> None:
-        trace = (
-            session.state.get(OBS_TRACE) if session is not None else None
-        )
+        state = session.state if session is not None else {}
+        trace = state.get(OBS_TRACE)
+        stages = state.get(OBS_STAGES)
         start = time.perf_counter()
-        if trace is not None and item.enqueued_at:
-            # The enqueue→dequeue leg: its endpoints live in different
-            # frames (and, in threaded mode, different threads), so it is
-            # recorded from the enqueue stamp rather than measured inline.
-            trace.record(
-                "queue.wait", start - item.enqueued_at, serial=item.serial
-            )
+        if stages is not None:
+            state[OBS_SERIAL] = item.serial
+            if item.enqueued_at:
+                # The enqueue→dequeue leg: its endpoints live in different
+                # frames (and, in threaded mode, different threads), so it
+                # is timed from the enqueue stamp.
+                stages["queue.wait"] = start - item.enqueued_at
         try:
-            self.pipeline.run(
+            outcome = self.pipeline.run(
                 item.descriptor, session, trace, serial=item.serial
             )
         finally:
             self._sequence_seconds.observe(time.perf_counter() - start)
+        if stages is not None:
+            for result in outcome.stages:
+                stages[STAGE_SPANS[result.stage]] = result.duration
 
     def _compensate(
         self,
@@ -570,14 +599,15 @@ class UpdateManager:
         """Undo already-applied device updates in reverse order (sagas)."""
         for binding, update, before in reversed(applied):
             try:
-                with trace_span(trace, "filter.compensate", device=binding.name):
-                    binding.filter.compensate(update, before)
+                started = time.perf_counter()
+                binding.filter.compensate(update, before)
                 self.journal.emit(
                     SAGA_COMPENSATED,
                     trace=trace,
                     device=binding.name,
                     action=update.action.value,
                     key=update.key,
+                    duration=round(time.perf_counter() - started, 6),
                 )
             except Exception as exc:  # compensation is best-effort
                 self.error_log.record(

@@ -29,7 +29,7 @@ from .protocol import (
 )
 from .result import LdapError, ResultCode
 from .schema import Schema
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import LabelCache, MetricsRegistry
 from ..obs.views import StatsView
 
 
@@ -71,6 +71,7 @@ class LdapServer:
             "LDAP operations processed by the server, by operation type",
             labelnames=("op",),
         )
+        self._op_children = LabelCache(self._ops)
         self.statistics = StatsView(
             {
                 "reads": lambda: (
@@ -115,7 +116,7 @@ class LdapServer:
             session.bound_dn = None
             return LdapResponse(LdapResult())
         if isinstance(request, SearchRequest):
-            self._ops.labels(op="search").inc()
+            self._op_children["search"].inc()
             entries = self.backend.search(
                 request.base,
                 request.scope,
@@ -125,7 +126,7 @@ class LdapServer:
             )
             return LdapResponse(LdapResult(), entries)
         if isinstance(request, CompareRequest):
-            self._ops.labels(op="compare").inc()
+            self._op_children["compare"].inc()
             matched = self.backend.compare(
                 request.dn, request.attribute, request.value
             )
@@ -135,19 +136,19 @@ class LdapServer:
         # Everything below is a write.
         self._check_write_access(session)
         if isinstance(request, AddRequest):
-            self._ops.labels(op="add").inc()
+            self._op_children["add"].inc()
             self.backend.add(request.entry)
             return LdapResponse(LdapResult())
         if isinstance(request, DeleteRequest):
-            self._ops.labels(op="delete").inc()
+            self._op_children["delete"].inc()
             self.backend.delete(request.dn)
             return LdapResponse(LdapResult())
         if isinstance(request, ModifyRequest):
-            self._ops.labels(op="modify").inc()
+            self._op_children["modify"].inc()
             self.backend.modify(request.dn, request.modifications)
             return LdapResponse(LdapResult())
         if isinstance(request, ModifyRdnRequest):
-            self._ops.labels(op="modifyrdn").inc()
+            self._op_children["modifyrdn"].inc()
             self.backend.modify_rdn(
                 request.dn, request.new_rdn, request.delete_old_rdn
             )
@@ -164,7 +165,7 @@ class LdapServer:
             )
 
     def _bind(self, request: BindRequest, session: Session) -> LdapResponse:
-        self._ops.labels(op="bind").inc()
+        self._op_children["bind"].inc()
         if request.dn.is_root() and not request.password:
             session.bound_dn = None  # anonymous bind
             return LdapResponse(LdapResult())

@@ -51,8 +51,9 @@ from ..ldap.protocol import (
 )
 from ..ldap.result import BusyError, LdapError, ResultCode
 from ..ldap.server import LdapServer
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import OBS_TRACE, Trace, Tracer, trace_span
+from ..obs.events import UPDATE_DONE, EventJournal
+from ..obs.metrics import LabelCache, MetricsRegistry
+from ..obs.trace import OBS_SERIAL, OBS_STAGES, OBS_TRACE, new_trace_id
 from ..obs.views import StatsView
 from .acl import AccessControl
 from .locks import LockManager
@@ -90,7 +91,7 @@ class LtapGateway:
         read_tax: Callable[[], None] | None = None,
         access_control: "AccessControl | None" = None,
         registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
+        journal: EventJournal | None = None,
     ):
         self.server = server
         #: Optional section-7 security model (see :mod:`repro.ltap.acl`).
@@ -99,7 +100,9 @@ class LtapGateway:
         self.triggers = TriggerRegistry()
         self.library_mode = library_mode
         self.read_tax = read_tax
-        self.tracer = tracer
+        #: Where each triggering update's journey closes (``update.done``);
+        #: without one (or disabled) no trace is opened.
+        self.journal = journal
         #: Optional admission hook, called with ``(request, session)``
         #: before any lock or directory write.  Raising
         #: :class:`~repro.ldap.result.ServerBusyError` turns the update
@@ -131,6 +134,8 @@ class LtapGateway:
             "Trigger-processing passes run by the gateway",
             labelnames=("timing",),
         )
+        self._request_children = LabelCache(self._requests)
+        self._fire_children = LabelCache(self._trigger_fires)
         self._process_seconds = registry.histogram(
             "metacomm_ltap_process_seconds",
             "End-to-end latency of one update through the gateway "
@@ -212,7 +217,7 @@ class LtapGateway:
                     return LdapResponse(
                         LdapResult(exc.code, exc.matched_dn, exc.message)
                     )
-            self._requests.labels(kind="read").inc()
+            self._request_children["read"].inc()
             if self.library_mode and self.read_tax is not None:
                 self.read_tax()
             return self.server.process(request, session)
@@ -242,69 +247,71 @@ class LtapGateway:
                 self._busy.inc()
                 raise
         change_type, dn = self._classify(request)
-        trace, owns_trace = self._begin_trace(session, change_type, dn)
+        state = session.state
+        fire = not state.get(SUPPRESS_TRIGGERS)
+        # A triggering write times its LTAP legs into the open trace's
+        # stages (a forwarded DDU's, or the one it opens here); a
+        # suppressed-trigger write — the supplemental write-back — is
+        # already inside a timed stage.
+        stages = state.get(OBS_STAGES) if fire else None
+        trace = None
+        if fire and stages is None and self.journal is not None and (
+            self.journal.enabled
+        ):
+            trace = state[OBS_TRACE] = new_trace_id()
+            stages = state[OBS_STAGES] = {}
         start = time.perf_counter()
         try:
             self.locks.acquire(dn, session)
             try:
                 before = self._snapshot(dn)
-                fire = not session.state.get(SUPPRESS_TRIGGERS)
+                begun = time.perf_counter()
                 if fire:
-                    self._trigger_fires.labels(timing="before").inc()
-                    with trace_span(trace, "ltap.trigger", timing="before"):
-                        self.triggers.fire(
-                            TriggerEvent(
-                                change_type, dn, request, before, None, session,
-                                TriggerTiming.BEFORE,
-                            )
+                    self._fire_children["before"].inc()
+                    self.triggers.fire(
+                        TriggerEvent(
+                            change_type, dn, request, before, None, session,
+                            TriggerTiming.BEFORE,
                         )
-                with trace_span(trace, "ltap.server"):
-                    response = self.server.process(request, session)
+                    )
+                    if stages is not None:
+                        now = time.perf_counter()
+                        stages["ltap.trigger"] = now - begun
+                        begun = now
+                response = self.server.process(request, session)
+                if stages is not None:
+                    stages["ltap.server"] = time.perf_counter() - begun
                 if not response.result.ok:
                     return response
-                self._requests.labels(kind="update").inc()
+                self._request_children["update"].inc()
                 after_dn = self._result_dn(request, dn)
                 after = self._snapshot(after_dn)
                 if fire:
-                    self._trigger_fires.labels(timing="after").inc()
-                    with trace_span(trace, "ltap.trigger", timing="after"):
-                        self.triggers.fire(
-                            TriggerEvent(
-                                change_type, dn, request, before, after, session,
-                                TriggerTiming.AFTER,
-                            )
+                    self._fire_children["after"].inc()
+                    self.triggers.fire(
+                        TriggerEvent(
+                            change_type, dn, request, before, after, session,
+                            TriggerTiming.AFTER,
                         )
+                    )
                 return response
             finally:
                 self.locks.release(dn, session)
         finally:
-            self._process_seconds.observe(time.perf_counter() - start)
-            if owns_trace:
-                session.state.pop(OBS_TRACE, None)
-                trace.finish()
-
-    def _begin_trace(
-        self, session: Session, change_type: ChangeType, dn: DN
-    ) -> tuple["Trace | None", bool]:
-        """Start (or join) the trace following this update sequence.
-
-        A fresh trace is opened for a triggering update and stamped into
-        the session, where the Update Manager finds it.  Re-entrant writes
-        on the same session — the supplemental LDAP write, a forwarded DDU
-        — join the existing trace so the whole journey is one record.
-        Suppressed-trigger writes never open traces of their own."""
-        if self.tracer is None:
-            return None, False
-        trace = session.state.get(OBS_TRACE)
-        if trace is not None:
-            return trace, False
-        if session.state.get(SUPPRESS_TRIGGERS):
-            return None, False
-        trace = self.tracer.start("update", op=change_type.value, dn=str(dn))
-        if trace is None:
-            return None, False
-        session.state[OBS_TRACE] = trace
-        return trace, True
+            elapsed = time.perf_counter() - start
+            self._process_seconds.observe(elapsed)
+            if trace is not None:
+                del state[OBS_TRACE], state[OBS_STAGES]
+                self.journal.emit(
+                    UPDATE_DONE,
+                    trace=trace,
+                    name="update",
+                    op=change_type.value,
+                    dn=str(dn),
+                    serial=state.pop(OBS_SERIAL, None),
+                    duration=elapsed,
+                    stages=stages,
+                )
 
     @staticmethod
     def _classify(request: LdapRequest) -> tuple[ChangeType, DN]:

@@ -5,13 +5,13 @@ The runtime health plane (see docs/OBSERVABILITY.md for the catalog):
 * :mod:`repro.obs.metrics` — a thread-safe registry of Counters, Gauges
   and Histograms with label support, replacing the ad-hoc ``statistics``
   dicts (which survive as live views, :mod:`repro.obs.views`);
-* :mod:`repro.obs.trace` — per-update trace spans carried with the
-  session from the LTAP trigger to the supplemental LDAP write, stored in
-  a bounded ring buffer;
 * :mod:`repro.obs.events` — the structured event journal: an append-only
   bounded stream of typed lifecycle events, each carrying its trace id,
-  from which single-kind counters and the health board's outcome feed
-  are derived;
+  from which single-kind counters, the stage histogram and the health
+  board's outcome feed are derived;
+* :mod:`repro.obs.trace` — per-update traces: the trace id carried with
+  the session from LTAP to the supplemental LDAP write, and read-only
+  views that group the journal's events by it;
 * :mod:`repro.obs.health` — per-device-link telemetry (rolling latency
   percentiles, error rates, failure streaks) and the derived
   healthy/degraded/unreachable state;
@@ -22,8 +22,7 @@ The runtime health plane (see docs/OBSERVABILITY.md for the catalog):
 * :mod:`repro.obs.export` — Prometheus text-format and JSON renderers
   (surfaced by ``python -m repro stats``).
 
-:class:`Observability` bundles one registry + tracer + journal + health
-board; every :class:`~repro.core.MetaComm` instance owns its own bundle
+:class:`Observability` bundles one registry + journal + health board; every :class:`~repro.core.MetaComm` instance owns its own bundle
 so co-hosted systems and tests never share samples.
 """
 
@@ -51,7 +50,7 @@ from .metrics import (
     MetricsRegistry,
     global_registry,
 )
-from .trace import OBS_TRACE, Span, Trace, Tracer, trace_span
+from .trace import OBS_TRACE, SpanView, TraceView, last_trace, traces
 from .views import StatsView
 
 __all__ = [
@@ -77,33 +76,32 @@ __all__ = [
     "MetricsRegistry",
     "OBS_TRACE",
     "Observability",
-    "Span",
+    "SpanView",
     "StatsView",
-    "Trace",
-    "Tracer",
+    "TraceView",
     "UNREACHABLE",
     "WitnessViolation",
     "default_rules",
     "global_registry",
+    "last_trace",
     "render_json",
     "render_prometheus",
-    "trace_span",
+    "traces",
     "witness_system",
 ]
 
 
 class Observability:
-    """One system's metrics registry + traces + journal + health board."""
+    """One system's metrics registry + journal (and its traces) + health
+    board."""
 
     def __init__(
         self,
         enabled: bool = True,
-        trace_capacity: int = 256,
         journal_capacity: int = 1024,
         health_policy: HealthPolicy | None = None,
     ):
         self.registry = MetricsRegistry(enabled=enabled)
-        self.tracer = Tracer(capacity=trace_capacity, enabled=enabled)
         self.journal = EventJournal(
             capacity=journal_capacity,
             enabled=enabled,
@@ -122,13 +120,11 @@ class Observability:
 
     def disable(self) -> None:
         self.registry.enabled = False
-        self.tracer.enabled = False
         self.journal.enabled = False
         self.health.enabled = False
 
     def enable(self) -> None:
         self.registry.enabled = True
-        self.tracer.enabled = True
         self.journal.enabled = True
         self.health.enabled = True
 
@@ -143,5 +139,5 @@ class Observability:
 
     def json(self, include_traces: bool = True) -> str:
         return render_json(
-            self.registry, self.tracer if include_traces else None
+            self.registry, traces(self.journal.events()) if include_traces else None
         )

@@ -1,26 +1,26 @@
 """The structured event journal of the MetaComm health plane.
 
-Metrics (:mod:`repro.obs.metrics`) answer *how much* and traces
-(:mod:`repro.obs.trace`) answer *how long* — but neither answers *what
-happened, in order*.  The journal is the third leg: an append-only,
-bounded, thread-safe stream of typed lifecycle events covering an
-update's whole journey (accepted into the global queue, claimed by the
-coordinator, planned, attempted/committed/failed per device, compensated,
-supplementally written) plus the health plane's own observations (health
-state transitions, audit mismatches, alert raises/clears, sync progress).
+Metrics (:mod:`repro.obs.metrics`) answer *how much*; the journal
+answers *what happened, in order, and how long it took*.  It is an
+append-only, bounded, thread-safe stream of typed lifecycle events
+covering an update's whole journey (accepted into the update queue,
+claimed by the coordinator, planned, attempted/committed/failed per
+device, compensated, supplementally written, done) plus the health
+plane's own observations (health state transitions, audit mismatches,
+alert raises/clears, sync progress).
 
-Every event carries the PR-1 trace id when one is active, so a journal
-line can be joined with its trace's spans; the serial number of the
-update sequence appears in the attributes for the same reason.  The
-in-memory store is a bounded ring (oldest events drop once ``capacity``
-is exceeded — counted, never silent) and the whole stream can be exported
-as JSONL for offline analysis (``python -m repro events --json``).
+Each event of an update's journey carries its trace id, and the closing
+``update.done`` its stage timings: the journal is the trace store
+(:mod:`repro.obs.trace` reads traces from it).  It is a bounded ring
+(oldest events drop past ``capacity`` — counted, never silent), exported
+as JSONL with ``python -m repro events --json``.
 
 Every lifecycle fact is emitted exactly once, here.  Counters that count
-one kind of event are *derived* from the journal (:meth:`EventJournal.derive`)
-and the health board's outcome feed subscribes to the device events, so
-the journal, the counters and the health board cannot drift apart
-(docs/OBSERVABILITY.md lists the derived counters).
+one kind of event are *derived* from the journal (:meth:`EventJournal.derive`),
+the stage histogram is derived from ``update.done``, and the health
+board's outcome feed subscribes to the device events, so the journal,
+the metrics and the health board cannot drift apart
+(docs/OBSERVABILITY.md lists the derived metrics).
 
 Journals follow the registry convention: created *disabled* they turn
 ``emit`` into a cheap no-op, which is what the health-plane overhead
@@ -57,6 +57,7 @@ __all__ = [
     "DEVICE_ROLLBACK",
     "SAGA_COMPENSATED",
     "SUPPLEMENTAL_WRITE",
+    "UPDATE_DONE",
     "DDU_RECEIVED",
     "SYNC_PROGRESS",
     "HEALTH_TRANSITION",
@@ -72,8 +73,9 @@ __all__ = [
 
 #: A descriptor entered the global update queue (carries ``serial``).
 UPDATE_ACCEPTED = "update.accepted"
-#: The coordinator took the descriptor for processing.  Under a sharded
-#: queue the event carries the lane label the routing oracle assigned.
+#: The coordinator took the descriptor for processing, ``waited`` seconds
+#: after it was enqueued.  Under a sharded queue the event carries the lane
+#: label the routing oracle assigned.
 UPDATE_CLAIMED = "update.claimed"
 #: Admission control made a prospective update wait for lane capacity
 #: before LTAP accepted it (carries ``lane`` and the ``waited`` seconds).
@@ -88,22 +90,28 @@ LANE_BARRIER = "queue.barrier"
 #: A device link flushed one pipelined command stream (carries ``device``,
 #: the coalesced ``ops`` count and the ok/failed split).
 LINK_FLUSH = "link.flush"
-#: The pipeline finished enrich+plan (carries the device fan-out count).
+#: The pipeline finished enrich+plan (carries the planned devices and the
+#: fan-out ``mode``, ``serial`` or ``links``).
 UPDATE_PLANNED = "update.planned"
 #: A repository rejection aborted the remaining sequence.
 SEQUENCE_ABORTED = "sequence.aborted"
 #: A planned device update is about to be applied.
 DEVICE_ATTEMPT = "device.attempt"
-#: The device committed its planned update.
+#: The device committed its planned update (carries the apply ``duration``).
 DEVICE_COMMIT = "device.commit"
 #: The device rejected (or the link dropped) its planned update.
 DEVICE_FAILURE = "device.failure"
-#: Links mode undid a commit past the abort point.
+#: Links mode undid a commit past the abort point (timed).
 DEVICE_ROLLBACK = "device.rollback"
-#: Saga compensation undid an already-applied device update.
+#: Saga compensation undid an already-applied device update (timed).
 SAGA_COMPENSATED = "saga.compensated"
 #: The closing section-5.5 supplemental LDAP write.
 SUPPLEMENTAL_WRITE = "supplemental.write"
+#: A journey closed, emitted once per trace by its owner: carries ``name``
+#: (update/ddu), ``op``/``dn`` or ``device``/``key``, ``serial`` (None if
+#: no sequence ran), the total ``duration`` and ``stages`` (span name ->
+#: seconds; disjoint legs, in the order they closed).
+UPDATE_DONE = "update.done"
 #: A direct device update arrived from a device filter.
 DDU_RECEIVED = "ddu.received"
 #: Progress of a synchronization run (start / batch / end phases).
@@ -144,6 +152,7 @@ EVENT_KINDS = (
     DEVICE_ROLLBACK,
     SAGA_COMPENSATED,
     SUPPLEMENTAL_WRITE,
+    UPDATE_DONE,
     DDU_RECEIVED,
     SYNC_PROGRESS,
     HEALTH_TRANSITION,
@@ -178,7 +187,7 @@ class Event:
         #: Wall-clock time of the event (``time.time()`` epoch seconds).
         self.ts = ts
         self.kind = kind
-        #: The PR-1 trace this event belongs to, when one was active.
+        #: The trace (update journey) this event belongs to, if any.
         self.trace_id = trace_id
         self.attributes = attributes if attributes is not None else {}
 
@@ -258,20 +267,17 @@ class EventJournal:
     def emit(self, kind: str, trace=None, **attributes) -> Event | None:
         """Append one event; returns it (``None`` when disabled).
 
-        ``trace`` accepts a :class:`~repro.obs.trace.Trace`, a bare trace
-        id string, or ``None``.
+        ``trace`` is a trace id string (``session.state[OBS_TRACE]``), an
+        object with a ``trace_id`` (a :class:`~repro.obs.trace.TraceView`),
+        or ``None``.
         """
         if not self.enabled:
             return None
-        if isinstance(trace, str):
-            trace_id = trace
-        else:
-            trace_id = getattr(trace, "trace_id", None)
+        if trace is not None and not isinstance(trace, str):
+            trace = trace.trace_id
         with self._lock:
             dropping = len(self._events) >= self.capacity
-            event = Event(
-                next(self._seq), time.time(), kind, trace_id, attributes
-            )
+            event = Event(next(self._seq), time.time(), kind, trace, attributes)
             self._events.append(event)
             # Snapshot inside the critical section: subscribe/unsubscribe
             # swap these tuples under this lock, so the snapshot is the

@@ -6,16 +6,17 @@
 into ``_bucket{le=...}`` / ``_sum`` / ``_count`` series — so the output of
 ``python -m repro stats`` can be scraped or pasted into promtool as-is.
 
-``render_json`` bundles a metrics snapshot with the trace ring buffer for
+``render_json`` bundles a metrics snapshot with the journal's traces for
 programmatic consumption (dashboards, the experiment harness).
 """
 
 from __future__ import annotations
 
 import json
+from typing import Iterable
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .trace import Tracer
+from .trace import TraceView
 
 __all__ = ["render_prometheus", "render_json"]
 
@@ -87,11 +88,11 @@ def render_prometheus(*registries: MetricsRegistry) -> str:
 
 def render_json(
     registry: MetricsRegistry,
-    tracer: Tracer | None = None,
+    traces: Iterable[TraceView] | None = None,
     indent: int | None = 2,
 ) -> str:
-    """A JSON snapshot of metrics (and, optionally, the trace store)."""
+    """A JSON snapshot of metrics (and, optionally, traces)."""
     payload: dict = {"metrics": registry.snapshot()}
-    if tracer is not None:
-        payload["traces"] = [trace.to_dict() for trace in tracer.traces()]
+    if traces is not None:
+        payload["traces"] = [trace.to_dict() for trace in traces]
     return json.dumps(payload, indent=indent, sort_keys=True)

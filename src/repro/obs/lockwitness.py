@@ -337,8 +337,6 @@ def witness_system(system, witness: LockWitness | None = None) -> LockWitness:
         )
     journal = system.obs.journal
     journal._lock = witness.wrap("EventJournal._lock", journal._lock)
-    tracer = system.obs.tracer
-    tracer._lock = witness.wrap("Tracer._lock", tracer._lock)
     board = system.obs.health
     board._lock = witness.wrap("HealthBoard._lock", board._lock)
     backend = system.server.backend

@@ -36,6 +36,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LabelCache",
     "Metric",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
@@ -60,6 +61,29 @@ def _label_key(
             f"expected labels {labelnames}, got {tuple(sorted(labels))}"
         )
     return tuple(str(labels[name]) for name in labelnames)
+
+
+class LabelCache(dict):
+    """A labelled family's children keyed by the value of its one free
+    label (the others fixed at construction), each resolved on first use.
+
+    Hot paths index this instead of calling ``.labels(...)``, which checks
+    and builds the label key on every call; and since a child is bound
+    only when first used, no series appears before its first update."""
+
+    def __init__(self, metric: "Metric", **fixed: str):
+        super().__init__()
+        (self._free,) = [n for n in metric.labelnames if n not in fixed]
+        self._metric = metric
+        self._fixed = fixed
+
+    def __missing__(self, value: str):
+        # Benign race: two threads may both bind the child; the registry
+        # dedupes by label key, so both get the same one.
+        child = self[value] = self._metric.labels(
+            **self._fixed, **{self._free: value}
+        )
+        return child
 
 
 class Metric:

@@ -1,222 +1,180 @@
-"""Per-update trace spans for the MetaComm pipeline.
+"""Per-update traces, read from the event journal.
 
-Section 4.4's guarantee is end-to-end: an update enters at LTAP (or at a
-device), flows through the global queue, fans out to every device filter,
-and finishes with the supplemental LDAP write.  A :class:`Trace` follows
-one :class:`~repro.lexpress.descriptor.UpdateDescriptor` journey through
-those stages; each stage contributes a :class:`Span` with wall-clock
-timing and free-form attributes.
+A *trace* follows one update's journey (section 4.4: LTAP or a device,
+the update queue, every device filter, the supplemental LDAP write).  It
+is not recorded on its own: it is the group of journal events
+(:mod:`repro.obs.events`) that share a trace id.
 
-The :class:`Tracer` keeps finished (and in-flight) traces in a bounded
-ring buffer, so a long-running system can always answer "what did the
-last N updates cost, stage by stage" without unbounded memory — the
-lag/convergence monitoring that replication systems rely on (see
-PAPERS.md: multimaster replication without quiescing, CRDT convergence).
+The journey's owner — the LTAP gateway for a client's write, the Update
+Manager's DDU intake for a direct device update — mints the id and puts
+it in the session under :data:`OBS_TRACE`, beside a stage-timing dict
+under :data:`OBS_STAGES`.  Everything downstream that holds the session
+tags its events with the id and times its stage into the dict under the
+stage's span name; the owner closes the journey with one ``update.done``
+carrying the serial, the total ``duration`` and the ``stages``.  Stage
+timings are disjoint, so they sum to at most the total.
 
-The trace handle travels *with the session*: the LTAP gateway stamps it
-into ``session.state[OBS_TRACE]`` when an update sequence starts, and the
-Update Manager (which receives the same session via the trigger event)
-picks it up from there — including across the hop onto the coordinator
-thread in threaded mode.
+:func:`traces` groups events into read-only :class:`TraceView`\\ s whose
+spans are the stage timings plus one per timed device event.  The
+journal's ``capacity`` bounds traces and events alike.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
-import time
-from collections import deque
-from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterable, NamedTuple
 
-__all__ = ["OBS_TRACE", "Span", "Trace", "Tracer", "trace_span"]
+from .events import (
+    DDU_RECEIVED,
+    DEVICE_COMMIT,
+    DEVICE_FAILURE,
+    DEVICE_ROLLBACK,
+    SAGA_COMPENSATED,
+    UPDATE_DONE,
+    UPDATE_PLANNED,
+    Event,
+)
 
-#: Session-state key under which the active trace travels with an update.
+__all__ = [
+    "OBS_SERIAL",
+    "OBS_STAGES",
+    "OBS_TRACE",
+    "SpanView",
+    "TraceView",
+    "last_trace",
+    "new_trace_id",
+    "traces",
+]
+
+#: Session-state key under which the open trace's id travels.
 OBS_TRACE = "obs.trace"
+#: Session-state key of the open trace's stage timings (span name ->
+#: seconds), which its closing ``update.done`` event carries.
+OBS_STAGES = "obs.stages"
+#: Session-state key of the serial the queue gave the open trace's sequence.
+OBS_SERIAL = "obs.serial"
 
 _trace_ids = itertools.count(1)
 
+#: Device events that close a timed leg, and the span each one becomes.
+_EVENT_SPANS = {
+    DEVICE_COMMIT: "filter.apply",
+    DEVICE_FAILURE: "filter.apply",
+    DEVICE_ROLLBACK: "filter.rollback",
+    SAGA_COMPENSATED: "filter.compensate",
+}
+#: Closing-event attributes that are not the trace's identity.
+_DONE_FIELDS = frozenset({"name", "serial", "duration", "stages"})
 
-class Span:
-    """One timed stage of an update's journey."""
 
-    __slots__ = ("name", "started_at", "duration", "attributes")
+def new_trace_id() -> str:
+    """A process-unique trace id (``trace-N``)."""
+    return f"trace-{next(_trace_ids)}"
 
-    def __init__(
-        self,
-        name: str,
-        started_at: float,
-        duration: float = 0.0,
-        attributes: dict | None = None,
-    ):
-        self.name = name
-        #: Wall-clock start (``time.time()`` epoch seconds).
-        self.started_at = started_at
-        #: Elapsed seconds (``time.perf_counter()`` difference).
-        self.duration = duration
-        self.attributes = attributes if attributes is not None else {}
+
+class SpanView(NamedTuple):
+    """One timed leg of a journey."""
+
+    name: str
+    #: Elapsed seconds (``time.perf_counter()`` difference).
+    duration: float
+    attributes: dict
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "started_at": self.started_at,
             "duration": self.duration,
             "attributes": dict(self.attributes),
         }
 
-    def __repr__(self) -> str:
-        return f"Span({self.name!r}, {self.duration * 1e6:.1f}us)"
 
+class TraceView:
+    """One journey, assembled from its retained journal events."""
 
-class Trace:
-    """All spans of one update descriptor's journey through the pipeline."""
-
-    def __init__(self, trace_id: str, name: str, attributes: dict | None = None):
+    def __init__(self, trace_id: str, events: list[Event]):
         self.trace_id = trace_id
-        self.name = name
-        self.attributes = attributes if attributes is not None else {}
-        self.started_at = time.time()
-        self._start = time.perf_counter()
-        self.duration: float | None = None  # None while in flight
-        self.spans: list[Span] = []
-        self._lock = threading.Lock()
-
-    # -- recording ---------------------------------------------------------
-
-    @contextmanager
-    def span(self, name: str, **attributes):
-        """Context manager: time the enclosed block as one span."""
-        span = Span(name, time.time(), attributes=dict(attributes))
-        start = time.perf_counter()
-        try:
-            yield span
-        except BaseException as exc:
-            span.attributes.setdefault("error", str(exc))
-            raise
-        finally:
-            span.duration = time.perf_counter() - start
-            self._append(span)
-
-    def record(self, name: str, duration: float, **attributes) -> Span:
-        """Add a span whose timing was measured externally (e.g. the
-        enqueue→dequeue wait, whose endpoints live in different frames)."""
-        span = Span(
-            name,
-            time.time() - duration,
-            duration=duration,
-            attributes=dict(attributes),
+        self.events = events
+        #: The closing ``update.done`` (None while in flight, or evicted).
+        self.done = next(
+            (e for e in reversed(events) if e.kind == UPDATE_DONE), None
         )
-        self._append(span)
-        return span
-
-    def _append(self, span: Span) -> None:
-        with self._lock:
-            self.spans.append(span)
-
-    def finish(self) -> None:
-        if self.duration is None:
-            self.duration = time.perf_counter() - self._start
+        if self.done is not None:
+            attributes = self.done.attributes
+            self.name = attributes["name"]
+            self.attributes = {
+                k: v for k, v in attributes.items() if k not in _DONE_FIELDS
+            }
+        else:
+            received = [e for e in events if e.kind == DDU_RECEIVED]
+            self.name = "ddu" if received else "update"
+            self.attributes = dict(received[0].attributes) if received else {}
+        #: Wall-clock time of the earliest retained event.
+        self.started_at = events[0].ts
 
     @property
     def finished(self) -> bool:
-        return self.duration is not None
+        return self.done is not None
 
-    # -- queries -----------------------------------------------------------
+    @property
+    def duration(self) -> float | None:
+        return self.done.attributes["duration"] if self.done else None
+
+    @property
+    def serial(self) -> int | None:
+        return self.done.attributes["serial"] if self.done else None
+
+    @property
+    def stages(self) -> dict[str, float]:
+        """Span name -> seconds, in the order the stages closed."""
+        return dict(self.done.attributes["stages"]) if self.done else {}
+
+    @property
+    def spans(self) -> list[SpanView]:
+        planned = [e for e in self.events if e.kind == UPDATE_PLANNED]
+        mode = {"mode": planned[0].attributes["mode"]} if planned else {}
+        spans = [
+            SpanView(name, seconds, mode if name == "stage.fanout" else {})
+            for name, seconds in self.stages.items()
+        ]
+        for event in self.events:
+            name = _EVENT_SPANS.get(event.kind)
+            if name is not None:
+                attributes = dict(event.attributes)
+                duration = attributes.pop("duration")
+                attributes.pop("serial", None)
+                spans.append(SpanView(name, duration, attributes))
+        return spans
 
     def span_names(self) -> list[str]:
-        with self._lock:
-            return [span.name for span in self.spans]
+        return [span.name for span in self.spans]
 
-    def find(self, name: str) -> list[Span]:
-        with self._lock:
-            return [span for span in self.spans if span.name == name]
+    def find(self, name: str) -> list[SpanView]:
+        return [span for span in self.spans if span.name == name]
 
     def to_dict(self) -> dict:
-        with self._lock:
-            spans = [span.to_dict() for span in self.spans]
         return {
             "trace_id": self.trace_id,
             "name": self.name,
             "attributes": dict(self.attributes),
             "started_at": self.started_at,
             "duration": self.duration,
-            "spans": spans,
+            "spans": [span.to_dict() for span in self.spans],
         }
 
-    def __repr__(self) -> str:
-        state = "done" if self.finished else "open"
-        return (
-            f"Trace({self.trace_id!r}, {self.name!r}, "
-            # Diagnostic repr: len() of a list is atomic; a repr racing a
-            # span append may be off by one, which a debugger tolerates.
-            f"{len(self.spans)} spans, {state})"  # lexcheck: ignore[LX503]
-        )
+
+def traces(events: Iterable[Event], name: str | None = None) -> list[TraceView]:
+    """The traces among ``events`` (a journal's, or a JSONL export's),
+    oldest first; ``name`` picks ``"update"`` or ``"ddu"`` journeys."""
+    grouped: dict[str, list[Event]] = {}
+    for event in events:
+        if event.trace_id is not None:
+            grouped.setdefault(event.trace_id, []).append(event)
+    views = [TraceView(trace_id, events) for trace_id, events in grouped.items()]
+    if name is not None:
+        views = [view for view in views if view.name == name]
+    return views
 
 
-class Tracer:
-    """Bounded ring-buffer store of traces."""
-
-    def __init__(self, capacity: int = 256, enabled: bool = True):
-        self.capacity = capacity
-        self.enabled = enabled
-        self._traces: deque[Trace] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-
-    def start(self, name: str, **attributes) -> Trace | None:
-        """Open a new trace (``None`` when tracing is disabled)."""
-        if not self.enabled:
-            return None
-        trace = Trace(f"trace-{next(_trace_ids)}", name, dict(attributes))
-        with self._lock:
-            self._traces.append(trace)
-        return trace
-
-    def traces(self, name: str | None = None) -> list[Trace]:
-        with self._lock:
-            traces = list(self._traces)
-        if name is not None:
-            traces = [t for t in traces if t.name == name]
-        return traces
-
-    def last(self, name: str | None = None) -> Trace | None:
-        matching = self.traces(name)
-        return matching[-1] if matching else None
-
-    def finish_open(self) -> int:
-        """Close every still-open trace; returns how many were closed.
-
-        Exporters call this before dumping so the output never shows
-        dangling in-flight spans — an open trace at dump time means the
-        workload finished without its owner closing it (or is genuinely
-        mid-flight), and either way the dump should be self-consistent."""
-        closed = 0
-        for trace in self.traces():
-            if not trace.finished:
-                trace.finish()
-                closed += 1
-        return closed
-
-    def clear(self) -> None:
-        with self._lock:
-            self._traces.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
-
-    def __iter__(self) -> Iterator[Trace]:
-        return iter(self.traces())
-
-
-@contextmanager
-def trace_span(trace: Trace | None, name: str, **attributes):
-    """``trace.span(...)`` when a trace is active, else a cheap no-op.
-
-    Yields the :class:`Span` (or ``None``), so call sites can attach
-    outcome attributes without re-checking whether tracing is on.
-    """
-    if trace is None:
-        yield None
-        return
-    with trace.span(name, **attributes) as span:
-        yield span
+def last_trace(events: Iterable[Event], name: str | None = None) -> TraceView | None:
+    matching = traces(events, name)
+    return matching[-1] if matching else None

@@ -318,3 +318,70 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "# --- ldap_to_west.Kind (optimized) ---" in out
         assert "TABLE_CONST" in out
+
+
+class TestExplainCommand:
+    def test_timeline_by_serial(self, capsys):
+        # Serial 1 is the demo's LDAP add: both devices, then the write-back.
+        assert main(["explain", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("trace-") and "(update) op=add" in lines[0]
+        order = [
+            "ltap.server",
+            "queue.wait",
+            "stage.plan",
+            "stage.fanout",
+            "device.commit definity",
+            "device.commit messaging",
+            "ldap.supplemental",
+            "(not in any stage)",
+            "total",
+        ]
+        positions = [
+            next(i for i, line in enumerate(lines) if line.strip().startswith(label))
+            for label in order
+        ]
+        assert positions == sorted(positions)
+        assert all(" us" in lines[i] for i in positions)
+
+    def test_timeline_from_a_recorded_journal(self, capsys, tmp_path):
+        assert main(["events", "--json"]) == 0
+        recorded = tmp_path / "journal.jsonl"
+        recorded.write_text(capsys.readouterr().out)
+        events = [json.loads(line) for line in recorded.read_text().splitlines()]
+        (ddu,) = [e["trace_id"] for e in events if e["kind"] == "ddu.received"]
+        assert main(["explain", ddu, f"--from={recorded}"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{ddu} (ddu) device=definity key=4100")
+        for label in ("ddu.translate", "ddu.forward", "device.commit definity",
+                      "ldap.supplemental", "total"):
+            assert label in out
+
+    def test_rename_on_lanes_shows_the_barrier(self):
+        from repro.__main__ import _render_timeline
+        from repro.core import MetaComm, MetaCommConfig
+        from repro.schemas import PERSON_CLASSES
+
+        system = MetaComm(MetaCommConfig(coordinator_lanes=2))
+        try:
+            conn = system.connection()
+            conn.add(
+                "cn=A B,o=Lucent",
+                {"objectClass": list(PERSON_CLASSES), "cn": "A B", "sn": "B",
+                 "definityExtension": "4100"},
+            )
+            conn.modify_rdn("cn=A B,o=Lucent", "cn=A C")
+            timeline = _render_timeline(system.last_trace("update"))
+        finally:
+            system.close()
+        assert "op=modifyrdn" in timeline.splitlines()[0]
+        assert "lane=serial (cleared the serial-lane barrier)" in timeline
+
+    def test_unknown_trace_is_exit_1(self, capsys):
+        assert main(["explain", "trace-0"]) == 1
+        assert "no trace" in capsys.readouterr().err
+
+    def test_missing_argument_is_exit_2(self, capsys):
+        assert main(["explain"]) == 2
+        assert main(["explain", "1", "--bogus"]) == 2
+        capsys.readouterr()

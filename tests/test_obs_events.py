@@ -6,7 +6,9 @@ import threading
 
 import pytest
 
-from repro.obs import EventJournal, HealthBoard, MetricsRegistry, Tracer
+from types import SimpleNamespace
+
+from repro.obs import EventJournal, HealthBoard, MetricsRegistry
 from repro.obs.events import (
     EVENT_KINDS,
     DEVICE_COMMIT,
@@ -27,7 +29,7 @@ class TestEvent:
 
     def test_trace_correlation_from_object_and_string(self):
         journal = EventJournal()
-        trace = Tracer().start("update")
+        trace = SimpleNamespace(trace_id="trace-76")  # e.g. a TraceView
         from_object = journal.emit(UPDATE_ACCEPTED, trace=trace)
         from_string = journal.emit(UPDATE_ACCEPTED, trace="trace-77")
         bare = journal.emit(UPDATE_ACCEPTED)

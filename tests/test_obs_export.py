@@ -3,7 +3,7 @@ histogram bucket ordering in the Prometheus text format."""
 
 import json
 
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 from repro.obs.export import render_json, render_prometheus
 
 
@@ -67,7 +67,7 @@ class TestEmptyRegistry:
         ]
 
     def test_empty_json_snapshot(self):
-        payload = json.loads(render_json(MetricsRegistry(), Tracer()))
+        payload = json.loads(render_json(MetricsRegistry(), []))
         assert payload == {"metrics": {}, "traces": []}
 
 

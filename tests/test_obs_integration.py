@@ -9,6 +9,8 @@ duration — and one scrape covers every component's counters.
 import pytest
 
 from repro.core import MetaComm, MetaCommConfig
+from repro.devices import InvalidFieldError
+from repro.ldap import Modification
 from repro.ldap.dn import DN
 from repro.ldap.entry import Entry
 from repro.ldap.protocol import AddRequest, Session
@@ -20,6 +22,10 @@ def person_attrs(cn, sn, **extra):
     attrs = {"objectClass": list(PERSON_CLASSES), "cn": cn, "sn": sn}
     attrs.update(extra)
     return attrs
+
+
+def explode(op, key):
+    raise InvalidFieldError("injected device fault")
 
 
 @pytest.fixture
@@ -96,15 +102,21 @@ class TestUpdateTrace:
         assert trace.attributes["device"] == "definity"
 
     def test_ring_buffer_respects_configured_capacity(self):
+        # Traces are read from the journal, so its capacity bounds them:
+        # an add journals 9 events, so 12 retain the last add and the
+        # tail (closing event included) of the one before.
         system = MetaComm(
-            MetaCommConfig(organizations=("Marketing",), trace_capacity=2)
+            MetaCommConfig(organizations=("Marketing",), journal_capacity=12)
         )
         for i in range(4):
             system.connection().add(
                 f"cn=U{i},o=Marketing,o=Lucent",
                 person_attrs(f"U{i}", "U", definityExtension=str(4100 + i)),
             )
-        assert len(system.traces("update")) == 2
+        kept = system.traces("update")
+        assert len(kept) == 2
+        assert all(trace.finished for trace in kept)
+        assert "cn=U3" in kept[-1].attributes["dn"]
 
     def test_threaded_mode_traces_cross_the_thread_hop(self, system):
         system.um.start()
@@ -114,6 +126,49 @@ class TestUpdateTrace:
             system.um.stop()
         trace = system.last_trace("update")
         assert {"queue.wait", "filter.apply"} <= set(trace.span_names())
+
+
+class TestTraceViews:
+    """Each journey kind, read back from the journal: its spans cover the
+    legs above, and its disjoint stage timings fit inside its total."""
+
+    def test_each_journey_has_its_spans_and_fits_its_total(self, system):
+        conn = system.connection()
+        add_john(system)
+        dn = "cn=John Doe,o=Marketing,o=Lucent"
+        conn.modify(dn, [Modification.replace("definityRoom", "2B-110")])
+        conn.modify_rdn(dn, "cn=John Smith")
+        system.terminal().execute("change station 4100 room 2B-111")
+        system.pbx().fault_injector = explode
+        conn.add(
+            "cn=Dupe,o=Marketing,o=Lucent",
+            person_attrs("Dupe", "Dupe", definityExtension="4101"),
+        )
+        journeys = system.traces()
+        assert [t.name for t in journeys] == [
+            "update", "update", "update", "ddu", "update",
+        ]
+        full = {
+            "ltap.trigger", "ltap.server", "stage.intake", "queue.wait",
+            "closure.enrich", "stage.plan", "stage.fanout", "filter.apply",
+            "stage.merge", "ldap.supplemental",
+        }
+        expected = [
+            full,
+            full,
+            full,
+            full | {"ddu.translate", "ddu.forward"},
+            full - {"stage.merge", "ldap.supplemental"},  # aborted
+        ]
+        for trace, names in zip(journeys, expected):
+            assert trace.finished
+            assert names <= set(trace.span_names()), trace.trace_id
+            assert all(seconds > 0 for seconds in trace.stages.values())
+            assert sum(trace.stages.values()) <= trace.duration
+            assert trace.serial is not None
+        (failed,) = journeys[-1].find("filter.apply")
+        assert failed.attributes["device"] == "definity"
+        assert "error" in failed.attributes
 
 
 class TestMetrics:

@@ -7,6 +7,7 @@ import pytest
 from repro.obs.export import render_json, render_prometheus
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
+    LabelCache,
     MetricsRegistry,
     global_registry,
 )
@@ -42,6 +43,21 @@ class TestCounter:
         counter = MetricsRegistry().counter("ops_total", "ops", labelnames=("op",))
         with pytest.raises(ValueError):
             counter.labels(kind="add")
+
+
+class TestLabelCache:
+    def test_binds_each_child_on_first_use(self):
+        registry = MetricsRegistry()
+        counter = registry.counter(
+            "events_total", "events", labelnames=("filter", "event")
+        )
+        cache = LabelCache(counter, filter="pbx")
+        assert list(counter.children()) == []  # no series before first use
+        cache["applied"].inc()
+        cache["applied"].inc(2)
+        assert cache["applied"] is counter.labels(filter="pbx", event="applied")
+        assert counter.value_for(filter="pbx", event="applied") == 3
+        assert [key for key, _ in counter.children()] == [("pbx", "applied")]
 
 
 class TestGauge:

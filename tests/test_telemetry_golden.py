@@ -16,7 +16,9 @@ and is never edited by hand.
 
 ``test_derived_counters_match_the_journal`` checks, for every counter the
 journal derives from one event kind, that its value equals what a
-subscriber saw of that kind.
+subscriber saw of that kind — and, for the stage histogram derived from
+``update.done``, that each stage's sample count equals the number of
+closing events whose stage timings carry it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import UM_AGENT, MetaComm, MetaCommConfig
+from repro.core.pipeline import STAGE_SPANS
 from repro.devices import InvalidFieldError
 from repro.ldap import Modification
 from repro.ldap.result import LdapError
@@ -37,6 +40,7 @@ from repro.obs.events import (
     DEVICE_COMMIT,
     DEVICE_FAILURE,
     LINK_FLUSH,
+    UPDATE_DONE,
 )
 from repro.schemas import PERSON_CLASSES
 
@@ -213,6 +217,17 @@ def test_derived_counters_match_the_journal(name):
                     child.value
                 )
             assert +observed == +expected, family
+        stage_seconds = registry.get("metacomm_um_stage_seconds")
+        counts = {
+            dict(zip(stage_seconds.labelnames, key))["stage"]: child.count
+            for key, child in stage_seconds.children()
+        }
+        closing = [e for e in seen if e.kind == UPDATE_DONE]
+        assert closing
+        for stage, span in STAGE_SPANS.items():
+            carried = sum(span in e.attributes["stages"] for e in closing)
+            assert counts.get(stage, 0) == carried, stage
+
         events_total = registry.get("metacomm_journal_events_total")
         for kind, count in Counter(e.kind for e in seen).items():
             assert events_total.value_for(kind=kind) == count, kind
