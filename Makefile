@@ -26,7 +26,7 @@ check:
 ## unsuppressed warning or error, or on a witness.violation.
 check-concur:
 	$(PYTHON) -m repro check --concurrency --fail-on=warning
-	$(PYTHON) -m pytest tests/test_threaded_coordinator.py tests/test_stateful_system.py tests/test_lockwitness.py tests/test_incremental_audit.py tests/test_telemetry_golden.py -x -q
+	$(PYTHON) -m pytest tests/test_threaded_coordinator.py tests/test_stateful_system.py tests/test_lockwitness.py tests/test_incremental_audit.py tests/test_telemetry_golden.py tests/test_journal_invariants.py -x -q
 
 ## Every bench-* gate below uses one method (benchmarks/conftest.py):
 ## its cells run in alternation, each 5 times (bench-health: 8), and the

@@ -577,13 +577,12 @@ def _render_timeline(trace) -> str:
             notes["queue.wait"] = f"lane={attrs['lane']}"
         elif event.kind == "queue.barrier":
             notes["barrier"] = " (cleared the serial-lane barrier)"
-        elif event.kind == "update.planned":
-            notes["stage.plan"] = "devices=" + ",".join(attrs["devices"])
-            notes["stage.fanout"] = f"mode={attrs['mode']}"
-        elif event.kind == "supplemental.write":
-            notes["ldap.supplemental"] = (
-                f"wrote {attrs['attributes_written']} attributes"
-            )
+    done = trace.done.attributes if trace.finished else {}
+    if "devices" in done:
+        notes["stage.plan"] = "devices=" + ",".join(done["devices"])
+        notes["stage.fanout"] = f"mode={done['mode']}"
+    if "supplemental" in done:
+        notes["ldap.supplemental"] = f"wrote {done['supplemental']} attributes"
     if "barrier" in notes:
         notes["queue.wait"] = notes.get("queue.wait", "") + notes["barrier"]
     if not trace.finished:

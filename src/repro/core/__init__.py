@@ -17,7 +17,6 @@ from .pipeline import (
     DevicePlan,
     FailurePolicy,
     SequenceOutcome,
-    StageResult,
     UpdatePlan,
     UpdateSequencePipeline,
     merge_attrs,
@@ -44,7 +43,6 @@ __all__ = [
     "PbxConfig",
     "QueuedUpdate",
     "SequenceOutcome",
-    "StageResult",
     "SyncReport",
     "Synchronizer",
     "UM_AGENT",

@@ -292,9 +292,7 @@ class MetaComm:
         if self.config.device_links:
             from ..devices.links import LinkConfig, LinkDispatcher
 
-            self.links = LinkDispatcher(
-                metrics=self.obs.registry, journal=self.obs.journal
-            )
+            self.links = LinkDispatcher(metrics=self.obs.registry)
             link_config = LinkConfig(
                 window=self.config.link_window,
                 batch=self.config.link_batch,

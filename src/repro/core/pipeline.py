@@ -69,18 +69,16 @@ from ..lexpress.descriptor import (
 )
 from ..ltap.triggers import TriggerEvent
 from ..obs.events import (
-    DEVICE_ATTEMPT,
     DEVICE_COMMIT,
     DEVICE_FAILURE,
     DEVICE_ROLLBACK,
     SEQUENCE_ABORTED,
-    SUPPLEMENTAL_WRITE,
     UPDATE_DONE,
-    UPDATE_PLANNED,
     Event,
     EventJournal,
 )
 from ..obs.metrics import LabelCache, MetricsRegistry
+from ..obs.trace import OBS_DONE
 from .errorlog import ErrorLog
 from .filters.base import ApplyResult, FilterError
 from .filters.ldap_filter import LdapFilter
@@ -95,7 +93,6 @@ __all__ = [
     "DevicePlan",
     "FailurePolicy",
     "SequenceOutcome",
-    "StageResult",
     "UpdatePlan",
     "UpdateSequencePipeline",
     "merge_attrs",
@@ -104,8 +101,9 @@ __all__ = [
 #: The stages of one update sequence, in execution order.
 STAGES = ("intake", "enrich", "plan", "fanout", "merge", "supplemental")
 
-#: Span names per stage — the keys of a closing ``update.done``'s stage
-#: timings.  ``enrich`` and ``supplemental`` keep their historical names
+#: Span names per stage — the keys under which each stage is timed into
+#: the open journey's ``stages``, which its closing ``update.done``
+#: carries.  ``enrich`` and ``supplemental`` keep their historical names
 #: so existing trace consumers stay valid.
 STAGE_SPANS = {
     "intake": "stage.intake",
@@ -200,15 +198,6 @@ class DeviceOutcome:
 
 
 @dataclass
-class StageResult:
-    """Timing and headline facts of one executed stage."""
-
-    stage: str
-    duration: float
-    info: dict = field(default_factory=dict)
-
-
-@dataclass
 class SequenceOutcome:
     """The full result of one update sequence through the pipeline."""
 
@@ -223,13 +212,6 @@ class SequenceOutcome:
     rolled_back: list[str] = field(default_factory=list)
     supplement: dict[str, list[str]] = field(default_factory=dict)
     supplemental_written: bool = False
-    stages: list[StageResult] = field(default_factory=list)
-
-    def stage(self, name: str) -> StageResult | None:
-        for result in self.stages:
-            if result.stage == name:
-                return result
-        return None
 
 
 class UpdateSequencePipeline:
@@ -296,7 +278,6 @@ class UpdateSequencePipeline:
             "Links-mode rollbacks of device commits past an abort point",
             labelnames=("device",),
         )
-        self.journal.derive(SUPPLEMENTAL_WRITE, self.supplemental_total)
         self.journal.derive(DEVICE_ROLLBACK, self.rolled_back_total)
         self.stage_seconds = self.registry.histogram(
             "metacomm_um_stage_seconds",
@@ -304,7 +285,7 @@ class UpdateSequencePipeline:
             labelnames=("stage",),
         )
         self._stage_children = LabelCache(self.stage_seconds)
-        self.journal.subscribe(self._observe_stages, kinds=(UPDATE_DONE,))
+        self.journal.subscribe(self._observe_done, kinds=(UPDATE_DONE,))
         self._fanout_children = LabelCache(self.fanout_total)
         self._reapplied_children = LabelCache(self.reapplied_total)
         self.parallelism = self.registry.gauge(
@@ -324,23 +305,28 @@ class UpdateSequencePipeline:
     # -- stage bookkeeping --------------------------------------------------------
 
     @staticmethod
-    def _stage(
-        stages: list[StageResult] | None, stage: str, started: float, **info
-    ) -> float:
-        """Close ``stage``, begun at ``started``: record its duration and
-        return the clock reading, which starts the next stage."""
+    def _lap(stages: dict | None, stage: str, started: float) -> float:
+        """Close ``stage``, begun at ``started``: time it into the open
+        journey's ``stages`` under its span name and return the clock
+        reading, which starts the next stage.  Without an open journey
+        no clock is read."""
+        if stages is None:
+            return 0.0
         now = time.perf_counter()
-        if stages is not None:
-            stages.append(StageResult(stage, now - started, info))
+        stages[STAGE_SPANS[stage]] = now - started
         return now
 
-    def _observe_stages(self, event: Event) -> None:
-        """The stage histogram, derived from each closing ``update.done``."""
+    def _observe_done(self, event: Event) -> None:
+        """The stage histogram and the supplemental-write counter, derived
+        from each closing ``update.done``."""
+        attributes = event.attributes
         children = self._stage_children
-        for span, seconds in event.attributes["stages"].items():
+        for span, seconds in attributes["stages"].items():
             stage = _SPAN_STAGES.get(span)
             if stage is not None:
                 children[stage].observe(seconds)
+        if "supplemental" in attributes:
+            self.supplemental_total.inc()
 
     # -- intake ------------------------------------------------------------------
 
@@ -368,17 +354,17 @@ class UpdateSequencePipeline:
     def build_plan(
         self,
         descriptor: UpdateDescriptor,
-        trace: str | None = None,
         serial: int = 0,
-        stages: list[StageResult] | None = None,
+        stages: dict[str, float] | None = None,
     ) -> UpdatePlan:
-        """Run the enrich and plan stages for one descriptor."""
-        started = time.perf_counter()
+        """Run the enrich and plan stages for one descriptor, timing them
+        into ``stages`` (the open journey's, if any)."""
+        started = time.perf_counter() if stages is not None else 0.0
         if descriptor.op is UpdateOp.DELETE:
             enriched = descriptor
         else:
             enriched = self._enrich(descriptor)
-            started = self._stage(stages, "enrich", started)
+            started = self._lap(stages, "enrich", started)
         plan = UpdatePlan(
             descriptor=descriptor,
             enriched=enriched,
@@ -394,16 +380,7 @@ class UpdateSequencePipeline:
             )
             if device_plan is not None:
                 plan.device_plans.append(device_plan)
-        self._stage(stages, "plan", started, devices=len(plan.device_plans))
-        self.journal.emit(
-            UPDATE_PLANNED,
-            trace=trace,
-            serial=serial,
-            op=descriptor.op.value,
-            key=descriptor.key,
-            devices=[p.binding.name for p in plan.device_plans],
-            mode="links" if self._links else "serial",
-        )
+        self._lap(stages, "plan", started)
         return plan
 
     def _route_shared(
@@ -489,13 +466,23 @@ class UpdateSequencePipeline:
         """Execute one update sequence: enrich → plan → fanout → merge →
         supplemental.  Failure policies are applied inside the fan-out
         stage; the merge and supplemental stages are skipped for aborted
-        sequences and DELETE descriptors (matching section 4.4/5.5)."""
-        stages: list[StageResult] = []
-        plan = self.build_plan(descriptor, trace, serial=serial, stages=stages)
-        outcome = SequenceOutcome(plan=plan, stages=stages)
-        self.last_outcome = outcome
+        sequences and DELETE descriptors (matching section 4.4/5.5).
 
-        started = time.perf_counter()
+        When ``session`` carries an open journey (:data:`OBS_DONE`), each
+        stage is timed into its ``stages`` and the sequence's findings —
+        the planned ``devices``, the fan-out ``mode`` and the supplemental
+        write's attribute count — are written into it for the closing
+        ``update.done``."""
+        done = session.state.get(OBS_DONE) if session is not None else None
+        stages = done["stages"] if done is not None else None
+        plan = self.build_plan(descriptor, serial=serial, stages=stages)
+        outcome = SequenceOutcome(plan=plan)
+        self.last_outcome = outcome
+        if done is not None:
+            done["devices"] = [p.binding.name for p in plan.device_plans]
+            done["mode"] = "links" if self._links else "serial"
+
+        started = time.perf_counter() if stages is not None else 0.0
         if self._links:
             outcomes = self._fanout_links(plan.device_plans, trace, serial)
         else:
@@ -506,7 +493,7 @@ class UpdateSequencePipeline:
         if outcome.aborted:
             self._rollback_past_abort(outcome, trace)
         self._count_applied(outcome)
-        started = self._stage(stages, "fanout", started)
+        started = self._lap(stages, "fanout", started)
         if outcome.aborted:
             return outcome
 
@@ -515,7 +502,7 @@ class UpdateSequencePipeline:
             if device_outcome.applied:
                 merge_attrs(supplement, device_outcome.supplement)
         outcome.supplement = supplement
-        started = self._stage(stages, "merge", started, attributes=len(supplement))
+        started = self._lap(stages, "merge", started)
 
         if supplement and descriptor.op is not UpdateOp.DELETE:
             dn = DN.parse(descriptor.key) if descriptor.key else None
@@ -523,16 +510,11 @@ class UpdateSequencePipeline:
                 wrote = self.ldap_filter.apply_supplemental(
                     dn, supplement, session
                 )
-                self._stage(stages, "supplemental", started, wrote=wrote)
+                self._lap(stages, "supplemental", started)
                 if wrote:
                     outcome.supplemental_written = True
-                    self.journal.emit(
-                        SUPPLEMENTAL_WRITE,
-                        trace=trace,
-                        serial=serial,
-                        key=descriptor.key,
-                        attributes_written=len(supplement),
-                    )
+                    if done is not None:
+                        done["supplemental"] = len(supplement)
         return outcome
 
     # -- fan-out executors ---------------------------------------------------------
@@ -585,20 +567,10 @@ class UpdateSequencePipeline:
     ) -> DeviceOutcome:
         """Apply one planned update at its repository (link op body).
 
-        Every attempt emits a ``device.attempt`` then a timed
-        ``device.commit``/``device.failure`` journal event — the health
-        board's outcome feed."""
+        Every attempt emits one timed ``device.commit``/``device.failure``
+        journal event — the health board's outcome feed."""
         outcome = DeviceOutcome(plan=plan, executed=True)
         binding, update = plan.binding, plan.update
-        self.journal.emit(
-            DEVICE_ATTEMPT,
-            trace=trace,
-            serial=serial,
-            device=binding.name,
-            action=update.action.value,
-            key=update.key,
-            conditional=update.conditional,
-        )
         started = time.perf_counter()
         with self.parallelism.track():
             try:
@@ -636,14 +608,16 @@ class UpdateSequencePipeline:
         """Publish one apply outcome to the journal."""
         duration = round(time.perf_counter() - started, 6)
         name = outcome.plan.binding.name
-        key = outcome.plan.update.key
+        update = outcome.plan.update
         if outcome.applied:
             self.journal.emit(
                 DEVICE_COMMIT,
                 trace=trace,
                 serial=serial,
                 device=name,
-                key=key,
+                action=update.action.value,
+                key=update.key,
+                conditional=update.conditional,
                 duration=duration,
             )
             return
@@ -653,7 +627,9 @@ class UpdateSequencePipeline:
             trace=trace,
             serial=serial,
             device=name,
-            key=key,
+            action=update.action.value,
+            key=update.key,
+            conditional=update.conditional,
             error=error.message if error is not None else str(outcome.unexpected),
             duration=duration,
         )

@@ -64,9 +64,12 @@ class QueueSaturatedError(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
+@dataclass
 class QueuedUpdate:
-    """One queue item: a descriptor stamped with its serialization order."""
+    """One queue item: a descriptor stamped with its serialization order.
+
+    Every field is fixed at claim except :attr:`waited`, which
+    :meth:`UpdateQueue.wait_turn` fills in when the item's turn comes."""
 
     serial: int
     descriptor: UpdateDescriptor
@@ -77,6 +80,8 @@ class QueuedUpdate:
     #: The routing oracle's reason: "partition" or one of the serial
     #: fallbacks (None without a routing plan).
     reason: str | None = field(default=None, compare=False)
+    #: Seconds from claim to the item's turn (0.0 until it comes).
+    waited: float = field(default=0.0, compare=False)
 
 
 class UpdateQueue:
@@ -420,7 +425,8 @@ class UpdateQueue:
         """Block until *item* may run under the barrier protocol.
 
         Returns True once the item is runnable (it then counts as claimed
-        for metrics/journal purposes); False when ``stop`` was set or
+        for metrics/journal purposes, and its :attr:`~QueuedUpdate.waited`
+        holds the claim-to-turn wait); False when ``stop`` was set or
         ``timeout`` elapsed first — the caller must still call
         :meth:`finish` so the lane does not wedge on the abandoned
         serial."""
@@ -439,7 +445,7 @@ class UpdateQueue:
                     self._wait_locked()
             self._waiting[item.lane].pop(item.serial, None)
             self._publish_depth(item.lane)
-        waited = (
+        waited = item.waited = (
             time.perf_counter() - item.enqueued_at if item.enqueued_at else 0.0
         )
         self._wait.observe(waited)

@@ -62,13 +62,13 @@ from ..obs.events import (
     EventJournal,
 )
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import OBS_SERIAL, OBS_STAGES, OBS_TRACE, new_trace_id
+from ..obs.trace import OBS_DONE, OBS_TRACE, new_trace_id
 from ..obs.views import StatsView
 from .errorlog import ErrorLog
 from .filters.base import Filter, FilterError
 from .filters.device_filter import DeviceFilter
 from .filters.ldap_filter import LdapFilter
-from .pipeline import STAGE_SPANS, FailurePolicy, UpdateSequencePipeline
+from .pipeline import FailurePolicy, UpdateSequencePipeline
 from .queue import QueuedUpdate, QueueSaturatedError, UpdateQueue
 
 
@@ -460,9 +460,9 @@ class UpdateManager:
         trace = state.get(OBS_TRACE)
         started = time.perf_counter()
         descriptor = self.pipeline.intake_event(event)
-        stages = state.get(OBS_STAGES)
-        if stages is not None:
-            stages["stage.intake"] = time.perf_counter() - started
+        done = state.get(OBS_DONE)
+        if done is not None:
+            done["stages"]["stage.intake"] = time.perf_counter() - started
         if descriptor is None:
             return
         # The descriptor folds a ModifyRDN into a MODIFY keyed by the new
@@ -522,7 +522,14 @@ class UpdateManager:
             key=key,
         )
         session = Session()
-        stages: dict[str, float] = {}
+        done = {
+            "name": "ddu",
+            "device": binding.name,
+            "key": key,
+            "serial": None,
+            "stages": {},
+        }
+        stages = done["stages"]
         try:
             begun = time.perf_counter()
             update = self.pipeline.intake_ddu(binding, descriptor)
@@ -532,7 +539,7 @@ class UpdateManager:
                 return
             if trace is not None:
                 session.state[OBS_TRACE] = trace
-                session.state[OBS_STAGES] = stages
+                session.state[OBS_DONE] = done
             try:
                 self.ldap_filter.forward_ddu(
                     update, origin=binding.name, session=session
@@ -550,16 +557,8 @@ class UpdateManager:
             stages["ddu.forward"] = time.perf_counter() - forwarding - nested
         finally:
             if trace is not None:
-                self.journal.emit(
-                    UPDATE_DONE,
-                    trace=trace,
-                    name="ddu",
-                    device=binding.name,
-                    key=key,
-                    serial=session.state.get(OBS_SERIAL),
-                    duration=time.perf_counter() - started,
-                    stages=stages,
-                )
+                done["duration"] = time.perf_counter() - started
+                self.journal.emit(UPDATE_DONE, trace=trace, **done)
 
     def _binding_of(self, source_filter: Filter) -> DeviceBinding:
         for binding in self.bindings:
@@ -571,25 +570,20 @@ class UpdateManager:
 
     def _process(self, item: QueuedUpdate, session: Session) -> None:
         state = session.state if session is not None else {}
-        trace = state.get(OBS_TRACE)
-        stages = state.get(OBS_STAGES)
-        start = time.perf_counter()
-        if stages is not None:
-            state[OBS_SERIAL] = item.serial
+        done = state.get(OBS_DONE)
+        if done is not None:
+            done["serial"] = item.serial
             if item.enqueued_at:
-                # The enqueue→dequeue leg: its endpoints live in different
-                # frames (and, in threaded mode, different threads), so it
-                # is timed from the enqueue stamp.
-                stages["queue.wait"] = start - item.enqueued_at
+                # The enqueue→dequeue leg, as the queue measured it when
+                # the item's turn came (``update.claimed``'s ``waited``).
+                done["stages"]["queue.wait"] = item.waited
+        start = time.perf_counter()
         try:
-            outcome = self.pipeline.run(
-                item.descriptor, session, trace, serial=item.serial
+            self.pipeline.run(
+                item.descriptor, session, state.get(OBS_TRACE), serial=item.serial
             )
         finally:
             self._sequence_seconds.observe(time.perf_counter() - start)
-        if stages is not None:
-            for result in outcome.stages:
-                stages[STAGE_SPANS[result.stage]] = result.duration
 
     def _compensate(
         self,

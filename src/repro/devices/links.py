@@ -40,8 +40,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..obs.events import LINK_FLUSH, EventJournal
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import LabelCache, MetricsRegistry
 from .base import Device, DeviceError, DeviceNotification, link_execution
 
 __all__ = ["LinkBusy", "LinkConfig", "DeviceLink", "LinkDispatcher"]
@@ -220,11 +219,7 @@ class LinkDispatcher:
     #: Idle wait between wake-ups when no deadline is nearer (seconds).
     POLL = 0.05
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        journal: EventJournal | None = None,
-    ):
+    def __init__(self, metrics: MetricsRegistry | None = None):
         self._cond = threading.Condition()
         self._links: list[DeviceLink] = []
         self._by_name: dict[str, DeviceLink] = {}
@@ -238,33 +233,29 @@ class LinkDispatcher:
         self._notify_stop = False
         self._notifier: threading.Thread | None = None
         metrics = metrics if metrics is not None else MetricsRegistry()
-        self.journal = journal or EventJournal(registry=metrics)
-        # The flush counters and the batch-size histogram derive from
-        # the ``link.flush`` events.
+        # The flush counters and the batch-size histogram, per device;
+        # updated with each link's ``_stats``, under ``_cond``.
         ops = metrics.counter(
             "metacomm_link_ops_total",
             "Operations completed over device links",
             labelnames=("device", "outcome"),
         )
-        self.journal.derive(LINK_FLUSH, ops, by="ok", outcome="ok")
-        self.journal.derive(LINK_FLUSH, ops, by="failed", outcome="error")
-        self.journal.derive(
-            LINK_FLUSH,
+        self._m_ops_ok = LabelCache(ops, outcome="ok")
+        self._m_ops_failed = LabelCache(ops, outcome="error")
+        self._m_flushes = LabelCache(
             metrics.counter(
                 "metacomm_link_flushes_total",
                 "Command-stream flushes (one round-trip each) per device link",
                 labelnames=("device",),
-            ),
+            )
         )
-        self.journal.derive(
-            LINK_FLUSH,
+        self._m_batch_ops = LabelCache(
             metrics.histogram(
                 "metacomm_link_batch_ops",
                 "Operations coalesced per flushed command stream",
                 labelnames=("device",),
                 buckets=(1, 2, 4, 8, 16, 32, 64),
-            ),
-            by="ops",
+            )
         )
         self._m_inflight = metrics.gauge(
             "metacomm_link_inflight_batches",
@@ -427,30 +418,31 @@ class LinkDispatcher:
             with self._notify_cond:
                 self._notifications.extend((device, n) for n in sink)
                 self._notify_cond.notify_all()
-        ok_count = fail_count = 0
-        for op, result, exc in results:
-            elapsed = done - op.submitted
-            if exc is None:
-                ok_count += 1
-                device.observe_op(op.op, op.key, elapsed, True)
-                op.future.set_result(result)
-            else:
-                fail_count += 1
-                device.observe_op(op.op, op.key, elapsed, False)
-                op.future.set_exception(exc)
+        size = len(batch.ops)
+        fail_count = sum(exc is not None for _, _, exc in results)
+        ok_count = size - fail_count
+        # Counted before any future resolves, so a submitter that wakes
+        # on its result already sees its flush in the stats and metrics.
+        name = link.name
         with self._cond:
             link._stats["completed"] += ok_count
             link._stats["failed"] += fail_count
             link._stats["flushes"] += 1
-            size = len(batch.ops)
             link._batch_hist[size] = link._batch_hist.get(size, 0) + 1
-        self.journal.emit(
-            LINK_FLUSH,
-            device=link.name,
-            ops=size,
-            ok=ok_count,
-            failed=fail_count,
-        )
+            self._m_flushes[name].inc()
+            self._m_batch_ops[name].observe(size)
+            if ok_count:
+                self._m_ops_ok[name].inc(ok_count)
+            if fail_count:
+                self._m_ops_failed[name].inc(fail_count)
+        for op, result, exc in results:
+            elapsed = done - op.submitted
+            if exc is None:
+                device.observe_op(op.op, op.key, elapsed, True)
+                op.future.set_result(result)
+            else:
+                device.observe_op(op.op, op.key, elapsed, False)
+                op.future.set_exception(exc)
 
     # -- notifier thread ----------------------------------------------------------
 

@@ -53,7 +53,7 @@ from ..ldap.result import BusyError, LdapError, ResultCode
 from ..ldap.server import LdapServer
 from ..obs.events import UPDATE_DONE, EventJournal
 from ..obs.metrics import LabelCache, MetricsRegistry
-from ..obs.trace import OBS_SERIAL, OBS_STAGES, OBS_TRACE, new_trace_id
+from ..obs.trace import OBS_DONE, OBS_TRACE, new_trace_id
 from ..obs.views import StatsView
 from .acl import AccessControl
 from .locks import LockManager
@@ -253,13 +253,20 @@ class LtapGateway:
         # stages (a forwarded DDU's, or the one it opens here); a
         # suppressed-trigger write — the supplemental write-back — is
         # already inside a timed stage.
-        stages = state.get(OBS_STAGES) if fire else None
+        done = state.get(OBS_DONE) if fire else None
         trace = None
-        if fire and stages is None and self.journal is not None and (
+        if fire and done is None and self.journal is not None and (
             self.journal.enabled
         ):
             trace = state[OBS_TRACE] = new_trace_id()
-            stages = state[OBS_STAGES] = {}
+            done = state[OBS_DONE] = {
+                "name": "update",
+                "op": change_type.value,
+                "dn": str(dn),
+                "serial": None,
+                "stages": {},
+            }
+        stages = done["stages"] if done is not None else None
         start = time.perf_counter()
         try:
             self.locks.acquire(dn, session)
@@ -301,17 +308,9 @@ class LtapGateway:
             elapsed = time.perf_counter() - start
             self._process_seconds.observe(elapsed)
             if trace is not None:
-                del state[OBS_TRACE], state[OBS_STAGES]
-                self.journal.emit(
-                    UPDATE_DONE,
-                    trace=trace,
-                    name="update",
-                    op=change_type.value,
-                    dn=str(dn),
-                    serial=state.pop(OBS_SERIAL, None),
-                    duration=elapsed,
-                    stages=stages,
-                )
+                del state[OBS_TRACE], state[OBS_DONE]
+                done["duration"] = elapsed
+                self.journal.emit(UPDATE_DONE, trace=trace, **done)
 
     @staticmethod
     def _classify(request: LdapRequest) -> tuple[ChangeType, DN]:

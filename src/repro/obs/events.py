@@ -4,23 +4,30 @@ Metrics (:mod:`repro.obs.metrics`) answer *how much*; the journal
 answers *what happened, in order, and how long it took*.  It is an
 append-only, bounded, thread-safe stream of typed lifecycle events
 covering an update's whole journey (accepted into the update queue,
-claimed by the coordinator, planned, attempted/committed/failed per
-device, compensated, supplementally written, done) plus the health
-plane's own observations (health state transitions, audit mismatches,
-alert raises/clears, sync progress).
+claimed by the coordinator, committed or failed per device, rolled back
+or compensated, done) plus the health plane's own observations (health
+state transitions, audit mismatches, alert raises/clears, sync
+progress).
 
-Each event of an update's journey carries its trace id, and the closing
-``update.done`` its stage timings: the journal is the trace store
-(:mod:`repro.obs.trace` reads traces from it).  It is a bounded ring
-(oldest events drop past ``capacity`` — counted, never silent), exported
-as JSONL with ``python -m repro events --json``.
+Each event of an update's journey carries its trace id.  The closing
+``update.done`` carries what the journey's stages found: their timings,
+the planned ``devices``, the fan-out ``mode`` and the supplemental
+write's attribute count.  So a plain update journals ``3 + N`` events
+for ``N`` planned devices: ``update.accepted``, ``update.claimed``, one
+``device.commit`` or ``device.failure`` per device, and ``update.done``.
+The journal is the trace store (:mod:`repro.obs.trace` reads traces
+from it).  It is a bounded ring (oldest events drop past ``capacity`` —
+counted, never silent), exported as JSONL with
+``python -m repro events --json``.
 
 Every lifecycle fact is emitted exactly once, here.  Counters that count
 one kind of event are *derived* from the journal (:meth:`EventJournal.derive`),
-the stage histogram is derived from ``update.done``, and the health
-board's outcome feed subscribes to the device events, so the journal,
-the metrics and the health board cannot drift apart
-(docs/OBSERVABILITY.md lists the derived metrics).
+the stage histogram and the supplemental-write counter are derived from
+``update.done``, and the health board's outcome feed subscribes to the
+device events, so the journal, the metrics and the health board cannot
+drift apart (docs/OBSERVABILITY.md lists the derived metrics).  A device
+link's flushes are transport detail, not lifecycle facts: the link
+dispatcher counts them in its own metrics and journals nothing.
 
 Journals follow the registry convention: created *disabled* they turn
 ``emit`` into a cheap no-op, which is what the health-plane overhead
@@ -48,15 +55,11 @@ __all__ = [
     "UPDATE_DEFERRED",
     "UPDATE_REJECTED",
     "LANE_BARRIER",
-    "LINK_FLUSH",
-    "UPDATE_PLANNED",
     "SEQUENCE_ABORTED",
-    "DEVICE_ATTEMPT",
     "DEVICE_COMMIT",
     "DEVICE_FAILURE",
     "DEVICE_ROLLBACK",
     "SAGA_COMPENSATED",
-    "SUPPLEMENTAL_WRITE",
     "UPDATE_DONE",
     "DDU_RECEIVED",
     "SYNC_PROGRESS",
@@ -87,30 +90,26 @@ UPDATE_REJECTED = "update.rejected"
 #: A serial-lane item cleared the quiescence barrier: every concurrent
 #: lane drained past its serial (docs/CONCURRENCY.md).
 LANE_BARRIER = "queue.barrier"
-#: A device link flushed one pipelined command stream (carries ``device``,
-#: the coalesced ``ops`` count and the ok/failed split).
-LINK_FLUSH = "link.flush"
-#: The pipeline finished enrich+plan (carries the planned devices and the
-#: fan-out ``mode``, ``serial`` or ``links``).
-UPDATE_PLANNED = "update.planned"
 #: A repository rejection aborted the remaining sequence.
 SEQUENCE_ABORTED = "sequence.aborted"
-#: A planned device update is about to be applied.
-DEVICE_ATTEMPT = "device.attempt"
-#: The device committed its planned update (carries the apply ``duration``).
+#: The device committed its planned update (carries the update's
+#: ``action``, whether it was a ``conditional`` reapplication, and the
+#: apply ``duration``).
 DEVICE_COMMIT = "device.commit"
-#: The device rejected (or the link dropped) its planned update.
+#: The device rejected (or the link dropped) its planned update: a
+#: commit's attributes plus the ``error``.
 DEVICE_FAILURE = "device.failure"
 #: Links mode undid a commit past the abort point (timed).
 DEVICE_ROLLBACK = "device.rollback"
 #: Saga compensation undid an already-applied device update (timed).
 SAGA_COMPENSATED = "saga.compensated"
-#: The closing section-5.5 supplemental LDAP write.
-SUPPLEMENTAL_WRITE = "supplemental.write"
 #: A journey closed, emitted once per trace by its owner: carries ``name``
 #: (update/ddu), ``op``/``dn`` or ``device``/``key``, ``serial`` (None if
 #: no sequence ran), the total ``duration`` and ``stages`` (span name ->
-#: seconds; disjoint legs, in the order they closed).
+#: seconds; disjoint legs, in the order they closed).  A journey that ran
+#: a sequence adds its planned ``devices`` and fan-out ``mode`` (``serial``
+#: or ``links``); one whose section-5.5 supplemental LDAP write happened
+#: adds ``supplemental``, the count of attributes written back.
 UPDATE_DONE = "update.done"
 #: A direct device update arrived from a device filter.
 DDU_RECEIVED = "ddu.received"
@@ -143,15 +142,11 @@ EVENT_KINDS = (
     UPDATE_DEFERRED,
     UPDATE_REJECTED,
     LANE_BARRIER,
-    LINK_FLUSH,
-    UPDATE_PLANNED,
     SEQUENCE_ABORTED,
-    DEVICE_ATTEMPT,
     DEVICE_COMMIT,
     DEVICE_FAILURE,
     DEVICE_ROLLBACK,
     SAGA_COMPENSATED,
-    SUPPLEMENTAL_WRITE,
     UPDATE_DONE,
     DDU_RECEIVED,
     SYNC_PROGRESS,

@@ -7,12 +7,16 @@ is not recorded on its own: it is the group of journal events
 
 The journey's owner — the LTAP gateway for a client's write, the Update
 Manager's DDU intake for a direct device update — mints the id and puts
-it in the session under :data:`OBS_TRACE`, beside a stage-timing dict
-under :data:`OBS_STAGES`.  Everything downstream that holds the session
-tags its events with the id and times its stage into the dict under the
-stage's span name; the owner closes the journey with one ``update.done``
-carrying the serial, the total ``duration`` and the ``stages``.  Stage
-timings are disjoint, so they sum to at most the total.
+it in the session under :data:`OBS_TRACE`, beside the attributes of the
+journey's future ``update.done`` under :data:`OBS_DONE`: its identity, a
+``serial`` of None and an empty ``stages`` dict.  Everything downstream
+that holds the session tags its events with the id, times its stage
+into ``stages`` under the stage's span name and writes what it found
+into the dict (the queue's serial, the planned ``devices``, the fan-out
+``mode``, the ``supplemental`` write's attribute count).  The owner
+adds the total ``duration`` and emits the dict as the one closing
+``update.done``.  Stage timings are disjoint, so they sum to at most the
+total.
 
 :func:`traces` groups events into read-only :class:`TraceView`\\ s whose
 spans are the stage timings plus one per timed device event.  The
@@ -31,13 +35,11 @@ from .events import (
     DEVICE_ROLLBACK,
     SAGA_COMPENSATED,
     UPDATE_DONE,
-    UPDATE_PLANNED,
     Event,
 )
 
 __all__ = [
-    "OBS_SERIAL",
-    "OBS_STAGES",
+    "OBS_DONE",
     "OBS_TRACE",
     "SpanView",
     "TraceView",
@@ -48,11 +50,9 @@ __all__ = [
 
 #: Session-state key under which the open trace's id travels.
 OBS_TRACE = "obs.trace"
-#: Session-state key of the open trace's stage timings (span name ->
-#: seconds), which its closing ``update.done`` event carries.
-OBS_STAGES = "obs.stages"
-#: Session-state key of the serial the queue gave the open trace's sequence.
-OBS_SERIAL = "obs.serial"
+#: Session-state key of the open trace's closing attributes: the dict its
+#: ``update.done`` event carries, ``stages`` (span name -> seconds) inside.
+OBS_DONE = "obs.done"
 
 _trace_ids = itertools.count(1)
 
@@ -64,7 +64,9 @@ _EVENT_SPANS = {
     SAGA_COMPENSATED: "filter.compensate",
 }
 #: Closing-event attributes that are not the trace's identity.
-_DONE_FIELDS = frozenset({"name", "serial", "duration", "stages"})
+_DONE_FIELDS = frozenset(
+    {"name", "serial", "duration", "stages", "devices", "mode", "supplemental"}
+)
 
 
 def new_trace_id() -> str:
@@ -130,8 +132,8 @@ class TraceView:
 
     @property
     def spans(self) -> list[SpanView]:
-        planned = [e for e in self.events if e.kind == UPDATE_PLANNED]
-        mode = {"mode": planned[0].attributes["mode"]} if planned else {}
+        done = self.done.attributes if self.done else {}
+        mode = {"mode": done["mode"]} if "mode" in done else {}
         spans = [
             SpanView(name, seconds, mode if name == "stage.fanout" else {})
             for name, seconds in self.stages.items()

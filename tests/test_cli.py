@@ -210,9 +210,9 @@ class TestEventsCommand:
         out = capsys.readouterr().out
         for kind in (
             "update.accepted",
-            "update.planned",
+            "update.claimed",
             "device.commit",
-            "supplemental.write",
+            "update.done",
             "ddu.received",
             "audit.cycle",
         ):

@@ -14,7 +14,7 @@ from repro.obs.events import (
     DEVICE_COMMIT,
     DEVICE_FAILURE,
     UPDATE_ACCEPTED,
-    UPDATE_PLANNED,
+    UPDATE_CLAIMED,
 )
 
 
@@ -80,13 +80,13 @@ class TestEventJournal:
     def test_filter_by_kind_and_since(self):
         journal = EventJournal()
         journal.emit(UPDATE_ACCEPTED, serial=1)
-        journal.emit(UPDATE_PLANNED, serial=1)
+        journal.emit(UPDATE_CLAIMED, serial=1)
         journal.emit(UPDATE_ACCEPTED, serial=2)
         accepted = journal.events(kind=UPDATE_ACCEPTED)
         assert [e.attributes["serial"] for e in accepted] == [1, 2]
         later = journal.events(since=accepted[0].seq)
         assert [e.seq for e in later] == [2, 3]
-        assert journal.last(UPDATE_PLANNED).attributes["serial"] == 1
+        assert journal.last(UPDATE_CLAIMED).attributes["serial"] == 1
         assert journal.last("no.such.kind") is None
 
     def test_tail(self):
@@ -112,8 +112,8 @@ class TestEventJournal:
         seen = []
         journal.subscribe(seen.append)
         journal.emit(UPDATE_ACCEPTED, serial=1)
-        journal.emit(UPDATE_PLANNED, serial=1)
-        assert [e.kind for e in seen] == [UPDATE_ACCEPTED, UPDATE_PLANNED]
+        journal.emit(UPDATE_CLAIMED, serial=1)
+        assert [e.kind for e in seen] == [UPDATE_ACCEPTED, UPDATE_CLAIMED]
         journal.unsubscribe(seen.append)
         journal.emit(UPDATE_ACCEPTED, serial=2)
         assert len(seen) == 2
@@ -159,8 +159,8 @@ class TestEventJournal:
         journal.emit(UPDATE_ACCEPTED, serial=1)
         # The new subscriber was registered mid-emit; the *next* emit
         # reaches it (emit snapshots the listener set under the lock).
-        journal.emit(UPDATE_PLANNED, serial=1)
-        assert [e.kind for e in seen] == [UPDATE_PLANNED]
+        journal.emit(UPDATE_CLAIMED, serial=1)
+        assert [e.kind for e in seen] == [UPDATE_CLAIMED]
 
     def test_concurrent_emits_keep_unique_sequences(self):
         journal = EventJournal(capacity=4096)
@@ -223,17 +223,22 @@ class TestJournalPipelineIntegration:
         self.add_person(system)
         # The system journals one lexpress.compiled per bound rule at boot,
         # before any update.
-        kinds = [e.kind for e in system.obs.journal if e.kind != "lexpress.compiled"]
-        assert kinds[:3] == [
+        events = [e for e in system.obs.journal if e.kind != "lexpress.compiled"]
+        # One event per fact: 3 + one per planned device (PBX, messaging).
+        assert [e.kind for e in events] == [
             "update.accepted",
             "update.claimed",
-            "update.planned",
+            "device.commit",
+            "device.commit",
+            "update.done",
         ]
-        assert "device.attempt" in kinds
-        assert "device.commit" in kinds
-        assert "supplemental.write" in kinds
-        # attempt precedes its commit
-        assert kinds.index("device.attempt") < kinds.index("device.commit")
+        commit = events[2].attributes
+        assert commit["action"] == "add" and commit["conditional"] is False
+        # The plan and the supplemental write ride on the closing event.
+        done = events[-1].attributes
+        assert done["devices"] == [e.attributes["device"] for e in events[2:4]]
+        assert done["mode"] == "serial"
+        assert done["supplemental"] > 0
 
     def test_events_carry_the_update_trace_id(self, system):
         self.add_person(system)

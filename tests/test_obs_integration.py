@@ -103,10 +103,10 @@ class TestUpdateTrace:
 
     def test_ring_buffer_respects_configured_capacity(self):
         # Traces are read from the journal, so its capacity bounds them:
-        # an add journals 9 events, so 12 retain the last add and the
-        # tail (closing event included) of the one before.
+        # an add journals 5 events (3 + one per device), so 7 retain the
+        # last add and the tail (closing event included) of the one before.
         system = MetaComm(
-            MetaCommConfig(organizations=("Marketing",), journal_capacity=12)
+            MetaCommConfig(organizations=("Marketing",), journal_capacity=7)
         )
         for i in range(4):
             system.connection().add(

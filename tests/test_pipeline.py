@@ -384,6 +384,10 @@ class TestSerialParallelEquivalence:
         assert results["serial"]["consistent"]
 
 
+#: The legs an LTAP-originated journey times before the pipeline runs.
+LTAP_SPANS = ["ltap.trigger", "ltap.server", "stage.intake", "queue.wait"]
+
+
 class TestStagedOutcome:
     def test_stages_of_a_successful_sequence(self):
         system = fleet(2)
@@ -391,11 +395,14 @@ class TestStagedOutcome:
             "cn=A B,o=Lucent",
             person_attrs("A B", "B", definityExtension="4100"),
         )
-        outcome = system.um.pipeline.last_outcome
-        assert [s.stage for s in outcome.stages] == [
-            "enrich", "plan", "fanout", "merge", "supplemental",
+        # The stages and the planned devices ride on the closing event.
+        done = system.last_trace("update").done.attributes
+        assert list(done["stages"]) == LTAP_SPANS + [
+            "closure.enrich", "stage.plan", "stage.fanout", "stage.merge",
+            "ldap.supplemental",
         ]
-        assert outcome.stage("plan").info["devices"] == 3
+        assert len(done["devices"]) == 3
+        outcome = system.um.pipeline.last_outcome
         assert not outcome.aborted
         assert outcome.supplemental_written
         assert len(outcome.outcomes) == 3
@@ -410,7 +417,11 @@ class TestStagedOutcome:
         )
         outcome = system.um.pipeline.last_outcome
         assert outcome.aborted
-        assert [s.stage for s in outcome.stages] == ["enrich", "plan", "fanout"]
+        done = system.last_trace("update").done.attributes
+        assert list(done["stages"]) == LTAP_SPANS + [
+            "closure.enrich", "stage.plan", "stage.fanout",
+        ]
+        assert "supplemental" not in done
         assert not outcome.supplemental_written
 
     def test_stage_histogram_and_spans(self):

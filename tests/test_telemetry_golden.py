@@ -16,9 +16,12 @@ and is never edited by hand.
 
 ``test_derived_counters_match_the_journal`` checks, for every counter the
 journal derives from one event kind, that its value equals what a
-subscriber saw of that kind — and, for the stage histogram derived from
-``update.done``, that each stage's sample count equals the number of
-closing events whose stage timings carry it.
+subscriber saw of that kind.  For the families derived from
+``update.done`` it checks that each stage's sample count equals the
+number of closing events whose stage timings carry it, and that the
+supplemental-write count equals the number of closing events that carry
+a write.  The device-link families, which the link dispatcher feeds
+without an event, must equal the links' own ``snapshot()`` counts.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from repro.lexpress.descriptor import UpdateDescriptor, UpdateOp
 from repro.obs.events import (
     DEVICE_COMMIT,
     DEVICE_FAILURE,
-    LINK_FLUSH,
     UPDATE_DONE,
 )
 from repro.schemas import PERSON_CLASSES
@@ -58,7 +60,6 @@ CONFIGS = {
 #: equal the count (or the attribute sum) of the kind's events carrying
 #: that label.
 DERIVED = [
-    ("metacomm_um_supplemental_writes_total", "supplemental.write", None, None),
     ("metacomm_um_rolled_back_total", "device.rollback", "device", None),
     ("metacomm_um_compensated_total", "saga.compensated", "device", None),
     ("metacomm_um_ddus_total", "ddu.received", "device", None),
@@ -71,7 +72,6 @@ DERIVED = [
         "lane",
         None,
     ),
-    ("metacomm_link_flushes_total", "link.flush", "device", None),
     ("metacomm_audit_cycles_total", "audit.cycle", None, None),
     ("metacomm_audit_mismatches_total", "audit.mismatch", "device", "count"),
     ("metacomm_alerts_fired_total", "alert.raised", "rule", None),
@@ -159,20 +159,12 @@ def metric_shape(system: MetaComm) -> dict:
     return shape
 
 
-def journal_shape(system: MetaComm) -> dict:
-    """The ordered journal kinds with their attribute names.
-
-    ``link.flush`` is emitted on the link dispatcher thread after the
-    flush resolves its futures, so its place relative to the submitting
-    thread's next event is a race: flushes are compared as a multiset."""
-    ordered, flushes = [], Counter()
-    for event in system.obs.journal.events():
-        entry = [event.kind, sorted(event.attributes)]
-        if event.kind == LINK_FLUSH:
-            flushes[json.dumps(entry)] += 1
-        else:
-            ordered.append(entry)
-    return {"events": ordered, "link_flushes": dict(sorted(flushes.items()))}
+def journal_shape(system: MetaComm) -> list:
+    """The ordered journal kinds with their attribute names."""
+    return [
+        [event.kind, sorted(event.attributes)]
+        for event in system.obs.journal.events()
+    ]
 
 
 def record(name: str) -> dict:
@@ -227,27 +219,32 @@ def test_derived_counters_match_the_journal(name):
         for stage, span in STAGE_SPANS.items():
             carried = sum(span in e.attributes["stages"] for e in closing)
             assert counts.get(stage, 0) == carried, stage
+        writes = [e for e in closing if "supplemental" in e.attributes]
+        assert writes
+        assert registry.value("metacomm_um_supplemental_writes_total") == len(
+            writes
+        )
 
         events_total = registry.get("metacomm_journal_events_total")
         for kind, count in Counter(e.kind for e in seen).items():
             assert events_total.value_for(kind=kind) == count, kind
 
-        flushes = [e for e in seen if e.kind == LINK_FLUSH]
-        assert bool(flushes) == (system.links is not None)
-        ops = registry.get("metacomm_link_ops_total")
-        for outcome, attribute in (("ok", "ok"), ("error", "failed")):
-            for device in {e.attributes["device"] for e in flushes}:
-                assert ops.value_for(device=device, outcome=outcome) == sum(
-                    e.attributes[attribute]
-                    for e in flushes
-                    if e.attributes["device"] == device
-                )
-        batch = registry.get("metacomm_link_batch_ops")
-        batches = [child for _, child in batch.children()] if batch else []
-        assert sum(child.count for child in batches) == len(flushes)
-        assert sum(child.sum for child in batches) == sum(
-            e.attributes["ops"] for e in flushes
-        )
+        # The link families, fed by the dispatcher with each link's stats:
+        # every flush counted, on the device it went to.
+        links = system.links.snapshot() if system.links is not None else []
+        assert bool(links) == bool(system.config.device_links)
+        flushes = registry.get("metacomm_link_flushes_total")
+        counted = flushes.total() if flushes is not None else 0
+        assert counted == sum(row["flushes"] for row in links)
+        for row in links:
+            device = row["device"]
+            assert flushes.value_for(device=device) == row["flushes"], device
+            ops = registry.get("metacomm_link_ops_total")
+            assert ops.value_for(device=device, outcome="ok") == row["completed"]
+            assert ops.value_for(device=device, outcome="error") == row["failed"]
+            batch = registry.get("metacomm_link_batch_ops").labels(device=device)
+            assert batch.count == row["flushes"], device
+            assert batch.sum == row["completed"] + row["failed"], device
 
         # The health board's outcome feed is the journal's device events.
         for device, health in system.obs.health.snapshot().items():
