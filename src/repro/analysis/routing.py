@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..lexpress.descriptor import UpdateDescriptor, normalize_attrs
-from ..lexpress.interpreter import execute
-from ..lexpress.mapping import CompiledRule, _as_values
-from .partitions import InstanceBinding
+from ..lexpress.interpreter import lower_attrs
+from ..lexpress.mapping import CompiledMapping, CompiledRule, _as_values
+from ..lexpress.partition import PartitionConstraint
 from .runner import AnalysisReport, AnalysisTarget, analyze
 
 __all__ = [
@@ -76,32 +76,47 @@ class LaneDecision:
 
 
 @dataclass(frozen=True)
-class _Claimant:
-    """One instance binding with the rule slice its constraints read."""
+class _ClaimGroup:
+    """The instances of one target schema that share a mapping and the
+    rule slice their constraints read: imaged once per claim."""
 
-    instance: InstanceBinding
+    mapping: CompiledMapping
     #: The mapping rules whose targets the partition constraints (and the
     #: key) depend on — the only rules classification needs to evaluate.
     rules: tuple[CompiledRule, ...]
+    names: tuple[str, ...]
+    partitions: tuple[PartitionConstraint | None, ...]
 
-    def claim(self, attrs: dict[str, list[str]]) -> str | None:
-        """The claim string when this instance owns *attrs*, else None.
+    def claims(
+        self, attrs: dict[str, list[str]], low: dict[str, list[str]]
+    ) -> list[str]:
+        """The claim strings of the instances that own *attrs* (*low* is
+        its lower-keyed view), on the engines the rules were bound to.
 
-        The claim carries the target-schema key value so two updates on
+        A claim carries the target-schema key value so two updates on
         the same device record always share a lane, while updates on
         distinct records of one large partition may spread out."""
-        mapping = self.instance.mapping
+        mapping = self.mapping
         image: dict[str, list[str]] = {}
         for rule in self.rules:
-            values = _as_values(execute(rule.code, attrs))
+            values = _as_values(rule.run(low, None, True))
             if values is not None:
                 image[rule.target] = values
         mapping._key_fallback(image, attrs)
-        if not self.instance.satisfied_by(image):
-            return None
+        owned = mapping.claimed(image, self.partitions)
+        if not any(owned):
+            return []
         key = mapping.key_of(image)
-        name = self.instance.name
-        return f"{name}:{key}" if key is not None else name
+        return [
+            f"{name}:{key}" if key is not None else name
+            for name, claimed in zip(self.names, owned)
+            if claimed
+        ]
+
+    def lookup(self) -> str:
+        """How an owner is found: the owner index, or the predicates."""
+        index = self.mapping.owner_index(self.partitions)
+        return index.describe() if index is not None else "scan"
 
 
 class RoutingPlan:
@@ -114,20 +129,21 @@ class RoutingPlan:
 
     def __init__(
         self,
-        groups: dict[str, list[_Claimant]],
+        groups: dict[str, list[_ClaimGroup]],
         conflict_attributes: frozenset[str],
         source_schema: str,
         partitioned_schemas: tuple[str, ...] = (),
     ):
-        #: Target schema (lower) -> claimants, in canonical-priority order:
-        #: schemas carrying per-instance partitions first (they define the
-        #: deployment's sharding dimension), then the rest alphabetically.
+        #: Target schema (lower) -> its claim groups.
         self.groups = groups
         #: Source-schema attribute names (lower) proved order-dependent by
         #: unsuppressed LX403 findings; touching any of them serializes.
         self.conflict_attributes = conflict_attributes
         self.source_schema = source_schema
         self.partitioned_schemas = partitioned_schemas
+        # Canonical-priority order: schemas carrying per-instance
+        # partitions first (they define the deployment's sharding
+        # dimension), then the rest alphabetically.
         ordered = sorted(
             groups, key=lambda s: (s not in partitioned_schemas, s)
         )
@@ -194,12 +210,11 @@ class RoutingPlan:
         if attrs is None:
             return {}
         normalized = normalize_attrs(attrs) or {}
+        low = lower_attrs(normalized)
         out: dict[str, tuple[str, ...]] = {}
-        for schema, claimants in self.groups.items():
+        for schema, groups in self.groups.items():
             claimed = tuple(
-                claim
-                for claimant in claimants
-                if (claim := claimant.claim(normalized)) is not None
+                claim for group in groups for claim in group.claims(normalized, low)
             )
             if claimed:
                 out[schema] = claimed
@@ -213,8 +228,14 @@ class RoutingPlan:
             "source_schema": self.source_schema,
             "partitioned_schemas": list(self.partitioned_schemas),
             "instances": {
-                schema: [c.instance.name for c in claimants]
-                for schema, claimants in sorted(self.groups.items())
+                schema: [name for group in groups for name in group.names]
+                for schema, groups in sorted(self.groups.items())
+            },
+            # How each schema's owning instance is found: one prefix
+            # lookup ("prefix(extension)") or every predicate ("scan").
+            "owner_lookup": {
+                schema: " + ".join(group.lookup() for group in groups)
+                for schema, groups in sorted(self.groups.items())
             },
             "conflict_attributes": sorted(self.conflict_attributes),
             "serial_reasons": list(SERIAL_REASONS),
@@ -241,7 +262,8 @@ def build_routing_plan(
         sources = [i.mapping.source.lower() for i in target.instances]
         source_schema = sources[0] if sources else "ldap"
 
-    groups: dict[str, list[_Claimant]] = {}
+    # (schema, mapping, rule slice) by identity → those and the instances.
+    members: dict[tuple, tuple] = {}
     partitioned: set[str] = set()
     for instance in target.instances:
         if instance.mapping.source.lower() != source_schema:
@@ -258,7 +280,21 @@ def build_routing_plan(
             for r in instance.mapping.rules
             if r.target.lower() in wanted
         )
-        groups.setdefault(schema, []).append(_Claimant(instance, rules))
+        key = (schema, id(instance.mapping), tuple(map(id, rules)))
+        members.setdefault(key, (schema, instance.mapping, rules, []))[3].append(
+            instance
+        )
+
+    groups: dict[str, list[_ClaimGroup]] = {}
+    for schema, mapping, rules, instances in members.values():
+        groups.setdefault(schema, []).append(
+            _ClaimGroup(
+                mapping,
+                rules,
+                tuple(i.name for i in instances),
+                tuple(i.partition for i in instances),
+            )
+        )
 
     conflict_attrs = _conflict_attributes(target, report, source_schema)
     return RoutingPlan(

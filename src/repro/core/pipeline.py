@@ -806,10 +806,12 @@ def _descriptor_from_event(event: TriggerEvent) -> UpdateDescriptor | None:
     key = str(event.after.dn if event.after is not None else event.dn)
     explicit: set[str] = set()
     if before is not None and after is not None:
-        names = {n.lower() for n in before} | {n.lower() for n in after}
-        for name in names:
-            if _get(before, name) != _get(after, name):
-                explicit.add(name)
+        old, new = _by_lower(before), _by_lower(after)
+        explicit = {
+            name
+            for name in old.keys() | new.keys()
+            if old.get(name, []) != new.get(name, [])
+        }
     elif after is not None:
         explicit = {n.lower() for n in after}
     # Stamp the update's source so the Originator machinery (section
@@ -831,10 +833,9 @@ def _descriptor_from_event(event: TriggerEvent) -> UpdateDescriptor | None:
     )
 
 
-def _get(attrs: dict[str, list[str]] | None, name: str) -> list[str]:
-    if not attrs:
-        return []
-    for key, values in attrs.items():
-        if key.lower() == name:
-            return list(values)
-    return []
+def _by_lower(attrs: dict[str, list[str]]) -> dict[str, list[str]]:
+    """Lower-cased name → values; the first spelling wins."""
+    out: dict[str, list[str]] = {}
+    for name, values in attrs.items():
+        out.setdefault(name.lower(), values)
+    return out

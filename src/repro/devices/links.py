@@ -100,6 +100,8 @@ class DeviceLink:
         self.name = device.name
         self.config = config
         self._dispatcher = dispatcher
+        #: This link's in-flight gauge child, bound once (outside any lock).
+        self._inflight_gauge = dispatcher._m_inflight.labels(device=self.name)
         # Guarded by dispatcher._cond:
         self._pending: deque[_LinkOp] = deque()
         self._inflight: deque[_Batch] = deque()
@@ -393,7 +395,7 @@ class LinkDispatcher:
                 head = link._inflight[0].deadline
                 if next_deadline is None or head < next_deadline:
                     next_deadline = head
-            self._m_inflight.labels(device=link.name).set(len(link._inflight))
+            link._inflight_gauge.set(len(link._inflight))
         if freed:
             # Queue space and window slots opened up — wake submitters.
             self._cond.notify_all()

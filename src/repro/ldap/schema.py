@@ -27,6 +27,10 @@ from .entry import Entry
 from .result import LdapError, ResultCode, SchemaViolationError
 
 
+#: Distinct objectClass sets one schema remembers the resolution of.
+CLASS_SET_MEMO_SIZE = 256
+
+
 class ClassKind(enum.Enum):
     STRUCTURAL = "structural"
     AUXILIARY = "auxiliary"
@@ -77,6 +81,13 @@ class Schema:
         #: When False, unknown attributes/classes are tolerated — the mode
         #: an off-the-shelf browser effectively sees (paper section 5.2).
         self.strict = strict
+        #: (lower-cased objectClass tuple, strict) → (has a structural
+        #: class, MUST names, allowed names), resolved once per class set;
+        #: every definition clears it, and so does outgrowing
+        #: :data:`CLASS_SET_MEMO_SIZE`.
+        self._class_sets: dict[
+            tuple[tuple[str, ...], bool], tuple[bool, frozenset, frozenset]
+        ] = {}
 
     # -- definition -------------------------------------------------------
 
@@ -86,6 +97,7 @@ class Schema:
             if key in self._attributes:
                 raise ValueError(f"attribute type {name!r} already defined")
             self._attributes[key] = attribute
+        self._class_sets.clear()
         return attribute
 
     def define_class(self, object_class: ObjectClass) -> ObjectClass:
@@ -109,6 +121,7 @@ class Schema:
                     f"attribute {attr!r}"
                 )
         self._classes[key] = object_class
+        self._class_sets.clear()
         return object_class
 
     def define_entry_constraint(
@@ -162,12 +175,11 @@ class Schema:
 
     # -- entry validation ---------------------------------------------------
 
-    def check_entry(self, entry: Entry) -> None:
-        """Raise :class:`SchemaViolationError` when *entry* is malformed."""
-        classes = entry.object_classes
-        if not classes:
-            raise SchemaViolationError(f"{entry.dn}: entry has no objectClass")
-
+    def _resolve_classes(
+        self, entry: Entry, classes: tuple[str, ...]
+    ) -> tuple[bool, frozenset, frozenset]:
+        """Walk *classes*' superclass chains: whether one is structural,
+        and the MUST and allowed attribute names (lower case)."""
         resolved: list[ObjectClass] = []
         for name in classes:
             cls = self.object_class(name)
@@ -181,18 +193,33 @@ class Schema:
                 if member not in resolved:
                     resolved.append(member)
 
-        structural = [c for c in resolved if c.kind is ClassKind.STRUCTURAL]
-        if self.strict and not structural:
-            raise SchemaViolationError(
-                f"{entry.dn}: entry has no structural object class"
-            )
-
         must: set[str] = set()
         allowed: set[str] = {"objectclass"}
         for cls in resolved:
             must.update(a.lower() for a in cls.must)
             allowed.update(a.lower() for a in cls.must)
             allowed.update(a.lower() for a in cls.may)
+        structural = any(c.kind is ClassKind.STRUCTURAL for c in resolved)
+        return structural, frozenset(must), frozenset(allowed)
+
+    def check_entry(self, entry: Entry) -> None:
+        """Raise :class:`SchemaViolationError` when *entry* is malformed."""
+        classes = entry.object_classes
+        if not classes:
+            raise SchemaViolationError(f"{entry.dn}: entry has no objectClass")
+
+        key = (tuple(name.lower() for name in classes), self.strict)
+        class_sets = self._class_sets.get(key)
+        if class_sets is None:
+            class_sets = self._resolve_classes(entry, classes)
+            if len(self._class_sets) >= CLASS_SET_MEMO_SIZE:
+                self._class_sets.clear()
+            self._class_sets[key] = class_sets
+        structural, must, allowed = class_sets
+        if self.strict and not structural:
+            raise SchemaViolationError(
+                f"{entry.dn}: entry has no structural object class"
+            )
 
         present = {name.lower() for name in entry.attributes.names()}
         missing = must - present

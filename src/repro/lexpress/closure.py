@@ -25,14 +25,16 @@ implemented both ways:
   *non-explicit* attribute with a different value means this particular
   update cannot reach a fixpoint, reported via
   :class:`~repro.lexpress.errors.FixpointError` (strict mode) or the
-  result's ``conflicts`` list.
+  result's ``conflicts`` list.  A non-strict engine runs that post-pass
+  only when ``conflicts`` is first read: the update path never reads it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 import networkx as nx
 
@@ -78,18 +80,31 @@ class Conflict:
         )
 
 
-@dataclass
 class ClosureResult:
-    """Outcome of one propagation."""
+    """Outcome of one propagation.
 
-    #: schema (lower) -> full attribute image after propagation
-    images: dict[str, dict[str, list[str]]]
-    #: schema (lower) -> attribute names (lower) set during propagation
-    changed: dict[str, set[str]]
-    #: disagreements discovered by the post-pass (explicit ones are benign)
-    conflicts: list[Conflict] = field(default_factory=list)
-    #: worklist steps taken
-    iterations: int = 0
+    ``conflicts`` (disagreements discovered by the post-pass; explicit
+    ones are benign) is computed on first read, from the images as the
+    propagation left them."""
+
+    def __init__(
+        self,
+        images: dict[str, dict[str, list[str]]],
+        changed: dict[str, set[str]],
+        iterations: int,
+        check: Callable[[], list[Conflict]],
+    ):
+        #: schema (lower) -> full attribute image after propagation
+        self.images = images
+        #: schema (lower) -> attribute names (lower) set during propagation
+        self.changed = changed
+        #: worklist steps taken
+        self.iterations = iterations
+        self._check = check
+
+    @cached_property
+    def conflicts(self) -> list[Conflict]:
+        return self._check()
 
     def image(self, schema: str) -> dict[str, list[str]]:
         return self.images.get(schema.lower(), {})
@@ -206,18 +221,27 @@ class ClosureEngine:
             }
             for schema_low, image in low_images.items()
         }
-        result = ClosureResult(images, touched, iterations=iterations)
-        self._post_check(result, low_images, frozen, explicit_by_schema)
+        result = ClosureResult(
+            images,
+            touched,
+            iterations,
+            lambda: self._post_check(low_images, frozen, explicit_by_schema),
+        )
+        if self.strict and result.unstable_conflicts():
+            raise FixpointError(
+                "update cannot reach a fixpoint: "
+                + "; ".join(str(c) for c in result.unstable_conflicts())
+            )
         return result
 
     def _post_check(
         self,
-        result: ClosureResult,
         low_images: dict[str, dict[str, list[str]]],
         frozen: dict[str, set[str]],
         explicit_by_schema: dict[str, set[str]],
-    ) -> None:
+    ) -> list[Conflict]:
         """Re-evaluate all rules; report disagreements with frozen values."""
+        conflicts: list[Conflict] = []
         for mapping in self.mappings:
             source = mapping.source.lower()
             target = mapping.target.lower()
@@ -247,12 +271,8 @@ class ClosureEngine:
                         competing=values,
                         explicit=attr in explicit_by_schema.get(target, set()),
                     )
-                    result.conflicts.append(conflict)
-        if self.strict and result.unstable_conflicts():
-            raise FixpointError(
-                "update cannot reach a fixpoint: "
-                + "; ".join(str(c) for c in result.unstable_conflicts())
-            )
+                    conflicts.append(conflict)
+        return conflicts
 
 
 # -- compile-time cycle analysis -------------------------------------------------

@@ -478,6 +478,10 @@ class Runner:
         "fingerprint",
     )
 
+    #: Does every evaluation cross-check two engines?  Such a runner must
+    #: run: answering its question another way would skip the check.
+    verifies = False
+
     def __init__(
         self,
         code: CodeObject,
@@ -520,6 +524,7 @@ class _VerifyRunner(_CompiledRunner):
     """Runs both engines; the interpreter is the oracle."""
 
     __slots__ = ()
+    verifies = True
 
     def __call__(self, attrs, value=None, canonical=False):
         if not canonical:

@@ -35,7 +35,7 @@ from .codegen import Runner, bind
 from .errors import LexpressCompileError
 from .interpreter import lower_attrs
 from .parser import parse
-from .partition import AlwaysTrue, PartitionConstraint, route
+from .partition import AlwaysTrue, OwnerIndex, PartitionConstraint, route
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,11 @@ class CompiledRule:
     @property
     def deps(self) -> frozenset[str]:
         return self.code.deps
+
+
+#: Distinct instance-partition tuples one mapping keeps an owner index
+#: for; a deployment routes through one or two.
+OWNER_INDEX_MEMO_SIZE = 16
 
 
 def _as_values(result) -> list[str] | None:
@@ -108,6 +113,10 @@ class CompiledMapping:
             )
         else:
             self.partition = AlwaysTrue()
+        #: Instance-partition tuple → its :class:`OwnerIndex` (None: the
+        #: partitions must run), built on first use, bounded by
+        #: :data:`OWNER_INDEX_MEMO_SIZE`.
+        self._owner_indexes: dict[tuple, OwnerIndex | None] = {}
 
     # -- analysis ------------------------------------------------------------
 
@@ -284,18 +293,26 @@ class CompiledMapping:
         # canonical (lower-cased) view, built once for every instance.
         old_low = lower_attrs(old_image) if old_image is not None else None
         new_low = lower_attrs(new_image) if new_image is not None else None
-        old_base = self.partition.satisfied_by(old_low, canonical=True)
-        new_base = self.partition.satisfied_by(new_low, canonical=True)
+        partitions = tuple(partition for partition, _ in instances)
+        unowned = [False] * len(instances)
+        old_owned = (
+            self._owned(old_low, partitions)
+            if self.partition.satisfied_by(old_low, canonical=True)
+            else unowned
+        )
+        new_owned = (
+            self._owned(new_low, partitions)
+            if self.partition.satisfied_by(new_low, canonical=True)
+            else unowned
+        )
         old_key = self.key_of(old_image)
         new_key = self.key_of(new_image)
         diff: tuple[dict[str, list[str]], tuple[str, ...]] | None = None
 
         out: list[TargetUpdate | None] = []
-        for partition, target_name in instances:
-            old_sat, new_sat = old_base, new_base
-            if partition is not None:
-                old_sat = old_sat and partition.satisfied_by(old_low, canonical=True)
-                new_sat = new_sat and partition.satisfied_by(new_low, canonical=True)
+        for (_, target_name), old_sat, new_sat in zip(
+            instances, old_owned, new_owned
+        ):
             action = route(old_sat, new_sat)
             changed: dict[str, list[str]] = {}
             removed: tuple[str, ...] = ()
@@ -345,7 +362,34 @@ class CompiledMapping:
         low = lower_attrs(image) if image is not None else None
         if not self.partition.satisfied_by(low, canonical=True):
             return [False] * len(partitions)
+        return self._owned(low, tuple(partitions))
+
+    def _owned(
+        self,
+        low: Mapping[str, Sequence[str]] | None,
+        partitions: tuple[PartitionConstraint | None, ...],
+    ) -> list[bool]:
+        """Which instance *partitions* the lower-keyed image *low*
+        satisfies: one owner-index lookup where they allow it, else each
+        predicate in turn (None, an instance without one, always holds)."""
+        index = self.owner_index(partitions)
+        if index is not None:
+            return index.owners(low)
         return [p is None or p.satisfied_by(low, canonical=True) for p in partitions]
+
+    def owner_index(
+        self, partitions: tuple[PartitionConstraint | None, ...]
+    ) -> OwnerIndex | None:
+        """The :class:`OwnerIndex` of one instance-partition tuple, built
+        once (None when the partitions must run)."""
+        try:
+            return self._owner_indexes[partitions]
+        except KeyError:
+            index = OwnerIndex.build(partitions)
+            if len(self._owner_indexes) >= OWNER_INDEX_MEMO_SIZE:
+                self._owner_indexes.clear()
+            self._owner_indexes[partitions] = index
+            return index
 
     def _is_conditional(self, descriptor: UpdateDescriptor, target: str) -> bool:
         """Section 5.4: the update is headed back to where it came from."""

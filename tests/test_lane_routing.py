@@ -172,6 +172,12 @@ class TestRoutingOracle:
         assert summary["source_schema"] == "ldap"
         assert summary["serial_reasons"] == list(SERIAL_REASONS)
         assert "pbx-west" in str(summary["instances"])
+        # The PBX partitions are disjoint extension prefixes: one lookup
+        # finds the owner; the lone messaging instance runs its predicate.
+        assert summary["owner_lookup"] == {
+            "mp": "scan",
+            "pbx": "prefix(extension)",
+        }
 
 
 CONFLICTING = """
