@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-isolated check check-concur bench-smoke perf-smoke bench bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
+.PHONY: test test-isolated check check-concur bench-smoke perf-smoke bench bench-ab bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
 
 ## Tier-1: the full unit/integration suite (tests/ only).
 test:
@@ -54,6 +54,17 @@ perf-smoke:
 		echo "$$out" | tail -n 1 > perf_smoke.json; \
 		[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": true' \
 		&& $(PYTHON) -c 'import json, sys; spans = json.load(open("perf_smoke.json"))["metrics"]["obs.spans"]["value"]; sys.exit(0 if spans > 0 else "perf-smoke: obs.spans is 0")'
+
+## A/B of the perfbench end-to-end metrics: BASE (any git revision)
+## against the working tree as it is on disk, the two run alternately,
+## SEEDS (default 1-5) x WORKLOADS (default all three), 8 s per run.
+## Prints each metric's two medians, the base's interquartile range, the
+## ratio and the pairs the working tree won.  Informational, not a gate;
+## writes nothing under perfbench/.  Example: make bench-ab BASE=HEAD~1
+bench-ab:
+	@[ -n "$(BASE)" ] || { echo "usage: make bench-ab BASE=<rev> [SEEDS=1-5] [WORKLOADS=a,b]"; exit 2; }
+	$(PYTHON) benchmarks/ab_perfbench.py --base $(BASE) \
+		$(if $(SEEDS),--seeds $(SEEDS)) $(if $(WORKLOADS),--workloads $(WORKLOADS))
 
 ## Serial vs device-link fan-out throughput at 1, 2 and 4 PBXes; writes
 ## BENCH_pipeline.json and fails when links/serial at 4 PBXes < 1.5.

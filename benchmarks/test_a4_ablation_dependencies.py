@@ -45,6 +45,7 @@ def ablate_dependencies(mapping: CompiledMapping) -> CompiledMapping:
     class _FatRule:
         def __init__(self, rule):
             self.target = rule.target
+            self.target_low = rule.target_low
             self.code = rule.code
             self.run = rule.run
 

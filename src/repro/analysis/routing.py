@@ -33,9 +33,9 @@ partition overlaps, and records no instance claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from ..lexpress.descriptor import UpdateDescriptor, normalize_attrs
-from ..lexpress.interpreter import lower_attrs
+from ..lexpress.descriptor import UpdateDescriptor
 from ..lexpress.mapping import CompiledMapping, CompiledRule, _as_values
 from ..lexpress.partition import PartitionConstraint
 from .runner import AnalysisReport, AnalysisTarget, analyze
@@ -87,26 +87,25 @@ class _ClaimGroup:
     names: tuple[str, ...]
     partitions: tuple[PartitionConstraint | None, ...]
 
-    def claims(
-        self, attrs: dict[str, list[str]], low: dict[str, list[str]]
-    ) -> list[str]:
-        """The claim strings of the instances that own *attrs* (*low* is
-        its lower-keyed view), on the engines the rules were bound to.
+    def claims(self, low: Mapping[str, Sequence[str]]) -> list[str]:
+        """The claim strings of the instances that own the lower-keyed
+        source image *low*, on the engines the rules were bound to.
 
         A claim carries the target-schema key value so two updates on
         the same device record always share a lane, while updates on
         distinct records of one large partition may spread out."""
         mapping = self.mapping
         image: dict[str, list[str]] = {}
+        image_low: dict[str, list[str]] = {}
         for rule in self.rules:
             values = _as_values(rule.run(low, None, True))
             if values is not None:
-                image[rule.target] = values
-        mapping._key_fallback(image, attrs)
-        owned = mapping.claimed(image, self.partitions)
+                image[rule.target] = image_low[rule.target_low] = values
+        mapping._key_fallback(image, image_low, low)
+        owned = mapping._claimed(image_low, self.partitions)
         if not any(owned):
             return []
-        key = mapping.key_of(image)
+        key = mapping._key_in(image_low)
         return [
             f"{name}:{key}" if key is not None else name
             for name, claimed in zip(self.names, owned)
@@ -174,8 +173,9 @@ class RoutingPlan:
         ):
             return LaneDecision(None, "non-commuting-write")
 
-        old_claims = self._claims(descriptor.old)
-        new_claims = self._claims(descriptor.new)
+        old_low, new_low = descriptor.lowered()
+        old_claims = self._claims(old_low)
+        new_claims = self._claims(new_low)
         for schema in set(old_claims) | set(new_claims):
             if (
                 len(old_claims.get(schema, ())) > 1
@@ -204,17 +204,15 @@ class RoutingPlan:
         return LaneDecision(None, "unclaimed")
 
     def _claims(
-        self, attrs: dict[str, list[str]] | None
+        self, low: dict[str, list[str]] | None
     ) -> dict[str, tuple[str, ...]]:
-        """Target schema -> claim strings for one source image."""
-        if attrs is None:
+        """Target schema -> claim strings for one lower-keyed source image."""
+        if low is None:
             return {}
-        normalized = normalize_attrs(attrs) or {}
-        low = lower_attrs(normalized)
         out: dict[str, tuple[str, ...]] = {}
         for schema, groups in self.groups.items():
             claimed = tuple(
-                claim for group in groups for claim in group.claims(normalized, low)
+                claim for group in groups for claim in group.claims(low)
             )
             if claimed:
                 out[schema] = claimed

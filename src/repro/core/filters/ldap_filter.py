@@ -191,24 +191,20 @@ class LdapFilter(Filter):
             # one canonical key per attribute (last writer wins) so a
             # caller passing e.g. both ``telephonenumber`` and
             # ``telephoneNumber`` cannot emit duplicate modifications.
-            canonical: dict[str, str] = {}
-            folded: dict[str, list[str]] = {}
-            for name, values in attributes.items():
-                key = canonical.setdefault(name.lower(), name)
-                folded[key] = list(values)
-            attributes = folded
             # Values that are part of the entry's RDN must never be
             # stripped by a replace (the server would reject it, aborting
             # the whole supplement batch).
             rdn_values = {
                 attr.lower(): value for attr, value in entry.dn.rdn.items()
             }
+            canonical: dict[str, str] = {}
             safe_attrs: dict[str, list[str]] = {}
             for name, values in attributes.items():
-                rdn_value = rdn_values.get(name.lower())
+                low = name.lower()
+                rdn_value = rdn_values.get(low)
                 if rdn_value is not None and rdn_value not in values:
                     values = list(values) + [rdn_value]
-                safe_attrs[name] = list(values)
+                safe_attrs[canonical.setdefault(low, name)] = list(values)
             mods = self._mods_for_attrs(safe_attrs, entry)
             if not mods:
                 return False

@@ -54,7 +54,7 @@ section-5.5 ordering of the supplemental write in both modes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, TYPE_CHECKING
 
 from ..ldap.backend import ChangeType
@@ -66,6 +66,7 @@ from ..lexpress.descriptor import (
     TargetUpdate,
     UpdateDescriptor,
     UpdateOp,
+    changed_names,
 )
 from ..ltap.triggers import TriggerEvent
 from ..obs.events import (
@@ -117,7 +118,9 @@ _SPAN_STAGES = {span: stage for stage, span in STAGE_SPANS.items()}
 
 
 def merge_attrs(
-    dest: dict[str, list[str]], src: Mapping[str, list[str]]
+    dest: dict[str, list[str]],
+    src: Mapping[str, list[str]],
+    names: dict[str, str] | None = None,
 ) -> dict[str, list[str]]:
     """Merge ``src`` into ``dest`` with case-insensitive attribute names.
 
@@ -125,17 +128,33 @@ def merge_attrs(
     device echoing ``telephonenumber`` used to shadow or duplicate the
     closure's ``telephoneNumber``.  Each attribute keeps exactly one
     canonical key — the spelling already in ``dest`` wins, new attributes
-    keep the spelling of their first appearance.  Returns ``dest``.
+    keep the spelling of their first appearance.  *names* maps each of
+    ``dest``'s names, lower-cased, to its spelling; a caller folding
+    several sources into one ``dest`` passes the same map to every call,
+    which keeps it current.  Returns ``dest``.
     """
-    canonical = {name.lower(): name for name in dest}
+    if names is None:
+        names = {name.lower(): name for name in dest}
     for name, values in src.items():
-        existing = canonical.get(name.lower())
-        if existing is None:
-            dest[name] = list(values)
-            canonical[name.lower()] = name
-        else:
-            dest[existing] = list(values)
+        existing = names.setdefault(name.lower(), name)
+        dest[existing] = list(values)
     return dest
+
+
+def _base_supplement(enriched: UpdateDescriptor) -> dict[str, list[str]]:
+    """The supplemental write's base: the enriched new image with one key
+    per attribute.  An image whose lower-keyed view has as many names as
+    it has already has one, so it is taken as it is (sharing its lists);
+    otherwise the first spelling of a name and its values win, the rule of
+    ``descriptor.lowered()``."""
+    if enriched.op is UpdateOp.DELETE or enriched.new is None:
+        return {}
+    if len(enriched.lowered()[1]) == len(enriched.new):
+        return dict(enriched.new)
+    first: dict[str, tuple[str, list[str]]] = {}
+    for name, values in enriched.new.items():
+        first.setdefault(name.lower(), (name, values))
+    return dict(first.values())
 
 
 @dataclass(frozen=True)
@@ -369,9 +388,7 @@ class UpdateSequencePipeline:
             descriptor=descriptor,
             enriched=enriched,
             serial=serial,
-            base_supplement=merge_attrs({}, enriched.new or {})
-            if descriptor.op is not UpdateOp.DELETE
-            else {},
+            base_supplement=_base_supplement(enriched),
         )
         routed = self._route_shared(enriched)
         for index, binding in enumerate(self.bindings):
@@ -440,19 +457,34 @@ class UpdateSequencePipeline:
 
     def _enrich(self, descriptor: UpdateDescriptor) -> UpdateDescriptor:
         """Run the transitive closure; return a descriptor whose new image
-        includes all derived LDAP attributes."""
+        includes all derived LDAP attributes.  The closure reads the
+        descriptor's own images, and the enriched descriptor shares every
+        value list of the original."""
+        old_low, new_low = descriptor.lowered()
+        new_low = new_low or {}
         result = self.closure.propagate(
             "ldap",
             descriptor.new or {},
             changed=descriptor.changed_attributes(),
             explicit=descriptor.explicit,
+            lowered=new_low,
         )
         merged = dict(descriptor.new or {})
-        have = {n.lower() for n in merged}
-        for name, values in result.image("ldap").items():
-            if name.lower() not in have:
-                merged[name] = values
-        return replace(descriptor, new=merged)
+        merged_low = dict(new_low)
+        spellings = result.spellings.get("ldap", {})
+        for attr, values in result.lowered("ldap").items():
+            if attr not in merged_low:
+                merged[spellings[attr]] = merged_low[attr] = values
+        return UpdateDescriptor.from_images(
+            descriptor.op,
+            descriptor.source,
+            descriptor.key,
+            descriptor.old,
+            merged,
+            descriptor.explicit,
+            descriptor.origin,
+            lowered=(old_low, merged_low),
+        )
 
     # -- the full sequence ---------------------------------------------------------
 
@@ -497,10 +529,13 @@ class UpdateSequencePipeline:
         if outcome.aborted:
             return outcome
 
-        supplement = merge_attrs({}, plan.base_supplement)
+        supplement = dict(plan.base_supplement)
+        names: dict[str, str] | None = None
         for device_outcome in outcome.outcomes:
-            if device_outcome.applied:
-                merge_attrs(supplement, device_outcome.supplement)
+            if device_outcome.applied and device_outcome.supplement:
+                if names is None:
+                    names = {name.lower(): name for name in supplement}
+                merge_attrs(supplement, device_outcome.supplement, names)
         outcome.supplement = supplement
         started = self._lap(stages, "merge", started)
 
@@ -791,51 +826,47 @@ class UpdateSequencePipeline:
 
 
 def _descriptor_from_event(event: TriggerEvent) -> UpdateDescriptor | None:
-    """The LDAP-event half of intake: one trigger event → one descriptor."""
+    """The LDAP-event half of intake: one trigger event → one descriptor.
+
+    Both images and their lower-keyed views come straight from the
+    entries' stored forms (:meth:`Attributes.images`), and every later
+    stage reads these same dicts: nothing downstream re-copies or
+    re-folds them."""
     origin = str(event.session.state.get("metacomm.origin", "ldap"))
-    before = event.before.attributes.to_dict() if event.before else None
-    after = event.after.attributes.to_dict() if event.after else None
+    old = old_low = new = new_low = None
+    if event.before is not None:
+        old, old_low = event.before.attributes.images()
+    if event.after is not None:
+        new, new_low = event.after.attributes.images()
     if event.change_type is ChangeType.ADD:
         op = UpdateOp.ADD
     elif event.change_type is ChangeType.DELETE:
         op = UpdateOp.DELETE
     else:
         op = UpdateOp.MODIFY
-        if before is None or after is None:
+        if old is None or new is None:
             return None
     key = str(event.after.dn if event.after is not None else event.dn)
-    explicit: set[str] = set()
-    if before is not None and after is not None:
-        old, new = _by_lower(before), _by_lower(after)
-        explicit = {
-            name
-            for name in old.keys() | new.keys()
-            if old.get(name, []) != new.get(name, [])
-        }
-    elif after is not None:
-        explicit = {n.lower() for n in after}
+    if old_low is not None and new_low is not None:
+        explicit = changed_names(old_low, new_low)
+    elif new_low is not None:
+        explicit = frozenset(new_low)
+    else:
+        explicit = frozenset()
     # Stamp the update's source so the Originator machinery (section
     # 5.4) sees who really made this change, not a stale value.
-    if after is not None:
-        after = dict(after)
-        for name in list(after):
-            if name.lower() == "lastupdater":
-                del after[name]
-        after["lastUpdater"] = [origin]
-    return UpdateDescriptor(
-        op=op,
-        source="ldap",
-        key=key,
-        old=before,
-        new=after,
-        explicit=frozenset(explicit),
-        origin=origin,
+    if new is not None:
+        spelled = event.after.attributes.spelling("lastUpdater")
+        if spelled is not None:
+            del new[spelled], new_low["lastupdater"]
+        new["lastUpdater"] = new_low["lastupdater"] = [origin]
+    return UpdateDescriptor.from_images(
+        op,
+        "ldap",
+        key,
+        old,
+        new,
+        explicit,
+        origin,
+        lowered=(old_low, new_low),
     )
-
-
-def _by_lower(attrs: dict[str, list[str]]) -> dict[str, list[str]]:
-    """Lower-cased name → values; the first spelling wins."""
-    out: dict[str, list[str]] = {}
-    for name, values in attrs.items():
-        out.setdefault(name.lower(), values)
-    return out

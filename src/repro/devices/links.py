@@ -135,34 +135,41 @@ class DeviceLink:
         dispatcher = self._dispatcher
         entry = _LinkOp(fn, op, key, Future(), time.monotonic())
         deadline = None if timeout is None else entry.submitted + timeout
-        waited = False
-        with dispatcher._cond:
-            while True:
-                if dispatcher._stopped:
-                    raise DeviceError(f"{self.name}: device link stopped")
-                if len(self._pending) < self.config.queue_limit:
-                    break
-                remaining = 0.25
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._stats["rejected"] += 1
-                        dispatcher._m_rejected.labels(device=self.name).inc()
-                        raise LinkBusy(
-                            f"{self.name}: link queue full "
-                            f"({self.config.queue_limit} ops pending)"
-                        )
-                    remaining = min(remaining, 0.25)
-                if not waited:
-                    waited = True
-                    self._stats["deferred"] += 1
-                    dispatcher._m_deferred.labels(device=self.name).inc()
-                dispatcher._cond.wait(remaining)
-            self._pending.append(entry)
-            self._stats["submitted"] += 1
-            if len(self._pending) > self._stats["peak_pending"]:
-                self._stats["peak_pending"] = len(self._pending)
-            dispatcher._cond.notify_all()
+        waited = rejected = False
+        try:
+            with dispatcher._cond:
+                while True:
+                    if dispatcher._stopped:
+                        raise DeviceError(f"{self.name}: device link stopped")
+                    if len(self._pending) < self.config.queue_limit:
+                        break
+                    remaining = 0.25
+                    if deadline is not None:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            self._stats["rejected"] += 1
+                            rejected = True
+                            raise LinkBusy(
+                                f"{self.name}: link queue full "
+                                f"({self.config.queue_limit} ops pending)"
+                            )
+                        remaining = min(remaining, 0.25)
+                    if not waited:
+                        waited = True
+                        self._stats["deferred"] += 1
+                    dispatcher._cond.wait(remaining)
+                self._pending.append(entry)
+                self._stats["submitted"] += 1
+                if len(self._pending) > self._stats["peak_pending"]:
+                    self._stats["peak_pending"] = len(self._pending)
+                dispatcher._cond.notify_all()
+        finally:
+            # Counted once the condition is released: binding a child by
+            # label takes the metric family's lock.
+            if waited:
+                dispatcher._m_deferred.labels(device=self.name).inc()
+            if rejected:
+                dispatcher._m_rejected.labels(device=self.name).inc()
         return entry.future
 
     # -- stall injection -----------------------------------------------------------
@@ -236,7 +243,7 @@ class LinkDispatcher:
         self._notifier: threading.Thread | None = None
         metrics = metrics if metrics is not None else MetricsRegistry()
         # The flush counters and the batch-size histogram, per device;
-        # updated with each link's ``_stats``, under ``_cond``.
+        # updated right after each link's ``_stats``, outside ``_cond``.
         ops = metrics.counter(
             "metacomm_link_ops_total",
             "Operations completed over device links",
@@ -425,18 +432,21 @@ class LinkDispatcher:
         ok_count = size - fail_count
         # Counted before any future resolves, so a submitter that wakes
         # on its result already sees its flush in the stats and metrics.
+        # The metric children are updated after ``_cond`` is released:
+        # the first flush of a device binds them, which takes the metric
+        # family's lock.
         name = link.name
         with self._cond:
             link._stats["completed"] += ok_count
             link._stats["failed"] += fail_count
             link._stats["flushes"] += 1
             link._batch_hist[size] = link._batch_hist.get(size, 0) + 1
-            self._m_flushes[name].inc()
-            self._m_batch_ops[name].observe(size)
-            if ok_count:
-                self._m_ops_ok[name].inc(ok_count)
-            if fail_count:
-                self._m_ops_failed[name].inc(fail_count)
+        self._m_flushes[name].inc()
+        self._m_batch_ops[name].observe(size)
+        if ok_count:
+            self._m_ops_ok[name].inc(ok_count)
+        if fail_count:
+            self._m_ops_failed[name].inc(fail_count)
         for op, result, exc in results:
             elapsed = done - op.submitted
             if exc is None:

@@ -162,11 +162,13 @@ class DN:
     suffixes.
     """
 
-    __slots__ = ("rdns", "_norm")
+    __slots__ = ("rdns", "_norm", "_text")
 
     def __init__(self, rdns: Sequence[Rdn] = ()):
         self.rdns: tuple[Rdn, ...] = tuple(rdns)
         self._norm = tuple(r.normalized() for r in self.rdns)
+        #: The string form, escaped once on first use (a DN is immutable).
+        self._text: str | None = None
 
     @classmethod
     def parse(cls, text: str) -> "DN":
@@ -236,7 +238,10 @@ class DN:
         return len(self.rdns)
 
     def __str__(self) -> str:
-        return ",".join(str(r) for r in self.rdns)
+        text = self._text
+        if text is None:
+            text = self._text = ",".join(str(r) for r in self.rdns)
+        return text
 
     def __repr__(self) -> str:
         return f"DN({str(self)!r})"

@@ -180,6 +180,22 @@ class Attributes:
     def to_dict(self) -> dict[str, list[str]]:
         return {self._names[k]: list(v) for k, v in self._data.items()}
 
+    def images(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """The collection as two fresh dicts over the same value lists:
+        first-writer spelling → values, and lower-cased name → values.
+        No name is case-folded: both forms are what the collection
+        stores.  The lists are new, but each is shared by both dicts."""
+        names = self._names
+        spelled: dict[str, list[str]] = {}
+        lowered: dict[str, list[str]] = {}
+        for key, values in self._data.items():
+            spelled[names[key]] = lowered[key] = list(values)
+        return spelled, lowered
+
+    def spelling(self, name: str) -> str | None:
+        """The stored spelling of attribute *name* (None when absent)."""
+        return self._names.get(name.lower())
+
     def normalized(self) -> dict[str, frozenset[str]]:
         """Comparison form: lower-case names to sets of normalized values."""
         return {

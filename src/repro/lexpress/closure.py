@@ -83,19 +83,23 @@ class Conflict:
 class ClosureResult:
     """Outcome of one propagation.
 
-    ``conflicts`` (disagreements discovered by the post-pass; explicit
-    ones are benign) is computed on first read, from the images as the
-    propagation left them."""
+    The propagation works on lower-keyed images; the spelled ``images``
+    are built from them on first read, and ``conflicts`` (disagreements
+    discovered by the post-pass; explicit ones are benign) is computed
+    on first read, from the images as the propagation left them."""
 
     def __init__(
         self,
-        images: dict[str, dict[str, list[str]]],
+        low_images: dict[str, dict[str, list[str]]],
+        spellings: dict[str, dict[str, str]],
         changed: dict[str, set[str]],
         iterations: int,
         check: Callable[[], list[Conflict]],
     ):
-        #: schema (lower) -> full attribute image after propagation
-        self.images = images
+        #: schema (lower) -> attribute (lower) -> values after propagation
+        self.low_images = low_images
+        #: schema (lower) -> attribute (lower) -> its display spelling
+        self.spellings = spellings
         #: schema (lower) -> attribute names (lower) set during propagation
         self.changed = changed
         #: worklist steps taken
@@ -103,11 +107,26 @@ class ClosureResult:
         self._check = check
 
     @cached_property
+    def images(self) -> dict[str, dict[str, list[str]]]:
+        """schema (lower) -> full attribute image after propagation."""
+        return {
+            schema: {
+                self.spellings[schema][attr]: values
+                for attr, values in image.items()
+            }
+            for schema, image in self.low_images.items()
+        }
+
+    @cached_property
     def conflicts(self) -> list[Conflict]:
         return self._check()
 
     def image(self, schema: str) -> dict[str, list[str]]:
         return self.images.get(schema.lower(), {})
+
+    def lowered(self, schema: str) -> dict[str, list[str]]:
+        """One schema's image keyed by lower-cased attribute name."""
+        return self.low_images.get(schema.lower(), {})
 
     def unstable_conflicts(self) -> list[Conflict]:
         return [c for c in self.conflicts if not c.explicit]
@@ -136,6 +155,8 @@ class ClosureEngine:
         changed: Iterable[str] | None = None,
         explicit: Iterable[str] = (),
         base_images: Mapping[str, Mapping[str, Sequence[str]]] | None = None,
+        *,
+        lowered: Mapping[str, list[str]] | None = None,
     ) -> ClosureResult:
         """Propagate an update entering at *schema* to every schema.
 
@@ -143,7 +164,10 @@ class ClosureEngine:
         attributes the update touched (default: all of them); ``explicit``
         names the attributes the client set directly; ``base_images``
         seeds the current records of other schemas, letting rules read
-        unchanged context attributes.
+        unchanged context attributes.  ``lowered`` is ``attrs`` keyed by
+        lower-cased name, when the caller already holds that view (an
+        update descriptor's): ``attrs`` must then be canonical — lists
+        of ``str`` — and its values are read as they are, not copied.
         """
         schema = schema.lower()
         # Work entirely on lower-keyed images: rule evaluation is then
@@ -162,15 +186,25 @@ class ClosureEngine:
                 target_low = name.lower()
                 for attr, values in (normalize_attrs(dict(image)) or {}).items():
                     _store(target_low, attr, values)
-        start = dict(normalize_attrs(dict(attrs)) or {})
-        low_images.setdefault(schema, {})
-        for attr, values in start.items():
-            _store(schema, attr, values)
+        if lowered is None:
+            start = normalize_attrs(attrs) or {}
+            low_images.setdefault(schema, {})
+            for attr, values in start.items():
+                _store(schema, attr, values)
+            start_names = frozenset(a.lower() for a in start)
+        else:
+            low_images.setdefault(schema, {}).update(lowered)
+            # The first spelling of a name wins, as in the view's values.
+            first: dict[str, str] = {}
+            for name in attrs:
+                first.setdefault(name.lower(), name)
+            spellings.setdefault(schema, {}).update(first)
+            start_names = frozenset(lowered)
 
         changed_set = (
             frozenset(a.lower() for a in changed)
             if changed is not None
-            else frozenset(a.lower() for a in start)
+            else start_names
         )
         explicit_set = frozenset(a.lower() for a in explicit)
 
@@ -194,7 +228,7 @@ class ClosureEngine:
                 target_frozen = frozen.setdefault(target, set())
                 newly_dirty: set[str] = set()
                 for rule in mapping.rules_for(dirty):
-                    attr = rule.target.lower()
+                    attr = rule.target_low
                     if attr in target_frozen:
                         continue  # first-win / explicit protection
                     values = _rule_values(
@@ -214,15 +248,9 @@ class ClosureEngine:
                 if newly_dirty:
                     pending.append((target, frozenset(newly_dirty)))
 
-        images = {
-            schema_low: {
-                spellings[schema_low][attr]: values
-                for attr, values in image.items()
-            }
-            for schema_low, image in low_images.items()
-        }
         result = ClosureResult(
-            images,
+            low_images,
+            spellings,
             touched,
             iterations,
             lambda: self._post_check(low_images, frozen, explicit_by_schema),
@@ -251,7 +279,7 @@ class ClosureEngine:
             target_image = low_images.get(target, {})
             target_frozen = frozen.get(target, set())
             for rule in mapping.rules:
-                attr = rule.target.lower()
+                attr = rule.target_low
                 if attr not in target_frozen:
                     continue
                 if not (rule.deps & source_image.keys()):

@@ -43,14 +43,8 @@ def _by_lower(attrs: Mapping[str, list[str]] | None) -> dict[str, list[str]]:
     return out
 
 
-def _get(attrs: Mapping[str, list[str]] | None, name: str) -> list[str]:
-    if not attrs:
-        return []
-    wanted = name.lower()
-    for key, values in attrs.items():
-        if key.lower() == wanted:
-            return list(values)
-    return []
+#: An image keyed by lower-cased attribute name.
+LowerView = dict[str, list[str]]
 
 
 @dataclass(frozen=True)
@@ -64,6 +58,15 @@ class UpdateDescriptor:
     ``origin`` names the repository where the update first entered the
     system; the Originator machinery (section 5.4) compares it against
     update targets to emit conditional operations.
+
+    The constructor normalizes whatever it is given (a string value
+    becomes a one-element list, every value a ``str``).
+    :meth:`from_images` takes images already in that form and keeps
+    them as they are — the update path builds each image once, at
+    intake, and every later stage reads the same dicts and lists.  A
+    descriptor is immutable and so are its images: no consumer may
+    change a dict or list it reads from one.  :meth:`lowered` is the
+    lower-keyed view of both images, built once per descriptor.
     """
 
     op: UpdateOp
@@ -77,6 +80,10 @@ class UpdateDescriptor:
     _changed: frozenset[str] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Memo of :meth:`lowered`.
+    _lowered: tuple[LowerView | None, LowerView | None] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "old", normalize_attrs(self.old))
@@ -86,6 +93,39 @@ class UpdateDescriptor:
         )
         if self.origin is None:
             object.__setattr__(self, "origin", self.source)
+        self._check()
+
+    @classmethod
+    def from_images(
+        cls,
+        op: UpdateOp,
+        source: str,
+        key: str | None,
+        old: dict[str, list[str]] | None,
+        new: dict[str, list[str]] | None,
+        explicit: frozenset[str],
+        origin: str,
+        lowered: tuple[LowerView | None, LowerView | None] | None = None,
+    ) -> "UpdateDescriptor":
+        """A descriptor over images already in canonical form (name →
+        list of ``str``), kept as given: nothing is copied or re-keyed.
+        *explicit* holds lower-case names.  *lowered*, when the caller
+        built it with the images, seeds the :meth:`lowered` memo."""
+        self = object.__new__(cls)
+        put = object.__setattr__
+        put(self, "op", op)
+        put(self, "source", source)
+        put(self, "key", key)
+        put(self, "old", old)
+        put(self, "new", new)
+        put(self, "explicit", explicit)
+        put(self, "origin", origin)
+        put(self, "_changed", None)
+        put(self, "_lowered", lowered)
+        self._check()
+        return self
+
+    def _check(self) -> None:
         if self.op is UpdateOp.ADD and self.new is None:
             raise ValueError("ADD descriptor needs a new image")
         if self.op is UpdateOp.DELETE and self.old is None:
@@ -95,26 +135,34 @@ class UpdateDescriptor:
 
     # -- derived ------------------------------------------------------------
 
+    def lowered(self) -> tuple[LowerView | None, LowerView | None]:
+        """``(old, new)`` keyed by lower-cased attribute name, sharing the
+        images' value lists; the first spelling of a name wins (built once
+        per descriptor)."""
+        views = self._lowered
+        if views is None:
+            views = (
+                _by_lower(self.old) if self.old is not None else None,
+                _by_lower(self.new) if self.new is not None else None,
+            )
+            object.__setattr__(self, "_lowered", views)
+        return views
+
     def changed_attributes(self) -> frozenset[str]:
         """Lower-case names of attributes whose values differ old → new
         (computed once per descriptor)."""
         changed = self._changed
         if changed is None:
-            old = _by_lower(self.old)
-            new = _by_lower(self.new)
-            changed = frozenset(
-                name
-                for name in old.keys() | new.keys()
-                if old.get(name, []) != new.get(name, [])
-            )
+            old, new = self.lowered()
+            changed = changed_names(old or {}, new or {})
             object.__setattr__(self, "_changed", changed)
         return changed
 
     def get_new(self, name: str) -> list[str]:
-        return _get(self.new, name)
+        return list((self.lowered()[1] or {}).get(name.lower(), ()))
 
     def get_old(self, name: str) -> list[str]:
-        return _get(self.old, name)
+        return list((self.lowered()[0] or {}).get(name.lower(), ()))
 
     def with_new_attribute(self, name: str, values: Sequence[str]) -> "UpdateDescriptor":
         """A copy with one attribute of the new image replaced/added —
@@ -125,6 +173,17 @@ class UpdateDescriptor:
                 del new[key]
         new[name] = [str(v) for v in values]
         return replace(self, new=new)
+
+
+def changed_names(
+    old: Mapping[str, list[str]], new: Mapping[str, list[str]]
+) -> frozenset[str]:
+    """Lower-case names whose values differ between two lower-keyed views."""
+    return frozenset(
+        name
+        for name in old.keys() | new.keys()
+        if old.get(name, []) != new.get(name, [])
+    )
 
 
 class TargetAction(enum.Enum):

@@ -18,7 +18,7 @@ own partition constraint) — the reuse story of section 4.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .ast import AttrRef, Expr, MappingDecl, Span
@@ -47,6 +47,11 @@ class CompiledRule:
     run: Runner
     #: Source position of the ``map`` statement (None for synthesized rules).
     span: "Span | None" = None
+    #: ``target`` lower-cased: the rule's key in a lower-keyed image.
+    target_low: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "target_low", self.target.lower())
 
     @property
     def deps(self) -> frozenset[str]:
@@ -83,6 +88,10 @@ class CompiledMapping:
         self.key_source = decl.key_source
         self.key_target = decl.key_target
         self.originator = decl.originator
+        # Lower-cased once: translation looks them up in lower-keyed images.
+        self._key_source_low = (decl.key_source or "").lower() or None
+        self._key_target_low = (decl.key_target or "").lower() or None
+        self._originator_low = (decl.originator or "").lower() or None
         #: The declaration this mapping was compiled from, and the source
         #: text of the description it came from — retained for static
         #: analysis (span resolution and inline suppression comments).
@@ -164,54 +173,68 @@ class CompiledMapping:
     ) -> dict[str, list[str]] | None:
         """Full target-schema image of a source record (None in, None out).
 
-        *targets* (lower-case target names) restricts the image to the
-        rules producing them — all a partition test reads of it."""
+        *attrs* may be any raw record (a device's, an entry's dict); it is
+        normalized first.  *targets* (lower-case target names) restricts
+        the image to the rules producing them — all a partition test
+        reads of it."""
         if attrs is None:
             return None
-        attrs = normalize_attrs(attrs) or {}
-        low = lower_attrs(attrs)
+        return self._image(lower_attrs(normalize_attrs(attrs) or {}), targets)[0]
+
+    def _image(
+        self,
+        low: Mapping[str, Sequence[str]],
+        targets: frozenset[str] | None = None,
+    ) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """The target image of a lower-keyed source record *low*, spelled
+        and lower-keyed (both share each value list)."""
         out: dict[str, list[str]] = {}
+        out_low: dict[str, list[str]] = {}
         for rule in self.rules:
-            if targets is not None and rule.target.lower() not in targets:
+            if targets is not None and rule.target_low not in targets:
                 continue
             values = self.evaluate(rule, low, canonical=True)
             if values is not None:
-                out[rule.target] = values
-        self._key_fallback(out, attrs)
-        return out
+                out[rule.target] = out_low[rule.target_low] = values
+        self._key_fallback(out, out_low, low)
+        return out, out_low
 
     def _key_fallback(
-        self, image: dict[str, list[str]], attrs: Mapping[str, list[str]]
+        self,
+        image: dict[str, list[str]],
+        image_low: dict[str, list[str]],
+        low: Mapping[str, Sequence[str]],
     ) -> None:
         """The `key src -> tgt` declaration is itself an identity
         correspondence: when no rule produced the target key (e.g. a
-        transformed key rule saw only nulls), fall back to it directly."""
-        if (
-            self.key_target is None
-            or self.key_source is None
-            or _lookup(image, self.key_target.lower()) is not None
-        ):
+        transformed key rule saw only nulls), fall back to it directly.
+        *image_low* is *image*'s lower-keyed view, *low* the source
+        record's; both are kept in step with *image*."""
+        target = self._key_target_low
+        if target is None or self._key_source_low is None or target in image_low:
             return
-        for name, values in attrs.items():
-            if name.lower() == self.key_source.lower() and values:
-                image[self.key_target] = [str(values[0])]
-                return
+        values = low.get(self._key_source_low)
+        if values:
+            image[self.key_target] = image_low[target] = [str(values[0])]
 
     def _dual_images(
         self,
-        old_attrs: dict[str, list[str]],
-        new_attrs: dict[str, list[str]],
+        old_low: Mapping[str, Sequence[str]],
+        new_low: Mapping[str, Sequence[str]],
         changed: frozenset[str],
-    ) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """Old and new target images for a modify, evaluating rules whose
-        dependencies did not change only once (identical inputs produce
-        identical outputs) — the payoff of dependency analysis."""
-        old_n = normalize_attrs(old_attrs) or {}
-        new_n = normalize_attrs(new_attrs) or {}
-        old_low = lower_attrs(old_n)
-        new_low = lower_attrs(new_n)
+    ) -> tuple[
+        tuple[dict[str, list[str]], dict[str, list[str]]],
+        tuple[dict[str, list[str]], dict[str, list[str]]],
+    ]:
+        """Old and new target images (each spelled and lower-keyed, as
+        :meth:`_image`) for a modify of the lower-keyed source records
+        *old_low* and *new_low*, evaluating rules whose dependencies did
+        not change only once (identical inputs produce identical outputs)
+        — the payoff of dependency analysis."""
         old_image: dict[str, list[str]] = {}
         new_image: dict[str, list[str]] = {}
+        old_out: dict[str, list[str]] = {}
+        new_out: dict[str, list[str]] = {}
         for rule in self.rules:
             old_values = self.evaluate(rule, old_low, canonical=True)
             if rule.deps & changed:
@@ -219,20 +242,22 @@ class CompiledMapping:
             else:
                 new_values = list(old_values) if old_values is not None else None
             if old_values is not None:
-                old_image[rule.target] = old_values
+                old_image[rule.target] = old_out[rule.target_low] = old_values
             if new_values is not None:
-                new_image[rule.target] = new_values
-        self._key_fallback(old_image, old_n)
-        self._key_fallback(new_image, new_n)
-        return old_image, new_image
+                new_image[rule.target] = new_out[rule.target_low] = new_values
+        self._key_fallback(old_image, old_out, old_low)
+        self._key_fallback(new_image, new_out, new_low)
+        return (old_image, old_out), (new_image, new_out)
 
     def key_of(self, image: Mapping[str, Sequence[str]] | None) -> str | None:
-        if image is None or self.key_target is None:
+        return self._key_in(lower_attrs(image)) if image is not None else None
+
+    def _key_in(self, image_low: Mapping[str, Sequence[str]] | None) -> str | None:
+        """:meth:`key_of` for a lower-keyed image."""
+        if image_low is None or self._key_target_low is None:
             return None
-        for name, values in image.items():
-            if name.lower() == self.key_target.lower() and values:
-                return str(values[0])
-        return None
+        values = image_low.get(self._key_target_low)
+        return str(values[0]) if values else None
 
     # -- translation ------------------------------------------------------------
 
@@ -279,20 +304,21 @@ class CompiledMapping:
         if not self.relevant(descriptor):
             return [None] * len(instances)
 
+        # The descriptor's lower-keyed views feed the rule engines as they
+        # are; the target images come back spelled and lower-keyed, and
+        # the partition predicates read the latter.
+        old_src, new_src = descriptor.lowered()
         if descriptor.op is UpdateOp.MODIFY:
-            old_image, new_image = self._dual_images(
-                descriptor.old or {},
-                descriptor.new or {},
-                descriptor.changed_attributes(),
+            (old_image, old_low), (new_image, new_low) = self._dual_images(
+                old_src, new_src, descriptor.changed_attributes()
             )
         else:
-            old_image = self.image(descriptor.old)
-            new_image = self.image(descriptor.new)
+            old_image = old_low = new_image = new_low = None
+            if old_src is not None:
+                old_image, old_low = self._image(old_src)
+            if new_src is not None:
+                new_image, new_low = self._image(new_src)
 
-        # Partition predicates read the images through the rule engines'
-        # canonical (lower-cased) view, built once for every instance.
-        old_low = lower_attrs(old_image) if old_image is not None else None
-        new_low = lower_attrs(new_image) if new_image is not None else None
         partitions = tuple(partition for partition, _ in instances)
         unowned = [False] * len(instances)
         old_owned = (
@@ -305,8 +331,17 @@ class CompiledMapping:
             if self.partition.satisfied_by(new_low, canonical=True)
             else unowned
         )
-        old_key = self.key_of(old_image)
-        new_key = self.key_of(new_image)
+        old_key = self._key_in(old_low)
+        new_key = self._key_in(new_low)
+        # Section 5.4's Originator inputs, read once for every instance:
+        # where the update entered, and the stamp on the source record.
+        origin = descriptor.origin.lower() if descriptor.origin is not None else None
+        stamp = None
+        if self._originator_low is not None:
+            record = new_src if new_src is not None else old_src
+            values = record.get(self._originator_low) if record is not None else None
+            if values:
+                stamp = str(values[0]).lower()
         diff: tuple[dict[str, list[str]], tuple[str, ...]] | None = None
 
         out: list[TargetUpdate | None] = []
@@ -326,6 +361,7 @@ class CompiledMapping:
                 out.append(None)
                 continue
             target = target_name or self.target
+            conditional = target.lower() in (origin, stamp)
             out.append(
                 TargetUpdate(
                     action=action,
@@ -337,7 +373,7 @@ class CompiledMapping:
                     old_attributes=dict(old_image or {}),
                     changed=dict(changed),
                     removed=removed,
-                    conditional=self._is_conditional(descriptor, target),
+                    conditional=conditional,
                     mapping=self.name,
                 )
             )
@@ -359,7 +395,16 @@ class CompiledMapping:
     ) -> list[bool]:
         """:meth:`claims` for several instance partitions at once: this
         mapping's own partition is tested once, then each instance's."""
-        low = lower_attrs(image) if image is not None else None
+        return self._claimed(
+            lower_attrs(image) if image is not None else None, partitions
+        )
+
+    def _claimed(
+        self,
+        low: Mapping[str, Sequence[str]] | None,
+        partitions: Sequence[PartitionConstraint | None],
+    ) -> list[bool]:
+        """:meth:`claimed` for a lower-keyed image."""
         if not self.partition.satisfied_by(low, canonical=True):
             return [False] * len(partitions)
         return self._owned(low, tuple(partitions))
@@ -391,20 +436,6 @@ class CompiledMapping:
             self._owner_indexes[partitions] = index
             return index
 
-    def _is_conditional(self, descriptor: UpdateDescriptor, target: str) -> bool:
-        """Section 5.4: the update is headed back to where it came from."""
-        if descriptor.origin is not None and descriptor.origin.lower() == target.lower():
-            return True
-        if self.originator is None:
-            return False
-        record = descriptor.new if descriptor.new is not None else descriptor.old
-        if record is None:
-            return False
-        for name, values in record.items():
-            if name.lower() == self.originator.lower() and values:
-                return str(values[0]).lower() == target.lower()
-        return False
-
 
 def _diff(
     old_image: dict[str, list[str]] | None,
@@ -433,15 +464,6 @@ def _by_lower(
     for name, values in (image or {}).items():
         out.setdefault(name.lower(), (name, values))
     return out
-
-
-def _lookup(image: dict[str, list[str]] | None, lower_name: str) -> list[str] | None:
-    if not image:
-        return None
-    for name, values in image.items():
-        if name.lower() == lower_name:
-            return values
-    return None
 
 
 @dataclass

@@ -387,6 +387,74 @@ class TestSubmitSurfaces:
             system.close()
 
 
+class TestMetricsOutsideDispatcherCondition:
+    """No metric is bound or updated while the dispatcher's condition is
+    held: binding a child takes its family's lock, and the static
+    lock-order graph cannot see that order (docs/CONCURRENCY.md)."""
+
+    def test_no_metric_call_under_cond(self, monkeypatch):
+        from repro.obs import metrics
+
+        owner: list[LinkDispatcher] = []
+        calls: list[str] = []
+        under_cond: list[str] = []
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                label = f"{cls.__name__}.{name}"
+                if isinstance(self, metrics.Metric):
+                    label += f"({self.name})"
+                calls.append(label)
+                if owner and owner[0]._cond._is_owned():
+                    under_cond.append(label)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        spy(metrics.Metric, "labels")
+        for cls in (metrics._CounterChild, metrics._GaugeChild):
+            spy(cls, "inc")
+        spy(metrics._HistogramChild, "observe")
+
+        system = linked_fleet(2, link_queue_limit=2)
+        owner.append(system.links)
+        try:
+            conn = system.connection()
+            for i in range(3):
+                conn.add(
+                    f"cn=P {i},o=Lucent",
+                    person_attrs(f"P {i}", "P", definityExtension=f"410{i}"),
+                )
+            # A full queue on a stalled link: one submit waits and gives
+            # up (deferred, then rejected), one is rejected at once.
+            link = system.links.link("pbx-1")
+            link.pause()
+            queued = [link.submit(lambda: None) for _ in range(2)]
+            with pytest.raises(LinkBusy):
+                link.submit(lambda: None, timeout=0.05)
+            with pytest.raises(LinkBusy):
+                link.submit(lambda: None, timeout=0)
+            link.resume()
+            for future in queued:
+                future.result(timeout=5)
+            assert link.snapshot()["rejected"] == 2
+            assert link.snapshot()["deferred"] == 1
+        finally:
+            system.close()
+        bound = " ".join(calls)
+        for family in (
+            "metacomm_link_flushes_total",
+            "metacomm_link_ops_total",
+            "metacomm_link_batch_ops",
+            "metacomm_link_submit_deferred_total",
+            "metacomm_link_submit_rejected_total",
+        ):
+            assert f"Metric.labels({family})" in bound
+        assert under_cond == []
+
+
 # -- window=1/batch=1 equivalence with the paper-serial fan-out --------------
 
 
