@@ -107,6 +107,9 @@ class DeviceFilter(Filter):
             return None
 
     def dump(self) -> list[dict[str, list[str]]]:
+        """Every record in canonical form: each value a one-element list
+        of the ``str`` the device stores (a device coerces every field
+        it commits), which the auditor's comparison images as it is."""
         # The device hands out fresh copies: list-wrap their values in
         # place rather than copying every record a second time.
         records = self.device.dump()

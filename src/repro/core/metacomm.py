@@ -18,15 +18,15 @@ synchronizer::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..devices.messaging.platform import MessagingPlatform
 from ..devices.pbx.definity import DefinityPbx, partition_expression
 from ..devices.pbx.ossi import OssiTerminal
 from ..ldap.client import LdapConnection
 from ..ldap.dn import DN
-from ..ldap.entry import Entry
+from ..ldap.entry import Entry, _norm_value
 from ..ldap.server import LdapServer
+from ..lexpress.interpreter import lower_attrs
 from ..lexpress.partition import PartitionConstraint
 from ..ltap.gateway import LtapGateway
 from ..obs import (
@@ -508,16 +508,12 @@ class MetaComm:
         with self.auditor.directory_view() as view:
             return self._compare(binding, records, view)
 
-    def directory_view(
-        self,
-        bindings: list[DeviceBinding],
-        read: Callable[[DN], Entry | None] | None = None,
-    ) -> DirectoryView:
+    def directory_view(self, bindings: list[DeviceBinding]) -> DirectoryView:
         """A :class:`~repro.obs.audit.DirectoryView` of *bindings* built
-        from one full read of the people subtree.  Located entries come
-        from that read unless *read* fetches them live."""
+        from one full read of the people subtree; it keeps the entries
+        that read returned."""
         base = self.um.ldap_filter.people_base
-        return DirectoryView(base, bindings, self.connection().search(base), read)
+        return DirectoryView(base, bindings, self.connection().search(base))
 
     @staticmethod
     def _compare(
@@ -531,15 +527,23 @@ class MetaComm:
         A record equal to one the view's memo holds, whose memoized entry
         is still the one its key locates, was consistent before and both
         sides are unchanged (entries are immutable), so it is not imaged
-        again.  A fresh view's memo is empty: the full walk images every
-        record.  Records with a problem are never memoized, so persistent
-        drift is reported on every comparison."""
+        again; the memo keeps the key normalized and lower-cased, so such
+        a hit folds nothing.  A fresh view's memo is empty: the full walk
+        images every record.  Records with a problem are never memoized,
+        so persistent drift is reported on every comparison.
+
+        Every other record is lower-keyed once and imaged by the rule
+        engines as it is: a dump hands out canonical records (each value
+        a one-element list of the device's ``str``), so nothing is
+        normalized, and the subset check reads the entry's stored
+        lower-keyed values."""
         problems: list[str] = []
         to_ldap = binding.to_ldap
         key_attr = to_ldap.key_target
+        key_low = key_attr.lower() if key_attr else None
         key_source = to_ldap.key_source
         memo = view.verified(binding)
-        verified: dict[str, tuple[dict, str, Entry]] = {}
+        verified: dict[str, tuple[dict, str, Entry, str, str]] = {}
         device_keys = set()
         hits = 0
         for record in records:
@@ -549,28 +553,32 @@ class MetaComm:
             if (
                 pair is not None
                 and pair[0] == record
-                and view.entry(key_attr, pair[1]) is pair[2]
+                and view.locate(key_low, pair[3]) is pair[2]
             ):
-                device_keys.add(pair[1].lower())
+                device_keys.add(pair[4])
                 verified[device_key] = pair
                 hits += 1
                 continue
-            image = to_ldap.image(record) or {}
-            ldap_key = to_ldap.key_of(image)
+            image, image_low = to_ldap._image(lower_attrs(record))
+            ldap_key = to_ldap._key_in(image_low)
             if ldap_key is None:
                 continue
-            device_keys.add(ldap_key.lower())
-            entry = view.entry(key_attr, ldap_key)
+            lowered = ldap_key.lower()
+            normalized = _norm_value(ldap_key)
+            device_keys.add(lowered)
+            entry = view.locate(key_low, normalized)
             if entry is None:
                 problems.append(
                     f"{binding.name}: record {ldap_key} missing from directory"
                 )
                 continue
+            stored = entry.attributes.lowered()
             clean = True
             for name, values in image.items():
-                if name.lower() == "lastupdater":
+                name_low = name.lower()
+                if name_low == "lastupdater":
                     continue  # bookkeeping, not user data
-                have = entry.get(name)
+                have = stored.get(name_low, ())
                 # The directory may carry extra values (e.g. an RDN
                 # disambiguator on cn); the device's view must be a
                 # subset of the directory's.
@@ -581,7 +589,7 @@ class MetaComm:
                         f"directory={have}"
                     )
             if clean and device_key is not None:
-                verified[device_key] = (record, ldap_key, entry)
+                verified[device_key] = (record, ldap_key, entry, normalized, lowered)
         view.remember(binding, verified, len(records) - hits)
         for dn, key in view.unheld(binding, device_keys):
             problems.append(

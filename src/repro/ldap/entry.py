@@ -192,6 +192,13 @@ class Attributes:
             spelled[names[key]] = lowered[key] = list(values)
         return spelled, lowered
 
+    def lowered(self) -> Mapping[str, tuple[str, ...]]:
+        """The stored lower-cased name → value tuple map itself, not a
+        copy: a reader keyed by lower-case names (a rule engine, the
+        auditor's comparison) reads it without folding anything.  Never
+        mutate it."""
+        return self._data
+
     def spelling(self, name: str) -> str | None:
         """The stored spelling of attribute *name* (None when absent)."""
         return self._names.get(name.lower())

@@ -39,7 +39,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..ldap.backend import ChangeRecord, ChangeType
 from ..ldap.dn import DN
@@ -108,44 +108,34 @@ class DirectoryView:
 
     It holds, for the entries under ``base``:
 
+    * the entries themselves, by DN key — the objects the backend stores
+      (entries are immutable), so a located entry costs no backend read;
     * key attribute → normalized value → DN keys, which stands in for the
       ``locate()`` search of every device record (the smallest DN key
       wins, as in the search's sorted result);
-    * per binding, the DN keys of the person entries that carry the
-      binding's key attribute and whose ``from_ldap`` image claims the
-      binding's partition — the entries the device must hold;
+    * per binding, the person entries that carry the binding's key
+      attribute and whose ``from_ldap`` image claims the binding's
+      partition — the entries the device must hold — each with its key
+      value lower-cased;
     * per binding, the memo of the pairs its last comparison verified
       (:meth:`verified`, :meth:`remember`), which lives and dies with
       the view.
 
-    The first two are functions of one entry's DN and attributes alone, so
-    :meth:`put` re-images a changed entry by itself.  The partition test
-    images only the rules the partitions read (``partition.deps``), tests
-    each mapping's own partition once per entry and each instance
-    partition once per binding, and is skipped when none of the source
-    attributes those rules read changed.  The view stores DN keys and
-    those source values, not entries: :meth:`entry` fetches the located
-    entry through ``read`` (a snapshot of *entries* when None).
+    The index and the claims are functions of one entry's DN and
+    attributes alone, so :meth:`put` re-images a changed entry by itself,
+    from the lower-keyed values the entry stores.  An entry whose key
+    values, ``objectClass`` and claim inputs all held is only swapped in:
+    it is filed where it was.  The partition test images only the rules
+    the partitions read (``partition.deps``), tests each mapping's own
+    partition once per entry and each instance partition once per
+    binding, and is skipped when none of the source attributes those
+    rules read changed.
     """
 
-    def __init__(
-        self,
-        base: DN,
-        bindings: Sequence,
-        entries: Iterable[Entry],
-        read: Callable[[DN], Entry | None] | None = None,
-    ):
+    def __init__(self, base: DN, bindings: Sequence, entries: Iterable[Entry]):
         self.base = base
         self.bindings = tuple(bindings)
         self.parts = _binding_parts(self.bindings)
-        entries = list(entries)
-        if read is None:
-            snapshot = {entry.dn.normalized(): entry for entry in entries}
-
-            def read(dn: DN) -> Entry | None:
-                return snapshot.get(dn.normalized())
-
-        self.read = read
         #: Per binding: its key attribute (lower case), or None.
         self._key_attrs = tuple(
             b.to_ldap.key_target.lower() if b.to_ldap.key_target else None
@@ -180,21 +170,26 @@ class DirectoryView:
                 )
             )
         self._inputs = tuple(sorted(inputs))
-        self._dns: dict[tuple, DN] = {}
-        #: DN key → key attribute → the entry's values of it.
-        self._keys: dict[tuple, dict[str, list[str]]] = {}
         self._located: dict[str, dict[str, set[tuple]]] = {
             attr: {} for attr in self._key_attrs if attr is not None
         }
+        #: What decides where an entry is filed: its key attributes, its
+        #: object classes (the person test) and its claim inputs.
+        self._filed_by = tuple(sorted({*self._located, "objectclass", *inputs}))
+        #: DN key → the entry the view holds.
+        self._entries: dict[tuple, Entry] = {}
+        #: DN key → key attribute → the entry's values of it.
+        self._keys: dict[tuple, dict[str, tuple[str, ...]]] = {}
         #: Person DN key → (its input values, the bindings it claims).
         self._claims: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
-        self._claimed: list[set[tuple]] = [set() for _ in self.bindings]
+        #: Per binding: claimed DN key → its key value, lower-cased.
+        self._claimed: list[dict[tuple, str]] = [{} for _ in self.bindings]
         #: Parent DN key → how many of its children the view holds.
         self._children: dict[tuple, int] = {}
         #: Per binding: device key → (the dumped record as last verified,
-        #: its LDAP key, the entry it matched) — the last comparison's
-        #: consistent pairs.
-        self._verified: list[dict[str, tuple[dict, str, Entry]]] = [
+        #: its LDAP key, the entry it matched, the key normalized and
+        #: lower-cased) — the last comparison's consistent pairs.
+        self._verified: list[dict[str, tuple[dict, str, Entry, str, str]]] = [
             {} for _ in self.bindings
         ]
         #: Device records the comparisons against this view have imaged.
@@ -216,15 +211,26 @@ class DirectoryView:
     def put(self, dn: DN, entry: Entry | None) -> None:
         """Re-image the entry at *dn*; None means it is gone."""
         key = dn.normalized()
+        if entry is not None:
+            held = self._entries.get(key)
+            if held is not None:
+                filed_by = self._filed_by
+                if list(map(held.attributes.lowered().get, filed_by)) == list(
+                    map(entry.attributes.lowered().get, filed_by)
+                ):
+                    # Filed where it was: only the entry (and with it the
+                    # DN's spelling) changes.
+                    self._entries[key] = entry
+                    return
         before = self._drop(key)
         if entry is None or not entry.dn.is_under(self.base):
             return
-        self._dns[key] = entry.dn
+        self._entries[key] = entry
         self._children[key[1:]] = self._children.get(key[1:], 0) + 1
-        attributes = entry.attributes
-        keys: dict[str, list[str]] = {}
+        stored = entry.attributes.lowered()
+        keys: dict[str, tuple[str, ...]] = {}
         for attr, table in self._located.items():
-            values = attributes.get(attr)
+            values = stored.get(attr)
             if values:
                 keys[attr] = values
                 for value in values:
@@ -232,29 +238,33 @@ class DirectoryView:
         self._keys[key] = keys
         if not keys or not _PERSON.matches(entry):
             return
-        inputs = tuple(attributes.get(attr) for attr in self._inputs)
+        inputs = tuple(map(stored.get, self._inputs))
         if before is not None and before[0] == inputs:
             claims = before[1]
         else:
-            claims = self._claims_of(attributes.to_dict(), keys)
+            claims = self._claims_of(stored, keys)
         self._claims[key] = (inputs, claims)
         for index in claims:
-            self._claimed[index].add(key)
+            self._claimed[index][key] = keys[self._key_attrs[index]][0].lower()
 
     def _claims_of(
-        self, record: dict[str, list[str]], keys: dict[str, list[str]]
+        self,
+        stored: Mapping[str, Sequence[str]],
+        keys: dict[str, tuple[str, ...]],
     ) -> tuple[int, ...]:
+        """The bindings whose partitions claim the entry whose stored
+        lower-keyed values are *stored*."""
         claims: list[int] = []
         for mapping, targets, indexes, partitions in self._groups:
-            image = mapping.image(record, targets)
-            for index, claimed in zip(indexes, mapping.claimed(image, partitions)):
+            _, image = mapping._image(stored, targets)
+            for index, claimed in zip(indexes, mapping._claimed(image, partitions)):
                 if claimed and self._key_attrs[index] in keys:
                     claims.append(index)
         return tuple(claims)
 
     def _drop(self, key: tuple) -> tuple[tuple, tuple[int, ...]] | None:
         """Forget the entry at *key*; returns its claims record."""
-        if self._dns.pop(key, None) is None:
+        if self._entries.pop(key, None) is None:
             return None
         parent = key[1:]
         if self._children[parent] == 1:
@@ -272,23 +282,28 @@ class DirectoryView:
         before = self._claims.pop(key, None)
         if before is not None:
             for index in before[1]:
-                self._claimed[index].discard(key)
+                del self._claimed[index][key]
         return before
 
     def entry(self, attribute: str, value: str) -> Entry | None:
         """The entry a ``(attribute=value)`` search under the base
         returns first, or None."""
-        keys = self._located.get(attribute.lower(), {}).get(_norm_value(value))
-        if not keys:
-            return None
-        return self.read(self._dns[min(keys)])
+        return self.locate(attribute.lower(), _norm_value(value))
+
+    def locate(self, attribute: str, normalized: str) -> Entry | None:
+        """:meth:`entry` for a lower-case *attribute* and a *normalized*
+        value (:func:`~repro.ldap.entry._norm_value`)."""
+        table = self._located.get(attribute)
+        keys = table.get(normalized) if table is not None else None
+        return self._entries[min(keys)] if keys else None
 
     def _index(self, binding) -> int:
         return next(i for i, b in enumerate(self.bindings) if b is binding)
 
-    def verified(self, binding) -> dict[str, tuple[dict, str, Entry]]:
-        """*binding*'s memo: device key → (record, LDAP key, entry) of
-        each pair its last comparison found consistent."""
+    def verified(self, binding) -> dict[str, tuple[dict, str, Entry, str, str]]:
+        """*binding*'s memo: device key → (record, LDAP key, entry, the
+        key normalized, the key lower-cased) of each pair its last
+        comparison found consistent."""
         return self._verified[self._index(binding)]
 
     def remember(self, binding, verified: dict, imaged: int) -> None:
@@ -304,10 +319,10 @@ class DirectoryView:
         attr = self._key_attrs[index]
         missing = sorted(
             key
-            for key in self._claimed[index]
-            if self._keys[key][attr][0].lower() not in device_keys
+            for key, value in self._claimed[index].items()
+            if value not in device_keys
         )
-        return [(self._dns[key], self._keys[key][attr][0]) for key in missing]
+        return [(self._entries[key].dn, self._keys[key][attr][0]) for key in missing]
 
 
 @dataclass
@@ -447,7 +462,7 @@ class ConsistencyAuditor:
             # re-keyed without change records of their own.
             or any(view.has_children(dn) for dn in renamed)
         ):
-            view = system.directory_view(bindings, read=self._read_entry)
+            view = system.directory_view(bindings)
             self._view = view
             self._rebuilds_total.inc()
         else:
@@ -506,7 +521,9 @@ class ConsistencyAuditor:
             report.device_lag[binding.name] = max(
                 0, report.last_serial - device_health.last_applied_serial
             )
-        health.refresh_gauges(last_serial=report.last_serial)
+        health.refresh_gauges(
+            last_serial=report.last_serial, lags=report.device_lag
+        )
 
         self._last_mismatches.set(report.mismatch_count)
         report.duration = time.perf_counter() - start

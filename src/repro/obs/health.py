@@ -40,6 +40,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import Mapping
 
 from .events import DEVICE_COMMIT, DEVICE_FAILURE, HEALTH_TRANSITION, EventJournal
 from .metrics import MetricsRegistry
@@ -285,6 +286,8 @@ class HealthBoard:
         #: children, resolved once per device — ``.labels()`` key building
         #: is measurable on the per-outcome hot path.
         self._hot_children: dict[str, tuple] = {}
+        #: name -> the children :meth:`refresh_gauges` sets, likewise.
+        self._gauge_children: dict[str, tuple] = {}
         self._state_gauge = registry.gauge(
             "metacomm_device_health",
             "Derived device-link health (0=healthy 1=degraded 2=unreachable)",
@@ -411,26 +414,56 @@ class HealthBoard:
                 error_rate=round(health.error_rate, 4),
             )
 
-    def refresh_gauges(self, last_serial: int | None = None) -> None:
+    def _gauges(self, name: str) -> tuple:
+        """The low-rate gauge children of one device, resolved once:
+        error rate, streak, state, lag and quantile → latency child."""
+        children = self._gauge_children.get(name)
+        if children is None:
+            _, _, streak_child, state_child = self._hot(name)
+            children = (
+                self._error_rate_gauge.labels(device=name),
+                streak_child,
+                state_child,
+                self._lag_gauge.labels(device=name),
+                {},
+            )
+            self._gauge_children[name] = children
+        return children
+
+    def refresh_gauges(
+        self,
+        last_serial: int | None = None,
+        lags: Mapping[str, int] | None = None,
+    ) -> None:
         """Publish the low-rate gauges (percentiles, error rate, lag).
 
         Called by the consistency auditor each cycle — percentile sorts
-        and lag math stay off the per-update hot path.
+        and lag math stay off the per-update hot path.  *lags* holds
+        device lags the caller already computed against *last_serial*;
+        any other device's lag is computed here.
         """
         if not self.enabled:
             return
         for health in self.devices():
             name = health.name
-            self._error_rate_gauge.labels(device=name).set(health.error_rate)
-            self._streak_gauge.labels(device=name).set(health.streak)
-            self._state_gauge.labels(device=name).set(STATE_CODES[health.state])
+            error_child, streak_child, state_child, lag_child, latency = (
+                self._gauges(name)
+            )
+            error_child.set(health.error_rate)
+            streak_child.set(health.streak)
+            state_child.set(STATE_CODES[health.state])
             for quantile, value in health.reservoir.quantiles().items():
-                self._latency_gauge.labels(device=name, quantile=quantile).set(
-                    value
-                )
+                child = latency.get(quantile)
+                if child is None:
+                    child = latency[quantile] = self._latency_gauge.labels(
+                        device=name, quantile=quantile
+                    )
+                child.set(value)
             if last_serial is not None:
-                lag = max(0, last_serial - health.last_applied_serial)
-                self._lag_gauge.labels(device=name).set(lag)
+                lag = lags.get(name) if lags is not None else None
+                if lag is None:
+                    lag = max(0, last_serial - health.last_applied_serial)
+                lag_child.set(lag)
 
     def snapshot(self) -> dict:
         return {h.name: h.snapshot() for h in self.devices()}
