@@ -254,6 +254,77 @@ class AuditViewMachine(RuleBasedStateMachine):
         with pytest.raises(LdapError):
             txn.commit()
 
+    @rule(n=st.sampled_from(_PEOPLE), title=st.sampled_from(["Eng", "Mgr"]))
+    def write_an_attribute_nothing_files_by(self, n, title):
+        """Neither a key nor a claim input: the view swaps the entry in."""
+        dn = self._dn(n)
+        if dn is not None:
+            self.conn.modify(dn, [Modification.replace("title", title)])
+
+    @rule(n=st.sampled_from(_PEOPLE), via_ltap=st.booleans())
+    def respell_the_dn(self, n, via_ltap):
+        """Same DN key, new spelling."""
+        dn = self._dn(n)
+        if dn is None:
+            return
+        rdn = dn.split(",")[0]
+        conn = self.conn if via_ltap else self.direct
+        try:
+            conn.modify_rdn(dn, "cn=" + rdn[3:].swapcase())
+        except LdapError:
+            pass
+
+    @rule(n=st.sampled_from(_PEOPLE))
+    def flip_person_class(self, n):
+        """objectClass with and without ``person``: in and out of every
+        binding's claims, the key index unchanged."""
+        dn = self._dn(n)
+        if dn is None:
+            return
+        classes = self.system.find_person(f"(description=P{n})")[0].get(
+            "objectClass"
+        )
+        if "person" in classes:
+            classes = [c for c in classes if c != "person"]
+        else:
+            classes = list(PERSON_CLASSES)
+        self.direct.modify(dn, [Modification.replace("objectClass", *classes)])
+
+    @rule(n=st.sampled_from(_PEOPLE), via_ltap=st.booleans())
+    def move_to_the_other_pbx(self, n, via_ltap):
+        """A key change that moves the entry between partitions."""
+        dn = self._dn(n)
+        if dn is None:
+            return
+        ext = self.system.find_person(f"(description=P{n})")[0].first(
+            "definityExtension"
+        )
+        if ext is None:
+            return
+        moved = ("42" if ext.startswith("41") else "41") + ext[2:]
+        conn = self.conn if via_ltap else self.direct
+        try:
+            conn.modify(dn, [Modification.replace("definityExtension", moved)])
+        except LdapError:
+            pass
+
+    @rule(
+        n=st.sampled_from(_PEOPLE),
+        ext=st.sampled_from(_EXTENSIONS),
+        via_ltap=st.booleans(),
+    )
+    def delete_and_add_again(self, n, ext, via_ltap):
+        """Between two probes the DN goes and comes back."""
+        dn = self._dn(n)
+        if dn is None:
+            return
+        conn = self.conn if via_ltap else self.direct
+        conn.delete(dn)
+        try:
+            conn.add(dn, {**_person(n, ext), "cn": dn.split(",")[0][3:]})
+        except LdapError:
+            pass
+
     @rule()
     def rename_container_with_children(self):
         old = _CONTAINERS[self.container]
@@ -265,11 +336,28 @@ class AuditViewMachine(RuleBasedStateMachine):
 
     @invariant()
     def probe_matches_full_walk(self):
-        cycle = self.system.auditor._cycle_local
-        cycle.imaged = 0
+        auditor = self.system.auditor
+        registry = self.system.obs.registry
+        dirty = len(auditor._changes.dirty)
+        rebuilds = registry.value("metacomm_audit_rebuilds_total")
+        cycle = auditor._cycle_local
+        cycle.imaged = cycle.reimaged = 0
         _probe_matches_full_walk(self.system)
         dumped = sum(len(b.filter.dump()) for b in self.system.um.bindings)
         self.memo_hits += dumped - cycle.imaged
+        # Every noted DN was processed once, by the first binding's probe.
+        if registry.value("metacomm_audit_rebuilds_total") == rebuilds:
+            assert cycle.reimaged == dirty
+        # The view holds exactly the backend's entries, the very objects.
+        view = auditor._view
+        live = {
+            entry.dn.normalized(): entry
+            for entry in self.direct.search(str(view.base))
+        }
+        assert view._entries.keys() == live.keys()
+        for key, entry in live.items():
+            assert view._entries[key] is entry
+            assert str(view._entries[key].dn) == str(entry.dn)
 
 
 AuditViewMachine.TestCase.settings = settings(
@@ -437,6 +525,106 @@ class TestMaintainedView:
         # The stale view still files the entry under pbx-41's partition.
         assert system.binding_inconsistencies(system.um.binding("pbx-42")) == []
         assert any(p.startswith("pbx-42: ") for p in system.inconsistencies())
+
+
+def _spy(monkeypatch, calls: dict, owner, name: str) -> None:
+    """Count the calls of *owner*'s *name*: a class's method, or a
+    function wherever a ``repro`` module binds it under that name."""
+    if isinstance(owner, type):
+        real = getattr(owner, name)
+
+        def method(*args, **kwargs):
+            calls.setdefault(name, []).append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, method)
+        return
+    real = getattr(owner, name)
+
+    def function(*args, **kwargs):
+        calls.setdefault(name, []).append(args)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and (
+            getattr(module, name, None) is real
+        ):
+            monkeypatch.setattr(module, name, function)
+
+
+class TestProbeCost:
+    """What one probe of a PBX binding pays for k changed records: one
+    lower-keying and one image per changed record, nothing normalized,
+    and one backend read per dirty DN."""
+
+    @pytest.fixture
+    def system(self):
+        with _system() as system:
+            for n, ext in enumerate(("4101", "4102", "4103", "4104", "4201")):
+                system.connection().add(
+                    f"cn=User {n},o=Sales,o=Lucent", _person(n, ext)
+                )
+            system.auditor.run_cycle(full=True)
+            yield system
+
+    def _probe(self, system, monkeypatch) -> tuple[list[str], dict, int]:
+        from repro.ldap.backend import Backend
+        from repro.lexpress import descriptor, interpreter
+        from repro.lexpress.mapping import CompiledMapping
+        from repro.obs.audit import DirectoryView
+
+        calls: dict = {}
+        _spy(monkeypatch, calls, descriptor, "normalize_attrs")
+        _spy(monkeypatch, calls, interpreter, "lower_attrs")
+        _spy(monkeypatch, calls, CompiledMapping, "image")
+        _spy(monkeypatch, calls, Backend, "get")
+        _spy(monkeypatch, calls, DirectoryView, "_drop")
+        _spy(monkeypatch, calls, DirectoryView, "_claims_of")
+        view = system.auditor._view
+        imaged = view.imaged
+        problems = system.binding_inconsistencies(system.um.binding("pbx-41"))
+        assert system.auditor._view is view
+        return problems, calls, view.imaged - imaged
+
+    def test_changed_records_are_folded_once_and_only_dirty_dns_read(
+        self, system, monkeypatch
+    ):
+        terminal = system.terminal("pbx-41")
+        for ext in ("4101", "4103"):
+            assert terminal.execute(f"change station {ext} room 2B-110").ok
+        dirty = set(system.auditor._changes.dirty)
+        assert len(dirty) == 2
+        problems, calls, imaged = self._probe(system, monkeypatch)
+        assert problems == []
+        assert imaged == 2
+        assert calls.get("normalize_attrs", []) == []
+        assert calls.get("image", []) == []
+        assert len(calls.get("lower_attrs", [])) <= imaged
+        read = [args[0] for args in calls.get("get", [])]
+        assert len(read) == len(dirty) and set(read) == dirty
+
+    def test_an_entry_filed_where_it_was_is_not_reindexed(
+        self, system, monkeypatch
+    ):
+        system.connection().modify(
+            "cn=User 0,o=Sales,o=Lucent",
+            [Modification.replace("definityRoom", "2B")],
+        )
+        problems, calls, _ = self._probe(system, monkeypatch)
+        assert problems == []
+        assert calls.get("_drop", []) == []
+        assert calls.get("_claims_of", []) == []
+        # A key change is filed anew.
+        system.connection().modify(
+            "cn=User 1,o=Sales,o=Lucent",
+            [
+                Modification.replace("definityExtension", "4105"),
+                Modification.replace("telephoneNumber", "+1 908 582 4105"),
+            ],
+        )
+        problems, calls, _ = self._probe(system, monkeypatch)
+        assert problems == []
+        assert len(calls["_drop"]) == 1 and len(calls["_claims_of"]) == 1
 
 
 def test_background_auditor_with_concurrent_writers_and_full_cycles():
