@@ -529,3 +529,75 @@ class TestFanoutModes:
                 assert len(fleet.error_log) == 1
             finally:
                 fleet.close()
+
+
+def _partitioned_lanes_system() -> MetaComm:
+    return MetaComm(
+        MetaCommConfig(
+            pbxes=[PbxConfig(f"pbx-{i}", (str(41 + i),)) for i in range(4)],
+            coordinator_lanes=4,
+        )
+    )
+
+
+class TestClosureDerivedAttributes:
+    """An attribute the transitive closure derives reaches the directory
+    even when the entry already holds a value for it: the surname a
+    rename derives through the PBX Name, the phone number a new
+    extension derives.  A value the client sets explicitly still wins."""
+
+    @pytest.fixture(params=["default", "lanes-4"])
+    def fleet(self, request):
+        if request.param == "default":
+            system, ext = MetaComm(MetaCommConfig()), "4100"
+        else:
+            system, ext = _partitioned_lanes_system(), "4300"
+            system.um.start()
+        yield system, ext
+        system.close()
+
+    def _add(self, system, ext: str) -> str:
+        dn = "cn=Ann Lee,o=Lucent"
+        system.connection().add(
+            dn, person_attrs("Ann Lee", "Lee", definityExtension=ext)
+        )
+        return dn
+
+    def test_rename_that_changes_the_surname(self, fleet):
+        system, ext = fleet
+        self._add(system, ext)
+        system.connection().modify_rdn("cn=Ann Lee,o=Lucent", "cn=Ann Smith")
+        entry = system.find_person("(cn=Ann Smith)")[0]
+        assert entry.get("sn") == ("Smith",)
+        assert system.pbxes[_pbx_of(system, ext)].get(ext)["Name"] == "Smith, Ann"
+        assert system.inconsistencies() == []
+
+    def test_extension_change_without_the_phone(self, fleet):
+        system, ext = fleet
+        dn = self._add(system, ext)
+        moved = ext[:2] + "02"
+        system.connection().modify(
+            dn, [Modification.replace("definityExtension", moved)]
+        )
+        entry = system.find_person("(cn=Ann Lee)")[0]
+        assert entry.get("telephoneNumber") == (f"+1 908 582 {moved}",)
+        assert system.inconsistencies() == []
+
+    def test_an_explicit_value_is_kept(self, fleet):
+        system, ext = fleet
+        dn = self._add(system, ext)
+        system.connection().modify(
+            dn,
+            [
+                Modification.replace("definityExtension", ext[:2] + "02"),
+                Modification.replace("telephoneNumber", "+1 555 0100"),
+            ],
+        )
+        entry = system.find_person("(cn=Ann Lee)")[0]
+        assert entry.get("telephoneNumber") == ("+1 555 0100",)
+
+
+def _pbx_of(system: MetaComm, ext: str) -> str:
+    return next(
+        name for name, pbx in system.pbxes.items() if pbx.manages_extension(ext)
+    )
