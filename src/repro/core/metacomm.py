@@ -499,9 +499,11 @@ class MetaComm:
         This is the consistency auditor's probe unit: sampling one binding
         per cycle keeps the audit low-rate while covering the whole
         deployment round-robin.  The device dump is read in full every
-        time; the directory side is the auditor's maintained view, so the
-        probe costs the dump plus the entries changed since the last one,
-        and images only the records that changed or whose entry did."""
+        time; the directory side is the auditor's maintained view, which
+        holds the entries themselves.  So the probe costs the dump, one
+        backend read and one check per entry changed since the last
+        probe, and one image per record that changed or whose entry
+        did."""
         records = binding.filter.dump()
         if not any(b is binding for b in self.um.bindings):
             return self._compare(binding, records, self.directory_view([binding]))

@@ -461,10 +461,10 @@ class UpdateSequencePipeline:
         descriptor's own images, and the enriched descriptor shares every
         value list of the original.
 
-        An attribute the closure set takes the closure's value, also when
-        the entry already has one (a rename derives a new surname, a new
-        extension a new phone number), unless the client set it
-        explicitly; it keeps the spelling the entry has."""
+        An attribute the closure derived takes the closure's value, also
+        when the entry already has one (a rename derives a new surname, a
+        new extension a new phone number), under the spelling the entry
+        has; the closure never derives one the client set explicitly."""
         old_low, new_low = descriptor.lowered()
         new_low = new_low or {}
         result = self.closure.propagate(
@@ -477,24 +477,20 @@ class UpdateSequencePipeline:
         merged = dict(descriptor.new or {})
         merged_low = dict(new_low)
         spellings = result.spellings.get("ldap", {})
-        derived = result.lowered("ldap")
-        for attr, values in derived.items():
-            if attr not in merged_low:
-                merged[spellings[attr]] = merged_low[attr] = values
         names: dict[str, str] | None = None
-        for attr in result.changed.get("ldap", ()):
-            values = derived.get(attr)
-            if (
-                values is None
-                or merged_low[attr] is values
-                or attr in descriptor.explicit
-            ):
-                continue
-            if names is None:
-                names = {}
-                for name in merged:
-                    names.setdefault(name.lower(), name)
-            merged[names[attr]] = merged_low[attr] = values
+        # The closure starts from the descriptor's own lists and never
+        # overwrites an attribute the update changed or set explicitly: a
+        # list that is not the descriptor's is one the closure derived.
+        for attr, values in result.lowered("ldap").items():
+            held = merged_low.get(attr)
+            if held is None:
+                merged[spellings[attr]] = merged_low[attr] = values
+            elif held is not values:
+                if names is None:
+                    names = {}
+                    for name in merged:
+                        names.setdefault(name.lower(), name)
+                merged[names[attr]] = merged_low[attr] = values
         return UpdateDescriptor.from_images(
             descriptor.op,
             descriptor.source,

@@ -12,12 +12,14 @@ A probe reads the device dump in full (a real switch keeps no digests,
 and the dump is what exposes surgery behind MetaComm's back), but keeps
 the directory side as a :class:`DirectoryView` that a backend change
 listener keeps current: each commit only notes its DN, and the next probe
-re-images the noted entries.  The view also remembers, per binding, the
-device records the last probe found consistent and the entries they
-matched; a record that is unchanged and still locates the same entry is
-not imaged again.  So a probe costs the dump plus what changed on either
-side, not a walk of the whole directory.  ``MetaComm.consistent()``
-stays a fresh full walk over the same comparison code.
+reads each noted entry once and files it in the view.  The view holds
+the entries themselves, and remembers, per binding, the device records
+the last probe found consistent and the entries they matched; a record
+that is unchanged and still locates the same entry is not imaged again.
+So a probe costs the dump, one image per changed record and one check
+per changed entry, not a walk of the whole directory.
+``MetaComm.consistent()`` stays a fresh full walk over the same
+comparison code.
 
 Because the system stays live, a probe can race an in-flight update
 sequence and see a transient disagreement (device committed, supplemental
@@ -285,14 +287,11 @@ class DirectoryView:
                 del self._claimed[index][key]
         return before
 
-    def entry(self, attribute: str, value: str) -> Entry | None:
-        """The entry a ``(attribute=value)`` search under the base
-        returns first, or None."""
-        return self.locate(attribute.lower(), _norm_value(value))
-
     def locate(self, attribute: str, normalized: str) -> Entry | None:
-        """:meth:`entry` for a lower-case *attribute* and a *normalized*
-        value (:func:`~repro.ldap.entry._norm_value`)."""
+        """The entry an ``(attribute=value)`` search under the base
+        returns first, or None; *attribute* is lower-case and
+        *normalized* is the value as :func:`~repro.ldap.entry._norm_value`
+        folds it."""
         table = self._located.get(attribute)
         keys = table.get(normalized) if table is not None else None
         return self._entries[min(keys)] if keys else None
@@ -424,7 +423,8 @@ class ConsistencyAuditor:
         )
         self._reimaged_total = registry.counter(
             "metacomm_audit_reimaged_total",
-            "Directory entries the auditor re-imaged from its dirty set",
+            "Dirty directory DNs the auditor processed, re-indexed or "
+            "filed in place",
         )
         self._rebuilds_total = registry.counter(
             "metacomm_audit_rebuilds_total",
