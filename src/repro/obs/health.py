@@ -419,6 +419,8 @@ class HealthBoard:
         error rate, streak, state, lag and quantile → latency child."""
         children = self._gauge_children.get(name)
         if children is None:
+            # Benign race, as in _hot: concurrent cycles resolve the same
+            # registry children.
             _, _, streak_child, state_child = self._hot(name)
             children = (
                 self._error_rate_gauge.labels(device=name),
