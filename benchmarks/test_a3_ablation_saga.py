@@ -42,7 +42,7 @@ def test_a3_abort_and_log_leaves_orphans(benchmark):
     orphans = system.pbx().size()  # stations whose sequence aborted
     assert orphans == FAILURES
     assert len(system.error_log) == FAILURES
-    assert system.um.statistics["compensated"] == 0
+    assert system.obs.registry.value("metacomm_um_compensated_total") == 0
     ROWS.append(
         ("abort + log (shipped)", FAILURES, orphans, 0, len(system.error_log))
     )
@@ -54,14 +54,14 @@ def test_a3_saga_leaves_no_orphans(benchmark):
     )
     orphans = system.pbx().size()
     assert orphans == 0
-    assert system.um.statistics["compensated"] == FAILURES
+    assert system.obs.registry.value("metacomm_um_compensated_total") == FAILURES
     assert len(system.error_log) == FAILURES  # failures still reported
     ROWS.append(
         (
             "saga compensation (future work)",
             FAILURES,
             orphans,
-            system.um.statistics["compensated"],
+            int(system.obs.registry.value("metacomm_um_compensated_total")),
             len(system.error_log),
         )
     )

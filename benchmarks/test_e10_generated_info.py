@@ -41,7 +41,12 @@ def test_e10_mailbox_id_written_back(benchmark):
         [
             ("generated id", mailbox),
             ("in directory", entry.first("mpMailboxId")),
-            ("supplemental writes", system.um.statistics["supplemental_writes"]),
+            (
+                "supplemental writes",
+                int(system.obs.registry.value(
+                    "metacomm_um_supplemental_writes_total"
+                )),
+            ),
         ],
     )
 

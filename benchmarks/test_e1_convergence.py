@@ -36,13 +36,13 @@ def test_e1_mixed_stream_converges(benchmark, ddu_fraction):
     problems = system.inconsistencies()
     assert problems == [], problems
 
-    ddus = system.um.statistics["ddus"]
+    ddus = int(system.obs.registry.value("metacomm_um_ddus_total"))
     RESULTS.append(
         (
             f"{ddu_fraction:.0%}",
             events_per_round,
             ddus,
-            system.um.statistics["reapplied"],
+            int(system.obs.registry.value("metacomm_um_reapplied_total")),
             "yes",
         )
     )

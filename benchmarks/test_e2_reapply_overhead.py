@@ -38,8 +38,8 @@ def test_e2_reapplications_track_ddus(benchmark, ddu_fraction):
         return system
 
     system = benchmark.pedantic(run, setup=setup, rounds=3)
-    ddus = system.um.statistics["ddus"]
-    reapplied = system.um.statistics["reapplied"]
+    ddus = int(system.obs.registry.value("metacomm_um_ddus_total"))
+    reapplied = int(system.obs.registry.value("metacomm_um_reapplied_total"))
     # One conditional reapplication per effective DDU, none for LDAP
     # updates.  (A DDU that rewrites a field to its current value is a
     # no-op at the directory and is correctly *not* reapplied, so allow a
@@ -47,7 +47,10 @@ def test_e2_reapplications_track_ddus(benchmark, ddu_fraction):
     assert reapplied <= ddus
     assert reapplied >= int(ddus * 0.8)
     binding = system.um.binding("definity")
-    assert binding.filter.statistics["conditional"] == reapplied
+    conditional = system.obs.registry.value(
+        "metacomm_filter_events_total", filter="definity", event="conditional"
+    )
+    assert conditional == reapplied
     ROWS.append((f"{ddu_fraction:.0%}", ddus, reapplied))
     if ddu_fraction == 1.0:
         report(

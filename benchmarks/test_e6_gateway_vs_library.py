@@ -46,16 +46,18 @@ def test_e6_gateway_mode_reads(benchmark):
     benchmark(run_reads, conn)
     # The scalability claim: the UM did no read processing at all.
     assert um_work["reads"] == 0
-    assert gateway.statistics["reads_forwarded"] >= READS_PER_ROUND
-    ROWS.append(("gateway", gateway.statistics["reads_forwarded"], um_work["reads"]))
+    reads = int(gateway.registry.value("metacomm_ltap_requests_total", kind="read"))
+    assert reads >= READS_PER_ROUND
+    ROWS.append(("gateway", reads, um_work["reads"]))
 
 
 def test_e6_library_mode_reads(benchmark):
     gateway, conn, um_work = build(library_mode=True)
     benchmark(run_reads, conn)
     # Library coupling: every read also taxes the UM process.
-    assert um_work["reads"] == gateway.statistics["reads_forwarded"]
-    ROWS.append(("library", gateway.statistics["reads_forwarded"], um_work["reads"]))
+    reads = int(gateway.registry.value("metacomm_ltap_requests_total", kind="read"))
+    assert um_work["reads"] == reads
+    ROWS.append(("library", reads, um_work["reads"]))
     report(
         "E6: read work landing on the UM machine (read-heavy workload)",
         ["LTAP deployment", "reads served", "reads processed by UM"],

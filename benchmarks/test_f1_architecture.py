@@ -32,22 +32,27 @@ def test_f1_ldap_path_full_stack(benchmark):
     ext = benchmark(add_user)
 
     # Every component of Figure 1 participated.
-    assert system.gateway.statistics["updates_processed"] > 0     # LTAP
-    assert system.um.statistics["ldap_events"] > 0                # UM trigger
-    assert system.um.statistics["fanned_out"] > 0                 # filters
+    registry = system.obs.registry
+    updates = int(registry.value("metacomm_ltap_requests_total", kind="update"))
+    ldap_events = int(registry.value("metacomm_um_ldap_events_total"))
+    fanned_out = int(registry.value("metacomm_um_fanout_total"))
+    supplemental = int(registry.value("metacomm_um_supplemental_writes_total"))
+    assert updates > 0                                            # LTAP
+    assert ldap_events > 0                                        # UM trigger
+    assert fanned_out > 0                                         # filters
     assert system.pbx().contains(ext)                             # Definity
     assert system.messaging.contains(f"+1 908 582 {ext}")         # MP
-    assert system.um.statistics["supplemental_writes"] > 0        # write-back
+    assert supplemental > 0                                       # write-back
     assert system.consistent()
 
     report(
         "F1: one LDAP-originated update traverses the whole architecture",
         ["component", "evidence"],
         [
-            ("LTAP gateway", f"updates_processed={system.gateway.statistics['updates_processed']}"),
-            ("Update Manager", f"ldap_events={system.um.statistics['ldap_events']}"),
-            ("device filters", f"fanned_out={system.um.statistics['fanned_out']}"),
-            ("LDAP write-back", f"supplemental={system.um.statistics['supplemental_writes']}"),
+            ("LTAP gateway", f"updates_processed={updates}"),
+            ("Update Manager", f"ldap_events={ldap_events}"),
+            ("device filters", f"fanned_out={fanned_out}"),
+            ("LDAP write-back", f"supplemental={supplemental}"),
         ],
     )
 
@@ -69,15 +74,17 @@ def test_f1_ddu_path_full_stack(benchmark):
 
     benchmark(ddu)
 
-    assert system.um.statistics["ddus"] > 0
-    assert system.um.statistics["reapplied"] > 0  # write-write consistency
+    ddus = int(system.obs.registry.value("metacomm_um_ddus_total"))
+    reapplied = int(system.obs.registry.value("metacomm_um_reapplied_total"))
+    assert ddus > 0
+    assert reapplied > 0  # write-write consistency
     assert system.consistent()
     report(
         "F1: direct device updates loop back through LTAP",
         ["metric", "value"],
         [
-            ("DDUs observed", system.um.statistics["ddus"]),
-            ("reapplied to origin", system.um.statistics["reapplied"]),
+            ("DDUs observed", ddus),
+            ("reapplied to origin", reapplied),
             ("consistent", True),
         ],
     )

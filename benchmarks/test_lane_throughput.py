@@ -103,10 +103,10 @@ def _run_once(lanes: int) -> float:
         assert system.messaging.size() == total
         for pbx in system.pbxes.values():
             assert pbx.size() == UPDATES_PER_CLIENT
-        stats = dict(system.um.queue.statistics)
-        assert stats["processed"] == total
+        registry = system.obs.registry
+        assert registry.value("metacomm_queue_processed_total") == total
         # The whole point: partition-disjoint traffic never serializes.
-        assert stats.get("serial_routed", 0) == 0
+        assert registry.value("metacomm_queue_serial_fallback_total") == 0
         return total / elapsed
     finally:
         system.close()

@@ -129,10 +129,10 @@ def _run_once(mode: str, messaging_latency: float, batches: list[float]) -> floa
         assert system.messaging.size() == total
         for i in range(CLIENTS):
             assert system.pbxes[f"pbx-{i + 1}"].size() == UPDATES_PER_CLIENT
-        stats = dict(system.um.queue.statistics)
-        assert stats["processed"] == total
+        registry = system.obs.registry
+        assert registry.value("metacomm_queue_processed_total") == total
         # Partition-disjoint traffic never serializes behind one lane.
-        assert stats.get("serial_routed", 0) == 0
+        assert registry.value("metacomm_queue_serial_fallback_total") == 0
         if mode == "links":
             rows = {row["device"]: row for row in system.links.snapshot()}
             messaging = rows["messaging"]
@@ -188,7 +188,9 @@ def _observe_stall() -> dict:
                 max(row["outstanding"] for row in rows),
             )
             peak_pending = max(peak_pending, link.snapshot()["pending"])
-            deferred = system.um.queue.statistics.get("admission_deferred", 0)
+            deferred = int(system.obs.registry.value(
+                "metacomm_queue_admission_deferred_total"
+            ))
             if deferred >= writers - depth_limit:
                 break
             time.sleep(0.02)

@@ -75,5 +75,5 @@ def test_instrumented_run_produces_traces_and_metrics():
     populate_via_ldap(system, people)
     apply_stream(system, make_stream(people, 10, ddu_fraction=0.5, seed=5))
     assert system.traces(), "no traces collected"
-    assert system.um.statistics["ldap_events"] > 0
+    assert system.obs.registry.value("metacomm_um_ldap_events_total") > 0
     assert "metacomm_um_sequence_seconds" in system.metrics_text()

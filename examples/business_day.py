@@ -48,7 +48,10 @@ def main() -> None:
         else:
             ldap_count += 1
     print(f"  {ldap_count} web-form edits, {ddu_count} craft-terminal changes")
-    print(f"  UM: {system.um.statistics}")
+    registry = system.obs.registry
+    print(f"  UM: {int(registry.value('metacomm_um_ldap_events_total'))} LDAP "
+          f"events, {int(registry.value('metacomm_um_ddus_total'))} DDUs, "
+          f"{int(registry.value('metacomm_um_fanout_total'))} device updates")
 
     print("\n== 12:10 — a visitor hotels at a shared desk ==")
     visitor = f"cn={people[0].cn},o=Lucent"

@@ -66,9 +66,15 @@ def main() -> None:
         "o=Lucent", Scope.SUB, "(definityExtension=4107)"
     )
     print("  replica search result:", [str(e.dn) for e in hits])
+    def reads(server: LdapServer) -> int:
+        return int(sum(
+            server.registry.value("metacomm_ldap_ops_total", op=op)
+            for op in ("search", "compare")
+        ))
+
     print(
-        "  reads served by replica:", replica.statistics["reads"],
-        "| master:", system.server.statistics["reads"],
+        "  reads served by replica:", reads(replica),
+        "| master:", reads(system.server),
     )
     print("\nAll repositories consistent:", system.consistent())
 

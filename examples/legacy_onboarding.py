@@ -26,10 +26,22 @@ def main() -> None:
           f"{len(system.find_person('(objectClass=person)'))}")
 
     print("\n== Initial load: synchronize(definity) ==")
+    opened = []  # the persistent flag of each connection the sync opens
+    open_connection = system.um.connections.open
+
+    def counting_open(persistent=False):
+        opened.append(persistent)
+        return open_connection(persistent)
+
+    system.um.connections.open = counting_open
     report = system.sync.synchronize("definity")
     print(" ", report)
     print("  The sync ran quiesced, as one persistent-connection sequence:")
-    print("   ", system.um.connections.statistics)
+    events = system.obs.registry.value(
+        "metacomm_um_connection_events_total", kind="persistent"
+    )
+    print(f"    {sum(opened)} persistent connection(s) opened, "
+          f"{int(events)} events delivered")
 
     print("\n== The integrated view ==")
     people_entries = system.find_person("(objectClass=person)")

@@ -54,7 +54,12 @@ def main() -> None:
 
     print("\n== Consistency ==")
     print("All repositories consistent:", system.consistent())
-    print("Update Manager statistics:  ", system.um.statistics)
+    um_counts = {
+        name: int(system.obs.registry.value(f"metacomm_um_{name}_total"))
+        for name in ("ldap_events", "ddus", "fanout", "reapplied",
+                     "supplemental_writes")
+    }
+    print("Update Manager counts:      ", um_counts)
 
 
 if __name__ == "__main__":

@@ -102,7 +102,12 @@ def cmd_demo(args: list[str]) -> int:
     entry = conn.get("cn=John Doe,o=Marketing,o=Lucent")
     print("DDU       -> directory definityRoom:", entry.get("definityRoom"))
     print("\nconsistent:", system.consistent())
-    print("UM stats: ", system.um.statistics)
+    counts = {
+        name: int(system.obs.registry.value(f"metacomm_um_{name}_total"))
+        for name in ("ldap_events", "ddus", "fanout", "reapplied",
+                     "supplemental_writes", "aborted_sequences", "compensated")
+    }
+    print("UM counts:", counts)
     return 0
 
 

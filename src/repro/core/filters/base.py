@@ -22,7 +22,6 @@ from typing import Callable, Mapping
 
 from ...lexpress.descriptor import TargetAction, TargetUpdate, UpdateDescriptor
 from ...obs.metrics import LabelCache, MetricsRegistry
-from ...obs.views import StatsView
 
 
 class FilterError(Exception):
@@ -80,23 +79,6 @@ class Filter(abc.ABC):
         )
         self._event_children = LabelCache(self._events, filter=name)
         self._apply_children = LabelCache(self._apply_seconds)
-        self.statistics = StatsView(
-            {
-                event: (
-                    lambda e=event: self._events.value_for(
-                        filter=self.name, event=e
-                    )
-                )
-                for event in (
-                    "applied",
-                    "skipped",
-                    "conditional",
-                    "recovered",
-                    "failed",
-                    "ddus",
-                )
-            }
-        )
 
     def _count(self, event: str, amount: int = 1) -> None:
         self._event_children[event].inc(amount)

@@ -41,7 +41,6 @@ from ..obs.events import (
     EventJournal,
 )
 from ..obs.metrics import MetricsRegistry
-from ..obs.views import StatsView
 
 #: Label of the fallback lane everything unprovable serializes onto.
 SERIAL_LANE = "serial"
@@ -159,6 +158,7 @@ class UpdateQueue:
         # Gauges and histograms are bound to their children once; the
         # enqueue, claim and rejection counts derive from the journal.
         registry = registry if registry is not None else MetricsRegistry()
+        self.registry = registry
         self.journal = journal or EventJournal(registry=registry)
         enqueued = registry.counter(
             "metacomm_queue_enqueued_total",
@@ -183,13 +183,8 @@ class UpdateQueue:
             "metacomm_queue_wait_seconds",
             "Enqueue-to-dequeue latency of the global queue",
         ).labels()
-        # Every statistic and series that can move in this configuration,
-        # and no other: the paper queue keeps its two historical counters,
-        # and a single lane's series would repeat the aggregates above.
-        stats = {
-            "enqueued": lambda: enqueued.value,
-            "processed": lambda: processed.value,
-        }
+        # Every series that can move in this configuration, and no other:
+        # a single lane's series would repeat the aggregates above.
         self._lane_depth: dict[str, object] = {}
         self._lane_oldest_age: dict[str, object] = {}
         if plan is not None:
@@ -225,7 +220,6 @@ class UpdateQueue:
                 "metacomm_queue_barrier_seconds",
                 "How long serial-lane items waited for all lanes to quiesce",
             )
-            stats["serial_routed"] = lambda: self._serial_fallback.total()
         if depth_limit is not None:
             admission_deferred = registry.counter(
                 "metacomm_queue_admission_deferred_total",
@@ -245,9 +239,6 @@ class UpdateQueue:
                     lane=label
                 )
                 admission_rejected.labels(lane=label)  # scrapes from zero
-            stats["admission_deferred"] = admission_deferred.total
-            stats["admission_rejected"] = admission_rejected.total
-        self.statistics = StatsView(stats)
 
     # -- producing ----------------------------------------------------------
 

@@ -63,7 +63,6 @@ from ..obs.events import (
 )
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import OBS_DONE, OBS_TRACE, new_trace_id
-from ..obs.views import StatsView
 from .errorlog import ErrorLog
 from .filters.base import Filter, FilterError
 from .filters.device_filter import DeviceFilter
@@ -195,22 +194,6 @@ class UpdateManager:
             journal=self.journal,
         )
 
-        self.statistics = StatsView(
-            {
-                "ldap_events": lambda: self._ldap_events.value,
-                "ddus": lambda: self._ddus.total(),
-                "fanned_out": lambda: self.pipeline.fanout_total.total(),
-                "reapplied": lambda: self.pipeline.reapplied_total.total(),
-                "supplemental_writes": (
-                    lambda: self.pipeline.supplemental_total.value
-                ),
-                "aborted_sequences": (
-                    lambda: self.pipeline.aborted_total.total()
-                ),
-                "compensated": lambda: self._compensated.total(),
-            }
-        )
-
         gateway.register_trigger(
             Trigger(
                 action=self._on_ldap_event,
@@ -269,11 +252,18 @@ class UpdateManager:
             undo_on_failure=value,
         )
 
+    @property
+    def statistics(self) -> dict[str, int]:
+        """``{"reapplied": n}``, kept only for ``perfbench/run.py``, which
+        reads that key; every other count is read from :attr:`registry`."""
+        reapplied = self.registry.value("metacomm_um_reapplied_total")
+        return {"reapplied": int(reapplied)}
+
     # -- connection sink (persistent connections deliver sync batches) -----------
 
     def _handle_connection_event(self, event, connection) -> None:
         # Events arriving over explicit connections are already descriptors
-        # processed elsewhere; the manager only tracks them for statistics.
+        # processed elsewhere; the manager only counts them.
         kind = (
             "persistent"
             if getattr(connection, "persistent", False)

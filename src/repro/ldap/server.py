@@ -30,7 +30,6 @@ from .protocol import (
 from .result import LdapError, ResultCode
 from .schema import Schema
 from ..obs.metrics import LabelCache, MetricsRegistry
-from ..obs.views import StatsView
 
 
 class LdapServer:
@@ -66,27 +65,13 @@ class LdapServer:
         self.root_password = root_password
         self.require_bind_for_writes = require_bind_for_writes
         registry = registry if registry is not None else MetricsRegistry()
+        self.registry = registry
         self._ops = registry.counter(
             "metacomm_ldap_ops_total",
             "LDAP operations processed by the server, by operation type",
             labelnames=("op",),
         )
         self._op_children = LabelCache(self._ops)
-        self.statistics = StatsView(
-            {
-                "reads": lambda: (
-                    self._ops.value_for(op="search")
-                    + self._ops.value_for(op="compare")
-                ),
-                "writes": lambda: (
-                    self._ops.value_for(op="add")
-                    + self._ops.value_for(op="delete")
-                    + self._ops.value_for(op="modify")
-                    + self._ops.value_for(op="modifyrdn")
-                ),
-                "binds": lambda: self._ops.value_for(op="bind"),
-            }
-        )
 
     # -- listener plumbing (used by LTAP and replication) --------------------
 

@@ -104,7 +104,6 @@ class AccessControl:
     def __init__(self, default_allow: bool = False):
         self.default_allow = default_allow
         self.rules: list[AclRule] = []
-        self.statistics = {"allowed": 0, "denied": 0}
 
     # -- policy building -----------------------------------------------------
 
@@ -172,9 +171,7 @@ class AccessControl:
                 continue
             if right is Rights.WRITE and not rule.covers_attributes(touched):
                 continue
-            self.statistics["allowed" if rule.allow else "denied"] += 1
             return rule.allow
-        self.statistics["allowed" if self.default_allow else "denied"] += 1
         return self.default_allow
 
     def check_request(self, request: LdapRequest, session: Session) -> None:

@@ -86,19 +86,12 @@ class PersistentConnection(ActionConnection):
 
 
 class ConnectionManager:
-    """Opens connections toward one action server and tracks statistics."""
+    """Opens connections toward one action server."""
 
     def __init__(self, sink: EventSink):
         self._sink = sink
-        self.statistics = {"single_shot": 0, "persistent": 0, "events": 0}
-
-    def _counting_sink(self, event: TriggerEvent, conn: ActionConnection) -> None:
-        self.statistics["events"] += 1
-        self._sink(event, conn)
 
     def open(self, persistent: bool = False) -> ActionConnection:
         if persistent:
-            self.statistics["persistent"] += 1
-            return PersistentConnection(self._counting_sink)
-        self.statistics["single_shot"] += 1
-        return SingleShotConnection(self._counting_sink)
+            return PersistentConnection(self._sink)
+        return SingleShotConnection(self._sink)

@@ -54,7 +54,6 @@ from ..ldap.server import LdapServer
 from ..obs.events import UPDATE_DONE, EventJournal
 from ..obs.metrics import LabelCache, MetricsRegistry
 from ..obs.trace import OBS_DONE, OBS_TRACE, new_trace_id
-from ..obs.views import StatsView
 from .acl import AccessControl
 from .locks import LockManager
 from .triggers import Trigger, TriggerEvent, TriggerRegistry, TriggerTiming
@@ -112,6 +111,7 @@ class LtapGateway:
         self._quiesce_lock = threading.Condition()
         self._quiesce_owner: Session | None = None
         registry = registry if registry is not None else MetricsRegistry()
+        self.registry = registry
         self._requests = registry.counter(
             "metacomm_ltap_requests_total",
             "LDAP requests intercepted by the LTAP gateway",
@@ -140,19 +140,6 @@ class LtapGateway:
             "metacomm_ltap_process_seconds",
             "End-to-end latency of one update through the gateway "
             "(locks, triggers, server forward, the whole UM sequence)",
-        )
-        self.statistics = StatsView(
-            {
-                "reads_forwarded": lambda: self._requests.value_for(
-                    kind="read"
-                ),
-                "updates_processed": lambda: self._requests.value_for(
-                    kind="update"
-                ),
-                "updates_rejected": lambda: self._rejected.value,
-                "quiesce_waits": lambda: self._quiesce_waits.value,
-                "busy_rejected": lambda: self._busy.value,
-            }
         )
 
     # -- trigger management -----------------------------------------------

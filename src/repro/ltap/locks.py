@@ -37,7 +37,6 @@ class LockManager:
         self.default_timeout = default_timeout
         self._cond = threading.Condition()
         self._locks: dict[tuple, _LockState] = {}
-        self.statistics = {"acquired": 0, "contended": 0, "timeouts": 0}
 
     def acquire(self, dn: DN, owner: object, timeout: float | None = None) -> None:
         """Acquire the lock on *dn* for *owner*, waiting if needed."""
@@ -47,22 +46,18 @@ class LockManager:
         deadline: float | None = None
         with self._cond:
             state = self._locks.setdefault(key, _LockState())
-            if state.owner is not None and state.owner is not owner:
-                self.statistics["contended"] += 1
             while state.owner is not None and state.owner is not owner:
                 now = time.monotonic()
                 if deadline is None:
                     deadline = now + timeout
                 remaining = deadline - now
                 if remaining <= 0:
-                    self.statistics["timeouts"] += 1
                     raise BusyError(f"entry {dn} is locked by trigger processing")
                 state.waiters += 1
                 self._cond.wait(remaining)
                 state.waiters -= 1
             state.owner = owner
             state.count += 1
-            self.statistics["acquired"] += 1
 
     def release(self, dn: DN, owner: object) -> None:
         key = dn.normalized()

@@ -102,7 +102,6 @@ class TriggerRegistry:
 
     def __init__(self) -> None:
         self._triggers: list[Trigger] = []
-        self.statistics = {"fired": 0, "vetoed": 0}
 
     def register(self, trigger: Trigger) -> Trigger:
         if any(t.name == trigger.name for t in self._triggers):
@@ -129,10 +128,4 @@ class TriggerRegistry:
             if trigger.timing is not event.timing:
                 continue
             if trigger.matches(event):
-                self.statistics["fired"] += 1
-                try:
-                    trigger.action(event)
-                except Exception:
-                    if event.timing is TriggerTiming.BEFORE:
-                        self.statistics["vetoed"] += 1
-                    raise
+                trigger.action(event)

@@ -3,8 +3,8 @@
 The runtime health plane (see docs/OBSERVABILITY.md for the catalog):
 
 * :mod:`repro.obs.metrics` — a thread-safe registry of Counters, Gauges
-  and Histograms with label support, replacing the ad-hoc ``statistics``
-  dicts (which survive as live views, :mod:`repro.obs.views`);
+  and Histograms with label support: every runtime count is read with
+  ``registry.value(name, **labels)``;
 * :mod:`repro.obs.events` — the structured event journal: an append-only
   bounded stream of typed lifecycle events, each carrying its trace id,
   from which single-kind counters, the stage histogram and the health
@@ -51,7 +51,6 @@ from .metrics import (
     global_registry,
 )
 from .trace import OBS_TRACE, SpanView, TraceView, last_trace, traces
-from .views import StatsView
 
 __all__ = [
     "AlertEngine",
@@ -77,7 +76,6 @@ __all__ = [
     "OBS_TRACE",
     "Observability",
     "SpanView",
-    "StatsView",
     "TraceView",
     "UNREACHABLE",
     "WitnessViolation",

@@ -160,11 +160,12 @@ class TestDeviceFilterApply:
         )
         with pytest.raises(FilterError):
             device_filter.apply(tu(TargetAction.DELETE, "4888"))
-        stats = device_filter.statistics
-        assert stats["applied"] == 1
-        assert stats["conditional"] == 1
-        assert stats["recovered"] == 1
-        assert stats["failed"] == 1
+        for event in ("applied", "conditional", "recovered", "failed"):
+            assert device_filter.registry.value(
+                "metacomm_filter_events_total",
+                filter=device_filter.name,
+                event=event,
+            ) == 1, event
 
 
 class TestDeviceFilterNotifications:

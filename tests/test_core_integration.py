@@ -147,9 +147,10 @@ class TestDirectDeviceUpdates:
         """Write-write consistency: the UM reapplies the DDU to the device
         that originated it (sections 4.4/5.4)."""
         system.terminal().execute('add station 4200 name "Smith, Pat"')
-        binding = system.um.binding("definity")
-        assert binding.filter.statistics["conditional"] >= 1
-        assert system.um.statistics["reapplied"] >= 1
+        assert system.obs.registry.value(
+            "metacomm_filter_events_total", filter="definity", event="conditional"
+        ) >= 1
+        assert system.obs.registry.value("metacomm_um_reapplied_total") >= 1
         assert system.consistent()
 
     def test_ddu_name_change_is_rdn_pair(self, system, conn):
@@ -262,7 +263,7 @@ class TestFailureHandling:
         assert len(system.error_log) == 1
         assert pages and pages[0].target == "definity"
         assert "injected" in pages[0].message
-        assert system.um.statistics["aborted_sequences"] == 1
+        assert system.obs.registry.value("metacomm_um_aborted_sequences_total") == 1
 
     def test_abort_stops_remaining_sequence(self, system, conn):
         def explode(op, key):

@@ -138,21 +138,35 @@ class TestQuiesceIsolation:
 class TestPersistentConnections:
     """Section 5.1: a sync is a sequence of updates on one connection."""
 
+    @staticmethod
+    def spy_opens(system):
+        """The persistent flag of every connection the UM opens from now."""
+        opened = []
+        open_connection = system.um.connections.open
+
+        def spy(persistent=False):
+            opened.append(persistent)
+            return open_connection(persistent)
+
+        system.um.connections.open = spy
+        return opened
+
     def test_sync_uses_one_persistent_connection(self, system):
         for ext in ("4100", "4101", "4102"):
             system.pbx()._records[ext] = {"Extension": ext, "Name": f"U, {ext}"}
-        before = dict(system.um.connections.statistics)
+        opened = self.spy_opens(system)
+        events = "metacomm_um_connection_events_total"
+        before = system.obs.registry.value(events)
         system.sync.synchronize("definity")
-        after = system.um.connections.statistics
-        assert after["persistent"] == before["persistent"] + 1
-        assert after["events"] >= before["events"] + 3
+        assert sum(opened) == 1
+        assert system.obs.registry.value(events) >= before + 3
 
     def test_individual_updates_do_not_open_persistent_connections(self, system):
-        before = system.um.connections.statistics["persistent"]
+        opened = self.spy_opens(system)
         system.connection().add(
             "cn=A B,o=Lucent", person_attrs("A B", "B", definityExtension="4100")
         )
-        assert system.um.connections.statistics["persistent"] == before
+        assert sum(opened) == 0
 
 
 class TestPushDirectory:

@@ -120,9 +120,11 @@ class TestSingleLaneQueue:
     def test_statistics(self):
         queue = UpdateQueue()
         item = queue.claim(self.descriptor("x"))
-        assert queue.statistics == {"enqueued": 1, "processed": 0}
+        assert queue.registry.value("metacomm_queue_enqueued_total") == 1
+        assert queue.registry.value("metacomm_queue_processed_total") == 0
         self.run(queue, item)
-        assert queue.statistics == {"enqueued": 1, "processed": 1}
+        assert queue.registry.value("metacomm_queue_enqueued_total") == 1
+        assert queue.registry.value("metacomm_queue_processed_total") == 1
 
     def test_depth_gauge_tracks_transitions(self):
         from repro.obs import MetricsRegistry

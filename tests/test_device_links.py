@@ -34,6 +34,8 @@ from repro.obs.events import (
 )
 from repro.schemas import PERSON_CLASSES
 
+from .test_pipeline import um_counts
+
 
 def person_attrs(cn, sn, **extra):
     attrs = {"objectClass": list(PERSON_CLASSES), "cn": cn, "sn": sn}
@@ -508,7 +510,7 @@ class TestLinkedSerialEquivalence:
                     "compensations": compensations,
                     "devices": device_states(system),
                     "inconsistencies": sorted(system.inconsistencies()),
-                    "stats": dict(system.um.statistics),
+                    "stats": um_counts(system),
                 }
             finally:
                 system.close()
@@ -719,8 +721,8 @@ class TestBackpressure:
             with pytest.raises(LdapError) as excinfo:
                 add(e3)
             assert excinfo.value.code is ResultCode.BUSY
-            assert system.gateway.statistics["busy_rejected"] == 1
-            assert dict(queue.statistics)["admission_rejected"] == 1
+            assert system.obs.registry.value("metacomm_ltap_busy_total") == 1
+            assert queue.registry.value("metacomm_queue_admission_rejected_total") == 1
 
             # The backlog fires the queue-backlog alert.  The shipped rule
             # triggers at 5 s; re-declare it with a test-sized threshold so
@@ -819,7 +821,7 @@ class TestBackpressure:
             second.start()
             clients.append(second)
             wait_until(
-                lambda: dict(queue.statistics)["admission_deferred"] >= 1,
+                lambda: queue.registry.value("metacomm_queue_admission_deferred_total") >= 1,
                 message="deferred admission",
             )
 
@@ -828,7 +830,7 @@ class TestBackpressure:
                 thread.join(timeout=30)
                 assert not thread.is_alive()
 
-            assert dict(queue.statistics)["admission_rejected"] == 0
+            assert queue.registry.value("metacomm_queue_admission_rejected_total") == 0
             deferred = system.obs.journal.events(UPDATE_DEFERRED)
             assert any(
                 e2 in str(event.attributes["key"]) for event in deferred

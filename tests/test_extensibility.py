@@ -142,10 +142,18 @@ class TestNewDataSource:
                 "caAccountCode": "ACCT-1",
             },
         )
-        binding = system.um.binding("callacct")
-        before = binding.filter.statistics["conditional"]
+        ca_filter = system.um.binding("callacct").filter
+
+        def conditional():
+            return ca_filter.registry.value(
+                "metacomm_filter_events_total",
+                filter=ca_filter.name,
+                event="conditional",
+            )
+
+        before = conditional()
         system.call_accounting.modify("4100", {"Dept": "Ops"}, agent="vendor")
-        assert binding.filter.statistics["conditional"] > before
+        assert conditional() > before
 
     def test_partition_keeps_non_subscribers_out(self, system):
         # No caAccountCode -> the partition predicate keeps the person off

@@ -360,9 +360,8 @@ class TestShardedQueue:
     def test_statistics_count_serial_routing(self, queue):
         queue.claim(queue_descriptor("k1"))
         item = queue.claim(queue_descriptor("serial:unclaimed"))
-        stats = dict(queue.statistics)
-        assert stats["enqueued"] == 2
-        assert stats["serial_routed"] == 1
+        assert queue.registry.value("metacomm_queue_enqueued_total") == 2
+        assert queue.registry.value("metacomm_queue_serial_fallback_total") == 1
         assert item.reason == "unclaimed"
 
     def test_lane_snapshot_shape(self, queue):
@@ -492,9 +491,10 @@ class TestMultiLaneCoordinator:
         assert all(p.size() == 4 for p in fleet.pbxes.values())
         assert fleet.messaging.size() == 16
         assert fleet.consistent()
-        stats = dict(fleet.um.queue.statistics)
-        assert stats["enqueued"] == stats["processed"] == 16
-        assert stats["serial_routed"] == 0
+        registry = fleet.obs.registry
+        assert registry.value("metacomm_queue_enqueued_total") == 16
+        assert registry.value("metacomm_queue_processed_total") == 16
+        assert registry.value("metacomm_queue_serial_fallback_total") == 0
 
     def test_ddu_drains_through_the_serial_lane(self, fleet):
         fleet.connection().add(
@@ -505,7 +505,7 @@ class TestMultiLaneCoordinator:
         (entry,) = fleet.find_person("(definityExtension=4100)")
         assert entry.get("definityRoom") == ("2B-110",)
         assert fleet.consistent()
-        assert dict(fleet.um.queue.statistics)["serial_routed"] >= 1
+        assert fleet.obs.registry.value("metacomm_queue_serial_fallback_total") >= 1
         barrier_events = fleet.obs.journal.events(LANE_BARRIER)
         assert barrier_events
         assert all(
@@ -559,9 +559,9 @@ class TestMultiLaneCoordinator:
             "cn=A B,o=Lucent", person_attrs("A B", "B",
                                             definityExtension="4100")
         )
-        before = dict(fleet.um.queue.statistics)["serial_routed"]
+        before = fleet.obs.registry.value("metacomm_queue_serial_fallback_total")
         conn.modify_rdn("cn=A B,o=Lucent", "cn=A C")
-        assert dict(fleet.um.queue.statistics)["serial_routed"] == before + 1
+        assert fleet.obs.registry.value("metacomm_queue_serial_fallback_total") == before + 1
         assert fleet.pbxes["pbx-0"].get("4100")["Name"] == "C, A"
 
 

@@ -155,9 +155,16 @@ class TestAccessControl:
 
 class TestStatistics:
     def test_read_write_counters(self, server, conn):
-        before_reads = server.statistics["reads"]
-        before_writes = server.statistics["writes"]
+        def ops(*names):
+            return sum(
+                server.registry.value("metacomm_ldap_ops_total", op=name)
+                for name in names
+            )
+
+        reads = ("search", "compare")
+        writes = ("add", "delete", "modify", "modifyrdn")
+        before_reads, before_writes = ops(*reads), ops(*writes)
         conn.search("o=Lucent")
         conn.add("cn=S,o=Lucent", {"objectClass": "person", "cn": "S"})
-        assert server.statistics["reads"] == before_reads + 1
-        assert server.statistics["writes"] == before_writes + 1
+        assert ops(*reads) == before_reads + 1
+        assert ops(*writes) == before_writes + 1

@@ -59,7 +59,7 @@ class TestTransparency:
         fired = []
         gateway.register_trigger(Trigger(action=fired.append))
         conn.search("o=Lucent")
-        assert gateway.statistics["reads_forwarded"] >= 1
+        assert gateway.registry.value("metacomm_ltap_requests_total", kind="read") >= 1
         assert not fired
 
 
@@ -304,16 +304,6 @@ class TestLockManagerUnit:
         t.join()
         assert locks.holder(dn) == "b"
 
-    def test_statistics(self):
-        locks = LockManager(default_timeout=0.01)
-        dn = DN.parse("cn=X,o=L")
-        locks.acquire(dn, "a")
-        with pytest.raises(BusyError):
-            locks.acquire(dn, "b")
-        assert locks.statistics["acquired"] == 1
-        assert locks.statistics["contended"] == 1
-        assert locks.statistics["timeouts"] == 1
-
 
 class TestConnections:
     def test_single_shot_allows_one_event(self):
@@ -336,17 +326,6 @@ class TestConnections:
         assert conn.closed
         with pytest.raises(ConnectionClosedError):
             conn.send("late")  # type: ignore[arg-type]
-
-    def test_statistics(self):
-        manager = ConnectionManager(lambda e, c: None)
-        manager.open().send("x")  # type: ignore[arg-type]
-        with manager.open(persistent=True) as p:
-            p.send("y")  # type: ignore[arg-type]
-        assert manager.statistics == {
-            "single_shot": 1,
-            "persistent": 1,
-            "events": 2,
-        }
 
 
 class TestLibraryMode:

@@ -195,23 +195,54 @@ class TestMetrics:
         ] == [{"labels": {}, "value": 1}]
         assert any(t["name"] == "update" for t in document["traces"])
 
-    def test_statistics_views_stay_backward_compatible(self, system):
+    def test_component_counts_read_from_registry(self, system):
         add_john(system)
-        assert system.um.queue.statistics == {"enqueued": 1, "processed": 1}
-        assert system.um.statistics["ldap_events"] == 1
-        assert system.um.statistics["fanned_out"] == 2
-        assert system.um.statistics["supplemental_writes"] == 1
-        assert system.gateway.statistics["updates_processed"] >= 1
-        assert system.server.statistics["writes"] >= 1
+        registry = system.obs.registry
+        assert registry.value("metacomm_queue_enqueued_total") == 1
+        assert registry.value("metacomm_queue_processed_total") == 1
+        assert registry.value("metacomm_um_ldap_events_total") == 1
+        assert registry.value("metacomm_um_fanout_total") == 2
+        assert registry.value("metacomm_um_supplemental_writes_total") == 1
+        assert registry.value("metacomm_ltap_requests_total", kind="update") >= 1
+        assert sum(
+            registry.value("metacomm_ldap_ops_total", op=op)
+            for op in ("add", "delete", "modify", "modifyrdn")
+        ) >= 1
         pbx_filter = system.um.bindings[0].filter
-        assert pbx_filter.statistics["applied"] == 1
+        assert registry.value(
+            "metacomm_filter_events_total", filter=pbx_filter.name, event="applied"
+        ) == 1
+
+    def test_runtime_components_keep_no_statistics(self, system):
+        """Every runtime count lives in the registry: the only
+        ``statistics`` left on the runtime path is the UM's one-key
+        property, and it reads the registry too."""
+        add_john(system)
+        system.terminal().execute("change station 4100 room 2B-110")
+        gateway = system.gateway
+        components = [
+            system.server,
+            gateway,
+            gateway.locks,
+            gateway.triggers,
+            system.um.queue,
+            system.um.connections,
+            *(binding.filter for binding in system.um.bindings),
+            system.um.ldap_filter,
+        ]
+        for component in components:
+            assert not hasattr(component, "statistics"), component
+        reapplied = system.obs.registry.value("metacomm_um_reapplied_total")
+        assert reapplied >= 1
+        assert set(system.um.statistics) == {"reapplied"}
+        assert system.um.statistics["reapplied"] == reapplied
 
     def test_two_systems_do_not_share_counters(self):
         first = MetaComm(MetaCommConfig(organizations=("Marketing",)))
         second = MetaComm(MetaCommConfig(organizations=("Marketing",)))
         add_john(first)
-        assert first.um.statistics["ldap_events"] == 1
-        assert second.um.statistics["ldap_events"] == 0
+        assert first.obs.registry.value("metacomm_um_ldap_events_total") == 1
+        assert second.obs.registry.value("metacomm_um_ldap_events_total") == 0
 
     def test_connection_events_are_counted(self, system):
         # Satellite: _handle_connection_event used to drop events on the
@@ -254,8 +285,10 @@ class TestDisabledObservability:
         assert system.consistent()
         assert system.traces() == []
         assert system.last_trace("update") is None
-        # Counters exist but stayed at zero — and the legacy views agree.
-        assert system.um.queue.statistics == {"enqueued": 0, "processed": 0}
+        # Counters exist but stayed at zero.
+        registry = system.obs.registry
+        assert registry.value("metacomm_queue_enqueued_total") == 0
+        assert registry.value("metacomm_queue_processed_total") == 0
 
     def test_disabled_scrape_renders_zeros(self):
         system = MetaComm(
@@ -286,7 +319,7 @@ class TestCompensationRegression:
 
         system.um._compensate = spying
         add_john(system)  # performs a supplemental write (echo of the add)
-        assert system.um.statistics["supplemental_writes"] == 1
+        assert system.obs.registry.value("metacomm_um_supplemental_writes_total") == 1
         # Now make the messaging platform (applied second) reject the next
         # add after the PBX (applied first) accepted it: compensation must
         # receive the (binding, update, before) list and roll the PBX back.
@@ -305,6 +338,6 @@ class TestCompensationRegression:
             for item in call:
                 binding, update, before = item  # tuple shape intact
                 assert hasattr(binding, "filter")
-        assert system.um.statistics["compensated"] >= 1
+        assert system.obs.registry.value("metacomm_um_compensated_total") >= 1
         # The PBX add was undone.
         assert not system.pbx().contains("4101")

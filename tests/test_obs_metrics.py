@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     global_registry,
 )
-from repro.obs.views import StatsView
 
 
 class TestCounter:
@@ -195,22 +194,3 @@ class TestPrometheusRendering:
         metric = document["metrics"]["x_total"]
         assert metric["kind"] == "counter"
         assert metric["samples"] == [{"labels": {}, "value": 7}]
-
-
-class TestStatsView:
-    def test_reads_live_values(self):
-        counter = MetricsRegistry().counter("x_total", "x")
-        view = StatsView({"count": lambda: counter.value})
-        assert view == {"count": 0}
-        counter.inc(2)
-        assert view == {"count": 2}
-        assert view["count"] == 2
-        assert isinstance(view["count"], int)
-
-    def test_mapping_protocol(self):
-        view = StatsView({"a": lambda: 1, "b": lambda: 2})
-        assert list(view) == ["a", "b"]
-        assert len(view) == 2
-        assert dict(view) == {"a": 1, "b": 2}
-        assert view != {"a": 1}
-        assert repr(view) == repr({"a": 1, "b": 2})

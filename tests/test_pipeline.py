@@ -62,6 +62,26 @@ def device_states(system):
     }
 
 
+#: The Update Manager's counts that serial and link fan-out must agree on.
+UM_COUNT_FAMILIES = (
+    "metacomm_um_ldap_events_total",
+    "metacomm_um_ddus_total",
+    "metacomm_um_fanout_total",
+    "metacomm_um_reapplied_total",
+    "metacomm_um_supplemental_writes_total",
+    "metacomm_um_aborted_sequences_total",
+    "metacomm_um_compensated_total",
+)
+
+
+def um_counts(system):
+    """Each of :data:`UM_COUNT_FAMILIES`, summed over its labels."""
+    return {
+        family: system.obs.registry.value(family)
+        for family in UM_COUNT_FAMILIES
+    }
+
+
 def explode(op, key):
     raise InvalidFieldError("injected device fault")
 
@@ -165,11 +185,13 @@ class TestQueueClaim:
     def test_claim_counts_as_enqueued_and_processed(self):
         queue = UpdateQueue()
         item = queue.claim(self.descriptor("a"))
-        assert queue.statistics == {"enqueued": 1, "processed": 0}
+        assert queue.registry.value("metacomm_queue_enqueued_total") == 1
+        assert queue.registry.value("metacomm_queue_processed_total") == 0
         # Processed once its turn comes, not at claim time.
         assert queue.wait_turn(item, timeout=0.5)
         queue.finish(item)
-        assert queue.statistics == {"enqueued": 1, "processed": 1}
+        assert queue.registry.value("metacomm_queue_enqueued_total") == 1
+        assert queue.registry.value("metacomm_queue_processed_total") == 1
 
     def test_threaded_trigger_ignores_foreign_queue_items(self):
         system = MetaComm(MetaCommConfig())
@@ -270,7 +292,7 @@ class TestCompensationOrder:
         outcome = system.um.pipeline.last_outcome
         assert outcome.aborted and outcome.abort_index == 2
         assert outcome.compensated == ["pbx-2", "pbx-1"]
-        assert system.um.statistics["compensated"] == 2
+        assert system.obs.registry.value("metacomm_um_compensated_total") == 2
         # Every repository is back to its pre-update state.
         for name in ("pbx-1", "pbx-2", "pbx-3"):
             assert not system.pbxes[name].contains("4100")
@@ -297,7 +319,7 @@ class TestCompensationOrder:
                 assert not system.pbxes[name].contains("4100")
             assert system.messaging.size() == 0
             # Rollback is not saga compensation: the counter stays at zero.
-            assert system.um.statistics["compensated"] == 0
+            assert system.obs.registry.value("metacomm_um_compensated_total") == 0
             assert len(system.error_log) == 1
         finally:
             system.close()
@@ -349,7 +371,7 @@ class TestSerialParallelEquivalence:
                     "compensations": compensations,
                     "devices": device_states(system),
                     "inconsistencies": sorted(system.inconsistencies()),
-                    "stats": dict(system.um.statistics),
+                    "stats": um_counts(system),
                 }
             finally:
                 system.close()

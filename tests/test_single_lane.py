@@ -150,7 +150,7 @@ def test_depth_limit_answers_server_busy():
         with pytest.raises(LdapError) as excinfo:
             add("4102")
         assert excinfo.value.code is ResultCode.BUSY
-        assert dict(system.um.queue.statistics)["admission_rejected"] == 1
+        assert system.obs.registry.value("metacomm_queue_admission_rejected_total") == 1
         link.resume()
         first.join(timeout=10)
         assert not first.is_alive()
