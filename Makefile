@@ -22,7 +22,7 @@ check:
 	$(PYTHON) -m repro check --fail-on=warning
 
 ## LX5xx: concurrency lints over the runtime source (docs/CONCURRENCY.md)
-## plus the witness-enabled threaded stress tests.  Fails on any
+## plus the witness-enabled concurrent-client stress tests.  Fails on any
 ## unsuppressed warning or error, or on a witness.violation.
 check-concur:
 	$(PYTHON) -m repro check --concurrency --fail-on=warning

@@ -5,9 +5,10 @@ disjoint extension-prefix partitions commute, so the sharded queue may
 drain them on concurrent coordinator lanes.  This benchmark builds the
 workload that proof targets: eight PBXes owning disjoint prefixes, every
 device write paying a simulated management-link round-trip, and eight
-client threads each updating only its own partition.  A single lane
-serializes the whole stream behind one coordinator; more lanes overlap
-the link latency of provably-independent sequences.
+client threads each updating only its own partition.  Each client
+thread runs its own sequences once the queue grants their turn.  A
+single lane serializes the whole stream; more lanes let the clients of
+provably-independent sequences overlap their link latency.
 
 Measures update sequences/second for ``coordinator_lanes`` in {1, 2, 4,
 8} and checks the ``consistent()`` oracle and that *nothing* fell back
@@ -62,7 +63,6 @@ def _fleet(lanes: int) -> MetaComm:
     for pbx in system.pbxes.values():
         pbx.link_latency = LINK_LATENCY
     system.messaging.link_latency = LINK_LATENCY
-    system.um.start()
     return system
 
 

@@ -13,7 +13,7 @@ messaging platform, touched by every update, is the structural
 bottleneck the batching collapses.
 
 Measures update sequences/second for the inline serial baseline (the
-paper's fan-out: each lane worker applies its sequence's devices one
+paper's fan-out: each client thread applies its sequence's devices one
 blocking write at a time) against ``device_links=True`` on the same
 four-lane coordinator, repeats the comparison with a mixed-latency
 fleet (slow shared messaging link), and records a stalled-device
@@ -71,8 +71,8 @@ PREFIXES = [str(41 + i) for i in range(CLIENTS)] + [
 def _fleet(mode: str, messaging_latency: float) -> MetaComm:
     """Sixteen devices on serial craft channels, rules on the compiled
     tier.  ``mode`` selects the fan-out machinery: ``"serial"`` is the
-    inline baseline (the lane worker sleeps through every device's
-    round-trips in turn), ``"links"`` the event-driven dispatcher."""
+    inline baseline (the client thread running the sequence sleeps
+    through every device's round-trips in turn), ``"links"`` the event-driven dispatcher."""
     config = MetaCommConfig(
         pbxes=[PbxConfig(f"pbx-{i + 1}", (p,)) for i, p in enumerate(PREFIXES)],
         coordinator_lanes=LANES,
@@ -87,7 +87,6 @@ def _fleet(mode: str, messaging_latency: float) -> MetaComm:
     system.messaging.link_latency = messaging_latency
     system.messaging.link_serial = True
     system.messaging.link_commands = MESSAGING_COMMANDS
-    system.um.start()
     return system
 
 
@@ -163,7 +162,6 @@ def _observe_stall() -> dict:
         )
     )
     try:
-        system.um.start()
         link = system.links.link("pbx-1")
         link.pause()
         threads = [

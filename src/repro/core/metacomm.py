@@ -386,13 +386,11 @@ class MetaComm:
     # -- lifecycle ---------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release background resources (auditor thread, coordinator
-        lanes, link dispatcher)."""
+        """Release background resources (auditor thread, link
+        dispatcher)."""
         self.auditor.stop()
-        self.um.stop()
         if self.links is not None:
-            # After the UM: coordinator lanes may still be draining work
-            # through the links, and stop() fails any orphaned futures.
+            # stop() fails any futures a client thread still waits on.
             self.links.stop()
 
     def __enter__(self) -> "MetaComm":

@@ -106,6 +106,10 @@ class UpdateQueue:
     under arbitrary thread interleavings.
     """
 
+    #: Seconds one condition wait may last before its waiter re-checks.
+    #: Only a backstop: ``finish`` notifies every waiter it can release.
+    POLL = 0.05
+
     def __init__(
         self,
         plan=None,
@@ -132,10 +136,17 @@ class UpdateQueue:
         self.labels: tuple[str, ...] = tuple(str(i) for i in range(lanes))
         if plan is not None:
             self.labels += (SERIAL_LANE,)
-        self._cond = threading.Condition()
-        #: Threads inside a ``_cond.wait`` (so ``finish`` can skip the
-        #: notify when nobody is blocked — the single-lane common case).
+        # A plain lock: a condition built over a lock-witness proxy of
+        # ``_cond`` (see _sleepers) tests ownership with a non-blocking
+        # acquire, which a re-entrant lock would pass.
+        self._cond = threading.Condition(threading.Lock())
+        #: Threads blocked in :meth:`admit` (so ``finish`` can skip the
+        #: notify when nobody waits for capacity — the common case).
         self._blocked = 0
+        #: serial -> the condition its :meth:`wait_turn` caller sleeps on.
+        #: Each shares ``_cond``'s lock, so :meth:`finish` wakes only the
+        #: lanes' heads — the only items that can have become runnable.
+        self._sleepers: dict[int, threading.Condition] = {}
         self._serials = itertools.count(1)
         self._last_serial = 0
         #: lane label -> serial -> claim stamp, for items claimed but not
@@ -274,23 +285,12 @@ class UpdateQueue:
         descriptor: UpdateDescriptor,
         trace=None,
         rename: bool = False,
-        dispatch=None,
     ) -> QueuedUpdate:
         """Atomically assign the next global serial and a lane.
 
-        The item is never visible to any other consumer — the caller (or
-        the lane worker it hands the item to) must call :meth:`wait_turn`
-        before processing and :meth:`finish` afterwards.
-
-        *dispatch*, when given, is invoked with the item inside the same
-        critical section that assigns its serial.  The threaded hand-off
-        needs this atomicity: if serial assignment and the lane
-        work-queue insert were separate steps, two clients claiming into
-        the same lane could enqueue out of serial order, and the single
-        lane worker would wait on an item that can never become the
-        lane's oldest outstanding serial while the older item sits
-        behind it in the same FIFO.  *dispatch* must not block (a
-        ``queue.Queue.put`` is fine)."""
+        The item is never visible to any other consumer — the claiming
+        thread must call :meth:`wait_turn` before processing and
+        :meth:`finish` afterwards."""
         label, decision = self._route(descriptor, rename)
         now = time.perf_counter()
         with self._cond:
@@ -302,11 +302,6 @@ class UpdateQueue:
                 lane=label,
                 reason=decision.reason if decision is not None else None,
             )
-            if dispatch is not None:
-                # Hand off before recording: a failed dispatch then raises
-                # with nothing outstanding — a recorded serial nobody will
-                # finish would wedge its lane forever.
-                dispatch(item)
             self._last_serial = serial
             self._waiting[label][serial] = now
             self._outstanding[label].add(serial)
@@ -409,7 +404,6 @@ class UpdateQueue:
     def wait_turn(
         self,
         item: QueuedUpdate,
-        stop: threading.Event | None = None,
         timeout: float | None = None,
         trace=None,
     ) -> bool:
@@ -417,10 +411,9 @@ class UpdateQueue:
 
         Returns True once the item is runnable (it then counts as claimed
         for metrics/journal purposes, and its :attr:`~QueuedUpdate.waited`
-        holds the claim-to-turn wait); False when ``stop`` was set or
-        ``timeout`` elapsed first — the caller must still call
-        :meth:`finish` so the lane does not wedge on the abandoned
-        serial."""
+        holds the claim-to-turn wait); False when ``timeout`` elapsed
+        first — the caller must still call :meth:`finish` so the lane
+        does not wedge on the abandoned serial."""
         with self._cond:
             if not self._runnable(item):
                 deadline = (
@@ -428,12 +421,18 @@ class UpdateQueue:
                     if timeout is not None
                     else None
                 )
-                while not self._runnable(item):
-                    if stop is not None and stop.is_set():
-                        return False
-                    if deadline is not None and time.perf_counter() >= deadline:
-                        return False
-                    self._wait_locked()
+                sleeper = threading.Condition(self._cond)
+                self._sleepers[item.serial] = sleeper
+                try:
+                    while not self._runnable(item):
+                        if (
+                            deadline is not None
+                            and time.perf_counter() >= deadline
+                        ):
+                            return False
+                        sleeper.wait(timeout=self.POLL)
+                finally:
+                    del self._sleepers[item.serial]
             self._waiting[item.lane].pop(item.serial, None)
             self._publish_depth(item.lane)
         waited = item.waited = (
@@ -450,31 +449,38 @@ class UpdateQueue:
         return True
 
     def finish(self, item: QueuedUpdate) -> None:
-        """Mark *item* done; wakes every consumer blocked on the barrier."""
+        """Mark *item* done; wakes each lane's head and admission waiters.
+
+        Only a lane's oldest outstanding serial can ever be runnable, so
+        the head of every lane is the whole set of items this finish can
+        have released (a serial-lane finish may release every lane)."""
+        woke = False
         with self._cond:
             self._outstanding[item.lane].discard(item.serial)
             if self._waiting[item.lane].pop(item.serial, None) is not None:
                 self._publish_depth(item.lane)
+            if self._sleepers:
+                for serials in self._outstanding.values():
+                    if serials:
+                        sleeper = self._sleepers.get(min(serials))
+                        if sleeper is not None:
+                            sleeper.notify()
+                            woke = True
             if self._blocked:
                 self._cond.notify_all()
+        if woke:
+            # Yield the GIL to the woken head: otherwise it waits until
+            # this thread blocks or the switch interval (5 ms) runs out,
+            # and that wait sits on its lane's critical path.
+            time.sleep(0)
 
     def _wait_locked(self) -> None:
-        """One bounded condition wait (50 ms tick); caller holds ``_cond``."""
+        """One bounded condition wait; caller holds ``_cond``."""
         self._blocked += 1
         try:
-            self._cond.wait(timeout=0.05)
+            self._cond.wait(timeout=self.POLL)
         finally:
             self._blocked -= 1
-
-    def wake(self) -> None:
-        """Wake every barrier waiter so it re-checks its stop Event now.
-
-        :meth:`wait_turn`'s condition wait is already bounded (50 ms
-        ticks), so a missed wake-up only costs one tick — but
-        ``UpdateManager.stop()`` calls this so shutdown never waits out
-        even that tick per lane."""
-        with self._cond:
-            self._cond.notify_all()
 
     def _publish_depth(self, label: str) -> None:
         """Republish the depth of the lane that changed, and the total.

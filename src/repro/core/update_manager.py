@@ -31,7 +31,6 @@ The flow implemented here is the paper's:
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -135,11 +134,9 @@ class UpdateManager:
             depth_limit=lane_depth_limit,
         )
         self.connections = ConnectionManager(self._handle_connection_event)
-        self._lane_threads: dict[str, threading.Thread] = {}
-        self._lane_work: dict[str, object] = {}
-        #: How long a blocked trigger waits for its sequence's turn and
-        #: completion before giving up (section 4.4's serialized
-        #: discipline means a stuck sequence must surface, not hang).
+        #: How long a blocked trigger waits for its sequence's turn before
+        #: giving up (section 4.4's serialized discipline means a stuck
+        #: sequence must surface, not hang).
         self.coordinator_timeout: float = 30.0
         self._ldap_events = self.registry.counter(
             "metacomm_um_ldap_events_total",
@@ -271,90 +268,6 @@ class UpdateManager:
         )
         self._connection_events.labels(kind=kind).inc()
 
-    # -- threaded coordinator (the paper's "main thread of the UM") -----------------
-
-    def start(self) -> None:
-        """Run the coordinator on its own threads: one worker per lane.
-
-        Section 4.4: "The main thread of the UM, the coordinator, iterates
-        through the global update queue."  With one lane that is exactly
-        one coordinator thread.  LTAP's trigger claims the descriptor,
-        hands it to its lane's worker and *blocks until the worker signals
-        completion* — so the entry lock is still held for the whole update
-        sequence, exactly as in the synchronous mode.  Entry locks are
-        owned by sessions (not threads), so the worker can re-enter the
-        waiting client's lock for supplemental writes.  The queue's
-        barrier protocol decides when each claimed item may start."""
-        import queue as _queue
-
-        if self._lane_threads:
-            return
-        self._stop = threading.Event()
-
-        def lane_loop(work: "_queue.Queue") -> None:
-            while not self._stop.is_set():
-                try:
-                    job = work.get(timeout=0.05)
-                except _queue.Empty:
-                    continue
-                item, session, done, failure = job
-                trace = (
-                    session.state.get(OBS_TRACE)
-                    if session is not None
-                    else None
-                )
-                try:
-                    if self.queue.wait_turn(
-                        item,
-                        stop=self._stop,
-                        timeout=self.coordinator_timeout,
-                        trace=trace,
-                    ):
-                        self._process(item, session)
-                    else:
-                        failure.append(
-                            RuntimeError(
-                                f"lane {item.lane} barrier wait gave up "
-                                f"on serial {item.serial}"
-                            )
-                        )
-                except Exception as exc:  # surfaced to the waiting trigger
-                    failure.append(exc)
-                finally:
-                    # Always release the serial — an abandoned outstanding
-                    # serial would wedge every later item of its lane.
-                    self.queue.finish(item)
-                    done.set()
-
-        for label in self.queue.labels:
-            work: "_queue.Queue" = _queue.Queue()
-            thread = threading.Thread(
-                target=lane_loop,
-                args=(work,),
-                name=f"metacomm-lane-{label}",
-                daemon=True,
-            )
-            self._lane_work[label] = work
-            self._lane_threads[label] = thread
-            thread.start()
-
-    def stop(self) -> None:
-        if not self._lane_threads:
-            return
-        self._stop.set()
-        # Kick every barrier waiter out of its condition wait immediately
-        # — without this, each lane worker finishes its current 50 ms
-        # wait tick before noticing the stop Event.
-        self.queue.wake()
-        for thread in self._lane_threads.values():
-            thread.join(timeout=5)
-        self._lane_threads = {}
-        self._lane_work = {}
-
-    @property
-    def threaded(self) -> bool:
-        return bool(self._lane_threads)
-
     # -- admission control (the LTAP gateway hook) ----------------------------------
 
     def admission_check(self, request: LdapRequest, session: Session) -> None:
@@ -459,35 +372,18 @@ class UpdateManager:
         # DN, so the routing oracle needs the operation kind from the
         # trigger event to route renames onto the serial lane.
         rename = event.change_type is ChangeType.MODIFY_RDN
-        if self._lane_work:
-            done = threading.Event()
-            failure: list[Exception] = []
-            # The work-queue insert runs inside claim's critical section:
-            # serial assignment and hand-off must be atomic or two clients
-            # claiming into one lane can enqueue out of serial order and
-            # wedge the lane worker (see UpdateQueue.claim).
-            self.queue.claim(
-                descriptor,
-                trace=trace,
-                rename=rename,
-                dispatch=lambda item: self._lane_work[item.lane].put(
-                    (item, event.session, done, failure)
-                ),
-            )
-            if not done.wait(timeout=self.coordinator_timeout):
-                raise RuntimeError("coordinator did not complete the sequence")
-            if failure:
-                raise failure[0]
-            return
-        # Synchronous mode: the client thread is its own lane worker — the
-        # queue still orders it against concurrent claims from other
-        # client threads.
+        # Section 4.4's coordinator: the client thread that claimed the
+        # descriptor runs its sequence once the queue says it is its turn,
+        # ordered against concurrent claims from other client threads.
         item = self.queue.claim(descriptor, trace=trace, rename=rename)
         try:
             if not self.queue.wait_turn(
                 item, timeout=self.coordinator_timeout, trace=trace
             ):
-                raise RuntimeError("coordinator did not complete the sequence")
+                raise RuntimeError(
+                    f"lane {item.lane} barrier wait gave up "
+                    f"on serial {item.serial}"
+                )
             self._process(item, event.session)
         finally:
             self.queue.finish(item)

@@ -218,8 +218,8 @@ class _Route:
 class EventJournal:
     """Append-only bounded ring of :class:`Event`\\ s, safe across threads.
 
-    ``emit`` is the single producer entry point; the coordinator thread,
-    fan-out workers and client threads all call it concurrently.  Readers
+    ``emit`` is the single producer entry point; client threads, the link
+    dispatcher and the auditor all call it concurrently.  Readers
     (``events``, ``tail``, iteration) get consistent snapshots.
     Subscribed listeners receive each event after it is stored — the
     ``--follow`` CLI and the test harness use this; listener exceptions

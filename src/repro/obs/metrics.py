@@ -13,7 +13,7 @@ libraries:
   (enqueue→dequeue wait, per-device apply time);
 
 all three supporting **labels** (``counter.labels(device="pbx-west")``)
-and all safe to update from the coordinator thread and client threads
+and all safe to update from client threads and the link dispatcher
 concurrently.
 
 A :class:`MetricsRegistry` owns a namespace of metrics; every MetaComm
@@ -184,10 +184,6 @@ class Counter(Metric):
     @property
     def value(self) -> float:
         return self._child().value
-
-    def value_for(self, **labels: str) -> float:
-        child = self._children.get(_label_key(self.labelnames, labels))
-        return child.value if child is not None else 0.0
 
     def total(self) -> float:
         """Sum over every label combination."""

@@ -553,7 +553,6 @@ class TestClosureDerivedAttributes:
             system, ext = MetaComm(MetaCommConfig()), "4100"
         else:
             system, ext = _partitioned_lanes_system(), "4300"
-            system.um.start()
         yield system, ext
         system.close()
 

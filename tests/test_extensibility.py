@@ -74,7 +74,9 @@ def system():
     # 3. Wire the device in through public API only.
     device = CallAccounting()
     binding = DeviceBinding(
-        filter=DeviceFilter(device, schema="ca"),
+        # The system registry, so the new device's counts are scraped
+        # with everyone else's (system.metrics_text()).
+        filter=DeviceFilter(device, schema="ca", registry=system.obs.registry),
         to_ldap=forward,
         from_ldap=backward,
     )
@@ -142,18 +144,17 @@ class TestNewDataSource:
                 "caAccountCode": "ACCT-1",
             },
         )
-        ca_filter = system.um.binding("callacct").filter
-
         def conditional():
-            return ca_filter.registry.value(
+            return system.obs.registry.value(
                 "metacomm_filter_events_total",
-                filter=ca_filter.name,
+                filter="callacct",
                 event="conditional",
             )
 
         before = conditional()
         system.call_accounting.modify("4100", {"Dept": "Ops"}, agent="vendor")
         assert conditional() > before
+        assert 'filter="callacct"' in system.metrics_text()
 
     def test_partition_keeps_non_subscribers_out(self, system):
         # No caAccountCode -> the partition predicate keeps the person off

@@ -99,7 +99,6 @@ def test_partitioned_lanes_journal_each_fact_once():
             lock_witness=True,
         )
     )
-    system.um.start()
     errors = []
 
     def client(i):

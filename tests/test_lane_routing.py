@@ -340,13 +340,6 @@ class TestShardedQueue:
         assert queue.wait_turn(later, timeout=0.5)
         queue.finish(later)
 
-    def test_stop_event_aborts_the_wait(self, queue):
-        queue.claim(queue_descriptor("k1"))
-        blocked = queue.claim(queue_descriptor("k1"))
-        stop = threading.Event()
-        stop.set()
-        assert not queue.wait_turn(blocked, stop=stop, timeout=5.0)
-
     def test_abandoned_item_must_still_finish(self, queue):
         first = queue.claim(queue_descriptor("k1"))
         second = queue.claim(queue_descriptor("k1"))
@@ -430,7 +423,6 @@ class TestMultiLaneCoordinator:
     @pytest.fixture
     def fleet(self):
         fleet = MetaComm(lane_fleet_config(4))
-        fleet.um.start()
         yield fleet
         fleet.close()
 
@@ -523,11 +515,11 @@ class TestMultiLaneCoordinator:
         assert "metacomm_queue_lane_depth" in text
 
     def test_sync_mode_clients_drive_their_own_lanes(self):
-        # Without um.start() the client threads are the lane workers:
+        # The client threads drive the lanes themselves:
         # claim/wait_turn/finish run inline on the calling thread.
         fleet = MetaComm(lane_fleet_config(4))
         try:
-            assert fleet.um.queue.lanes == 4 and not fleet.um.threaded
+            assert fleet.um.queue.lanes == 4
             errors = []
 
             def client(i):
@@ -565,7 +557,7 @@ class TestMultiLaneCoordinator:
         assert fleet.pbxes["pbx-0"].get("4100")["Name"] == "C, A"
 
 
-# -- lanes=1 must be byte-identical with the paper-serial path ---------------
+# -- lanes and links must match the paper-serial path ------------------------
 
 
 def failure_workload(fleet):
@@ -602,25 +594,35 @@ def saga_order(fleet):
 
 
 class TestSingleLaneEquivalence:
-    def test_error_log_and_saga_order_match_serial_mode(self):
+    """Sharding and device links change nothing the abort scenario can
+    observe: each leaves the paper-serial run's error log, saga order,
+    consistency verdict and serialization head.  The overlapping fleet
+    (every PBX owns prefix "4") puts the failing add on all three PBXes,
+    so the failure compensates an applied device."""
+
+    @staticmethod
+    def assert_matches_serial(**variant):
         config = dict(
             pbxes=[PbxConfig(f"pbx-{i}", ("4",)) for i in range(3)],
             undo_on_failure=True,
         )
         serial = MetaComm(MetaCommConfig(**config))
-        threaded = MetaComm(MetaCommConfig(**config, coordinator_lanes=1))
-        threaded.um.start()
+        other = MetaComm(MetaCommConfig(**config, **variant))
         try:
             failure_workload(serial)
-            failure_workload(threaded)
-            assert error_records(serial) == error_records(threaded)
-            assert saga_order(serial) == saga_order(threaded)
-            # The abort scenario leaves the same (in)consistency verdict
-            # either way — lanes=1 changes nothing observable.
-            assert serial.consistent() == threaded.consistent()
-            assert (
-                serial.um.queue.last_serial == threaded.um.queue.last_serial
-            )
+            failure_workload(other)
+            assert error_records(serial)
+            assert saga_order(serial)
+            assert error_records(other) == error_records(serial)
+            assert saga_order(other) == saga_order(serial)
+            assert other.consistent() == serial.consistent()
+            assert other.um.queue.last_serial == serial.um.queue.last_serial
         finally:
             serial.close()
-            threaded.close()
+            other.close()
+
+    def test_error_log_and_saga_order_match_serial_mode(self):
+        self.assert_matches_serial(coordinator_lanes=4)
+
+    def test_device_links_match_serial_mode(self):
+        self.assert_matches_serial(device_links=True)

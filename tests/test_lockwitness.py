@@ -235,32 +235,27 @@ class TestSystemIntegration:
             lock_witness=True,
         )
         with MetaComm(config) as system:
-            system.um.start()
-            try:
-                orgs = ("Marketing", "Sales")
-                errors = []
+            orgs = ("Marketing", "Sales")
+            errors = []
 
-                def add(index):
-                    ext = str(4100 + index)
-                    org = orgs[index % 2]
-                    dn = f"cn=User {ext},o={org},o=Lucent"
-                    try:
-                        system.connection().add(dn, self.person(ext))
-                    except Exception as exc:  # pragma: no cover
-                        errors.append(exc)
+            def add(index):
+                ext = str(4100 + index)
+                org = orgs[index % 2]
+                dn = f"cn=User {ext},o={org},o=Lucent"
+                try:
+                    system.connection().add(dn, self.person(ext))
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
 
-                threads = [
-                    threading.Thread(target=add, args=(i,))
-                    for i in range(8)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                assert errors == []
-                assert system.consistent()
-            finally:
-                system.um.stop()
+            threads = [
+                threading.Thread(target=add, args=(i,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert errors == []
+            assert system.consistent()
             assert system.lock_witness.violations() == []
 
     def test_witness_system_seeds_from_static_order(self):

@@ -107,12 +107,7 @@ class TestAlertEngine:
         assert engine.evaluate() == []
         assert journal.last("alert.cleared").attributes["rule"] == "rule-0"
         assert registry.value("metacomm_alerts_active", rule="rule-0") == 0
-        assert (
-            registry.get("metacomm_alerts_fired_total").value_for(
-                rule="rule-0"
-            )
-            == 1
-        )
+        assert registry.value("metacomm_alerts_fired_total", rule="rule-0") == 1
 
     def test_for_cycles_requires_sustained_breach(self):
         engine, registry = self.engine("m >= 1 for 3")

@@ -67,8 +67,8 @@ class TestEventJournal:
             journal.emit(UPDATE_ACCEPTED, serial=i)
         assert registry.value("metacomm_journal_dropped_total") == 3
         assert (
-            registry.get("metacomm_journal_events_total").value_for(
-                kind=UPDATE_ACCEPTED
+            registry.value(
+                "metacomm_journal_events_total", kind=UPDATE_ACCEPTED
             )
             == 5
         )
@@ -136,7 +136,7 @@ class TestEventJournal:
         assert event is not None
         assert len(journal) == 1
         journal.emit(DEVICE_FAILURE, device="pbx", serial=1, duration=0.01)
-        assert derived.value_for(device="pbx") == 1
+        assert registry.value("derived_total", device="pbx") == 1
         assert board.device("pbx").failures == 1
         assert registry.value(
             "metacomm_device_attempts_total", device="pbx", outcome="error"

@@ -153,9 +153,9 @@ class TestHealthBoard:
         board, registry, _ = self.board()
         board.record_outcome("pbx", 0.01, True)
         board.record_outcome("pbx", 0.01, False)
-        attempts = registry.get("metacomm_device_attempts_total")
-        assert attempts.value_for(device="pbx", outcome="ok") == 1
-        assert attempts.value_for(device="pbx", outcome="error") == 1
+        attempts = "metacomm_device_attempts_total"
+        assert registry.value(attempts, device="pbx", outcome="ok") == 1
+        assert registry.value(attempts, device="pbx", outcome="error") == 1
         assert registry.value(
             "metacomm_device_consecutive_failures", device="pbx"
         ) == 1

@@ -6,6 +6,8 @@ apply and supplemental write — each leg with a nonzero wall-clock
 duration — and one scrape covers every component's counters.
 """
 
+import threading
+
 import pytest
 
 from repro.core import MetaComm, MetaCommConfig
@@ -119,11 +121,12 @@ class TestUpdateTrace:
         assert "cn=U3" in kept[-1].attributes["dn"]
 
     def test_threaded_mode_traces_cross_the_thread_hop(self, system):
-        system.um.start()
-        try:
-            add_john(system)
-        finally:
-            system.um.stop()
+        # The add runs on a client thread of its own; its trace still
+        # carries the queue wait and the fan-out it ran there.
+        client = threading.Thread(target=add_john, args=(system,))
+        client.start()
+        client.join(timeout=10)
+        assert not client.is_alive()
         trace = system.last_trace("update")
         assert {"queue.wait", "filter.apply"} <= set(trace.span_names())
 

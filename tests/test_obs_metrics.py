@@ -33,9 +33,9 @@ class TestCounter:
         counter.labels(op="add").inc()
         counter.labels(op="add").inc()
         counter.labels(op="delete").inc()
-        assert counter.value_for(op="add") == 2
-        assert counter.value_for(op="delete") == 1
-        assert counter.value_for(op="modify") == 0  # never touched
+        assert registry.value("ops_total", op="add") == 2
+        assert registry.value("ops_total", op="delete") == 1
+        assert registry.value("ops_total", op="modify") == 0  # never touched
         assert counter.total() == 3
 
     def test_label_names_enforced(self):
@@ -55,7 +55,7 @@ class TestLabelCache:
         cache["applied"].inc()
         cache["applied"].inc(2)
         assert cache["applied"] is counter.labels(filter="pbx", event="applied")
-        assert counter.value_for(filter="pbx", event="applied") == 3
+        assert registry.value("events_total", filter="pbx", event="applied") == 3
         assert [key for key, _ in counter.children()] == [("pbx", "applied")]
 
 

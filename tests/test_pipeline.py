@@ -195,7 +195,6 @@ class TestQueueClaim:
 
     def test_threaded_trigger_ignores_foreign_queue_items(self):
         system = MetaComm(MetaCommConfig())
-        system.um.start()
         ran = []
         original = system.um.pipeline.run
 
@@ -205,9 +204,9 @@ class TestQueueClaim:
 
         system.um.pipeline.run = spying
         try:
-            # A descriptor claimed by someone else is never handed to this
-            # trigger's lane worker: the trigger waits its turn behind it,
-            # then processes its own descriptor only.
+            # A descriptor claimed by someone else is never run by this
+            # trigger: the trigger waits its turn behind it, then
+            # processes its own descriptor only.
             foreign = system.um.queue.claim(self.descriptor("cn=parked"))
             timer = threading.Timer(0.1, system.um.queue.finish, (foreign,))
             timer.start()
@@ -220,14 +219,13 @@ class TestQueueClaim:
             assert ran == ["cn=A B,o=Lucent"]
             assert len(system.um.queue) == 0
         finally:
-            system.um.stop()
+            system.close()
 
     def test_threaded_concurrent_sessions_stay_paired(self):
-        # Regression for the hand-off race: many clients racing through
-        # the trigger; every session must process *its own* update (a
-        # swapped item points the supplemental write at the wrong entry).
+        # Many clients racing through the trigger; every session must
+        # process *its own* update (a swapped item points the
+        # supplemental write at the wrong entry).
         system = MetaComm(MetaCommConfig())
-        system.um.start()
         errors = []
 
         def client(i):
@@ -248,7 +246,7 @@ class TestQueueClaim:
             for t in threads:
                 t.join()
         finally:
-            system.um.stop()
+            system.close()
         assert errors == []
         assert system.consistent()
         for i in range(8):

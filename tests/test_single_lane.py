@@ -2,8 +2,8 @@
 
 Section 4.4: the UM's global queue "enforces a serialization order".
 With one lane the update queue is that queue: whichever thread claims a
-sequence — a synchronous client, a DDU listener, a lane worker — it runs
-only once every earlier serial has finished.  These tests pin that
+sequence — a client thread or a DDU listener — it runs only once every
+earlier serial has finished.  These tests pin that
 contract end to end, plus the lane-labelled journal events and the
 admission control the single lane shares with the sharded configuration.
 """
@@ -166,7 +166,7 @@ def test_depth_limit_answers_server_busy():
 def test_ddu_during_links_fanout_waits_its_turn():
     system = two_pbx_system(device_links=True)
     # Far below the default: a DDU wedged behind the in-flight sequence
-    # would surface as "coordinator did not complete the sequence".
+    # would surface as "lane 0 barrier wait gave up on serial 2".
     system.um.coordinator_timeout = 5.0
     state = spy_on_runs(system)
     link = system.links.link("pbx-1")

@@ -225,9 +225,11 @@ def test_derived_counters_match_the_journal(name):
             writes
         )
 
-        events_total = registry.get("metacomm_journal_events_total")
         for kind, count in Counter(e.kind for e in seen).items():
-            assert events_total.value_for(kind=kind) == count, kind
+            assert (
+                registry.value("metacomm_journal_events_total", kind=kind)
+                == count
+            ), kind
 
         # The link families, fed by the dispatcher with each link's stats:
         # every flush counted, on the device it went to.
@@ -238,10 +240,19 @@ def test_derived_counters_match_the_journal(name):
         assert counted == sum(row["flushes"] for row in links)
         for row in links:
             device = row["device"]
-            assert flushes.value_for(device=device) == row["flushes"], device
-            ops = registry.get("metacomm_link_ops_total")
-            assert ops.value_for(device=device, outcome="ok") == row["completed"]
-            assert ops.value_for(device=device, outcome="error") == row["failed"]
+            assert (
+                registry.value("metacomm_link_flushes_total", device=device)
+                == row["flushes"]
+            ), device
+            ops = "metacomm_link_ops_total"
+            assert (
+                registry.value(ops, device=device, outcome="ok")
+                == row["completed"]
+            )
+            assert (
+                registry.value(ops, device=device, outcome="error")
+                == row["failed"]
+            )
             batch = registry.get("metacomm_link_batch_ops").labels(device=device)
             assert batch.count == row["flushes"], device
             assert batch.sum == row["completed"] + row["failed"], device
@@ -253,11 +264,13 @@ def test_derived_counters_match_the_journal(name):
             failures = [e for e in mine if e.kind == DEVICE_FAILURE]
             assert health["successes"] == len(commits), device
             assert health["failures"] == len(failures), device
-            attempts = registry.get("metacomm_device_attempts_total")
-            assert attempts.value_for(device=device, outcome="ok") == len(commits)
-            assert attempts.value_for(device=device, outcome="error") == len(
-                failures
-            )
+            attempts = "metacomm_device_attempts_total"
+            assert registry.value(
+                attempts, device=device, outcome="ok"
+            ) == len(commits)
+            assert registry.value(
+                attempts, device=device, outcome="error"
+            ) == len(failures)
             assert health["last_applied_serial"] == max(
                 e.attributes["serial"] for e in commits
             ), device

@@ -1,9 +1,11 @@
-"""Tests for the threaded coordinator mode.
+"""Concurrent clients on the Update Manager's coordinator.
 
-Section 4.4 describes the UM as having a *main thread* iterating the
-global queue.  In threaded mode LTAP's trigger hands the queued descriptor
-to the coordinator thread and blocks until it signals completion, so the
-entry-lock semantics are identical to synchronous mode.
+Section 4.4 describes the UM's coordinator iterating the global queue,
+whose order "enforces a serialization order".  Here that order comes from
+the queue's serial counter and barrier protocol (claim → wait_turn →
+finish), run by the client thread that claimed each update: LTAP's
+trigger blocks in ``wait_turn`` until its sequence may run, runs it with
+the entry lock held, and surfaces any failure to its own client.
 """
 
 import threading
@@ -12,6 +14,7 @@ import pytest
 
 from repro.core import MetaComm, MetaCommConfig
 from repro.ldap import Modification
+from repro.lexpress.descriptor import UpdateDescriptor, UpdateOp
 from repro.schemas import PERSON_CLASSES
 
 
@@ -25,27 +28,17 @@ def person_attrs(cn, sn, **extra):
 def system():
     # lock_witness=True wraps every subsystem lock in an order-recording
     # proxy (repro.obs.lockwitness); the teardown assertion makes any
-    # acquisition-order reversal observed during a threaded test fail
+    # acquisition-order reversal observed during a concurrent test fail
     # that test rather than pass silently.
     system = MetaComm(
         MetaCommConfig(organizations=("Marketing",), lock_witness=True)
     )
-    system.um.start()
     yield system
-    system.um.stop()
+    system.close()
     assert system.lock_witness.violations() == []
 
 
 class TestThreadedMode:
-    def test_start_stop_idempotent(self, system):
-        assert system.um.threaded
-        system.um.start()  # second start is a no-op
-        assert system.um.threaded
-        system.um.stop()
-        assert not system.um.threaded
-        system.um.stop()  # second stop is a no-op
-        system.um.start()  # fixture teardown needs a thread to stop
-
     def test_ldap_path(self, system):
         conn = system.connection()
         conn.add(
@@ -64,7 +57,7 @@ class TestThreadedMode:
 
     def test_coordinator_failure_surfaces_to_caller(self, system):
 
-        # A poisoned processing step propagates back to the blocked client.
+        # A poisoned processing step propagates back to the client.
         def explode(item, session):
             raise RuntimeError("coordinator exploded")
 
@@ -76,8 +69,8 @@ class TestThreadedMode:
             )
 
     def test_coordinator_failure_keeps_exception_type(self, system):
-        # The original exception object crosses the thread boundary, not a
-        # wrapped copy — callers can catch the specific type.
+        # The original exception object reaches the client, not a wrapped
+        # copy — callers can catch the specific type.
         marker = ValueError("bad extension digits")
 
         def explode(item, session):
@@ -91,22 +84,37 @@ class TestThreadedMode:
             )
         assert excinfo.value is marker
 
-    def test_coordinator_timeout_surfaces_to_caller(self, system):
-        import time
-
-        # A wedged sequence must not hang the blocked trigger forever:
-        # after coordinator_timeout the client gets a RuntimeError.
+    def test_turn_timeout_names_lane_and_serial(self, system):
+        # A claim parked ahead of the client never finishes in time: the
+        # client's wait for its turn gives up after coordinator_timeout
+        # and says which lane and serial were stuck.
+        queue = system.um.queue
+        parked = queue.claim(
+            UpdateDescriptor(
+                UpdateOp.ADD, "ldap", "cn=parked", new={"cn": ["parked"]}
+            )
+        )
         system.um.coordinator_timeout = 0.05
-
-        def wedged(item, session):
-            time.sleep(0.5)
-
-        system.um._process = wedged
-        with pytest.raises(RuntimeError, match="did not complete"):
+        with pytest.raises(
+            RuntimeError,
+            match=f"lane 0 barrier wait gave up on serial {parked.serial + 1}$",
+        ):
             system.connection().add(
                 "cn=Z,o=Marketing,o=Lucent",
                 person_attrs("Z", "Z", definityExtension="4302"),
             )
+        # The client finished its abandoned serial; the parked claim is
+        # the lane's head, and the lane drains once it finishes.
+        assert len(queue) == 1
+        queue.finish(parked)
+        assert len(queue) == 0
+        system.um.coordinator_timeout = 5.0
+        system.connection().add(
+            "cn=Y,o=Marketing,o=Lucent",
+            person_attrs("Y", "Y", definityExtension="4303"),
+        )
+        assert system.pbx().contains("4303")
+        assert len(queue) == 0
 
     def test_concurrent_clients(self, system):
         errors = []
@@ -275,9 +283,55 @@ class TestShardedContention:
                 assert s in done_before[later]
 
 
+    def test_finish_wakes_every_releasable_waiter(self):
+        # finish() notifies only each lane's head.  With the backstop
+        # poll far above the test's bound, a head it failed to wake would
+        # sleep through it: every wait must end on a notify.
+        import sys
+
+        queue = self._queue(lanes=3)
+        queue.POLL = 60.0
+        keys = ["a", "b", "c", "serial:unclaimed", "a", "d"]
+        lock = threading.Lock()
+        ran: dict[str, list[int]] = {}
+        errors = []
+
+        def worker(i):
+            try:
+                for j in range(6):
+                    item = queue.claim(self._descriptor(keys[(i + j) % 6]))
+                    assert queue.wait_turn(item, timeout=20.0)
+                    with lock:
+                        ran.setdefault(item.lane, []).append(item.serial)
+                    queue.finish(item)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,), daemon=True)
+                for i in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=15.0)
+                assert not t.is_alive(), "a waiter missed its wake-up"
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        serials = sorted(s for lane in ran.values() for s in lane)
+        assert serials == list(range(1, 8 * 6 + 1))
+        for lane in ran.values():
+            assert lane == sorted(lane)
+        assert len(queue) == 0
+
+
 class TestShardedThreadedMode:
-    """The coordinator pool behaves like the single coordinator for the
-    client-facing contract: failures and timeouts still surface."""
+    """Clients on a two-lane coordinator keep the client-facing contract
+    of the single lane: failures surface to the blocked client."""
 
     @pytest.fixture
     def system(self):
@@ -289,15 +343,8 @@ class TestShardedThreadedMode:
                 coordinator_lanes=2,
             )
         )
-        system.um.start()
         yield system
-        system.um.stop()
-
-    def test_start_stop(self, system):
-        assert system.um.threaded and system.um.queue.lanes == 2
-        system.um.stop()
-        assert not system.um.threaded
-        system.um.start()
+        system.close()
 
     def test_failure_surfaces_to_the_blocked_client(self, system):
         marker = ValueError("bad extension digits")
@@ -313,22 +360,7 @@ class TestShardedThreadedMode:
             )
         assert excinfo.value is marker
 
-    def test_timeout_surfaces_to_the_blocked_client(self, system):
-        import time
-
-        system.um.coordinator_timeout = 0.05
-
-        def wedged(item, session):
-            time.sleep(0.5)
-
-        system.um._process = wedged
-        with pytest.raises(RuntimeError, match="did not complete"):
-            system.connection().add(
-                "cn=Z,o=Lucent",
-                person_attrs("Z", "Z", definityExtension="4200"),
-            )
-
-    def test_locks_held_while_a_lane_works(self, system):
+    def test_locks_held_while_a_lane_runs(self, system):
         observed = []
         original_process = system.um._process
 
