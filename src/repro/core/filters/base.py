@@ -94,8 +94,11 @@ class Filter(abc.ABC):
         """Retrieve a record by key; None when absent."""
 
     @abc.abstractmethod
-    def dump(self) -> list[dict[str, list[str]]]:
-        """All relevant records (the synchronization API)."""
+    def dump(self) -> list[dict[str, list[str]]] | list[dict[str, str]]:
+        """All relevant records (the synchronization API), in the
+        repository's own record form: attribute → list of values for the
+        directory, field → ``str`` for a device.  Each record is a fresh
+        copy the caller may keep."""
 
     @abc.abstractmethod
     def apply(self, update: TargetUpdate) -> ApplyResult:

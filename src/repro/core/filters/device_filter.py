@@ -106,17 +106,12 @@ class DeviceFilter(Filter):
         except NoSuchRecordError:
             return None
 
-    def dump(self) -> list[dict[str, list[str]]]:
-        """Every record in canonical form: each value a one-element list
-        of the ``str`` the device stores (a device coerces every field
-        it commits), which the auditor's comparison images as it is."""
-        # The device hands out fresh copies: list-wrap their values in
-        # place rather than copying every record a second time.
-        records = self.device.dump()
-        for record in records:
-            for name, value in record.items():
-                record[name] = [value]
-        return records
+    def dump(self) -> list[dict[str, str]]:
+        """Every record as the device stores it (field → ``str``: a device
+        coerces every field it commits), each a fresh copy the caller
+        may keep.  The auditor's comparison lower-keys and list-wraps a
+        record only when a rule has to run on it."""
+        return self.device.dump()
 
     # -- applying updates -----------------------------------------------------------
 

@@ -26,7 +26,6 @@ from ..ldap.client import LdapConnection
 from ..ldap.dn import DN
 from ..ldap.entry import Entry, _norm_value
 from ..ldap.server import LdapServer
-from ..lexpress.interpreter import lower_attrs
 from ..lexpress.partition import PartitionConstraint
 from ..ltap.gateway import LtapGateway
 from ..obs import (
@@ -500,8 +499,10 @@ class MetaComm:
         time; the directory side is the auditor's maintained view, which
         holds the entries themselves.  So the probe costs the dump, one
         backend read and one check per entry changed since the last
-        probe, and one image per record that changed or whose entry
-        did."""
+        probe, and, for each verified pair whose record or entry changed,
+        the rules that read a changed field or write a changed attribute
+        (:meth:`_compare`); a record with no verified pair is imaged in
+        full."""
         records = binding.filter.dump()
         if not any(b is binding for b in self.um.bindings):
             return self._compare(binding, records, self.directory_view([binding]))
@@ -517,49 +518,84 @@ class MetaComm:
 
     @staticmethod
     def _compare(
-        binding: DeviceBinding, records: list[dict], view: DirectoryView
+        binding: DeviceBinding, records: list[dict[str, str]], view: DirectoryView
     ) -> list[str]:
         """The device↔directory comparison, shared by the probe and the
         full walk: each device record must be found by its key and its
         image must be a subset of the directory entry; each directory
         entry the binding's partition claims must be on the device.
 
-        A record equal to one the view's memo holds, whose memoized entry
-        is still the one its key locates, was consistent before and both
-        sides are unchanged (entries are immutable), so it is not imaged
-        again; the memo keeps the key normalized and lower-cased, so such
-        a hit folds nothing.  A fresh view's memo is empty: the full walk
-        images every record.  Records with a problem are never memoized,
-        so persistent drift is reported on every comparison.
+        *records* are a device dump as the device stores them (field →
+        ``str``).  A record with no memoized pair is lower-keyed and
+        list-wrapped in one pass and imaged by every rule; the subset
+        check reads the entry's stored lower-keyed values.  A fresh
+        view's memo is empty, so the full walk images every record.
 
-        Every other record is lower-keyed once and imaged by the rule
-        engines as it is: a dump hands out canonical records (each value
-        a one-element list of the device's ``str``), so nothing is
-        normalized, and the subset check reads the entry's stored
-        lower-keyed values."""
+        The view's memo holds, per device key, a copy of the record the
+        last comparison verified and the entry it matched.  Such a pair
+        was consistent, and a rule is a pure function of its deps, so:
+
+        * a record equal to its copy whose key still locates the same
+          entry object (entries are immutable) is taken as it is: no
+          rule runs and the memo's normalized and lower-cased key are
+          reused;
+        * otherwise only the rules that read a field whose value differs
+          from the copy (ΔR), or whose target's stored values differ
+          between the memoized and the located entry (ΔE), run and are
+          checked; the others produce what they produced, against the
+          values they were verified with;
+        * a record whose LDAP key may have changed (ΔR meets the key
+          rule's inputs, ΔE holds the key attribute) or whose key no
+          longer locates an entry is imaged in full.
+
+        ``lastUpdater`` is bookkeeping, not user data: it is never
+        checked, so its rule never runs for a memoized pair.  Records
+        with a problem are never memoized, so persistent drift is
+        reported on every comparison, in the words of the full walk."""
         problems: list[str] = []
         to_ldap = binding.to_ldap
         key_attr = to_ldap.key_target
         key_low = key_attr.lower() if key_attr else None
         key_source = to_ldap.key_source
+        checked = [rule for rule in to_ldap.rules if rule.target_low != "lastupdater"]
+        key_inputs = {key_source.lower()} if key_source else set()
+        for rule in to_ldap.rules:
+            if rule.target_low == key_low:
+                key_inputs.update(rule.deps)
         memo = view.verified(binding)
         verified: dict[str, tuple[dict, str, Entry, str, str]] = {}
         device_keys = set()
         hits = 0
         for record in records:
-            source = record.get(key_source)
-            device_key = source[0] if source else None
+            device_key = record.get(key_source)
             pair = memo.get(device_key)
-            if (
-                pair is not None
-                and pair[0] == record
-                and view.locate(key_low, pair[3]) is pair[2]
-            ):
-                device_keys.add(pair[4])
-                verified[device_key] = pair
-                hits += 1
-                continue
-            image, image_low = to_ldap._image(lower_attrs(record))
+            if pair is not None:
+                copy, ldap_key, held, normalized, lowered = pair
+                entry = view.locate(key_low, normalized)
+                if entry is held and copy == record:
+                    device_keys.add(lowered)
+                    verified[device_key] = pair
+                    hits += 1
+                    continue
+                stale = _stale_rules(
+                    checked, key_inputs, key_low, copy, record, held, entry
+                )
+                if stale is not None:
+                    device_keys.add(lowered)
+                    image = {}
+                    if stale:
+                        low = {name.lower(): [v] for name, v in record.items()}
+                        for rule in stale:
+                            values = to_ldap.evaluate(rule, low, canonical=True)
+                            if values is not None:
+                                image[rule.target] = values
+                    if _image_held(binding.name, ldap_key, image, entry, problems):
+                        verified[device_key] = (
+                            record, ldap_key, entry, normalized, lowered
+                        )
+                    continue
+            low = {name.lower(): [value] for name, value in record.items()}
+            image, image_low = to_ldap._image(low)
             ldap_key = to_ldap._key_in(image_low)
             if ldap_key is None:
                 continue
@@ -572,23 +608,10 @@ class MetaComm:
                     f"{binding.name}: record {ldap_key} missing from directory"
                 )
                 continue
-            stored = entry.attributes.lowered()
-            clean = True
-            for name, values in image.items():
-                name_low = name.lower()
-                if name_low == "lastupdater":
-                    continue  # bookkeeping, not user data
-                have = stored.get(name_low, ())
-                # The directory may carry extra values (e.g. an RDN
-                # disambiguator on cn); the device's view must be a
-                # subset of the directory's.
-                if not set(values) <= set(have):
-                    clean = False
-                    problems.append(
-                        f"{binding.name}: {ldap_key}: {name} device={values} "
-                        f"directory={have}"
-                    )
-            if clean and device_key is not None:
+            if (
+                _image_held(binding.name, ldap_key, image, entry, problems)
+                and device_key is not None
+            ):
                 verified[device_key] = (record, ldap_key, entry, normalized, lowered)
         view.remember(binding, verified, len(records) - hits)
         for dn, key in view.unheld(binding, device_keys):
@@ -616,3 +639,62 @@ class MetaComm:
             "alerts": [alert.to_dict() for alert in self.alerts.active()],
             "journal_events": len(self.obs.journal),
         }
+
+
+def _stale_rules(
+    checked: list,
+    key_inputs: set[str],
+    key_low: str | None,
+    copy: dict[str, str],
+    record: dict[str, str],
+    held: Entry,
+    entry: Entry | None,
+) -> list | None:
+    """The rules of *checked* that a memoized pair (*copy* verified
+    against *held*) must run again now that the device holds *record*
+    and the key locates *entry*: those that read a changed field (ΔR) or
+    whose target's stored values changed (ΔE).  None when the record
+    must be imaged in full: the key may have changed, or it locates no
+    entry."""
+    if entry is None:
+        return None
+    changed = {name.lower() for name, _ in copy.items() ^ record.items()}
+    if not key_inputs.isdisjoint(changed):
+        return None
+    before = held.attributes.lowered()
+    after = entry.attributes.lowered()
+    if before.get(key_low) != after.get(key_low):
+        return None
+    return [
+        rule
+        for rule in checked
+        if not rule.deps.isdisjoint(changed)
+        or before.get(rule.target_low) != after.get(rule.target_low)
+    ]
+
+
+def _image_held(
+    device: str,
+    ldap_key: str,
+    image: dict[str, list[str]],
+    entry: Entry,
+    problems: list[str],
+) -> bool:
+    """Is every value of *image* (target → values) among *entry*'s stored
+    values of that attribute?  Appends one problem per attribute that is
+    not; ``lastUpdater`` is bookkeeping, not user data, and never read."""
+    stored = entry.attributes.lowered()
+    clean = True
+    for name, values in image.items():
+        name_low = name.lower()
+        if name_low == "lastupdater":
+            continue
+        have = stored.get(name_low, ())
+        # The directory may carry extra values (e.g. an RDN disambiguator
+        # on cn); the device's view must be a subset of the directory's.
+        if not set(values) <= set(have):
+            clean = False
+            problems.append(
+                f"{device}: {ldap_key}: {name} device={values} directory={have}"
+            )
+    return clean

@@ -34,7 +34,7 @@ from repro.obs.events import (
 )
 from repro.schemas import PERSON_CLASSES
 
-from .test_pipeline import um_counts
+from .test_pipeline import device_states, um_counts
 
 
 def person_attrs(cn, sn, **extra):
@@ -74,16 +74,6 @@ def error_records(system):
         )
         for entry in system.error_log.entries()
     ]
-
-
-def device_states(system):
-    return {
-        binding.name: sorted(
-            tuple(sorted((k, tuple(v)) for k, v in record.items()))
-            for record in binding.filter.dump()
-        )
-        for binding in system.um.bindings
-    }
 
 
 def explode(op, key):

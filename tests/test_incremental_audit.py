@@ -194,7 +194,13 @@ class AuditViewMachine(RuleBasedStateMachine):
     @rule(
         n=st.sampled_from(_PEOPLE),
         attribute=st.sampled_from(
-            ["definityRoom", "definityExtension", "telephoneNumber", "cn"]
+            [
+                "definityRoom",
+                "definityExtension",
+                "telephoneNumber",
+                "cn",
+                "definityCOS",
+            ]
         ),
         value=st.sampled_from(_EXTENSIONS + _ROOMS),
     )
@@ -226,6 +232,23 @@ class AuditViewMachine(RuleBasedStateMachine):
                 pbx.add({"Extension": ext, "Name": "Ghost, Gus"}, agent=UM_AGENT)
         except Exception:
             pass  # no such record / already there
+
+    @rule(ext=st.sampled_from(_EXTENSIONS), room=st.sampled_from(_ROOMS))
+    def move_room_on_the_device(self, ext, room):
+        """One field changes behind MetaComm's back: a memoized pair
+        re-runs only the rules that read it."""
+        pbx = self.system.pbxes.get(f"pbx-{ext[:2]}")
+        if pbx is not None and pbx.contains(ext):
+            pbx.modify(ext, {"Room": room}, agent=UM_AGENT)
+
+    @rule(ext=st.sampled_from(_EXTENSIONS), cos=st.sampled_from(["1", "7"]))
+    def mutate_a_record_in_place(self, ext, cos):
+        """The device's own dict changes, with no commit: a memo that
+        shared it with the device would change along and hide the drift."""
+        pbx = self.system.pbxes.get(f"pbx-{ext[:2]}")
+        record = pbx._records.get(ext) if pbx is not None else None
+        if record is not None:
+            record["COS"] = cos
 
     @rule(
         a=st.sampled_from(_PEOPLE),
@@ -553,9 +576,10 @@ def _spy(monkeypatch, calls: dict, owner, name: str) -> None:
 
 
 class TestProbeCost:
-    """What one probe of a PBX binding pays for k changed records: one
-    lower-keying and one image per changed record, nothing normalized,
-    and one backend read per dirty DN."""
+    """What one probe of a PBX binding pays for k changed records: at
+    most one lower-keying per changed record, only the rules whose
+    inputs or targets changed, nothing normalized, and one backend read
+    per dirty DN."""
 
     @pytest.fixture
     def system(self):
@@ -567,7 +591,9 @@ class TestProbeCost:
             system.auditor.run_cycle(full=True)
             yield system
 
-    def _probe(self, system, monkeypatch) -> tuple[list[str], dict, int]:
+    def _probe(
+        self, system, monkeypatch, binding: str = "pbx-41"
+    ) -> tuple[list[str], dict, int]:
         from repro.ldap.backend import Backend
         from repro.lexpress import descriptor, interpreter
         from repro.lexpress.mapping import CompiledMapping
@@ -577,14 +603,81 @@ class TestProbeCost:
         _spy(monkeypatch, calls, descriptor, "normalize_attrs")
         _spy(monkeypatch, calls, interpreter, "lower_attrs")
         _spy(monkeypatch, calls, CompiledMapping, "image")
+        _spy(monkeypatch, calls, CompiledMapping, "evaluate")
         _spy(monkeypatch, calls, Backend, "get")
         _spy(monkeypatch, calls, DirectoryView, "_drop")
         _spy(monkeypatch, calls, DirectoryView, "_claims_of")
         view = system.auditor._view
         imaged = view.imaged
-        problems = system.binding_inconsistencies(system.um.binding("pbx-41"))
+        problems = system.binding_inconsistencies(system.um.binding(binding))
         assert system.auditor._view is view
+        monkeypatch.undo()
         return problems, calls, view.imaged - imaged
+
+    @staticmethod
+    def _entry(system, ext: str):
+        (entry,) = system.find_person(f"(definityExtension={ext})")
+        return entry
+
+    def test_room_ddus_run_only_the_rules_whose_inputs_or_targets_changed(
+        self, system, monkeypatch
+    ):
+        to_ldap = system.um.binding("pbx-41").to_ldap
+        rooms = {rule.target for rule in to_ldap.rules if "room" in rule.deps}
+        assert rooms
+        changed_ext = ("4101", "4103")
+        before = {ext: self._entry(system, ext) for ext in changed_ext}
+        terminal = system.terminal("pbx-41")
+        for ext in changed_ext:
+            assert terminal.execute(f"change station {ext} room 2B-110").ok
+        bound = 0
+        for ext in changed_ext:
+            old = before[ext].attributes.lowered()
+            new = self._entry(system, ext).attributes.lowered()
+            retargeted = {
+                rule.target
+                for rule in to_ldap.rules
+                if old.get(rule.target_low) != new.get(rule.target_low)
+            }
+            bound += len(rooms | retargeted)
+        problems, calls, imaged = self._probe(system, monkeypatch)
+        assert problems == []
+        assert imaged == len(changed_ext)
+        evaluated = [args[0] for args in calls.get("evaluate", [])]
+        assert 0 < len(evaluated) <= bound < len(changed_ext) * len(to_ldap.rules)
+        assert {rule.target for rule in evaluated} == {"definityRoom"}
+
+    def test_a_pbx_only_change_runs_no_messaging_rule(self, system, monkeypatch):
+        terminal = system.terminal("pbx-41")
+        for ext in ("4101", "4102"):
+            assert terminal.execute(f"change station {ext} room 2B-110").ok
+        problems, calls, imaged = self._probe(system, monkeypatch, "messaging")
+        assert problems == []
+        # Both pairs' entries changed, so neither is a memo hit.
+        assert imaged == 2
+        assert calls.get("evaluate", []) == []
+        assert calls.get("lower_attrs", []) == []
+
+    def test_entry_only_drift_on_a_memoized_pair_reads_as_the_full_walk(
+        self, system, monkeypatch
+    ):
+        user = "cn=User 0,o=Sales,o=Lucent"
+        system.connection().modify(user, [Modification.replace("definityRoom", "2B")])
+        assert system.auditor.run_cycle(full=True).ok
+        system.direct_connection().modify(
+            user, [Modification.replace("definityRoom", "9Z")]
+        )
+        expected = ["pbx-41: 4101: definityRoom device=['2B'] directory=('9Z',)"]
+        problems, calls, imaged = self._probe(system, monkeypatch)
+        assert problems == expected
+        assert [args[0].target for args in calls["evaluate"]] == ["definityRoom"]
+        assert imaged == 1
+        assert [p for p in system.inconsistencies() if p.startswith("pbx-41: ")] == (
+            expected
+        )
+        # Not memoized: the next probe images the record in full and
+        # reports the same words.
+        assert _probe_matches_full_walk(system) == expected
 
     def test_changed_records_are_folded_once_and_only_dirty_dns_read(
         self, system, monkeypatch

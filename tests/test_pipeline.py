@@ -51,11 +51,17 @@ def error_records(system):
     ]
 
 
+def _values(value) -> tuple[str, ...]:
+    """One record value as a tuple: a device dump's ``str`` and a list of
+    values alike."""
+    return (value,) if isinstance(value, str) else tuple(value)
+
+
 def device_states(system):
     """Canonicalized dump of every device repository, keyed by binding."""
     return {
         binding.name: sorted(
-            tuple(sorted((k, tuple(v)) for k, v in record.items()))
+            tuple(sorted((k, _values(v)) for k, v in record.items()))
             for record in binding.filter.dump()
         )
         for binding in system.um.bindings
