@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..lexpress.descriptor import UpdateDescriptor
-from ..lexpress.mapping import CompiledMapping, CompiledRule, _as_values
+from ..lexpress.kernel import Imager
+from ..lexpress.mapping import CompiledMapping
 from ..lexpress.partition import PartitionConstraint
 from .runner import AnalysisReport, AnalysisTarget, analyze
 
@@ -81,9 +82,10 @@ class _ClaimGroup:
     rule slice their constraints read: imaged once per claim."""
 
     mapping: CompiledMapping
-    #: The mapping rules whose targets the partition constraints (and the
-    #: key) depend on — the only rules classification needs to evaluate.
-    rules: tuple[CompiledRule, ...]
+    #: Images with the mapping rules whose targets the partition
+    #: constraints (and the key) depend on — the only rules
+    #: classification needs to evaluate (:meth:`CompiledMapping.imager`).
+    image_of: Imager
     names: tuple[str, ...]
     partitions: tuple[PartitionConstraint | None, ...]
 
@@ -95,13 +97,7 @@ class _ClaimGroup:
         the same device record always share a lane, while updates on
         distinct records of one large partition may spread out."""
         mapping = self.mapping
-        image: dict[str, list[str]] = {}
-        image_low: dict[str, list[str]] = {}
-        for rule in self.rules:
-            values = _as_values(rule.run(low, None, True))
-            if values is not None:
-                image[rule.target] = image_low[rule.target_low] = values
-        mapping._key_fallback(image, image_low, low)
+        _, image_low = self.image_of(low)
         owned = mapping._claimed(image_low, self.partitions)
         if not any(owned):
             return []
@@ -273,22 +269,20 @@ def build_routing_plan(
         key_target = instance.mapping.key_target
         if key_target is not None:
             wanted.add(key_target.lower())
-        rules = tuple(
-            r
-            for r in instance.mapping.rules
-            if r.target.lower() in wanted
+        targets = frozenset(
+            r.target_low for r in instance.mapping.rules if r.target_low in wanted
         )
-        key = (schema, id(instance.mapping), tuple(map(id, rules)))
-        members.setdefault(key, (schema, instance.mapping, rules, []))[3].append(
+        key = (schema, id(instance.mapping), targets)
+        members.setdefault(key, (schema, instance.mapping, targets, []))[3].append(
             instance
         )
 
     groups: dict[str, list[_ClaimGroup]] = {}
-    for schema, mapping, rules, instances in members.values():
+    for schema, mapping, targets, instances in members.values():
         groups.setdefault(schema, []).append(
             _ClaimGroup(
                 mapping,
-                rules,
+                mapping.imager(targets),
                 tuple(i.name for i in instances),
                 tuple(i.partition for i in instances),
             )

@@ -527,9 +527,11 @@ class MetaComm:
 
         *records* are a device dump as the device stores them (field →
         ``str``).  A record with no memoized pair is lower-keyed and
-        list-wrapped in one pass and imaged by every rule; the subset
-        check reads the entry's stored lower-keyed values.  A fresh
-        view's memo is empty, so the full walk images every record.
+        list-wrapped in one pass and imaged by one call of the mapping's
+        image kernel; the subset check reads the lower-keyed image against
+        the entry's stored lower-keyed values.
+        A fresh view's memo is empty, so the full walk images every
+        record.
 
         The view's memo holds, per device key, a copy of the record the
         last comparison verified and the entry it matched.  Such a pair
@@ -558,6 +560,7 @@ class MetaComm:
         key_low = key_attr.lower() if key_attr else None
         key_source = to_ldap.key_source
         checked = [rule for rule in to_ldap.rules if rule.target_low != "lastupdater"]
+        image_of = to_ldap.imager()
         key_inputs = {key_source.lower()} if key_source else set()
         for rule in to_ldap.rules:
             if rule.target_low == key_low:
@@ -582,20 +585,23 @@ class MetaComm:
                 )
                 if stale is not None:
                     device_keys.add(lowered)
-                    image = {}
+                    image_low = {}
                     if stale:
                         low = {name.lower(): [v] for name, v in record.items()}
                         for rule in stale:
                             values = to_ldap.evaluate(rule, low, canonical=True)
                             if values is not None:
-                                image[rule.target] = values
-                    if _image_held(binding.name, ldap_key, image, entry, problems):
+                                image_low[rule.target_low] = values
+                    if _image_held(
+                        binding.name, ldap_key, image_low, entry, problems, checked
+                    ):
                         verified[device_key] = (
                             record, ldap_key, entry, normalized, lowered
                         )
                     continue
             low = {name.lower(): [value] for name, value in record.items()}
-            image, image_low = to_ldap._image(low)
+            _, image_low = image_of(low)
+            image_low.pop("lastupdater", None)
             ldap_key = to_ldap._key_in(image_low)
             if ldap_key is None:
                 continue
@@ -609,7 +615,7 @@ class MetaComm:
                 )
                 continue
             if (
-                _image_held(binding.name, ldap_key, image, entry, problems)
+                _image_held(binding.name, ldap_key, image_low, entry, problems, checked)
                 and device_key is not None
             ):
                 verified[device_key] = (record, ldap_key, entry, normalized, lowered)
@@ -676,25 +682,29 @@ def _stale_rules(
 def _image_held(
     device: str,
     ldap_key: str,
-    image: dict[str, list[str]],
+    image_low: dict[str, list[str]],
     entry: Entry,
     problems: list[str],
+    rules: list,
 ) -> bool:
-    """Is every value of *image* (target → values) among *entry*'s stored
-    values of that attribute?  Appends one problem per attribute that is
-    not; ``lastUpdater`` is bookkeeping, not user data, and never read."""
+    """Is every value of *image_low* (lower-case target → values) among
+    *entry*'s stored values of that attribute?  Appends one problem per
+    attribute that is not, spelled as the first of *rules* (the checked
+    rules) with that target spells it."""
     stored = entry.attributes.lowered()
     clean = True
-    for name, values in image.items():
-        name_low = name.lower()
-        if name_low == "lastupdater":
-            continue
-        have = stored.get(name_low, ())
+    for name, values in image_low.items():
+        have = stored.get(name, ())
         # The directory may carry extra values (e.g. an RDN disambiguator
         # on cn); the device's view must be a subset of the directory's.
-        if not set(values) <= set(have):
-            clean = False
-            problems.append(
-                f"{device}: {ldap_key}: {name} device={values} directory={have}"
-            )
+        for value in values:
+            if value not in have:
+                break
+        else:
+            continue
+        clean = False
+        spelled = next(rule.target for rule in rules if rule.target_low == name)
+        problems.append(
+            f"{device}: {ldap_key}: {spelled} device={values} directory={have}"
+        )
     return clean

@@ -152,31 +152,51 @@ class CompiledClosure:
     fingerprint: str
 
 
+#: The globals every lowered body reads.
+HELPERS: dict[str, Any] = {
+    "_F": lookup,
+    "_tr": truthy,
+    "_eq": _equal,
+    "_each": _each_apply,
+    "_RTErr": LexpressRuntimeError,
+    "_MISS": _MISS,
+}
+
+
 class _ClosureEmitter:
-    """Lowers one CodeObject; see the module docstring for the scheme."""
+    """Lowers one CodeObject; see the module docstring for the scheme.
+
+    The class attributes name what the body reads besides its temps; a
+    subclass that lowers the body into a larger function renames them
+    (:mod:`repro.lexpress.kernel`)."""
+
+    #: Prefix of every temp and bound global the body defines.
+    tag = "_"
+    #: The runtime stack and the block cursor of a multi-block body.
+    stack = "stack"
+    cursor = "_b"
+    #: The evaluation's capture groups and ``value``.
+    groups = "frame.groups"
+    value = "frame.value"
 
     def __init__(self, code: CodeObject):
         self.code = code
-        self.globals: dict[str, Any] = {
-            "_F": lookup,
-            "_tr": truthy,
-            "_eq": _equal,
-            "_each": _each_apply,
-            "_RTErr": LexpressRuntimeError,
-            "_MISS": _MISS,
-        }
+        self.globals: dict[str, Any] = dict(HELPERS)
         self.counter = 0
         self.lines: list[str] = []
         self.indent = 1
         self.sym: list[str] = []
-        #: Temps provably bool: their truthiness tests skip _tr().
-        self.bools: set[str] = set()
+        #: What some temps provably hold: "bool" (truthiness tests skip
+        #: _tr()), "str" (a str or None) or "list" (a fresh list of str).
+        self.kinds: dict[str, str] = {}
+        #: Does the body dispatch over several blocks?
+        self.multi = False
 
     # -- small helpers ------------------------------------------------------
 
     def _temp(self) -> str:
         self.counter += 1
-        return f"_t{self.counter}"
+        return f"{self.tag}t{self.counter}"
 
     def _line(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
@@ -189,27 +209,37 @@ class _ClosureEmitter:
         """Materialize runtime-stack values the block inherited."""
         while len(self.sym) < depth:
             temp = self._temp()
-            self._line(f"{temp} = stack.pop()")
+            self._line(f"{temp} = {self.stack}.pop()")
             self.sym.insert(0, temp)
 
     def _flush(self) -> None:
         for entry in self.sym:
-            self._line(f"stack.append({entry})")
+            self._line(f"{self.stack}.append({entry})")
         self.sym.clear()
 
     def _truth(self, expr: str) -> str:
-        if expr in self.bools or expr in ("True", "False"):
+        if self.kinds.get(expr) == "bool" or expr in ("True", "False"):
             return expr
         return f"_tr({expr})"
 
-    def _bind(self, prefix: str, index: int, value: Any) -> str:
-        name = f"{prefix}{index}"
+    def _bind(self, kind: str, index: int, value: Any) -> str:
+        name = f"{self.tag}{kind}{index}"
         self.globals[name] = value
         return name
+
+    def _return(self, expr: str) -> None:
+        """End the body with *expr* as its value."""
+        self._line(f"return {expr}")
 
     # -- driver -------------------------------------------------------------
 
     def emit(self) -> tuple[str, dict[str, Any]]:
+        self.lines.append("def _closure(attrs, frame):")
+        self._emit_body()
+        return "\n".join(self.lines), self.globals
+
+    def _emit_body(self) -> None:
+        """Append the body's lines at the current indent."""
         instructions = self.code.instructions
         if not instructions:
             raise LexpressRuntimeError(
@@ -224,28 +254,27 @@ class _ClosureEmitter:
                 leaders.add(pc + 1)
         leaders.discard(len(instructions))
         blocks = sorted(leaders)
+        self.multi = blocks != [0]
 
-        self.lines.append("def _closure(attrs, frame):")
-        if blocks == [0]:
+        if not self.multi:
             self._emit_block(0, len(instructions), single=True)
         else:
-            self._line("stack = []")
-            self._line("_b = 0")
+            self._line(f"{self.stack} = []")
+            self._line(f"{self.cursor} = 0")
             self._line("while True:")
             self.indent += 1
             for i, start in enumerate(blocks):
                 end = blocks[i + 1] if i + 1 < len(blocks) else len(instructions)
                 keyword = "if" if i == 0 else "elif"
-                self._line(f"{keyword} _b == {start}:")
+                self._line(f"{keyword} {self.cursor} == {start}:")
                 self.indent += 1
                 self._emit_block(start, end, single=False)
                 self.indent -= 1
             self.indent -= 1
-        return "\n".join(self.lines), self.globals
 
     def _emit_block(self, start: int, end: int, single: bool) -> None:
         self.sym.clear()
-        self.bools.clear()
+        self.kinds.clear()
         instructions = self.code.instructions
         consts = self.code.consts
         attr_keys = self.code.attr_keys()
@@ -258,15 +287,14 @@ class _ClosureEmitter:
                 const = consts[ins.arg]
                 if const is None or isinstance(const, (str, bool)):
                     self.sym.append(repr(const))
-                    if isinstance(const, bool):
-                        self.bools.add(repr(const))
                 else:  # programmatic code can push anything
-                    self.sym.append(self._bind("_K", ins.arg, const))
+                    self.sym.append(self._bind("K", ins.arg, const))
             elif op is Op.LOAD_ATTR:
                 temp = self._temp()
                 self._line(f"{temp} = attrs.get({attr_keys[ins.arg]!r})")
                 self._line(f"{temp} = str({temp}[0]) if {temp} else None")
                 self.sym.append(temp)
+                self.kinds[temp] = "str"
             elif op is Op.LOAD_ALL:
                 temp = self._temp()
                 self._line(
@@ -274,17 +302,18 @@ class _ClosureEmitter:
                     f"attrs.get({attr_keys[ins.arg]!r}, ())]"
                 )
                 self.sym.append(temp)
+                self.kinds[temp] = "list"
             elif op is Op.LOAD_GROUP:
                 temp = self._temp()
                 index = ins.arg
                 self._line(
-                    f"{temp} = frame.groups[{index}] "
-                    f"if {index} < len(frame.groups) else None"
+                    f"{temp} = {self.groups}[{index}] "
+                    f"if {index} < len({self.groups}) else None"
                 )
                 self.sym.append(temp)
             elif op is Op.LOAD_VALUE:
                 temp = self._temp()
-                self._line(f"{temp} = frame.value")
+                self._line(f"{temp} = {self.value}")
                 self.sym.append(temp)
             elif op is Op.CALL:
                 name_idx, argc = ins.arg
@@ -302,7 +331,7 @@ class _ClosureEmitter:
                 self.sym.append(temp)
             elif op is Op.MATCH_RE:
                 subject = self._pop()
-                regex = self._bind("_R", ins.arg, consts[ins.arg])
+                regex = self._bind("R", ins.arg, consts[ins.arg])
                 temp, match = self._temp(), self._temp()
                 self._line(f"if {subject} is None:")
                 self._line(f"    {temp} = False")
@@ -312,12 +341,12 @@ class _ClosureEmitter:
                 self._line(f"        {temp} = False")
                 self._line("    else:")
                 self._line(
-                    f"        frame.groups = "
+                    f"        {self.groups} = "
                     f"[{match}.group(0), *{match}.groups()]"
                 )
                 self._line(f"        {temp} = True")
                 self.sym.append(temp)
-                self.bools.add(temp)
+                self.kinds[temp] = "bool"
             elif op is Op.MATCH_LIT:
                 subject = self._pop()
                 text, temp = self._temp(), self._temp()
@@ -326,14 +355,14 @@ class _ClosureEmitter:
                 )
                 self._line(f"{temp} = {text} == {consts[ins.arg]!r}")
                 self._line(f"if {temp}:")
-                self._line(f"    frame.groups = [{text}]")
+                self._line(f"    {self.groups} = [{text}]")
                 self.sym.append(temp)
-                self.bools.add(temp)
+                self.kinds[temp] = "bool"
             elif op is Op.TABLE_CONST:
                 subject = self._pop()
                 table, default = consts[ins.arg]
-                table_g = self._bind("_T", ins.arg, table)
-                default_g = self._bind("_D", ins.arg, default)
+                table_g = self._bind("T", ins.arg, table)
+                default_g = self._bind("D", ins.arg, default)
                 text, temp = self._temp(), self._temp()
                 self._line(f"if {subject} is None:")
                 self._line(f"    {temp} = {default_g}")
@@ -343,15 +372,16 @@ class _ClosureEmitter:
                 self._line(f"    if {temp} is _MISS:")
                 self._line(f"        {temp} = {default_g}")
                 self._line("    else:")
-                self._line(f"        frame.groups = [{text}]")
+                self._line(f"        {self.groups} = [{text}]")
                 self.sym.append(temp)
             elif op is Op.EACH_APPLY:
                 subject = self._pop()
                 body = compile_closure(consts[ins.arg])
-                body_g = self._bind("_B", ins.arg, body.fn)
+                body_g = self._bind("B", ins.arg, body.fn)
                 temp = self._temp()
                 self._line(f"{temp} = _each({body_g}, {subject}, attrs)")
                 self.sym.append(temp)
+                self.kinds[temp] = "list"
             elif op is Op.DUP:
                 self._need(1)
                 self.sym.append(self.sym[-1])
@@ -362,7 +392,7 @@ class _ClosureEmitter:
                 temp = self._temp()
                 self._line(f"{temp} = {operand} is None")
                 self.sym.append(temp)
-                self.bools.add(temp)
+                self.kinds[temp] = "bool"
             elif op in (Op.EQ, Op.NEQ):
                 self._need(2)
                 right, left = self.sym.pop(), self.sym.pop()
@@ -370,16 +400,16 @@ class _ClosureEmitter:
                 negate = "not " if op is Op.NEQ else ""
                 self._line(f"{temp} = {negate}_eq({left}, {right})")
                 self.sym.append(temp)
-                self.bools.add(temp)
+                self.kinds[temp] = "bool"
             elif op is Op.NOT:
                 operand = self._pop()
                 temp = self._temp()
                 self._line(f"{temp} = not {self._truth(operand)}")
                 self.sym.append(temp)
-                self.bools.add(temp)
+                self.kinds[temp] = "bool"
             elif op is Op.JUMP:
                 self._flush()
-                self._line(f"_b = {ins.arg}")
+                self._line(f"{self.cursor} = {ins.arg}")
                 self._line("continue")
                 return
             elif op in (Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE):
@@ -387,24 +417,26 @@ class _ClosureEmitter:
                 self._flush()
                 negate = "not " if op is Op.JUMP_IF_FALSE else ""
                 self._line(f"if {negate}{self._truth(condition)}:")
-                self._line(f"    _b = {ins.arg}")
+                self._line(f"    {self.cursor} = {ins.arg}")
                 self._line("    continue")
-                self._line(f"_b = {pc}")
+                self._line(f"{self.cursor} = {pc}")
                 self._line("continue")
                 return
             elif op is Op.RETURN:
                 if self.sym:
-                    self._line(f"return {self.sym.pop()}")
+                    self._return(self.sym.pop())
                 elif single:
-                    self._line("return None")
+                    self._return("None")
                 else:
-                    self._line("return stack.pop() if stack else None")
+                    self._return(
+                        f"{self.stack}.pop() if {self.stack} else None"
+                    )
                 return
             else:  # pragma: no cover - verifier gate rejects unknown ops
                 raise LexpressRuntimeError(f"cannot lower opcode {op}")
         # Fell through to the next leader.
         self._flush()
-        self._line(f"_b = {end}")
+        self._line(f"{self.cursor} = {end}")
         self._line("continue")
 
 

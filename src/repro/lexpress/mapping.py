@@ -19,6 +19,7 @@ own partition constraint) — the reuse story of section 4.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 from .ast import AttrRef, Expr, MappingDecl, Span
@@ -31,9 +32,10 @@ from .descriptor import (
     UpdateOp,
     normalize_attrs,
 )
-from .codegen import Runner, bind
-from .errors import LexpressCompileError
-from .interpreter import lower_attrs
+from .codegen import _DIVERGENCES, Runner, bind
+from .errors import LexpressCompileError, LexpressDivergenceError
+from .interpreter import execute, lower_attrs
+from .kernel import ImageKernel, Imager, compile_kernel
 from .parser import parse
 from .partition import AlwaysTrue, OwnerIndex, PartitionConstraint, route
 
@@ -62,6 +64,11 @@ class CompiledRule:
 #: for; a deployment routes through one or two.
 OWNER_INDEX_MEMO_SIZE = 16
 
+#: Distinct target sets one mapping keeps an image kernel for, besides
+#: the full one; the audit view's and lane routing's claims use one or
+#: two.
+KERNEL_MEMO_SIZE = 16
+
 
 def _as_values(result) -> list[str] | None:
     """Normalize an interpreter result into attribute values (or unset)."""
@@ -79,10 +86,14 @@ class CompiledMapping:
 
     *mode* (``MetaCommConfig.lexpress_mode``) binds every rule and the
     partition to one engine as the mapping is built
-    (:func:`~repro.lexpress.codegen.bind`)."""
+    (:func:`~repro.lexpress.codegen.bind`), and with them the function
+    that images a record (:meth:`imager`): the image kernel
+    (``"compiled"``), the per-rule interpreter loop (``"interpret"``) or
+    both, checked against each other (``"verify"``)."""
 
     def __init__(self, decl: MappingDecl, mode: str = "interpret"):
         self.name = decl.name
+        self.mode = mode
         self.source = decl.source
         self.target = decl.target
         self.key_source = decl.key_source
@@ -126,6 +137,13 @@ class CompiledMapping:
         #: partitions must run), built on first use, bounded by
         #: :data:`OWNER_INDEX_MEMO_SIZE`.
         self._owner_indexes: dict[tuple, OwnerIndex | None] = {}
+        #: Target set (None: every rule) → its kernel (None in interpret
+        #: mode) and its imager; the full one is bound here, the others
+        #: on first use, bounded by :data:`KERNEL_MEMO_SIZE`.
+        self._imagers: dict[
+            frozenset[str] | None, tuple[ImageKernel | None, Imager]
+        ] = {}
+        self._bound(None)
 
     # -- analysis ------------------------------------------------------------
 
@@ -188,16 +206,88 @@ class CompiledMapping:
     ) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         """The target image of a lower-keyed source record *low*, spelled
         and lower-keyed (both share each value list)."""
+        return self.imager(targets)(low)
+
+    def imager(self, targets: frozenset[str] | None = None) -> Imager:
+        """The function that images a lower-keyed source record with the
+        rules producing *targets* (lower-case target names; None means
+        every rule) and returns the image spelled and lower-keyed, as
+        :meth:`_image`.  Callers that image many records fetch it once."""
+        return self._bound(targets)[1]
+
+    def kernel(self, targets: frozenset[str] | None = None) -> ImageKernel | None:
+        """The :class:`~repro.lexpress.kernel.ImageKernel` of *targets*
+        (None in interpret mode)."""
+        return self._bound(targets)[0]
+
+    def _bound(
+        self, targets: frozenset[str] | None
+    ) -> tuple[ImageKernel | None, Imager]:
+        try:
+            return self._imagers[targets]
+        except KeyError:
+            pass
+        kernel = None
+        if self.mode == "interpret":
+            image = partial(self._image_by_rule, targets=targets)
+        else:
+            kernel = compile_kernel(self, targets)
+            image = kernel.fn if self.mode == "compiled" else self._verifying(kernel)
+        if len(self._imagers) > KERNEL_MEMO_SIZE:
+            full = self._imagers[None]
+            self._imagers.clear()
+            self._imagers[None] = full
+        self._imagers[targets] = bound = (kernel, image)
+        return bound
+
+    def _image_by_rule(
+        self,
+        low: Mapping[str, Sequence[str]],
+        targets: frozenset[str] | None = None,
+    ) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """:meth:`_image` on the interpreter, one rule at a time."""
         out: dict[str, list[str]] = {}
         out_low: dict[str, list[str]] = {}
         for rule in self.rules:
             if targets is not None and rule.target_low not in targets:
                 continue
-            values = self.evaluate(rule, low, canonical=True)
+            values = _as_values(execute(rule.code, low, canonical=True))
             if values is not None:
                 out[rule.target] = out_low[rule.target_low] = values
         self._key_fallback(out, out_low, low)
         return out, out_low
+
+    def _verifying(self, kernel: ImageKernel) -> Imager:
+        """*kernel*, checked on every call against the per-rule
+        interpreter loop, which is the oracle: a disagreement raises
+        :class:`LexpressDivergenceError` naming the first rule whose
+        values differ."""
+
+        def image(low):
+            expected = self._image_by_rule(low, kernel.targets)
+            got = kernel.fn(low)
+            if got != expected:
+                _DIVERGENCES.inc()
+                raise self._divergence(expected[1], got[1])
+            return expected
+
+        return image
+
+    def _divergence(
+        self, expected: dict[str, list[str]], got: dict[str, list[str]]
+    ) -> LexpressDivergenceError:
+        rule = next(
+            (r for r in self.rules if expected.get(r.target_low) != got.get(r.target_low)),
+            self.rules[0],  # only the spelled images differ
+        )
+        name = rule.target_low
+        return LexpressDivergenceError(
+            self.name,
+            rule.target,
+            expected.get(name),
+            got.get(name),
+            span=rule.code.span,
+        )
 
     def _key_fallback(
         self,
@@ -228,9 +318,16 @@ class CompiledMapping:
     ]:
         """Old and new target images (each spelled and lower-keyed, as
         :meth:`_image`) for a modify of the lower-keyed source records
-        *old_low* and *new_low*, evaluating rules whose dependencies did
-        not change only once (identical inputs produce identical outputs)
-        — the payoff of dependency analysis."""
+        *old_low* and *new_low*.
+
+        A kernel images both records whole: one call each costs less than
+        deciding rule by rule.  The interpreter evaluates rules whose
+        dependencies did not change only once (identical inputs produce
+        identical outputs) — the payoff of dependency analysis where each
+        evaluation is dear."""
+        if self.mode != "interpret":
+            image = self.imager()
+            return image(old_low), image(new_low)
         old_image: dict[str, list[str]] = {}
         new_image: dict[str, list[str]] = {}
         old_out: dict[str, list[str]] = {}

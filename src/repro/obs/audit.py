@@ -128,7 +128,8 @@ class DirectoryView:
     from the lower-keyed values the entry stores.  An entry whose key
     values, ``objectClass`` and claim inputs all held is only swapped in:
     it is filed where it was.  The partition test images only the rules
-    the partitions read (``partition.deps``), tests each mapping's own
+    the partitions read (``partition.deps``), in one call of the
+    mapping's imager for that target set, tests each mapping's own
     partition once per entry and each instance partition once per
     binding, and is skipped when none of the source attributes those
     rules read changed.
@@ -166,7 +167,7 @@ class DirectoryView:
             self._groups.append(
                 (
                     mapping,
-                    frozenset(targets),
+                    mapping.imager(frozenset(targets)),
                     tuple(indexes),
                     tuple(self.bindings[i].partition for i in indexes),
                 )
@@ -257,8 +258,8 @@ class DirectoryView:
         """The bindings whose partitions claim the entry whose stored
         lower-keyed values are *stored*."""
         claims: list[int] = []
-        for mapping, targets, indexes, partitions in self._groups:
-            _, image = mapping._image(stored, targets)
+        for mapping, image_of, indexes, partitions in self._groups:
+            _, image = image_of(stored)
             for index, claimed in zip(indexes, mapping._claimed(image, partitions)):
                 if claimed and self._key_attrs[index] in keys:
                     claims.append(index)

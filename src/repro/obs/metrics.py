@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -278,11 +279,9 @@ class _HistogramChild:
         if not self._metric.enabled:
             return
         buckets = self._metric.buckets
-        index = len(buckets)
-        for i, bound in enumerate(buckets):
-            if value <= bound:
-                index = i
-                break
+        # The first bound >= value; NaN compares false to every bound, so
+        # it belongs in +Inf (bisect_left alone would file it first).
+        index = bisect_left(buckets, value) if value == value else len(buckets)
         with self._lock:
             self.counts[index] += 1
             self.sum += value

@@ -647,6 +647,40 @@ class TestProbeCost:
         assert 0 < len(evaluated) <= bound < len(changed_ext) * len(to_ldap.rules)
         assert {rule.target for rule in evaluated} == {"definityRoom"}
 
+    def test_a_first_probe_images_each_record_with_one_kernel_call(
+        self, system, monkeypatch
+    ):
+        from repro.lexpress.mapping import CompiledMapping
+
+        binding = system.um.binding("pbx-41")
+        to_ldap = binding.to_ldap
+        records = binding.filter.dump()
+        assert records
+        # Forget the verified pairs: the next probe is a first one.
+        system.auditor._view.remember(binding, {}, 0)
+        kernel_calls = []
+        imager = CompiledMapping.imager
+
+        def counted_imager(self, targets=None):
+            image = imager(self, targets)
+            if self is not to_ldap:
+                return image
+            assert image is self.kernel(targets).fn
+
+            def counted(low):
+                kernel_calls.append(low)
+                return image(low)
+
+            return counted
+
+        monkeypatch.setattr(CompiledMapping, "imager", counted_imager)
+        problems, calls, imaged = self._probe(system, monkeypatch)
+        assert problems == []
+        assert imaged == len(records)
+        assert len(kernel_calls) == len(records)
+        assert calls.get("evaluate", []) == []
+        assert calls.get("image", []) == []
+
     def test_a_pbx_only_change_runs_no_messaging_rule(self, system, monkeypatch):
         terminal = system.terminal("pbx-41")
         for ext in ("4101", "4102"):

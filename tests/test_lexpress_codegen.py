@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.lexpress import (
+    MODES,
     AlwaysTrue,
     CodeObject,
     LexpressCompileError,
@@ -23,7 +24,10 @@ from repro.lexpress import (
     tokenize,
 )
 from repro.lexpress.codegen import CompiledClosure, _CFrame, verified_compile
+from repro.lexpress.kernel import ImageKernel, compile_kernel
+from repro.lexpress.mapping import CompiledRule
 from repro.lexpress.parser import Parser
+from repro.schemas.mappings import standard_mappings
 
 
 def expr_code(source: str, optimize: bool = True) -> CodeObject:
@@ -273,6 +277,147 @@ class TestRunRule:
             ("m.partition", "compiled"),
         ]
         assert mapping.image({"Name": ["ab"]}) == {"X": ["AB"]}
+
+
+# -- image kernels -----------------------------------------------------------
+
+#: Source records of each schema the shipped mappings read, hitting and
+#: missing their regex arms, with and without their keys.
+SHIPPED_RECORDS = {
+    "pbx": [
+        {"Extension": "4100", "Name": "Doe, John", "Room": "2B-110",
+         "Building": "MH", "Port": "01A0101", "COR": "1", "COS": "2",
+         "Type": "8410D", "CoveragePath": "7"},
+        {"Extension": "4101", "Name": "Prince"},
+        {"Name": "Ada King Lovelace", "Room": ""},
+        {},
+    ],
+    "ldap": [
+        {"cn": "John Doe", "sn": "Doe", "definityExtension": "4100",
+         "telephoneNumber": "+1 908 582 4100", "definityRoom": "2B",
+         "mpSubscriberName": "J Doe", "mpCOS": "3", "mpLanguage": "en",
+         "lastUpdater": "pbx"},
+        {"cn": ["Prince", "P"], "telephoneNumber": "+1 908 582 4101"},
+        {"cn": "Jo Smith", "definityCOS": "1"},
+        {},
+    ],
+    "mp": [
+        {"TelephoneNumber": "+1 908 582 4100", "MailboxId": "mb-1",
+         "SubscriberName": "John Doe", "COS": "3", "Language": "fr"},
+        {"SubscriberName": "Nobody"},
+        {},
+    ],
+}
+
+
+def _images(mapping, record):
+    """Every image the mapping serves of *record*: the full one, and one
+    per target set a single rule and the key make."""
+    low = lower_attrs({k: [v] if isinstance(v, str) else v for k, v in record.items()})
+    images = [mapping.image(record), mapping._image(low)]
+    for rule in mapping.rules:
+        targets = frozenset({rule.target_low, mapping.key_target.lower()})
+        images.append(mapping._image(low, targets))
+    return images
+
+
+class TestImageKernels:
+    def test_shipped_mappings_image_alike_in_every_mode(self):
+        by_mode = {mode: standard_mappings(mode=mode) for mode in MODES}
+        for name, mapping in by_mode["interpret"].items():
+            for record in SHIPPED_RECORDS[mapping.source]:
+                expected = _images(mapping, record)
+                for mode in ("compiled", "verify"):
+                    assert _images(by_mode[mode][name], record) == expected, (
+                        mode, name, record
+                    )
+
+    def test_compiled_mode_images_with_the_kernel_and_inlines_every_rule(self):
+        for mapping in standard_mappings(mode="compiled").values():
+            kernel = mapping.kernel()
+            assert isinstance(kernel, ImageKernel)
+            assert mapping.imager() is kernel.fn
+            assert kernel.inlined == tuple(rule.target for rule in mapping.rules)
+            assert kernel.called == ()
+            assert kernel.source.startswith("def _kernel(attrs):")
+
+    def test_interpret_mode_has_no_kernel(self):
+        mapping = standard_mappings(mode="interpret")["pbx_to_ldap"]
+        assert mapping.kernel() is None
+        assert mapping.kernel(frozenset({"cn"})) is None
+
+    def test_target_set_kernels_are_built_once_and_bounded(self):
+        from repro.lexpress.mapping import KERNEL_MEMO_SIZE
+
+        mapping = standard_mappings(mode="compiled")["pbx_to_ldap"]
+        full = mapping.kernel()
+        cn = mapping.kernel(frozenset({"cn"}))
+        assert cn.inlined == ("cn",) and cn.targets == frozenset({"cn"})
+        assert mapping.kernel(frozenset({"cn"})) is cn
+        for n in range(KERNEL_MEMO_SIZE + 1):
+            mapping.imager(frozenset({f"t{n}"}))
+        assert len(mapping._imagers) <= KERNEL_MEMO_SIZE + 1
+        assert mapping.kernel() is full
+
+    def test_verify_mode_names_the_rule_a_kernel_disagrees_on(self, monkeypatch):
+        import repro.lexpress.mapping as mapping_module
+
+        real = mapping_module.compile_kernel
+
+        def lying(mapping, targets=None):
+            kernel = real(mapping, targets)
+
+            def fn(low):
+                image, image_low = kernel.fn(low)
+                image["Y"] = image_low["y"] = ["WRONG"]
+                return image, image_low
+
+            return ImageKernel(
+                kernel.name, targets, fn, kernel.source, kernel.inlined, kernel.called
+            )
+
+        monkeypatch.setattr(mapping_module, "compile_kernel", lying)
+        mapping = compile_mapping(
+            "mapping m { source a; target b; map X = upper(Name);"
+            " map Y = lower(Name); }",
+            mode="verify",
+        )
+        with pytest.raises(LexpressDivergenceError) as exc_info:
+            mapping.image({"Name": ["Ab"]})
+        error = exc_info.value
+        assert error.mapping == "m" and error.attribute == "Y"
+        assert error.interpreted == ["ab"] and error.compiled == ["WRONG"]
+        assert error.span is not None
+
+    def test_a_rule_the_gate_rejected_is_interpreted_inside_the_kernel(self):
+        mapping = compile_mapping(
+            "mapping m { source a; target b; map X = upper(Name);"
+            " map Z = lower(Name); }",
+            mode="compiled",
+        )
+        broken = broken_code()
+        run = bind(broken, "compiled", mapping="m", attribute="Broken")
+        assert run.status == "rejected"
+        x, z = mapping.rules
+        mapping.rules = (x, CompiledRule("Broken", broken, run), z)
+        kernel = compile_kernel(mapping)
+        assert kernel.inlined == ("X", "Z") and kernel.called == ("Broken",)
+        assert "_1run(attrs, None, True)" in kernel.source
+        image, image_low = kernel.fn({"name": ["Ab"]})
+        assert image == {"X": ["AB"], "Broken": ["b"], "Z": ["ab"]}
+        assert (image, image_low) == mapping._image_by_rule({"name": ["Ab"]})
+
+    def test_kernels_raise_what_the_rule_raises(self):
+        mapping = compile_mapping(
+            "mapping m { source a; target b; map X = upper(Name);"
+            " map Y = substr(Name); }",
+            mode="compiled",
+        )
+        with pytest.raises(LexpressRuntimeError) as interpreted:
+            mapping._image_by_rule({"name": ["x"]})
+        with pytest.raises(LexpressRuntimeError) as fused:
+            mapping.kernel().fn({"name": ["x"]})
+        assert str(fused.value) == str(interpreted.value)
 
 
 # -- MetaComm wiring ---------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.lexpress import (
     TokenType,
     compile_closure,
     compile_expr,
+    compile_mapping,
     execute,
     lower_attrs,
     tokenize,
@@ -118,6 +119,52 @@ def test_compiled_closures_match_the_interpreter(source, attrs):
     compiled = closure.fn(low, frame)
     assert compiled == interpreted
     assert type(compiled) is type(interpreted)
+
+
+#: A rule that sets capture groups, and one that reads them outside any
+#: match: every rule starts on a fresh frame, so the reader sees none.
+GROUP_SETTER = 'match Name { /^(a)(b)?/ => concat($1, $2); _ => $0; }'
+GROUP_READER = 'alt($1, $0, "none")'
+
+
+@given(
+    sources=st.lists(expr_source, min_size=2, max_size=5),
+    setter_at=st.integers(min_value=0, max_value=5),
+    reader_after=st.integers(min_value=1, max_value=5),
+    keyed=st.booleans(),
+    attrs=record,
+)
+@settings(max_examples=150, deadline=None)
+def test_image_kernels_match_the_per_rule_interpreter(
+    sources, setter_at, reader_after, keyed, attrs
+):
+    """A mapping's image kernel must build the very (image, image_low)
+    pair the per-rule interpreter loop builds — or fail with the same
+    error family."""
+    setter_at = min(setter_at, len(sources))
+    sources.insert(setter_at, GROUP_SETTER)
+    sources.insert(min(setter_at + reader_after, len(sources)), GROUP_READER)
+    rules = "".join(f" map T{i} = {source};" for i, source in enumerate(sources))
+    key = " key Extension -> T0;" if keyed else ""
+    try:
+        mapping = compile_mapping(
+            f"mapping m {{ source a; target b;{key}{rules} }}", mode="compiled"
+        )
+    except LexpressError:
+        return
+    kernel = mapping.kernel()
+    low = lower_attrs(attrs)
+    try:
+        expected = mapping._image_by_rule(low)
+    except LexpressError:
+        with pytest.raises(LexpressError):
+            kernel.fn(low)
+        return
+    image, image_low = kernel.fn(low)
+    assert (image, image_low) == expected
+    for target, values in image.items():
+        assert image_low[target.lower()] is values
+        assert all(type(v) is str for v in values)
 
 
 @given(source=expr_source)

@@ -81,6 +81,22 @@ class TestHistogram:
         assert histogram.count == 3
         assert histogram.sum == pytest.approx(5.55)
 
+    def test_a_value_on_a_bound_lands_in_that_bucket(self):
+        histogram = MetricsRegistry().histogram(
+            "latency_seconds", "latency", buckets=(0.1, 1.0)
+        )
+        for value in (0.1, 1.0, -3.0, float("inf")):
+            histogram.observe(value)
+        assert histogram.cumulative() == [(0.1, 2), (1.0, 3), (float("inf"), 4)]
+
+    def test_nan_lands_in_the_inf_bucket(self):
+        histogram = MetricsRegistry().histogram(
+            "latency_seconds", "latency", buckets=(0.1, 1.0)
+        )
+        histogram.observe(float("nan"))
+        assert histogram.cumulative() == [(0.1, 0), (1.0, 0), (float("inf"), 1)]
+        assert histogram.count == 1
+
     def test_timer_context_manager(self):
         histogram = MetricsRegistry().histogram("t_seconds", "t")
         with histogram.time():
