@@ -40,20 +40,28 @@ check-concur:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_obs_overhead.py -m benchmarks -s -p no:cacheprovider
 
-## Benchmark-harness smoke: one short traced wba_churn run (about 20 s).
-## Fails unless the run ends with "correct": true — an oracle failure or
-## a ledger wrap target the program no longer has (a "# problem" line)
-## makes it false (perfbench/README.md).  It also fails when obs.spans
-## reads 0: the traced run counts spans through system.traces(), so a
-## zero means the journal's trace views came back empty.  The run's final
-## JSON line (the end-to-end metrics and the per-layer ledger) is kept in
-## perf_smoke.json.
+## Benchmark-harness smoke: two short traced runs, seed 1, 2 s each (about
+## 25 s in all).  Each fails unless it ends with "correct": true — an
+## oracle failure or a ledger wrap target the program no longer has (a
+## "# problem" line) makes it false (perfbench/README.md) — and unless one
+## of its ledger metrics reads above 0:
+## - wba_churn, obs.spans: the traced run counts spans through
+##   system.traces(), so a zero means the journal's trace views came back
+##   empty.  Its final JSON line is kept in perf_smoke.json.
+## - craft_ddu, ldap.search_us: the read path, the DDU path and the
+##   ledger's ldap.search and ltap.read wraps.  Kept in perf_smoke_craft.json.
+## $(call perf_smoke_run,WORKLOAD,FILE,METRIC) runs one of them.
+define perf_smoke_run
+out="$$($(PYTHON) perfbench/run.py --workload $(1) --seed 1 --seconds 2 --trace 1)"; \
+	status=$$?; echo "$$out"; \
+	echo "$$out" | tail -n 1 > $(2); \
+	[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": true' \
+	&& $(PYTHON) -c 'import json, sys; v = json.load(open("$(2)"))["metrics"]["$(3)"]["value"]; sys.exit(0 if v > 0 else "perf-smoke: $(1) $(3) is 0")'
+endef
+
 perf-smoke:
-	@out="$$($(PYTHON) perfbench/run.py --workload wba_churn --seed 1 --seconds 2 --trace 1)"; \
-		status=$$?; echo "$$out"; \
-		echo "$$out" | tail -n 1 > perf_smoke.json; \
-		[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct": true' \
-		&& $(PYTHON) -c 'import json, sys; spans = json.load(open("perf_smoke.json"))["metrics"]["obs.spans"]["value"]; sys.exit(0 if spans > 0 else "perf-smoke: obs.spans is 0")'
+	@$(call perf_smoke_run,wba_churn,perf_smoke.json,obs.spans)
+	@$(call perf_smoke_run,craft_ddu,perf_smoke_craft.json,ldap.search_us)
 
 ## A/B of the perfbench end-to-end metrics: BASE (any git revision)
 ## against the working tree as it is on disk, the two run alternately,

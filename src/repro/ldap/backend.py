@@ -20,11 +20,11 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Mapping, Protocol
 
 from .dn import DN, Rdn
-from .entry import Attributes, Entry
-from .filter import Filter, parse_filter
+from .entry import Attributes, Entry, _norm_value
+from .filter import And, Equality, Filter, parse_filter
 from .protocol import Modification, Scope
 from .result import (
     EntryAlreadyExistsError,
@@ -34,6 +34,25 @@ from .result import (
     ResultCode,
 )
 from .schema import Schema
+
+
+#: The bucket of a value no indexed entry holds (never mutated).
+_EMPTY: frozenset = frozenset()
+
+
+def _index_values(table: dict[str, set[tuple]], dn_key: tuple, values) -> None:
+    for value in values:
+        table.setdefault(_norm_value(value), set()).add(dn_key)
+
+
+def _unindex_values(table: dict[str, set[tuple]], dn_key: tuple, values) -> None:
+    for value in values:
+        normalized = _norm_value(value)
+        bucket = table.get(normalized)
+        if bucket is not None:
+            bucket.discard(dn_key)
+            if not bucket:
+                del table[normalized]
 
 
 class ChangeType(enum.Enum):
@@ -309,37 +328,30 @@ class Backend:
         Equality searches (including inside AND filters) then resolve via
         the index instead of scanning the tree — the entry-location hot
         path of the Update Manager."""
-        from .entry import _norm_value
-
         key = attribute.lower()
         with self._lock:
             if key in self._indexes:
                 return
             table: dict[str, set[tuple]] = {}
             for dn_key, entry in self._entries.items():
-                for value in entry.get(attribute):
-                    table.setdefault(_norm_value(value), set()).add(dn_key)
+                _index_values(table, dn_key, entry.attributes.lowered().get(key, ()))
             self._indexes[key] = table
 
     def indexed_attributes(self) -> list[str]:
         with self._lock:
             return sorted(self._indexes)
 
-    def _index_entry(self, dn_key: tuple, entry: Entry, remove: bool = False) -> None:
-        """Caller holds ``_lock``."""
-        from .entry import _norm_value
-
+    def _reindex(self, dn_key: tuple, before: Mapping, after: Mapping) -> None:
+        """Move *dn_key* from the values of the stored attribute map
+        *before* to those of *after*, in every index whose attribute's
+        value tuple is not the same object in both: :meth:`Attributes.modified`
+        shares every tuple it leaves alone.  Caller holds ``_lock``."""
         for attribute, table in self._indexes.items():
-            for value in entry.attributes.get(attribute):
-                normalized = _norm_value(value)
-                if remove:
-                    bucket = table.get(normalized)
-                    if bucket is not None:
-                        bucket.discard(dn_key)
-                        if not bucket:
-                            del table[normalized]
-                else:
-                    table.setdefault(normalized, set()).add(dn_key)
+            old_values = before.get(attribute, ())
+            new_values = after.get(attribute, ())
+            if old_values is not new_values:
+                _unindex_values(table, dn_key, old_values)
+                _index_values(table, dn_key, new_values)
 
     def _store(self, entry: Entry) -> None:
         """Insert or replace an entry, keeping indexes current.
@@ -347,39 +359,41 @@ class Backend:
         Caller holds ``_lock``."""
         dn_key = entry.dn.normalized()
         old = self._entries.get(dn_key)
-        if old is not None and self._indexes:
-            self._index_entry(dn_key, old, remove=True)
         self._entries[dn_key] = entry
-        if self._indexes:
-            self._index_entry(dn_key, entry)
+        self._reindex(
+            dn_key,
+            old.attributes.lowered() if old is not None else {},
+            entry.attributes.lowered(),
+        )
 
     def _unstore(self, dn_key: tuple) -> Entry | None:
         """Caller holds ``_lock``."""
         old = self._entries.pop(dn_key, None)
-        if old is not None and self._indexes:
-            self._index_entry(dn_key, old, remove=True)
+        if old is not None:
+            self._reindex(dn_key, old.attributes.lowered(), {})
         return old
 
-    def _index_candidates(self, compiled: Filter) -> set[tuple] | None:
+    def _index_candidates(
+        self, compiled: Filter
+    ) -> set[tuple] | frozenset[tuple] | None:
         """DN keys matching an indexed Equality inside *compiled*, or None
         when the filter cannot use an index.
 
         The set returned is the index's own bucket, not a copy: the
         caller holds ``_lock`` while it reads it and never mutates it."""
-        from .entry import _norm_value
-        from .filter import And, Equality
-
-        probes: list[Equality] = []
+        probes: tuple[Filter, ...] = ()
         if isinstance(compiled, Equality):
-            probes = [compiled]
+            probes = (compiled,)
         elif isinstance(compiled, And):
-            probes = [p for p in compiled.parts if isinstance(p, Equality)]
-        best: set[tuple] | None = None
+            probes = compiled.parts
+        best: set[tuple] | frozenset[tuple] | None = None
         for probe in probes:
-            table = self._indexes.get(probe.attribute.lower())
+            if not isinstance(probe, Equality):
+                continue
+            table = self._indexes.get(probe.key)
             if table is None:
                 continue
-            bucket = table.get(_norm_value(probe.value), set())
+            bucket = table.get(probe.norm, _EMPTY)
             # Most selective indexed probe wins (a room bucket holds a
             # dozen entries; a key attribute holds one).
             if best is None or len(bucket) < len(best):
@@ -609,34 +623,44 @@ class Backend:
         attributes: Iterable[str] = (),
         size_limit: int = 0,
     ) -> list[Entry]:
+        """Entries in scope that match *filter*, in DN-key order.
+
+        The plan: BASE and ONE scopes test their one entry or the base's
+        children.  A SUB search with an indexed Equality starts from the
+        smallest such bucket; when the filter is that Equality alone, the
+        bucket is the answer, since the index keys values by the same
+        ``_norm_value`` the filter compares with.  Any other SUB search
+        scans the tree."""
         compiled = parse_filter(filter)
         selected = tuple(attributes)
         with self._lock:
             base_entry = self._require(base)
-            candidates: Iterator[Entry]
-            indexed = (
-                self._index_candidates(compiled) if self._indexes else None
-            )
-            if indexed is not None and scope is Scope.SUB:
-                candidates = (
-                    self._entries[k]
-                    for k in sorted(indexed)
-                    if k in self._entries and self._entries[k].dn.is_under(base)
-                )
-            elif scope is Scope.BASE:
-                candidates = iter([base_entry])
+            check: Callable[[Entry], bool] | None = compiled.matches
+            if scope is Scope.BASE:
+                candidates: Iterable[Entry] = (base_entry,)
             elif scope is Scope.ONE:
-                child_keys = self._children.get(base.normalized(), set())
-                candidates = (self._entries[k] for k in sorted(child_keys))
+                child_keys = self._children.get(base.normalized(), _EMPTY)
+                candidates = [self._entries[k] for k in sorted(child_keys)]
             else:
-                candidates = (
-                    e
-                    for k, e in sorted(self._entries.items())
-                    if e.dn.is_under(base)
-                )
+                bucket = self._index_candidates(compiled)
+                if bucket is None:
+                    candidates = (
+                        e
+                        for k, e in sorted(self._entries.items())
+                        if e.dn.is_under(base)
+                    )
+                else:
+                    entries = self._entries
+                    candidates = [
+                        entries[k]
+                        for k in (sorted(bucket) if len(bucket) > 1 else bucket)
+                        if entries[k].dn.is_under(base)
+                    ]
+                    if type(compiled) is Equality:
+                        check = None
             results: list[Entry] = []
             for entry in candidates:
-                if not compiled.matches(entry):
+                if check is not None and not check(entry):
                     continue
                 results.append(self._project(entry, selected))
                 if size_limit and len(results) > size_limit:

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .dn import DN, Rdn
 from .entry import Entry
-from .filter import Filter
+from .filter import Filter, Present
 from .protocol import (
     AddRequest,
     BindRequest,
@@ -29,6 +29,9 @@ from .protocol import (
     UnbindRequest,
 )
 from .result import LdapError, ResultCode
+
+#: The filter of a single-entry read: built once, so a read parses nothing.
+_ANY_ENTRY = Present("objectClass")
 
 
 class LdapConnection:
@@ -107,7 +110,7 @@ class LdapConnection:
 
     def get(self, dn: DN | str) -> Entry:
         """Read a single entry (base-scope search)."""
-        entries = self.search(dn, Scope.BASE)
+        entries = self.search(dn, Scope.BASE, _ANY_ENTRY)
         if not entries:
             raise LdapError(ResultCode.NO_SUCH_OBJECT, f"no such entry: {dn}")
         return entries[0]

@@ -15,7 +15,7 @@ Matching follows caseIgnore semantics, consistent with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .entry import Entry, _norm_value
 from .result import LdapError, ResultCode
 
@@ -23,6 +23,16 @@ from .result import LdapError, ResultCode
 class FilterSyntaxError(LdapError):
     def __init__(self, message: str):
         super().__init__(ResultCode.PROTOCOL_ERROR, f"bad search filter: {message}")
+
+
+def _derived():
+    """A field a node computes once from its operands at construction:
+    out of ``__init__``, equality, hashing and ``repr``."""
+    return field(init=False, compare=False, repr=False)
+
+
+#: Sets a derived field on a frozen node.
+_set = object.__setattr__
 
 
 class Filter:
@@ -71,9 +81,14 @@ class Not(Filter):
 @dataclass(frozen=True)
 class Present(Filter):
     attribute: str
+    #: The lower-cased attribute name.
+    key: str = _derived()
+
+    def __post_init__(self) -> None:
+        _set(self, "key", self.attribute.lower())
 
     def matches(self, entry: Entry) -> bool:
-        return entry.has(self.attribute)
+        return self.key in entry.attributes.lowered()
 
     def __str__(self) -> str:
         return f"({self.attribute}=*)"
@@ -83,9 +98,21 @@ class Present(Filter):
 class Equality(Filter):
     attribute: str
     value: str
+    #: The lower-cased attribute name and the caseIgnore form of the
+    #: value: what an equality index is keyed by.
+    key: str = _derived()
+    norm: str = _derived()
+
+    def __post_init__(self) -> None:
+        _set(self, "key", self.attribute.lower())
+        _set(self, "norm", _norm_value(self.value))
 
     def matches(self, entry: Entry) -> bool:
-        return entry.attributes.has_value(self.attribute, self.value)
+        norm = self.norm
+        return any(
+            _norm_value(v) == norm
+            for v in entry.attributes.lowered().get(self.key, ())
+        )
 
     def __str__(self) -> str:
         return f"({self.attribute}={_escape(self.value)})"
@@ -97,8 +124,10 @@ class Substrings(Filter):
     initial: str | None
     any_parts: tuple[str, ...]
     final: str | None
+    key: str = _derived()
+    pattern: re.Pattern = _derived()
 
-    def _pattern(self) -> re.Pattern:
+    def __post_init__(self) -> None:
         prefix = re.escape(_norm_value(self.initial)) if self.initial else ""
         suffix = re.escape(_norm_value(self.final)) if self.final else ""
         if self.any_parts:
@@ -106,12 +135,14 @@ class Substrings(Filter):
             middle = ".*" + body + ".*"
         else:
             middle = ".*"
-        return re.compile("^" + prefix + middle + suffix + "$")
+        _set(self, "key", self.attribute.lower())
+        _set(self, "pattern", re.compile("^" + prefix + middle + suffix + "$"))
 
     def matches(self, entry: Entry) -> bool:
-        pattern = self._pattern()
+        match = self.pattern.match
         return any(
-            pattern.match(_norm_value(v)) for v in entry.get(self.attribute)
+            match(_norm_value(v))
+            for v in entry.attributes.lowered().get(self.key, ())
         )
 
     def __str__(self) -> str:
@@ -131,10 +162,19 @@ def _order_key(value: str):
 class GreaterOrEqual(Filter):
     attribute: str
     value: str
+    key: str = _derived()
+    bound: tuple = _derived()
+
+    def __post_init__(self) -> None:
+        _set(self, "key", self.attribute.lower())
+        _set(self, "bound", _order_key(self.value))
 
     def matches(self, entry: Entry) -> bool:
-        bound = _order_key(self.value)
-        return any(_order_key(v) >= bound for v in entry.get(self.attribute))
+        bound = self.bound
+        return any(
+            _order_key(v) >= bound
+            for v in entry.attributes.lowered().get(self.key, ())
+        )
 
     def __str__(self) -> str:
         return f"({self.attribute}>={_escape(self.value)})"
@@ -144,10 +184,19 @@ class GreaterOrEqual(Filter):
 class LessOrEqual(Filter):
     attribute: str
     value: str
+    key: str = _derived()
+    bound: tuple = _derived()
+
+    def __post_init__(self) -> None:
+        _set(self, "key", self.attribute.lower())
+        _set(self, "bound", _order_key(self.value))
 
     def matches(self, entry: Entry) -> bool:
-        bound = _order_key(self.value)
-        return any(_order_key(v) <= bound for v in entry.get(self.attribute))
+        bound = self.bound
+        return any(
+            _order_key(v) <= bound
+            for v in entry.attributes.lowered().get(self.key, ())
+        )
 
     def __str__(self) -> str:
         return f"({self.attribute}<={_escape(self.value)})"
@@ -159,14 +208,23 @@ class Approx(Filter):
 
     attribute: str
     value: str
+    key: str = _derived()
+    target: str = _derived()
+
+    def __post_init__(self) -> None:
+        _set(self, "key", self.attribute.lower())
+        _set(self, "target", self._squash(self.value))
 
     @staticmethod
     def _squash(value: str) -> str:
         return re.sub(r"[\s\-]+", "", value.lower())
 
     def matches(self, entry: Entry) -> bool:
-        target = self._squash(self.value)
-        return any(self._squash(v) == target for v in entry.get(self.attribute))
+        target = self.target
+        return any(
+            self._squash(v) == target
+            for v in entry.attributes.lowered().get(self.key, ())
+        )
 
     def __str__(self) -> str:
         return f"({self.attribute}~={_escape(self.value)})"
@@ -187,6 +245,13 @@ def _escape(text: str) -> str:
         else:
             out.append(ch)
     return "".join(out)
+
+
+#: A lone ``(attr=value)`` or ``(attr=*)`` whose value holds no escape, no
+#: wildcard and no parenthesis, and whose attribute does not open with an
+#: operator: :func:`parse_filter` builds its node without :class:`_Parser`,
+#: which would build the same one.
+_ONE_ITEM = re.compile(r"\(([^&|!=<>~()][^=<>~()]*)=([^()*\\]*|\*)\)")
 
 
 class _Parser:
@@ -286,6 +351,12 @@ def parse_filter(text: str | Filter) -> Filter:
     if not text.startswith("("):
         # Tolerate the common shorthand "cn=foo" without parens.
         text = f"({text})"
+    item = _ONE_ITEM.fullmatch(text)
+    if item is not None:
+        attribute = item.group(1).strip()
+        if attribute:
+            value = item.group(2)
+            return Present(attribute) if value == "*" else Equality(attribute, value)
     return _Parser(text).parse()
 
 

@@ -1,10 +1,15 @@
 """Tests for the RFC 2254 search-filter parser and evaluator."""
 
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.ldap import Entry, matches, parse_filter
+from repro.ldap.entry import _norm_value
 from repro.ldap.filter import (
+    _Parser,
+    _order_key,
     And,
     Approx,
     Equality,
@@ -80,7 +85,8 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "()", "(cn)", "(&)", "(cn=a", "(cn=a))", "((cn=a))", "(=x)", "(cn=a(b)"],
+        ["", "()", "(cn)", "(&)", "(cn=a", "(cn=a))", "((cn=a))", "(=x)", "(cn=a(b)",
+         "( =x)", "(  =*)", " =x"],
     )
     def test_syntax_errors(self, bad):
         with pytest.raises(FilterSyntaxError):
@@ -165,3 +171,128 @@ def test_substring_initial_matches_prefix(value, cut):
         return
     entry = Entry("cn=T,o=L", {"cn": value})
     assert matches(f"(cn={value[:cut]}*)", entry)
+
+
+# -- parse_filter against the general parser ----------------------------------
+
+_NAMES = st.sampled_from(["cn", "CN", "definityExtension", "DEFINITYroom", "mail"])
+_PAD = st.sampled_from(["", " ", "  "])
+#: Value pieces: plain text, operator characters (literal inside a value),
+#: and the escapes of '*', '(', ')' and '\'.
+_PIECES = st.sampled_from(
+    ["a", "B", "4", " ", "-", "=", ".", "&", "|", "!", "<", ">", "~",
+     r"\2a", r"\2A", r"\28", r"\29", r"\5c"]
+)
+_VALUES = st.lists(_PIECES, max_size=4).map("".join)
+
+
+@st.composite
+def _items(draw):
+    attribute = draw(_PAD) + draw(_NAMES) + draw(_PAD)
+    kind = draw(st.sampled_from(["=", "=*", "sub", ">=", "<=", "~="]))
+    if kind == "=*":
+        return f"({attribute}=*)"
+    if kind == "sub":
+        value = "*".join(draw(st.lists(_VALUES, min_size=2, max_size=4)))
+        return f"({attribute}={value})"
+    return f"({attribute}{kind}{draw(_VALUES)})"
+
+
+_FILTER_TEXTS = st.recursive(
+    _items(),
+    lambda inner: st.one_of(
+        st.builds(lambda op, parts: f"({op}{''.join(parts)})",
+                  st.sampled_from("&|"), st.lists(inner, min_size=1, max_size=3)),
+        inner.map(lambda part: f"(!{part})"),
+    ),
+    max_leaves=6,
+)
+
+
+def _parser_tree(text: str):
+    """What parse_filter built before it had a fast path: the general
+    parser over the stripped, parenthesized text."""
+    text = text.strip()
+    if not text.startswith("("):
+        text = f"({text})"
+    return _Parser(text).parse()
+
+
+def _outcome(parse, text):
+    try:
+        node = parse(text)
+    except FilterSyntaxError as exc:
+        return ("error", str(exc))
+    return (node, str(node), repr(node))
+
+
+@given(
+    text=_FILTER_TEXTS,
+    pad=_PAD,
+    bare=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_filter_builds_the_parsers_tree(text, pad, bare):
+    """Every filter text parses to the tree the general parser builds,
+    with the same str(); a single item may also come without parentheses
+    and with surrounding spaces."""
+    if bare and text[1] not in "&|!":
+        text = text[1:-1]
+    text = pad + text + pad
+    assert _outcome(parse_filter, text) == _outcome(_parser_tree, text)
+
+
+@given(st.text(alphabet="()=*&|!<>~\\ a2", min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_parse_filter_rejects_what_the_parser_rejects(text):
+    """Arbitrary text: the same tree or the same syntax error."""
+    if not text.strip():
+        return
+    assert _outcome(parse_filter, text) == _outcome(_parser_tree, text)
+
+
+class TestDerivedOperands:
+    def test_stay_out_of_equality_hash_and_repr(self):
+        node = Equality("CN", "John  DOE")
+        assert (node.key, node.norm) == ("cn", "john doe")
+        assert node == Equality("CN", "John  DOE") != Equality("cn", "John  DOE")
+        assert hash(node) == hash(("CN", "John  DOE"))
+        assert repr(node) == "Equality(attribute='CN', value='John  DOE')"
+        assert repr(Substrings("cn", "a", (), None)) == (
+            "Substrings(attribute='cn', initial='a', any_parts=(), final=None)"
+        )
+
+
+@given(
+    values=st.lists(
+        st.text(alphabet="aB1 -.", min_size=1, max_size=5), min_size=0, max_size=3
+    ),
+    probe=st.text(alphabet="aB1 -.", min_size=1, max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_leaf_filters_match_as_with_per_call_operands(values, probe):
+    """Each leaf filter, with its operands computed at construction,
+    answers what computing them on every call answered."""
+    entry = Entry("cn=T,o=L", {"cn": "T", "Mail": values})
+    squash = Approx._squash
+    stored = entry.get("mail")
+    assert Equality("MAIL", probe).matches(entry) == entry.attributes.has_value(
+        "mail", probe
+    )
+    assert Present("mAIL").matches(entry) == entry.has("mail")
+    assert GreaterOrEqual("mail", probe).matches(entry) == any(
+        _order_key(v) >= _order_key(probe) for v in stored
+    )
+    assert LessOrEqual("mail", probe).matches(entry) == any(
+        _order_key(v) <= _order_key(probe) for v in stored
+    )
+    assert Approx("mail", probe).matches(entry) == any(
+        squash(v) == squash(probe) for v in stored
+    )
+    initial, final = probe[:2], probe[-1:]
+    regex = re.compile(
+        f"^{re.escape(_norm_value(initial))}.*{re.escape(_norm_value(final))}$"
+    )
+    assert Substrings("mail", initial, (), final).matches(entry) == any(
+        regex.match(_norm_value(v)) for v in stored
+    )

@@ -11,6 +11,9 @@ from repro.ldap import (
     Rdn,
     )
 from repro.ldap.backend import Backend
+from repro.ldap.filter import parse_filter
+from repro.ldap.protocol import Scope
+from repro.ldap.result import LdapError, ResultCode
 
 
 @pytest.fixture
@@ -266,3 +269,193 @@ class TestIndexSelectivity:
             filter="(&(objectClass=person)(telephoneNumber=1007))",
         )
         assert [e.first("cn") for e in hits] == ["U7"]
+
+
+# -- every search against a reference scan -------------------------------------
+
+#: Indexed attributes (cn is also every person's RDN) and unindexed ones.
+PLAN_INDEXED = ("telephoneNumber", "definityRoom", "cn")
+PLAN_VALUES = {
+    "telephoneNumber": ("100", "200", "300"),
+    "definityRoom": ("2B-110", "2b-110", "3C  200"),
+    "cn": ("u1", "U2", "n3"),
+    "mail": ("a@x", "b@x"),
+    "sn": ("Lee", "lee", "Ng"),
+}
+
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["add", "replace", "add_value", "delete_value", "delete_attr",
+             "delete", "rename", "rename_ou"]
+        ),
+        st.sampled_from(sorted(PLAN_VALUES)),
+        st.integers(min_value=0, max_value=9),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+_ATTR_NAMES = st.sampled_from(sorted(PLAN_VALUES) + ["CN", "DefinityRoom"])
+_CANONICAL = {name.lower(): name for name in PLAN_VALUES}
+
+
+@st.composite
+def _equality_texts(draw):
+    name = draw(_ATTR_NAMES)
+    values = PLAN_VALUES[_CANONICAL[name.lower()]]
+    return f"({name}={draw(st.sampled_from(values + ('none',)))})"
+
+
+_LEAF_FILTERS = st.one_of(
+    _equality_texts(),
+    _ATTR_NAMES.map(lambda name: f"({name}=*)"),
+    st.sampled_from(["(cn=u*)", "(definityRoom=*110)", "(objectClass=person)"]),
+)
+_SEARCH_FILTERS = st.one_of(
+    _equality_texts(),
+    _LEAF_FILTERS,
+    st.lists(_LEAF_FILTERS, min_size=1, max_size=3).map(
+        lambda parts: "(&" + "".join(parts) + ")"
+    ),
+    st.lists(_LEAF_FILTERS, min_size=1, max_size=3).map(
+        lambda parts: "(|" + "".join(parts) + ")"
+    ),
+    _LEAF_FILTERS.map(lambda part: f"(!{part})"),
+    st.tuples(_equality_texts(), _LEAF_FILTERS).map(
+        lambda pair: "(&{}(!{}))".format(*pair)
+    ),
+)
+
+SEARCHES = st.lists(
+    st.tuples(
+        _SEARCH_FILTERS,
+        st.sampled_from([Scope.BASE, Scope.ONE, Scope.SUB, Scope.SUB]),
+        st.integers(min_value=0, max_value=19),
+        st.sampled_from([0, 0, 1, 2]),
+        st.sampled_from([(), ("cn",), ("*",), ("CN", "definityRoom")]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _mutate(backend: Backend, op: str, attribute: str, choice: int) -> None:
+    entries = backend.all_entries()
+    people = [e for e in entries if e.has("sn")]
+    units = [e for e in entries if e.has("ou")]
+    value = PLAN_VALUES[attribute][choice % len(PLAN_VALUES[attribute])]
+    if op == "add":
+        unit = units[choice % len(units)].dn
+        name = f"n{choice}"
+        attrs = {"objectClass": "person", "cn": name, "sn": "Lee"}
+        if attribute != "cn":
+            attrs[attribute] = value
+        backend.add(Entry(unit.child(Rdn.single("cn", name)), attrs))
+        return
+    if op == "rename_ou":
+        unit = units[choice % len(units)].dn
+        backend.modify_rdn(unit, Rdn.single("ou", f"g{choice}"))
+        return
+    if not people:
+        return
+    person = people[choice % len(people)].dn
+    if op == "replace":
+        backend.modify(person, [Modification.replace(attribute, value)])
+    elif op == "add_value":
+        backend.modify(person, [Modification.add(attribute, value)])
+    elif op == "delete_value":
+        backend.modify(person, [Modification.delete(attribute, value)])
+    elif op == "delete_attr":
+        backend.modify(person, [Modification.delete(attribute)])
+    elif op == "delete":
+        backend.delete(person)
+    elif op == "rename":
+        name = value if attribute == "cn" else f"r{choice}"
+        backend.modify_rdn(person, Rdn.single("cn", name))
+
+
+def _reference(backend, base, scope, compiled, size_limit):
+    """Sorted DN keys, in scope, ``matches``: what a search must answer."""
+    if not backend.contains(base):
+        return "no such object"
+    hits = [
+        entry
+        for _, entry in sorted(backend._entries.items())
+        if (
+            entry.dn == base if scope is Scope.BASE
+            else (not entry.dn.is_root() and entry.dn.parent() == base)
+            if scope is Scope.ONE
+            else entry.dn.is_under(base)
+        )
+        and compiled.matches(entry)
+    ]
+    if size_limit and len(hits) > size_limit:
+        return "size limit exceeded"
+    return hits
+
+
+def _answer(backend, base, scope, compiled, selected, size_limit):
+    try:
+        return backend.search(base, scope, compiled, selected, size_limit)
+    except LdapError as exc:
+        if exc.code is ResultCode.NO_SUCH_OBJECT:
+            return "no such object"
+        assert exc.code is ResultCode.SIZE_LIMIT_EXCEEDED
+        return "size limit exceeded"
+
+
+@given(mutations=MUTATIONS, searches=SEARCHES)
+@settings(max_examples=150, deadline=None)
+def test_every_search_equals_a_reference_scan(mutations, searches):
+    """Property: after any mix of adds, modifies (replace, add, delete a
+    value, delete an attribute), deletes and renames (of a leaf, or of a
+    unit with its subtree), every search in every scope returns the
+    entries a reference scan finds, in DN-key order, with the same size
+    limit and projection; unprojected hits are the stored objects.  The
+    index tables then equal the ones a fresh ``create_index`` builds."""
+    backend = Backend(["o=L"])
+    backend.add(Entry("o=L", {"objectClass": "organization", "o": "L"}))
+    for unit in ("A", "B"):
+        backend.add(Entry(f"ou={unit},o=L", {"objectClass": "organizationalUnit",
+                                            "ou": unit}))
+    for i in range(6):
+        backend.add(Entry(f"cn=u{i},ou={'AB'[i % 2]},o=L", {
+            "objectClass": "person", "cn": f"u{i}",
+            **{name: values[i % len(values)]
+               for name, values in PLAN_VALUES.items() if name != "cn"},
+        }))
+    for attribute in PLAN_INDEXED:
+        backend.create_index(attribute)
+    for op, attribute, choice in mutations:
+        try:
+            _mutate(backend, op, attribute, choice)
+        except LdapError:
+            pass
+
+    suffix = DN.parse("o=L")
+    bases = [suffix] * 8 + [e.dn for e in backend.all_entries()] + [
+        DN.parse("ou=Gone,o=L")
+    ]
+    for text, scope, pick, size_limit, selected in searches:
+        base = bases[pick % len(bases)]
+        compiled = parse_filter(text)
+        got = _answer(backend, base, scope, compiled, selected, size_limit)
+        want = _reference(backend, base, scope, compiled, size_limit)
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want, text
+        elif selected and "*" not in selected:
+            assert [(hit.dn, hit.attributes.to_dict()) for hit in got] == [
+                (entry.dn, entry.attributes.select(selected).to_dict())
+                for entry in want
+            ], text
+        else:
+            assert len(got) == len(want), text
+            assert all(hit is entry for hit, entry in zip(got, want)), text
+
+    for attribute in PLAN_INDEXED:
+        fresh = Backend(["o=L"])
+        fresh._entries = dict(backend._entries)
+        fresh.create_index(attribute)
+        key = attribute.lower()
+        assert backend._indexes[key] == fresh._indexes[key]
