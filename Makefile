@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-isolated check check-concur bench-smoke perf-smoke bench bench-ab bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
+.PHONY: test test-isolated check check-concur bench-smoke perf-smoke bench bench-ab bench-interleave bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
 
 ## Tier-1: the full unit/integration suite (tests/ only).
 test:
@@ -26,7 +26,7 @@ check:
 ## unsuppressed warning or error, or on a witness.violation.
 check-concur:
 	$(PYTHON) -m repro check --concurrency --fail-on=warning
-	$(PYTHON) -m pytest tests/test_threaded_coordinator.py tests/test_stateful_system.py tests/test_lockwitness.py tests/test_incremental_audit.py tests/test_telemetry_golden.py tests/test_journal_invariants.py -x -q
+	$(PYTHON) -m pytest tests/test_threaded_coordinator.py tests/test_stateful_system.py tests/test_lockwitness.py tests/test_incremental_audit.py tests/test_telemetry_golden.py tests/test_journal_invariants.py tests/test_telemetry_writers.py -x -q
 
 ## Every bench-* gate below uses one method (benchmarks/conftest.py):
 ## its cells run in alternation, each 5 times (bench-health: 8), and the
@@ -72,6 +72,18 @@ perf-smoke:
 bench-ab:
 	@[ -n "$(BASE)" ] || { echo "usage: make bench-ab BASE=<rev> [SEEDS=1-5] [WORKLOADS=a,b]"; exit 2; }
 	$(PYTHON) benchmarks/ab_perfbench.py --base $(BASE) \
+		$(if $(SEEDS),--seeds $(SEEDS)) $(if $(WORKLOADS),--workloads $(WORKLOADS))
+
+## Interleaved A/B of per-op thread CPU: BASE (any git revision) and the
+## working tree imported side by side in one process under two package
+## names, plus a second copy of BASE as an A/A control, every op run on
+## each in rotating order (benchmarks/ab_interleaved.py).  Prints the
+## per-kind p50 and mean CPU ratios work/base next to the A/A ratios.
+## Informational, not a gate; writes nothing under perfbench/.
+## Example: make bench-interleave BASE=HEAD~1 [SEEDS=1-2] [WORKLOADS=wba_churn]
+bench-interleave:
+	@[ -n "$(BASE)" ] || { echo "usage: make bench-interleave BASE=<rev> [SEEDS=1] [WORKLOADS=a,b]"; exit 2; }
+	$(PYTHON) benchmarks/ab_interleaved.py --base $(BASE) \
 		$(if $(SEEDS),--seeds $(SEEDS)) $(if $(WORKLOADS),--workloads $(WORKLOADS))
 
 ## Serial vs device-link fan-out throughput at 1, 2 and 4 PBXes; writes

@@ -291,7 +291,9 @@ class MetaComm:
         if self.config.device_links:
             from ..devices.links import LinkConfig, LinkDispatcher
 
-            self.links = LinkDispatcher(metrics=self.obs.registry)
+            self.links = LinkDispatcher(
+                metrics=self.obs.registry, health=self.obs.health
+            )
             link_config = LinkConfig(
                 window=self.config.link_window,
                 batch=self.config.link_batch,
@@ -311,7 +313,8 @@ class MetaComm:
             self.gateway.admission = self.um.admission_check
 
         # Device-link telemetry: every raw device write (fan-out, DDU,
-        # sync push) feeds the health board's latency reservoir.
+        # sync push) feeds the health board's latency reservoir — per op
+        # on the blocking path, per flush from the link dispatcher.
         for binding in bindings:
             device = binding.filter.device
             device.op_observer = self.obs.health.link_observer(binding.name)

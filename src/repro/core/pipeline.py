@@ -291,7 +291,7 @@ class UpdateSequencePipeline:
             "metacomm_um_supplemental_writes_total",
             "Supplemental LDAP writes (closure-derived and "
             "device-generated attributes folded back, section 5.5)",
-        )
+        ).labels()
         self.rolled_back_total = self.registry.counter(
             "metacomm_um_rolled_back_total",
             "Links-mode rollbacks of device commits past an abort point",
@@ -310,7 +310,7 @@ class UpdateSequencePipeline:
         self.parallelism = self.registry.gauge(
             "metacomm_um_fanout_parallelism",
             "Device applies currently in flight in the fan-out stage",
-        )
+        ).labels()
 
     # -- configuration -----------------------------------------------------------
 

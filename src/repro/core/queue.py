@@ -230,7 +230,7 @@ class UpdateQueue:
             self._barrier_wait = registry.histogram(
                 "metacomm_queue_barrier_seconds",
                 "How long serial-lane items waited for all lanes to quiesce",
-            )
+            ).labels()
         if depth_limit is not None:
             admission_deferred = registry.counter(
                 "metacomm_queue_admission_deferred_total",

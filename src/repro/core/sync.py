@@ -62,6 +62,12 @@ class SyncReport:
         )
 
 
+def _held(values, stored: tuple[str, ...]) -> bool:
+    """Is every value of a device image's attribute among the entry's
+    stored values of it?"""
+    return all(value in stored for value in values)
+
+
 class Synchronizer:
     """Drives full-device synchronization through the UM pipeline."""
 
@@ -129,11 +135,15 @@ class Synchronizer:
             # Compare the device's desired LDAP image against the live
             # entry — translate()'s own diff would recompute derived
             # attributes from the entry and mask gaps in the directory.
+            # The rule is the consistency oracle's (MetaComm._compare):
+            # the image's values must be among the entry's, which may
+            # hold more (an RDN disambiguator on cn, say).
+            stored = entry.attributes.lowered()
             diff = {
                 name: values
                 for name, values in image.items()
                 if name.lower() != "lastupdater"
-                and entry.get(name) != tuple(values)
+                and not _held(values, stored.get(name.lower(), ()))
             }
             if not diff:
                 report.skipped += 1

@@ -141,7 +141,7 @@ class UpdateManager:
         self._ldap_events = self.registry.counter(
             "metacomm_um_ldap_events_total",
             "Trigger events received from LTAP (LDAP-originated updates)",
-        )
+        ).labels()
         self._ddus = self.registry.counter(
             "metacomm_um_ddus_total",
             "Direct device updates received from device filters",
@@ -163,7 +163,7 @@ class UpdateManager:
             "metacomm_um_sequence_seconds",
             "Duration of one full update sequence (closure, fan-out, "
             "supplemental write)",
-        )
+        ).labels()
 
         mappings: dict[str, CompiledMapping] = {}
         for binding in bindings:

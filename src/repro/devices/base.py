@@ -151,12 +151,14 @@ class Device:
         #: may raise to simulate device errors.
         self.fault_injector: Callable[[str, str], None] | None = None
         #: Optional link-telemetry hook: called as
-        #: ``(op, key, seconds, ok)`` after every write operation with the
-        #: wall-clock of the whole op (including the simulated link
-        #: round-trip).  The MetaComm health board attaches one per device
-        #: (:meth:`repro.obs.health.HealthBoard.link_observer`); direct
-        #: device updates and sync pushes are observed too, since they
-        #: travel the same management link.
+        #: ``(op, key, seconds, ok)`` after every blocking write operation
+        #: with the wall-clock of the whole op (including the simulated
+        #: link round-trip).  The MetaComm health board attaches one per
+        #: device (:meth:`repro.obs.health.HealthBoard.link_observer`);
+        #: direct device updates and sync pushes are observed too, since
+        #: they travel the same management link.  Ops run by a device
+        #: link's flush are reported by the link dispatcher instead, one
+        #: call per flush.
         self.op_observer: Callable[[str, str, float, bool], None] | None = None
         self.statistics = {"adds": 0, "modifies": 0, "deletes": 0, "reads": 0}
 
@@ -247,26 +249,25 @@ class Device:
         if delay > 0:
             time.sleep(delay)
 
-    @contextmanager
-    def _observed(self, op: str, key: str):
-        """Time one write op for the ``op_observer`` link-telemetry hook.
+    def _observed(self, op: str, key: str, body: Callable, *args):
+        """Run one write op, ``body(*args)``, timed for the
+        ``op_observer`` link-telemetry hook.
 
-        A no-op when no observer is attached; observer exceptions are
+        Untimed when no observer is attached; observer exceptions are
         swallowed — telemetry must never change device semantics.
         Suppressed inside a link flush: the dispatcher reports the full
-        submit-to-completion latency itself via :meth:`observe_op`, and a
-        second near-zero sample here would pollute the reservoir."""
+        submit-to-completion latency itself, and a second near-zero
+        sample here would pollute the reservoir.  A plain call rather
+        than a generator context manager: it wraps every device write."""
         observer = self.op_observer
         if observer is None or _link_sink() is not None:
-            yield
-            return
+            return body(*args)
         start = time.perf_counter()
-        ok = True
+        ok = False
         try:
-            yield
-        except Exception:
-            ok = False
-            raise
+            result = body(*args)
+            ok = True
+            return result
         finally:
             try:
                 observer(op, str(key), time.perf_counter() - start, ok)
@@ -285,8 +286,9 @@ class Device:
 
     def add(self, record: Mapping[str, str], agent: str = "local") -> dict[str, str]:
         """Add a record; returns the committed record (with generated fields)."""
-        with self._observed("add", record.get(self.key_field, "")):
-            return self._add(record, agent)
+        return self._observed(
+            "add", record.get(self.key_field, ""), self._add, record, agent
+        )
 
     def _add(self, record: Mapping[str, str], agent: str) -> dict[str, str]:
         self._check_available()
@@ -327,8 +329,7 @@ class Device:
     ) -> dict[str, str]:
         """Modify fields of one record; a None value removes the field.
         The whole change commits atomically or not at all."""
-        with self._observed("modify", key):
-            return self._modify(key, changes, agent)
+        return self._observed("modify", key, self._modify, key, changes, agent)
 
     def _modify(
         self,
@@ -382,8 +383,7 @@ class Device:
         return dict(updated)
 
     def delete(self, key: str, agent: str = "local") -> dict[str, str]:
-        with self._observed("delete", key):
-            return self._delete(key, agent)
+        return self._observed("delete", key, self._delete, key, agent)
 
     def _delete(self, key: str, agent: str) -> dict[str, str]:
         self._check_available()
@@ -427,20 +427,6 @@ class Device:
         return self.link.submit(
             lambda: method(*args, agent=agent, **kwargs), op=op, key=key
         )
-
-    def observe_op(self, op: str, key: str, seconds: float, ok: bool) -> None:
-        """Feed one completed link op into the ``op_observer`` hook.
-
-        Called by the link dispatcher with submit-to-completion wall-clock
-        so the HealthBoard reservoirs see the same signal they would from
-        the blocking path."""
-        observer = self.op_observer
-        if observer is None:
-            return
-        try:
-            observer(op, str(key), seconds, ok)
-        except Exception:
-            pass
 
     # -- reads -----------------------------------------------------------------
 

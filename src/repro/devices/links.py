@@ -38,10 +38,13 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..obs.metrics import LabelCache, MetricsRegistry
 from .base import Device, DeviceError, DeviceNotification, link_execution
+
+if TYPE_CHECKING:
+    from ..obs.health import HealthBoard
 
 __all__ = ["LinkBusy", "LinkConfig", "DeviceLink", "LinkDispatcher"]
 
@@ -228,7 +231,14 @@ class LinkDispatcher:
     #: Idle wait between wake-ups when no deadline is nearer (seconds).
     POLL = 0.05
 
-    def __init__(self, metrics: MetricsRegistry | None = None):
+    def __init__(
+        self,
+        metrics: MetricsRegistry | None = None,
+        health: "HealthBoard | None" = None,
+    ):
+        #: Where each flush's ops are reported, in one
+        #: :meth:`~repro.obs.health.HealthBoard.record_link` call per flush.
+        self._health = health
         self._cond = threading.Condition()
         self._links: list[DeviceLink] = []
         self._by_name: dict[str, DeviceLink] = {}
@@ -447,13 +457,21 @@ class LinkDispatcher:
             self._m_ops_ok[name].inc(ok_count)
         if fail_count:
             self._m_ops_failed[name].inc(fail_count)
+        # The health board's link feed, before any future resolves: each
+        # op's submit-to-completion wall-clock, the signal the blocking
+        # path's ``op_observer`` reports per op.
+        if self._health is not None:
+            try:
+                self._health.record_link(
+                    name,
+                    [(done - op.submitted, exc is None) for op, _, exc in results],
+                )
+            except Exception:
+                pass  # telemetry must never change device semantics
         for op, result, exc in results:
-            elapsed = done - op.submitted
             if exc is None:
-                device.observe_op(op.op, op.key, elapsed, True)
                 op.future.set_result(result)
             else:
-                device.observe_op(op.op, op.key, elapsed, False)
                 op.future.set_exception(exc)
 
     # -- notifier thread ----------------------------------------------------------

@@ -87,9 +87,10 @@ class CompareRequest(LdapRequest):
     value: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class LdapResult:
-    """The resultCode / matchedDN / errorMessage triple of LDAP responses."""
+    """The resultCode / matchedDN / errorMessage triple of LDAP responses.
+    Immutable, so every success response can share one."""
 
     code: ResultCode = ResultCode.SUCCESS
     matched_dn: str = ""

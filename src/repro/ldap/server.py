@@ -31,6 +31,9 @@ from .result import LdapError, ResultCode
 from .schema import Schema
 from ..obs.metrics import LabelCache, MetricsRegistry
 
+#: The result of every successful operation (results are immutable).
+_SUCCESS = LdapResult()
+
 
 class LdapServer:
     """An in-process LDAP server.
@@ -95,21 +98,15 @@ class LdapServer:
             )
 
     def _dispatch(self, request: LdapRequest, session: Session) -> LdapResponse:
+        if type(request) is SearchRequest:  # the common request, tested first
+            return self._search(request)
         if isinstance(request, BindRequest):
             return self._bind(request, session)
         if isinstance(request, UnbindRequest):
             session.bound_dn = None
-            return LdapResponse(LdapResult())
+            return LdapResponse(_SUCCESS)
         if isinstance(request, SearchRequest):
-            self._op_children["search"].inc()
-            entries = self.backend.search(
-                request.base,
-                request.scope,
-                request.filter,
-                request.attributes,
-                request.size_limit,
-            )
-            return LdapResponse(LdapResult(), entries)
+            return self._search(request)
         if isinstance(request, CompareRequest):
             self._op_children["compare"].inc()
             matched = self.backend.compare(
@@ -123,24 +120,35 @@ class LdapServer:
         if isinstance(request, AddRequest):
             self._op_children["add"].inc()
             self.backend.add(request.entry)
-            return LdapResponse(LdapResult())
+            return LdapResponse(_SUCCESS)
         if isinstance(request, DeleteRequest):
             self._op_children["delete"].inc()
             self.backend.delete(request.dn)
-            return LdapResponse(LdapResult())
+            return LdapResponse(_SUCCESS)
         if isinstance(request, ModifyRequest):
             self._op_children["modify"].inc()
             self.backend.modify(request.dn, request.modifications)
-            return LdapResponse(LdapResult())
+            return LdapResponse(_SUCCESS)
         if isinstance(request, ModifyRdnRequest):
             self._op_children["modifyrdn"].inc()
             self.backend.modify_rdn(
                 request.dn, request.new_rdn, request.delete_old_rdn
             )
-            return LdapResponse(LdapResult())
+            return LdapResponse(_SUCCESS)
         raise LdapError(
             ResultCode.PROTOCOL_ERROR, f"unknown request {type(request).__name__}"
         )
+
+    def _search(self, request: SearchRequest) -> LdapResponse:
+        self._op_children["search"].inc()
+        entries = self.backend.search(
+            request.base,
+            request.scope,
+            request.filter,
+            request.attributes,
+            request.size_limit,
+        )
+        return LdapResponse(_SUCCESS, entries)
 
     def _check_write_access(self, session: Session) -> None:
         if self.require_bind_for_writes and not session.authenticated:
@@ -153,12 +161,12 @@ class LdapServer:
         self._op_children["bind"].inc()
         if request.dn.is_root() and not request.password:
             session.bound_dn = None  # anonymous bind
-            return LdapResponse(LdapResult())
+            return LdapResponse(_SUCCESS)
         if request.dn == self.root_dn:
             if request.password != self.root_password:
                 raise LdapError(ResultCode.INVALID_CREDENTIALS, "bad root password")
             session.bound_dn = request.dn
-            return LdapResponse(LdapResult())
+            return LdapResponse(_SUCCESS)
         try:
             entry = self.backend.get(request.dn)
         except LdapError:
@@ -166,7 +174,7 @@ class LdapServer:
         if not entry.attributes.has_value("userPassword", request.password):
             raise LdapError(ResultCode.INVALID_CREDENTIALS, "bad password")
         session.bound_dn = request.dn
-        return LdapResponse(LdapResult())
+        return LdapResponse(_SUCCESS)
 
     # -- convenience ----------------------------------------------------------
 

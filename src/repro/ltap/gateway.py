@@ -117,18 +117,19 @@ class LtapGateway:
             "LDAP requests intercepted by the LTAP gateway",
             labelnames=("kind",),
         )
+        # Unlabelled families are bound to their one child here, once.
         self._rejected = registry.counter(
             "metacomm_ltap_updates_rejected_total",
             "Updates rejected by LTAP (veto, lock timeout, server error)",
-        )
+        ).labels()
         self._quiesce_waits = registry.counter(
             "metacomm_ltap_quiesce_waits_total",
             "Updates turned away while a synchronization quiesce was held",
-        )
+        ).labels()
         self._busy = registry.counter(
             "metacomm_ltap_busy_total",
             "Updates turned away with ServerBusy by admission control",
-        )
+        ).labels()
         self._trigger_fires = registry.counter(
             "metacomm_ltap_trigger_fires_total",
             "Trigger-processing passes run by the gateway",
@@ -140,7 +141,7 @@ class LtapGateway:
             "metacomm_ltap_process_seconds",
             "End-to-end latency of one update through the gateway "
             "(locks, triggers, server forward, the whole UM sequence)",
-        )
+        ).labels()
 
     # -- trigger management -----------------------------------------------
 
@@ -194,9 +195,10 @@ class LtapGateway:
         self, request: LdapRequest, session: Session | None = None
     ) -> LdapResponse:
         session = session or Session()
-        if isinstance(request, _READ_REQUESTS):
-            if self.access_control is not None and isinstance(
-                request, (SearchRequest, CompareRequest)
+        search = type(request) is SearchRequest  # the common request
+        if search or isinstance(request, _READ_REQUESTS):
+            if self.access_control is not None and (
+                search or isinstance(request, (SearchRequest, CompareRequest))
             ):
                 try:
                     self.access_control.check_request(request, session)

@@ -91,7 +91,11 @@ __all__ = [
 
 class Observability:
     """One system's metrics registry + journal (and its traces) + health
-    board."""
+    board.
+
+    Whether it records is fixed when it is built: a disabled registry
+    binds every series to a no-op child at that time, so there is no
+    switching it on or off later."""
 
     def __init__(
         self,
@@ -115,16 +119,6 @@ class Observability:
     @property
     def enabled(self) -> bool:
         return self.registry.enabled
-
-    def disable(self) -> None:
-        self.registry.enabled = False
-        self.journal.enabled = False
-        self.health.enabled = False
-
-    def enable(self) -> None:
-        self.registry.enabled = True
-        self.journal.enabled = True
-        self.health.enabled = True
 
     def prometheus(self, include_global: bool = True) -> str:
         """Prometheus text format for this system (plus the process-wide

@@ -43,7 +43,7 @@ import time
 from collections import deque
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .metrics import MetricsRegistry
+from .metrics import LabelCache, MetricsRegistry
 
 __all__ = [
     "Event",
@@ -207,12 +207,95 @@ class Event:
 EventListener = Callable[[Event], None]
 
 
+class _Derivation:
+    """One :meth:`EventJournal.derive` registration: what it records into
+    and the source it adds to its kind's fused handler (:func:`_fuse`)."""
+
+    __slots__ = ("target", "suffix", "by")
+
+    def __init__(self, metric, by: str | None, fixed: Mapping[str, str]):
+        free = [name for name in metric.labelnames if name not in fixed]
+        method = "observe" if metric.kind == "histogram" else "inc"
+        self.by = by
+        if not metric.labelnames:
+            # The one child of an unlabelled family exists from its
+            # construction: bind its record method once, here.
+            self.target = getattr(metric.labels(), method)
+            self.suffix = ""
+        else:
+            # Children bound on first use, so no series appears before
+            # its first event; a one-label family is keyed by the value.
+            self.target = LabelCache(metric, **fixed)
+            key = "".join(f"attributes[{name!r}], " for name in free)
+            key = key[:-2] if len(free) == 1 else f"({key})"
+            #: What follows the target's name to make the recording call.
+            self.suffix = f"[{key}].{method}"
+
+    def lines(self, name: str) -> tuple[str, ...]:
+        """The statements recording one event into ``name`` (the target)."""
+        if self.by is None:
+            return (f"{name}{self.suffix}(1)",)
+        # Zeros are skipped: a count of nothing moves nothing.
+        return (
+            f"amount = attributes[{self.by!r}]",
+            "if amount:",
+            f"    {name}{self.suffix}(amount)",
+        )
+
+
+_SWALLOW = (
+    "    except Exception:",
+    "        pass  # a broken consumer must never damage the pipeline",
+)
+
+
+def _fuse(entries: tuple) -> Callable[[Event], None] | None:
+    """One kind's subscribers, in subscription order, as one function.
+
+    The metric updates of consecutive derivations share one ``try`` and
+    read the event's attributes once; each plain handler keeps a ``try``
+    of its own."""
+    if not entries:
+        return None
+    env: dict[str, object] = {}
+    body = ["def deliver(event):"]
+    if any(isinstance(entry, _Derivation) for entry in entries):
+        body.append("    attributes = event.attributes")
+    fused = False
+    for index, entry in enumerate(entries):
+        if isinstance(entry, _Derivation):
+            if not fused:
+                body.append("    try:")
+                fused = True
+            env[f"derived{index}"] = entry.target
+            body.extend(f"        {line}" for line in entry.lines(f"derived{index}"))
+            continue
+        if fused:
+            body.extend(_SWALLOW)
+            fused = False
+        env[f"handler{index}"] = entry
+        body.extend(("    try:", f"        handler{index}(event)", *_SWALLOW))
+    if fused:
+        body.extend(_SWALLOW)
+    source = "\n".join(body) + "\n"
+    exec(compile(source, "<journal route>", "exec"), env)
+    deliver = env["deliver"]
+    deliver.source = source
+    return deliver
+
+
 class _Route:
     """One kind's handler table entry: its events-total child (bound on
-    first emit) and the handlers subscribed to that kind alone."""
+    first emit), the subscribers of that kind alone in subscription order
+    (handlers and derivations), and ``deliver``, those fused into one
+    function (None without any)."""
 
-    counter = None
-    handlers: tuple[EventListener, ...] = ()
+    __slots__ = ("count", "entries", "deliver")
+
+    def __init__(self):
+        self.count = None
+        self.entries: tuple = ()
+        self.deliver: Callable[[Event], None] | None = None
 
 
 class EventJournal:
@@ -224,8 +307,9 @@ class EventJournal:
     Subscribed listeners receive each event after it is stored — the
     ``--follow`` CLI and the test harness use this; listener exceptions
     are swallowed so a broken consumer can never damage the pipeline.
-    Handlers subscribed to particular kinds — derived counters, the
-    health board's outcome feed — run after the all-kinds listeners.
+    What is subscribed to particular kinds — derived metrics, the health
+    board's outcome feed — runs after the all-kinds listeners, as one
+    fused call per event (:meth:`derive`).
     """
 
     def __init__(
@@ -255,7 +339,7 @@ class EventJournal:
         self._dropped = registry.counter(
             "metacomm_journal_dropped_total",
             "Journal events evicted from the bounded ring",
-        )
+        ).labels()
 
     # -- producing ---------------------------------------------------------
 
@@ -275,26 +359,29 @@ class EventJournal:
             event = Event(next(self._seq), time.time(), kind, trace, attributes)
             self._events.append(event)
             # Snapshot inside the critical section: subscribe/unsubscribe
-            # swap these tuples under this lock, so the snapshot is the
-            # exact handler set that existed when the event entered the
-            # journal — and delivery below happens with the lock released.
+            # swap these under this lock, so the snapshot is the exact
+            # handler set that existed when the event entered the journal
+            # — and delivery below happens with the lock released.
             route = self._routes.get(kind)
             if route is None:
                 route = self._routes[kind] = _Route()
-            handlers = self._listeners + route.handlers
-        counter = route.counter
-        if counter is None:
+            listeners = self._listeners
+            deliver = route.deliver
+        count = route.count
+        if count is None:
             # Benign race: two threads may both bind the child; the
             # registry dedupes by label key, so both get the same one.
-            counter = route.counter = self._emitted.labels(kind=kind)
-        counter.inc()
+            count = route.count = self._emitted.labels(kind=kind).inc
+        count()
         if dropping:
             self._dropped.inc()
-        for handler in handlers:
+        for listener in listeners:
             try:
-                handler(event)
+                listener(event)
             except Exception:
                 pass  # a broken consumer must never damage the pipeline
+        if deliver is not None:
+            deliver(event)
         return event
 
     # -- subscriptions -----------------------------------------------------
@@ -304,13 +391,19 @@ class EventJournal:
     ) -> EventListener:
         """Deliver every event to ``listener`` — or, with ``kinds``, only
         events of those kinds, after the all-kinds listeners."""
-        with self._lock:
-            if kinds is None:
+        if kinds is None:
+            with self._lock:
                 self._listeners = self._listeners + (listener,)
-            for kind in kinds or ():
-                route = self._routes.setdefault(kind, _Route())
-                route.handlers = route.handlers + (listener,)
+        else:
+            self._add_entry(listener, kinds)
         return listener
+
+    def _add_entry(self, entry, kinds: Iterable[str]) -> None:
+        with self._lock:
+            for kind in kinds:
+                route = self._routes.setdefault(kind, _Route())
+                route.entries = route.entries + (entry,)
+                route.deliver = _fuse(route.entries)
 
     def unsubscribe(self, listener: EventListener) -> None:
         with self._lock:
@@ -320,37 +413,21 @@ class EventJournal:
                 l for l in self._listeners if l != listener
             )
             for route in self._routes.values():
-                route.handlers = tuple(
-                    h for h in route.handlers if h != listener
-                )
+                entries = tuple(e for e in route.entries if e != listener)
+                if entries != route.entries:
+                    route.entries = entries
+                    route.deliver = _fuse(entries)
 
     def derive(self, kind: str, metric, by: str | None = None, **labels) -> None:
         """Derive ``metric`` from ``kind``: per event a counter adds one, or
         its ``by`` attribute, and a histogram observes ``by`` (zeros are
         skipped).  Labels not fixed by ``labels`` take the value of the
-        event attribute of the same name."""
-        names = tuple(name for name in metric.labelnames if name not in labels)
-        record = "observe" if metric.kind == "histogram" else "inc"
-        #: label values -> bound record method, so an event pays no
-        #: ``.labels()`` lookup.
-        children: dict[tuple, Callable[[float], None]] = {}
+        event attribute of the same name.
 
-        def handler(event: Event) -> None:
-            attributes = event.attributes
-            amount = attributes[by] if by is not None else 1
-            if not amount:
-                return
-            key = tuple([attributes[name] for name in names])
-            child = children.get(key)
-            if child is None:
-                # Benign race: the registry dedupes by label key.
-                child = getattr(
-                    metric.labels(**labels, **dict(zip(names, key))), record
-                )
-                children[key] = child
-            child(amount)
-
-        self.subscribe(handler, kinds=(kind,))
+        Every derivation of a kind is fused, with the kind's other
+        subscribers, into one generated handler (``deliver.source`` on
+        the route shows it)."""
+        self._add_entry(_Derivation(metric, by, labels), (kind,))
 
     # -- reading -----------------------------------------------------------
 

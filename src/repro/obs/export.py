@@ -68,7 +68,8 @@ def render_prometheus(*registries: MetricsRegistry) -> str:
                         f"{_format_value(child.value)}"
                     )
                 elif isinstance(metric, Histogram):
-                    for bound, count in child.cumulative():
+                    cumulative = child.cumulative()
+                    for bound, count in cumulative:
                         bucket_labels = dict(labels)
                         bucket_labels["le"] = _format_value(bound)
                         lines.append(
@@ -81,7 +82,7 @@ def render_prometheus(*registries: MetricsRegistry) -> str:
                     )
                     lines.append(
                         f"{metric.name}_count{_format_labels(labels)} "
-                        f"{child.count}"
+                        f"{cumulative[-1][1]}"
                     )
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -40,7 +40,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .events import DEVICE_COMMIT, DEVICE_FAILURE, HEALTH_TRANSITION, EventJournal
 from .metrics import MetricsRegistry
@@ -71,25 +71,37 @@ class LatencyReservoir:
     Percentiles are computed over the window with nearest-rank
     interpolation — exact for the window, O(n log n) on query, O(1) on
     observe, which is the right trade for a hot observe path and a
-    low-rate query path (the auditor refreshing gauges).
+    low-rate query path (the auditor refreshing gauges).  ``lock`` lets
+    an owner guard the window with its own lock, so that it can append
+    under a lock it already holds (:meth:`DeviceHealth.record_links`).
     """
 
-    def __init__(self, size: int = 128):
+    def __init__(self, size: int = 128, lock=None):
         if size < 1:
             raise ValueError("reservoir size must be >= 1")
         self.size = size
         self._samples: deque[float] = deque(maxlen=size)
-        self._lock = threading.Lock()
+        if lock is None:
+            self._lock = threading.Lock()
+        else:
+            self._lock = lock
 
     def observe(self, value: float) -> None:
         with self._lock:
             self._samples.append(float(value))
 
+    def observe_locked(self, value: float) -> None:
+        """:meth:`observe` for a caller that holds the reservoir's lock."""
+        self._samples.append(float(value))
+
     def percentile(self, p: float) -> float:
         """The p-th percentile (0..100) of the window; 0.0 when empty."""
         with self._lock:
-            samples = sorted(self._samples)
-        return _nearest_rank(samples, p)
+            return self.percentile_locked(p)
+
+    def percentile_locked(self, p: float) -> float:
+        """:meth:`percentile` for a caller that holds the reservoir's lock."""
+        return _nearest_rank(sorted(self._samples), p)
 
     def quantiles(self) -> dict[str, float]:
         """The dashboard trio: p50/p95/p99 in one sorted pass."""
@@ -136,15 +148,18 @@ class HealthPolicy:
 
 
 class DeviceHealth:
-    """Rolling health facts for one device link."""
+    """Rolling health facts for one device link, all guarded by one lock
+    (the latency reservoir's too), so each feed takes it once."""
 
     def __init__(self, name: str, policy: HealthPolicy | None = None):
         self.name = name
         self.policy = policy if policy is not None else HealthPolicy()
-        self.reservoir = LatencyReservoir(self.policy.reservoir_size)
         self._lock = threading.Lock()
-        self._window: deque[bool] = deque()  # True = success
+        self.reservoir = LatencyReservoir(self.policy.reservoir_size, self._lock)
+        self._window: deque[bool] = deque(maxlen=self.policy.window)  # True = success
         self._window_failures = 0
+        #: The state the last outcome left, for transition detection.
+        self._state = HEALTHY
         self.streak = 0  # consecutive failures
         self.successes = 0
         self.failures = 0
@@ -158,32 +173,48 @@ class DeviceHealth:
 
     # -- feeds -------------------------------------------------------------
 
-    def record_outcome(self, seconds: float, ok: bool) -> None:
-        """One fan-out outcome: the device accepted/rejected its update."""
+    def record_outcome(
+        self, seconds: float, ok: bool, serial: int = 0
+    ) -> tuple[int, str, str]:
+        """One fan-out outcome: the device accepted/rejected its update,
+        and a commit's ``serial``.  Returns ``(streak, previous, state)``:
+        the failure streak and the derived state before and after."""
         now = time.time()
+        window = self._window
         with self._lock:
-            self._window.append(ok)
-            if not ok:
-                self._window_failures += 1
-            while len(self._window) > self.policy.window:
-                if not self._window.popleft():
-                    self._window_failures -= 1
+            if window and len(window) == window.maxlen and not window[0]:
+                self._window_failures -= 1  # the append evicts a failure
+            window.append(ok)
             if ok:
                 self.successes += 1
                 self.streak = 0
                 self.last_success_at = now
+                if serial > self.last_applied_serial:
+                    self.last_applied_serial = serial
+                    self.last_applied_at = now
             else:
+                self._window_failures += 1
                 self.failures += 1
                 self.streak += 1
                 self.last_failure_at = now
+            previous = self._state
+            state = self._state = self._state_locked()
+            return self.streak, previous, state
+
+    def record_links(self, samples: Iterable[tuple[float, bool]]) -> None:
+        """Raw device operations (the link feed), as ``(seconds, ok)``
+        pairs: one blocking op, or every op of one link flush."""
+        with self._lock:
+            observe = self.reservoir.observe_locked
+            for seconds, ok in samples:
+                observe(seconds)
+                self.link_ops += 1
+                if not ok:
+                    self.link_errors += 1
 
     def record_link(self, seconds: float, ok: bool) -> None:
-        """One raw device operation (the ``op_observer`` feed)."""
-        self.reservoir.observe(seconds)
-        with self._lock:
-            self.link_ops += 1
-            if not ok:
-                self.link_errors += 1
+        """One raw device operation."""
+        self.record_links(((seconds, ok),))
 
     def note_applied(self, serial: int) -> None:
         with self._lock:
@@ -203,27 +234,14 @@ class DeviceHealth:
     @property
     def state(self) -> str:
         with self._lock:
-            streak = self.streak
-            window = len(self._window)
-            failures = self._window_failures
-        if streak >= self.policy.unreachable_streak:
-            return UNREACHABLE
-        if window and failures / window > self.policy.degraded_error_rate:
-            return DEGRADED
-        if (
-            self.policy.degraded_p95 is not None
-            and len(self.reservoir)
-            and self.reservoir.percentile(95) > self.policy.degraded_p95
-        ):
-            return DEGRADED
-        return HEALTHY
+            return self._state_locked()
 
     def snapshot(self) -> dict:
         quantiles = self.reservoir.quantiles()
         with self._lock:
             return {
                 "device": self.name,
-                "state": self.state_unlocked(),
+                "state": self._state_locked(),
                 "successes": self.successes,
                 "failures": self.failures,
                 "streak": self.streak,
@@ -240,14 +258,19 @@ class DeviceHealth:
                 "last_failure_at": self.last_failure_at,
             }
 
-    def state_unlocked(self) -> str:
-        """State computed from already-held-lock fields (internal)."""
+    def _state_locked(self) -> str:
+        """The derived state; caller holds ``_lock``."""
         if self.streak >= self.policy.unreachable_streak:
             return UNREACHABLE
         if (
             self._window
             and self._window_failures / len(self._window)
             > self.policy.degraded_error_rate
+        ):
+            return DEGRADED
+        if (
+            self.policy.degraded_p95 is not None
+            and self.reservoir.percentile_locked(95) > self.policy.degraded_p95
         ):
             return DEGRADED
         return HEALTHY
@@ -280,11 +303,14 @@ class HealthBoard:
             self._on_outcome, kinds=(DEVICE_COMMIT, DEVICE_FAILURE)
         )
         self._devices: dict[str, DeviceHealth] = {}
-        self._states: dict[str, str] = {}
         self._lock = threading.Lock()
-        #: name -> (ok counter, error counter, streak gauge, state gauge)
-        #: children, resolved once per device — ``.labels()`` key building
-        #: is measurable on the per-outcome hot path.
+        #: name -> its DeviceHealth, for the feeds: filled from
+        #: :meth:`device` on first use and never guarded, so a feed takes
+        #: no board lock (a stale miss just asks :meth:`device` again).
+        self._health: dict[str, DeviceHealth] = {}
+        #: name -> (health, ok counter, error counter, streak gauge, state
+        #: gauge) children, resolved once per device — ``.labels()`` key
+        #: building is measurable on the per-outcome hot path.
         self._hot_children: dict[str, tuple] = {}
         #: name -> the children :meth:`refresh_gauges` sets, likewise.
         self._gauge_children: dict[str, tuple] = {}
@@ -327,9 +353,7 @@ class HealthBoard:
         with self._lock:
             health = self._devices.get(name)
             if health is None:
-                health = DeviceHealth(name, self.policy)
-                self._devices[name] = health
-                self._states[name] = HEALTHY
+                health = self._devices[name] = DeviceHealth(name, self.policy)
             return health
 
     def devices(self) -> list[DeviceHealth]:
@@ -341,11 +365,18 @@ class HealthBoard:
 
     # -- feeds -------------------------------------------------------------
 
+    def _device(self, name: str) -> DeviceHealth:
+        health = self._health.get(name)
+        if health is None:
+            health = self._health[name] = self.device(name)
+        return health
+
     def _hot(self, name: str) -> tuple:
         children = self._hot_children.get(name)
         if children is None:
             # Benign race: both threads resolve the same registry children.
             children = (
+                self._device(name),
                 self._attempts.labels(device=name, outcome="ok"),
                 self._attempts.labels(device=name, outcome="error"),
                 self._streak_gauge.labels(device=name),
@@ -357,36 +388,54 @@ class HealthBoard:
     def _on_outcome(self, event) -> None:
         """The outcome feed: one ``device.commit``/``device.failure``."""
         attributes = event.attributes
-        name = attributes["device"]
         ok = event.kind == DEVICE_COMMIT
-        self.record_outcome(name, attributes["duration"], ok)
-        if ok and attributes["serial"]:
-            self.note_applied(name, attributes["serial"])
+        self.record_outcome(
+            attributes["device"],
+            attributes["duration"],
+            ok,
+            (attributes["serial"] or 0) if ok else 0,
+        )
 
-    def record_outcome(self, name: str, seconds: float, ok: bool) -> None:
-        """One per-device apply outcome."""
+    def record_outcome(
+        self, name: str, seconds: float, ok: bool, serial: int = 0
+    ) -> None:
+        """One per-device apply outcome (and a commit's serial): one
+        :class:`DeviceHealth` call, so one lock, then the metrics and a
+        ``health.transition`` if the state flipped."""
         if not self.enabled:
             return
-        health = self.device(name)
-        health.record_outcome(seconds, ok)
-        ok_child, error_child, streak_child, state_child = self._hot(name)
+        health, ok_child, error_child, streak_child, state_child = self._hot(name)
+        streak, previous, state = health.record_outcome(seconds, ok, serial)
         (ok_child if ok else error_child).inc()
-        streak_child.set(health.streak)
-        self._after_change(health, state_child)
+        streak_child.set(streak)
+        if state != previous:
+            # The gauge was bound at 0 (healthy), the state every device
+            # starts in, so it moves only on a transition.
+            state_child.set(STATE_CODES[state])
+            self.journal.emit(
+                HEALTH_TRANSITION,
+                device=name,
+                previous=previous,
+                state=state,
+                streak=streak,
+                error_rate=round(health.error_rate, 4),
+            )
 
     def record_link(
-        self, name: str, op: str, seconds: float, ok: bool
+        self, name: str, samples: Iterable[tuple[float, bool]]
     ) -> None:
-        """The device feed: one raw add/modify/delete at the device."""
+        """The device feed: raw add/modify/delete ops at the device, as
+        ``(seconds, ok)`` pairs — one blocking op, or a whole link flush
+        (the link dispatcher reports each flush in one call)."""
         if not self.enabled:
             return
-        self.device(name).record_link(seconds, ok)
+        self._device(name).record_links(samples)
 
     def link_observer(self, name: str):
         """An ``op_observer`` callable for :class:`repro.devices.base.Device`."""
 
         def observer(op: str, key: str, seconds: float, ok: bool) -> None:
-            self.record_link(name, op, seconds, ok)
+            self.record_link(name, ((seconds, ok),))
 
         return observer
 
@@ -397,23 +446,6 @@ class HealthBoard:
 
     # -- derived / export --------------------------------------------------
 
-    def _after_change(self, health: DeviceHealth, state_child) -> None:
-        """Detect a state transition and publish it (gauge + journal)."""
-        state = health.state
-        with self._lock:
-            previous = self._states.get(health.name, HEALTHY)
-            self._states[health.name] = state
-        state_child.set(STATE_CODES[state])
-        if state != previous:
-            self.journal.emit(
-                HEALTH_TRANSITION,
-                device=health.name,
-                previous=previous,
-                state=state,
-                streak=health.streak,
-                error_rate=round(health.error_rate, 4),
-            )
-
     def _gauges(self, name: str) -> tuple:
         """The low-rate gauge children of one device, resolved once:
         error rate, streak, state, lag and quantile → latency child."""
@@ -421,7 +453,7 @@ class HealthBoard:
         if children is None:
             # Benign race, as in _hot: concurrent cycles resolve the same
             # registry children.
-            _, _, streak_child, state_child = self._hot(name)
+            _, _, _, streak_child, state_child = self._hot(name)
             children = (
                 self._error_rate_gauge.labels(device=name),
                 streak_child,

@@ -21,9 +21,11 @@ system creates its own registry so tests and co-hosted systems never share
 counters.  Module-level code with no instance to hang a registry on (the
 lexpress interpreter) uses the process-wide :func:`global_registry`.
 
-Registries can be created *disabled*: every update becomes a cheap no-op,
-which is what the instrumentation-overhead smoke benchmark compares
-against.
+Registries can be created *disabled*: every series is then bound to one
+shared no-op child, so a write costs a call that does nothing — which is
+what the instrumentation-overhead smoke benchmark compares against.
+Whether a registry records is decided when a series is bound, never on a
+write.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left
+from contextlib import nullcontext
+from threading import get_ident
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -66,7 +70,8 @@ def _label_key(
 
 class LabelCache(dict):
     """A labelled family's children keyed by the value of its one free
-    label (the others fixed at construction), each resolved on first use.
+    label (the others fixed at construction) — or, with several free
+    labels, by the tuple of their values — each resolved on first use.
 
     Hot paths index this instead of calling ``.labels(...)``, which checks
     and builds the label key on every call; and since a child is bound
@@ -74,15 +79,16 @@ class LabelCache(dict):
 
     def __init__(self, metric: "Metric", **fixed: str):
         super().__init__()
-        (self._free,) = [n for n in metric.labelnames if n not in fixed]
+        self._free = tuple(n for n in metric.labelnames if n not in fixed)
         self._metric = metric
         self._fixed = fixed
 
-    def __missing__(self, value: str):
+    def __missing__(self, key):
+        values = (key,) if len(self._free) == 1 else key
         # Benign race: two threads may both bind the child; the registry
         # dedupes by label key, so both get the same one.
-        child = self[value] = self._metric.labels(
-            **self._fixed, **{self._free: value}
+        child = self[key] = self._metric.labels(
+            **self._fixed, **dict(zip(self._free, values))
         )
         return child
 
@@ -108,17 +114,24 @@ class Metric:
         if not self.labelnames:
             # Unlabelled metrics have exactly one child, created eagerly so
             # the hot path never takes the family lock.
-            self._default = self._make_child()
+            self._default = self._bind()
             self._children[()] = self._default
         else:
             self._default = None
 
-    @property
-    def enabled(self) -> bool:
-        return self.registry is None or self.registry.enabled
+    def _bind(self):
+        """A new child — or, in a registry built disabled, the family's
+        shared no-op child: whether to record is decided once, here, and
+        never again on a write."""
+        if self.registry is not None and not self.registry.enabled:
+            return self._noop()
+        return self._make_child()
 
     def _make_child(self):
         raise NotImplementedError
+
+    def _noop(self):
+        return _NOOP
 
     def labels(self, **labels: str):
         """The child bound to one label combination (created on demand)."""
@@ -128,7 +141,7 @@ class Metric:
         child = self._children.get(key)  # lexcheck: ignore[LX503]
         if child is None:
             with self._lock:
-                child = self._children.setdefault(key, self._make_child())
+                child = self._children.setdefault(key, self._bind())
         return child
 
     def _child(self):
@@ -148,27 +161,44 @@ class Metric:
         return f"{type(self).__name__}({self.name!r})"
 
 
-class _CounterChild:
-    __slots__ = ("_value", "_lock", "_metric")
+# -- children ---------------------------------------------------------------
+#
+# A child keeps one cell per writing thread, keyed by the thread's id: a
+# write adds to the caller's own cell and takes no lock, and a read sums
+# the cells (the G-Counter of Shapiro & Preguica, with threads for
+# replicas).  Two things make the unlocked add safe under the GIL: only
+# the thread a cell is keyed by ever writes it, and every dict operation
+# used here (``get``, item store, ``list(d.values())``) is one atomic step.
+# A thread id the runtime reuses after its thread ended keys the same
+# cell, which the new thread simply goes on adding to — the dead thread
+# writes no more, so no add is lost.  docs/CONCURRENCY.md has the argument.
 
-    def __init__(self, metric: "Counter"):
-        self._metric = metric
-        self._value = 0.0
-        self._lock = threading.Lock()
+
+def _cells_total(cells: dict) -> float:
+    total = 0.0
+    for cell in list(cells.values()):
+        total += cell[0]
+    return total
+
+
+class _CounterChild:
+    __slots__ = ("_cells",)
+
+    def __init__(self):
+        #: thread id -> [this thread's running total]
+        self._cells: dict[int, list] = {}
 
     def inc(self, amount: float = 1.0) -> None:
-        if not self._metric.enabled:
-            return
         if amount < 0:
             raise ValueError("counters can only increase")
-        with self._lock:
-            self._value += amount
+        cell = self._cells.get(get_ident())
+        if cell is None:
+            cell = self._cells[get_ident()] = [0.0]
+        cell[0] += amount
 
     @property
     def value(self) -> float:
-        # Scrape-side read of one float: torn-read-free under the GIL,
-        # and a scrape racing an inc() legitimately sees either total.
-        return self._value  # lexcheck: ignore[LX503]
+        return _cells_total(self._cells)
 
 
 class Counter(Metric):
@@ -177,7 +207,7 @@ class Counter(Metric):
     kind = "counter"
 
     def _make_child(self) -> _CounterChild:
-        return _CounterChild(self)
+        return _CounterChild()
 
     def inc(self, amount: float = 1.0) -> None:
         self._child().inc(amount)
@@ -192,39 +222,46 @@ class Counter(Metric):
 
 
 class _GaugeChild:
-    __slots__ = ("_value", "_lock", "_metric")
+    """``set`` stores the value; ``inc``/``dec``/``track`` add to the
+    caller's own cell, and the cells' total since the last ``set`` rides
+    on top of the stored value."""
 
-    def __init__(self, metric: "Gauge"):
-        self._metric = metric
+    __slots__ = ("_value", "_base", "_cells", "_tracker")
+
+    def __init__(self):
         self._value = 0.0
-        self._lock = threading.Lock()
+        #: The cells' total when ``set`` last ran.
+        self._base = 0.0
+        self._cells: dict[int, list] = {}
+        self._tracker = _GaugeTracker(self)
 
     def set(self, value: float) -> None:
-        if not self._metric.enabled:
-            return
-        with self._lock:
-            self._value = float(value)
+        self._value = float(value)
+        if self._cells:
+            self._base = _cells_total(self._cells)
 
     def inc(self, amount: float = 1.0) -> None:
-        if not self._metric.enabled:
-            return
-        with self._lock:
-            self._value += amount
+        cell = self._cells.get(get_ident())
+        if cell is None:
+            cell = self._cells[get_ident()] = [0.0]
+        cell[0] += amount
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
     def track(self) -> "_GaugeTracker":
-        return _GaugeTracker(self)
+        return self._tracker
 
     @property
     def value(self) -> float:
-        # Same benign race as _CounterChild.value: single-float snapshot.
-        return self._value  # lexcheck: ignore[LX503]
+        if not self._cells:
+            return self._value
+        return self._value + (_cells_total(self._cells) - self._base)
 
 
 class _GaugeTracker:
-    """Context manager: +1 on entry, -1 on exit (in-flight tracking)."""
+    """Context manager: +1 on entry, -1 on exit (in-flight tracking).
+    Stateless, so each gauge child hands out the same one."""
 
     __slots__ = ("_child",)
 
@@ -236,7 +273,7 @@ class _GaugeTracker:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._child.dec()
+        self._child.inc(-1.0)
 
 
 class Gauge(Metric):
@@ -245,7 +282,7 @@ class Gauge(Metric):
     kind = "gauge"
 
     def _make_child(self) -> _GaugeChild:
-        return _GaugeChild(self)
+        return _GaugeChild()
 
     def set(self, value: float) -> None:
         self._child().set(value)
@@ -266,38 +303,53 @@ class Gauge(Metric):
 
 
 class _HistogramChild:
-    __slots__ = ("_metric", "_lock", "counts", "sum", "count")
+    __slots__ = ("_buckets", "_cells")
 
-    def __init__(self, metric: "Histogram"):
-        self._metric = metric
-        self._lock = threading.Lock()
-        self.counts = [0] * (len(metric.buckets) + 1)  # last = +Inf
-        self.sum = 0.0
-        self.count = 0
+    def __init__(self, buckets: tuple[float, ...]):
+        self._buckets = buckets
+        #: thread id -> [count per bucket..., +Inf count, sum]
+        self._cells: dict[int, list] = {}
 
     def observe(self, value: float) -> None:
-        if not self._metric.enabled:
-            return
-        buckets = self._metric.buckets
+        cell = self._cells.get(get_ident())
+        if cell is None:
+            cell = self._cells[get_ident()] = [0] * (len(self._buckets) + 1)
+            cell.append(0.0)
+        buckets = self._buckets
         # The first bound >= value; NaN compares false to every bound, so
         # it belongs in +Inf (bisect_left alone would file it first).
-        index = bisect_left(buckets, value) if value == value else len(buckets)
-        with self._lock:
-            self.counts[index] += 1
-            self.sum += value
-            self.count += 1
+        cell[bisect_left(buckets, value) if value == value else len(buckets)] += 1
+        cell[-1] += value
 
     def time(self) -> "_HistogramTimer":
         return _HistogramTimer(self)
 
+    def _counts(self) -> Iterable[int]:
+        """The per-bucket counts (+Inf last), every cell summed."""
+        cells = list(self._cells.values())
+        if len(cells) == 1:
+            return cells[0][:-1]
+        if not cells:
+            return [0] * (len(self._buckets) + 1)
+        return [sum(column) for column in zip(*cells)][:-1]
+
+    @property
+    def count(self) -> int:
+        return sum(self._counts())
+
+    @property
+    def sum(self) -> float:
+        total = 0.0
+        for cell in list(self._cells.values()):
+            total += cell[-1]
+        return total
+
     def cumulative(self) -> list[tuple[float, int]]:
-        """(upper bound, cumulative count) pairs, ending with +Inf."""
-        with self._lock:
-            counts = list(self.counts)
+        """(upper bound, cumulative count) pairs, ending with +Inf — whose
+        count is the histogram's count."""
         out: list[tuple[float, int]] = []
         running = 0
-        bounds = [*self._metric.buckets, _INF]
-        for bound, count in zip(bounds, counts):
+        for bound, count in zip((*self._buckets, _INF), self._counts()):
             running += count
             out.append((bound, running))
         return out
@@ -305,6 +357,8 @@ class _HistogramChild:
 
 class _HistogramTimer:
     """Context manager observing the wall-clock time of its block."""
+
+    __slots__ = ("_child", "_start")
 
     def __init__(self, child: _HistogramChild):
         self._child = child
@@ -332,10 +386,14 @@ class Histogram(Metric):
         buckets: Iterable[float] | None = None,
     ):
         self.buckets = tuple(sorted(buckets if buckets is not None else DEFAULT_BUCKETS))
+        self._noop_child = _NoopChild(self.buckets)
         super().__init__(name, help, labelnames, registry)
 
     def _make_child(self) -> _HistogramChild:
-        return _HistogramChild(self)
+        return _HistogramChild(self.buckets)
+
+    def _noop(self) -> "_NoopChild":
+        return self._noop_child
 
     def observe(self, value: float) -> None:
         self._child().observe(value)
@@ -353,6 +411,38 @@ class Histogram(Metric):
 
     def cumulative(self) -> list[tuple[float, int]]:
         return self._child().cumulative()
+
+
+class _NoopChild:
+    """What a registry built disabled binds for every series: every write
+    is a no-op and every read is zero.  Counters and gauges share one;
+    each histogram family has its own, for its bucket bounds."""
+
+    __slots__ = ("_buckets",)
+
+    value = 0.0
+    count = 0
+    sum = 0.0
+
+    def __init__(self, buckets: tuple[float, ...] = ()):
+        self._buckets = buckets
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    set = dec = observe = inc
+
+    def track(self) -> nullcontext:
+        return _NULL_CONTEXT
+
+    time = track
+
+    def cumulative(self) -> list[tuple[float, int]]:
+        return [(bound, 0) for bound in (*self._buckets, _INF)]
+
+
+_NOOP = _NoopChild()
+_NULL_CONTEXT = nullcontext()
 
 
 class MetricsRegistry:
@@ -450,14 +540,14 @@ class MetricsRegistry:
             for key, child in metric.children():
                 labels = dict(zip(metric.labelnames, key))
                 if metric.kind == "histogram":
+                    cumulative = child.cumulative()
                     entry["samples"].append(
                         {
                             "labels": labels,
-                            "count": child.count,
+                            "count": cumulative[-1][1],
                             "sum": child.sum,
                             "buckets": [
-                                [bound, count]
-                                for bound, count in child.cumulative()
+                                [bound, count] for bound, count in cumulative
                             ],
                         }
                     )

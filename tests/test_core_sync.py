@@ -92,6 +92,25 @@ class TestDisconnectedRecovery:
         entry = conn.get("cn=A B,o=Lucent")
         assert not entry.has("definityExtension")
 
+    def test_resync_of_same_name_people_changes_nothing(self, system):
+        # Two stations named alike: the second person's entry gets an
+        # RDN disambiguator as an extra cn value, so the directory holds
+        # more than the device image.  The oracle accepts that (the image
+        # must be a subset of the entry); a resync must not read it as
+        # drift and try to rewrite the entry.
+        terminal = system.terminal()
+        for ext in ("4100", "4101"):
+            assert terminal.execute(
+                f'add station {ext} name "Doe, John" room 1A'
+            ).ok
+        assert system.consistent()
+
+        report = system.sync.synchronize("definity")
+        assert report.modified == 0
+        assert report.errors == []
+        assert system.error_log.entries() == []
+        assert system.consistent()
+
     def test_sync_report_renders(self, system):
         report = system.sync.synchronize("definity")
         text = str(report)

@@ -213,7 +213,7 @@ class TestHealthBoard:
     def test_disabled_board_is_inert(self):
         board = HealthBoard(MetricsRegistry(), enabled=False)
         board.record_outcome("pbx", 0.01, False)
-        board.record_link("pbx", "add", 0.01, True)
+        board.record_link("pbx", [(0.01, True)])
         board.note_applied("pbx", 3)
         board.refresh_gauges(last_serial=5)
         assert board.devices() == []
