@@ -98,15 +98,21 @@ class LdapServer:
             )
 
     def _dispatch(self, request: LdapRequest, session: Session) -> LdapResponse:
-        if type(request) is SearchRequest:  # the common request, tested first
-            return self._search(request)
+        if isinstance(request, SearchRequest):  # the common request, tested first
+            self._op_children["search"].inc()
+            entries = self.backend.search(
+                request.base,
+                request.scope,
+                request.filter,
+                request.attributes,
+                request.size_limit,
+            )
+            return LdapResponse(_SUCCESS, entries)
         if isinstance(request, BindRequest):
             return self._bind(request, session)
         if isinstance(request, UnbindRequest):
             session.bound_dn = None
             return LdapResponse(_SUCCESS)
-        if isinstance(request, SearchRequest):
-            return self._search(request)
         if isinstance(request, CompareRequest):
             self._op_children["compare"].inc()
             matched = self.backend.compare(
@@ -138,17 +144,6 @@ class LdapServer:
         raise LdapError(
             ResultCode.PROTOCOL_ERROR, f"unknown request {type(request).__name__}"
         )
-
-    def _search(self, request: SearchRequest) -> LdapResponse:
-        self._op_children["search"].inc()
-        entries = self.backend.search(
-            request.base,
-            request.scope,
-            request.filter,
-            request.attributes,
-            request.size_limit,
-        )
-        return LdapResponse(_SUCCESS, entries)
 
     def _check_write_access(self, session: Session) -> None:
         if self.require_bind_for_writes and not session.authenticated:

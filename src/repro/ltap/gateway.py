@@ -195,10 +195,9 @@ class LtapGateway:
         self, request: LdapRequest, session: Session | None = None
     ) -> LdapResponse:
         session = session or Session()
-        search = type(request) is SearchRequest  # the common request
-        if search or isinstance(request, _READ_REQUESTS):
-            if self.access_control is not None and (
-                search or isinstance(request, (SearchRequest, CompareRequest))
+        if isinstance(request, _READ_REQUESTS):
+            if self.access_control is not None and isinstance(
+                request, (SearchRequest, CompareRequest)
             ):
                 try:
                     self.access_control.check_request(request, session)

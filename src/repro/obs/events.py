@@ -252,30 +252,24 @@ _SWALLOW = (
 def _fuse(entries: tuple) -> Callable[[Event], None] | None:
     """One kind's subscribers, in subscription order, as one function.
 
-    The metric updates of consecutive derivations share one ``try`` and
-    read the event's attributes once; each plain handler keeps a ``try``
-    of its own."""
+    The derivations read the event's attributes once; every subscriber,
+    derivation or handler, keeps a ``try`` of its own, so one that raises
+    skips none of the others."""
     if not entries:
         return None
     env: dict[str, object] = {}
     body = ["def deliver(event):"]
     if any(isinstance(entry, _Derivation) for entry in entries):
         body.append("    attributes = event.attributes")
-    fused = False
     for index, entry in enumerate(entries):
         if isinstance(entry, _Derivation):
-            if not fused:
-                body.append("    try:")
-                fused = True
             env[f"derived{index}"] = entry.target
-            body.extend(f"        {line}" for line in entry.lines(f"derived{index}"))
-            continue
-        if fused:
-            body.extend(_SWALLOW)
-            fused = False
-        env[f"handler{index}"] = entry
-        body.extend(("    try:", f"        handler{index}(event)", *_SWALLOW))
-    if fused:
+            lines = entry.lines(f"derived{index}")
+        else:
+            env[f"handler{index}"] = entry
+            lines = (f"handler{index}(event)",)
+        body.append("    try:")
+        body.extend(f"        {line}" for line in lines)
         body.extend(_SWALLOW)
     source = "\n".join(body) + "\n"
     exec(compile(source, "<journal route>", "exec"), env)

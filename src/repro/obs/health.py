@@ -71,47 +71,30 @@ class LatencyReservoir:
     Percentiles are computed over the window with nearest-rank
     interpolation — exact for the window, O(n log n) on query, O(1) on
     observe, which is the right trade for a hot observe path and a
-    low-rate query path (the auditor refreshing gauges).  ``lock`` lets
-    an owner guard the window with its own lock, so that it can append
-    under a lock it already holds (:meth:`DeviceHealth.record_links`).
+    low-rate query path (the auditor refreshing gauges).  It takes no
+    lock: its owner guards it (:class:`DeviceHealth` under its own lock).
     """
 
-    def __init__(self, size: int = 128, lock=None):
+    def __init__(self, size: int = 128):
         if size < 1:
             raise ValueError("reservoir size must be >= 1")
         self.size = size
         self._samples: deque[float] = deque(maxlen=size)
-        if lock is None:
-            self._lock = threading.Lock()
-        else:
-            self._lock = lock
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self._samples.append(float(value))
-
-    def observe_locked(self, value: float) -> None:
-        """:meth:`observe` for a caller that holds the reservoir's lock."""
         self._samples.append(float(value))
 
     def percentile(self, p: float) -> float:
         """The p-th percentile (0..100) of the window; 0.0 when empty."""
-        with self._lock:
-            return self.percentile_locked(p)
-
-    def percentile_locked(self, p: float) -> float:
-        """:meth:`percentile` for a caller that holds the reservoir's lock."""
         return _nearest_rank(sorted(self._samples), p)
 
     def quantiles(self) -> dict[str, float]:
         """The dashboard trio: p50/p95/p99 in one sorted pass."""
-        with self._lock:
-            samples = sorted(self._samples)
+        samples = sorted(self._samples)
         return {f"p{p}": _nearest_rank(samples, p) for p in (50, 95, 99)}
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._samples)
+        return len(self._samples)
 
 
 def _nearest_rank(samples: list[float], p: float) -> float:
@@ -149,13 +132,14 @@ class HealthPolicy:
 
 class DeviceHealth:
     """Rolling health facts for one device link, all guarded by one lock
-    (the latency reservoir's too), so each feed takes it once."""
+    (the latency reservoir too, which has none of its own), so each feed
+    takes it once."""
 
     def __init__(self, name: str, policy: HealthPolicy | None = None):
         self.name = name
         self.policy = policy if policy is not None else HealthPolicy()
         self._lock = threading.Lock()
-        self.reservoir = LatencyReservoir(self.policy.reservoir_size, self._lock)
+        self.reservoir = LatencyReservoir(self.policy.reservoir_size)
         self._window: deque[bool] = deque(maxlen=self.policy.window)  # True = success
         self._window_failures = 0
         #: The state the last outcome left, for transition detection.
@@ -205,7 +189,7 @@ class DeviceHealth:
         """Raw device operations (the link feed), as ``(seconds, ok)``
         pairs: one blocking op, or every op of one link flush."""
         with self._lock:
-            observe = self.reservoir.observe_locked
+            observe = self.reservoir.observe
             for seconds, ok in samples:
                 observe(seconds)
                 self.link_ops += 1
@@ -236,8 +220,12 @@ class DeviceHealth:
         with self._lock:
             return self._state_locked()
 
+    def latency(self) -> dict[str, float]:
+        """The reservoir's p50/p95/p99, read under the device's lock."""
+        with self._lock:
+            return self.reservoir.quantiles()
+
     def snapshot(self) -> dict:
-        quantiles = self.reservoir.quantiles()
         with self._lock:
             return {
                 "device": self.name,
@@ -252,7 +240,7 @@ class DeviceHealth:
                 ),
                 "link_ops": self.link_ops,
                 "link_errors": self.link_errors,
-                "latency": quantiles,
+                "latency": self.reservoir.quantiles(),
                 "last_applied_serial": self.last_applied_serial,
                 "last_success_at": self.last_success_at,
                 "last_failure_at": self.last_failure_at,
@@ -270,7 +258,7 @@ class DeviceHealth:
             return DEGRADED
         if (
             self.policy.degraded_p95 is not None
-            and self.reservoir.percentile_locked(95) > self.policy.degraded_p95
+            and self.reservoir.percentile(95) > self.policy.degraded_p95
         ):
             return DEGRADED
         return HEALTHY
@@ -486,7 +474,7 @@ class HealthBoard:
             error_child.set(health.error_rate)
             streak_child.set(health.streak)
             state_child.set(STATE_CODES[health.state])
-            for quantile, value in health.reservoir.quantiles().items():
+            for quantile, value in health.latency().items():
                 child = latency.get(quantile)
                 if child is None:
                     child = latency[quantile] = self._latency_gauge.labels(

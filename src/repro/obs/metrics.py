@@ -223,22 +223,21 @@ class Counter(Metric):
 
 class _GaugeChild:
     """``set`` stores the value; ``inc``/``dec``/``track`` add to the
-    caller's own cell, and the cells' total since the last ``set`` rides
-    on top of the stored value."""
+    caller's own cell, and a read adds the cells to the stored value.
 
-    __slots__ = ("_value", "_base", "_cells", "_tracker")
+    A gauge is either set or tracked, not both: a ``set`` does not clear
+    what the cells hold, so it only means "the value is now this" for a
+    gauge no one moves with ``inc``/``dec``."""
+
+    __slots__ = ("_value", "_cells", "_tracker")
 
     def __init__(self):
         self._value = 0.0
-        #: The cells' total when ``set`` last ran.
-        self._base = 0.0
         self._cells: dict[int, list] = {}
         self._tracker = _GaugeTracker(self)
 
     def set(self, value: float) -> None:
         self._value = float(value)
-        if self._cells:
-            self._base = _cells_total(self._cells)
 
     def inc(self, amount: float = 1.0) -> None:
         cell = self._cells.get(get_ident())
@@ -256,7 +255,7 @@ class _GaugeChild:
     def value(self) -> float:
         if not self._cells:
             return self._value
-        return self._value + (_cells_total(self._cells) - self._base)
+        return self._value + _cells_total(self._cells)
 
 
 class _GaugeTracker:

@@ -145,6 +145,27 @@ class TestEventJournal:
             "metacomm_journal_events_total", kind=DEVICE_FAILURE
         ) == 1
 
+    def test_failing_derivation_skips_no_later_one(self):
+        registry = MetricsRegistry()
+        journal = EventJournal(registry=registry)
+        # The first two raise KeyError on an event without ``lane`` or
+        # ``duration``; the derivations after them still record.
+        by_lane = registry.counter("by_lane_total", labelnames=("lane",))
+        journal.derive(UPDATE_ACCEPTED, by_lane)
+        took = registry.histogram("took_seconds", buckets=(1.0,))
+        journal.derive(UPDATE_ACCEPTED, took, by="duration")
+        plain = registry.counter("plain_total")
+        journal.derive(UPDATE_ACCEPTED, plain)
+        seen = []
+        journal.subscribe(seen.append, kinds=(UPDATE_ACCEPTED,))
+        journal.emit(UPDATE_ACCEPTED, serial=1)
+        assert registry.value("plain_total") == 1
+        assert len(seen) == 1
+        journal.emit(UPDATE_ACCEPTED, serial=2, lane="0", duration=0.5)
+        assert registry.value("by_lane_total", lane="0") == 1
+        assert registry.value("plain_total") == 2
+        assert len(seen) == 2
+
     def test_listener_may_subscribe_during_emit(self):
         # Listeners run after ``_lock`` is released (LX502/LX504): a
         # listener that calls back into subscribe() must not deadlock on
