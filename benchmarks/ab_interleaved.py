@@ -18,7 +18,9 @@ by name: while one tree builds its system and client, ``repro`` and
 its submodules are aliased to that tree's modules.
 
 Each tree gets its own system, built and preloaded from the same seeded
-perfbench inputs (``perfbench/inputs.py``).  Then every probe op and
+perfbench inputs (``perfbench/inputs.py``).  The build order rotates
+with every seed, so over a multiple of three seeds each tree is built
+first, second and last equally often.  Then every probe op and
 ``--ops`` main-loop ops run on all three systems in turn, the order
 rotating with every op, so each tree goes first, second and last
 equally often.  The measure is the client thread's CPU time
@@ -185,10 +187,12 @@ def main(argv: list[str] | None = None) -> int:
         for name in workloads:
             workload = bench.WORKLOADS[name]
             pooled: dict[str, dict[str, list[float]]] = {t.label: {} for t in trees}
-            for seed in seeds:
-                result = measure(trees, workload, seed, args.ops)
-                print(f"# {name} seed {seed}: {result['ops']} ops per tree, "
-                      f"failed {result['failed']}")
+            for run, seed in enumerate(seeds):
+                shift = run % len(trees)
+                order = trees[shift:] + trees[:shift]
+                result = measure(order, workload, seed, args.ops)
+                print(f"# {name} seed {seed}: built {[t.label for t in order]}, "
+                      f"{result['ops']} ops per tree, failed {result['failed']}")
                 for label, kinds in result["cpu"].items():
                     for kind, samples in kinds.items():
                         pooled[label].setdefault(kind, []).extend(samples)

@@ -136,13 +136,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"# base {args.base} = {commit}; work = {ROOT} (as on disk)")
         print(f"# seeds {seeds}; workloads {workloads}; {SECONDS} s per run")
         results: dict[str, list[tuple[dict, dict]]] = {w: [] for w in workloads}
-        turn = 0
         for seed in seeds:
             for workload in workloads:
+                # Each workload's pairs alternate which tree runs first.
                 order = [("base", base_tree), ("work", ROOT)]
-                if turn % 2:
+                if len(results[workload]) % 2:
                     order.reverse()
-                turn += 1
                 got = {side: run_once(tree, workload, seed)
                        for side, tree in order}
                 results[workload].append((got["base"], got["work"]))

@@ -191,21 +191,11 @@ class LdapFilter(Filter):
             # one canonical key per attribute (last writer wins) so a
             # caller passing e.g. both ``telephonenumber`` and
             # ``telephoneNumber`` cannot emit duplicate modifications.
-            # Values that are part of the entry's RDN must never be
-            # stripped by a replace (the server would reject it, aborting
-            # the whole supplement batch).
-            rdn_values = {
-                attr.lower(): value for attr, value in entry.dn.rdn.items()
-            }
             canonical: dict[str, str] = {}
-            safe_attrs: dict[str, list[str]] = {}
+            folded: dict[str, list[str]] = {}
             for name, values in attributes.items():
-                low = name.lower()
-                rdn_value = rdn_values.get(low)
-                if rdn_value is not None and rdn_value not in values:
-                    values = list(values) + [rdn_value]
-                safe_attrs[canonical.setdefault(low, name)] = list(values)
-            mods = self._mods_for_attrs(safe_attrs, entry)
+                folded[canonical.setdefault(name.lower(), name)] = values
+            mods = self._mods_for_attrs(folded, entry)
             if not mods:
                 return False
             conn.modify(dn, mods)
@@ -287,8 +277,16 @@ class LdapFilter(Filter):
     def _mods_for_attrs(
         attrs: Mapping[str, list[str]], existing: Entry
     ) -> list[Modification]:
+        """The replaces that make *existing* hold *attrs*.  A value that
+        is part of the entry's RDN is never stripped by a replace (the
+        server would reject the whole modify): it is kept beside the new
+        values."""
+        rdn_values = {attr.lower(): value for attr, value in existing.dn.rdn.items()}
         mods = []
         for name, values in attrs.items():
+            rdn_value = rdn_values.get(name.lower())
+            if rdn_value is not None and rdn_value not in values:
+                values = [*values, rdn_value]
             if existing.get(name) != tuple(values):
                 mods.append(Modification.replace(name, *values))
         return mods

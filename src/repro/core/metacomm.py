@@ -49,6 +49,41 @@ from .update_manager import DeviceBinding, UpdateManager
 
 
 @dataclass(frozen=True)
+class Drift:
+    """One disagreement :meth:`MetaComm._compare` found; ``str()`` is its
+    problem string.  *kind* is ``"missing"`` (the dumped *record*'s LDAP
+    *key* locates no entry), ``"mismatch"`` (one *attribute* of
+    *record*'s image, written by the lexpress *rule*, whose *device*
+    values are not all among the *directory* values *entry* stores) or
+    ``"unknown"`` (an *entry* the partition claims whose *key* the device
+    does not hold)."""
+
+    kind: str
+    binding: DeviceBinding
+    key: str
+    record: dict[str, str] | None = None
+    entry: Entry | None = None
+    attribute: str | None = None
+    device: list[str] | None = None
+    directory: tuple[str, ...] | None = None
+    rule: object = None
+
+    def __str__(self) -> str:
+        name = self.binding.name
+        if self.kind == "missing":
+            return f"{name}: record {self.key} missing from directory"
+        if self.kind == "unknown":
+            return (
+                f"{name}: directory entry {self.entry.dn} claims "
+                f"{self.binding.to_ldap.key_target}={self.key} unknown to the device"
+            )
+        return (
+            f"{name}: {self.key}: {self.attribute} "
+            f"device={self.device} directory={self.directory}"
+        )
+
+
+@dataclass(frozen=True)
 class PbxConfig:
     """One Definity switch in the deployment."""
 
@@ -279,7 +314,7 @@ class MetaComm:
             busy_policy=self.config.busy_policy,
             busy_timeout=self.config.busy_timeout,
         )
-        self.sync = Synchronizer(self.um)
+        self.sync = Synchronizer(self.um, self.binding_drift)
         self.suffix = suffix
 
         #: The event-driven link layer (docs/DEVICE_LINKS.md): one
@@ -488,25 +523,26 @@ class MetaComm:
         view, so it is the reference that view is tested against."""
         bindings = list(self.um.bindings)
         view = self.directory_view(bindings)
-        problems: list[str] = []
-        for binding in bindings:
-            problems.extend(self._compare(binding, binding.filter.dump(), view))
-        return problems
+        return [
+            str(drift)
+            for binding in bindings
+            for drift in self._compare(binding, binding.filter.dump(), view)
+        ]
 
     def binding_inconsistencies(self, binding: DeviceBinding) -> list[str]:
-        """One device binding's slice of :meth:`inconsistencies`.
+        """One device binding's slice of :meth:`inconsistencies`: the
+        consistency auditor's probe unit.  Sampling one binding per cycle
+        keeps the audit low-rate while covering the whole deployment
+        round-robin."""
+        return list(map(str, self.binding_drift(binding, binding.filter.dump())))
 
-        This is the consistency auditor's probe unit: sampling one binding
-        per cycle keeps the audit low-rate while covering the whole
-        deployment round-robin.  The device dump is read in full every
-        time; the directory side is the auditor's maintained view, which
-        holds the entries themselves.  So the probe costs the dump, one
-        backend read and one check per entry changed since the last
-        probe, and, for each verified pair whose record or entry changed,
-        the rules that read a changed field or write a changed attribute
-        (:meth:`_compare`); a record with no verified pair is imaged in
-        full."""
-        records = binding.filter.dump()
+    def binding_drift(
+        self, binding: DeviceBinding, records: list[dict[str, str]]
+    ) -> list[Drift]:
+        """:meth:`_compare` of *binding*'s dump *records* against the
+        auditor's maintained view: it costs one backend read and one check
+        per entry changed since the last comparison, and the rules of each
+        memoized pair its change reaches.  The view is released on return."""
         if not any(b is binding for b in self.um.bindings):
             return self._compare(binding, records, self.directory_view([binding]))
         with self.auditor.directory_view() as view:
@@ -522,11 +558,13 @@ class MetaComm:
     @staticmethod
     def _compare(
         binding: DeviceBinding, records: list[dict[str, str]], view: DirectoryView
-    ) -> list[str]:
-        """The device↔directory comparison, shared by the probe and the
-        full walk: each device record must be found by its key and its
-        image must be a subset of the directory entry; each directory
-        entry the binding's partition claims must be on the device.
+    ) -> list[Drift]:
+        """The device↔directory comparison, shared by the full walk, the
+        probe and resync: each device record must be found by its key
+        (else a ``missing`` :class:`Drift`) and its image must be a
+        subset of the directory entry (else one ``mismatch`` per
+        attribute); each directory entry the binding's partition claims
+        must be on the device (else ``unknown``).
 
         *records* are a device dump as the device stores them (field →
         ``str``).  A record with no memoized pair is lower-keyed and
@@ -557,10 +595,9 @@ class MetaComm:
         checked, so its rule never runs for a memoized pair.  Records
         with a problem are never memoized, so persistent drift is
         reported on every comparison, in the words of the full walk."""
-        problems: list[str] = []
+        problems: list[Drift] = []
         to_ldap = binding.to_ldap
-        key_attr = to_ldap.key_target
-        key_low = key_attr.lower() if key_attr else None
+        key_low = to_ldap.key_target.lower() if to_ldap.key_target else None
         key_source = to_ldap.key_source
         checked = [rule for rule in to_ldap.rules if rule.target_low != "lastupdater"]
         image_of = to_ldap.imager()
@@ -596,7 +633,7 @@ class MetaComm:
                             if values is not None:
                                 image_low[rule.target_low] = values
                     if _image_held(
-                        binding.name, ldap_key, image_low, entry, problems, checked
+                        binding, ldap_key, image_low, record, entry, problems, checked
                     ):
                         verified[device_key] = (
                             record, ldap_key, entry, normalized, lowered
@@ -613,21 +650,18 @@ class MetaComm:
             device_keys.add(lowered)
             entry = view.locate(key_low, normalized)
             if entry is None:
-                problems.append(
-                    f"{binding.name}: record {ldap_key} missing from directory"
-                )
+                problems.append(Drift("missing", binding, ldap_key, record))
                 continue
             if (
-                _image_held(binding.name, ldap_key, image_low, entry, problems, checked)
+                _image_held(
+                    binding, ldap_key, image_low, record, entry, problems, checked
+                )
                 and device_key is not None
             ):
                 verified[device_key] = (record, ldap_key, entry, normalized, lowered)
         view.remember(binding, verified, len(records) - hits)
-        for dn, key in view.unheld(binding, device_keys):
-            problems.append(
-                f"{binding.name}: directory entry {dn} claims "
-                f"{key_attr}={key} unknown to the device"
-            )
+        for entry, key in view.unheld(binding, device_keys):
+            problems.append(Drift("unknown", binding, key, entry=entry))
         return problems
 
     def monitor_snapshot(self) -> dict:
@@ -683,17 +717,18 @@ def _stale_rules(
 
 
 def _image_held(
-    device: str,
+    binding: DeviceBinding,
     ldap_key: str,
     image_low: dict[str, list[str]],
+    record: dict[str, str],
     entry: Entry,
-    problems: list[str],
+    problems: list[Drift],
     rules: list,
 ) -> bool:
-    """Is every value of *image_low* (lower-case target → values) among
-    *entry*'s stored values of that attribute?  Appends one problem per
-    attribute that is not, spelled as the first of *rules* (the checked
-    rules) with that target spells it."""
+    """Is every value of *image_low* (lower-case target → values), the
+    image of *record*, among *entry*'s stored values of that attribute?
+    Appends one ``mismatch`` per attribute that is not, with the first of
+    *rules* (the checked rules) with that target."""
     stored = entry.attributes.lowered()
     clean = True
     for name, values in image_low.items():
@@ -706,8 +741,11 @@ def _image_held(
         else:
             continue
         clean = False
-        spelled = next(rule.target for rule in rules if rule.target_low == name)
+        rule = next(rule for rule in rules if rule.target_low == name)
         problems.append(
-            f"{device}: {ldap_key}: {spelled} device={values} directory={have}"
+            Drift(
+                "mismatch", binding, ldap_key, record, entry,
+                rule.target, values, have, rule,
+            )
         )
     return clean

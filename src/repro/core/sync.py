@@ -9,10 +9,15 @@ connection) and the quiesce facility (no other updates may interleave).
 
 Two directions are provided:
 
-* :meth:`Synchronizer.synchronize` — the device is authoritative: its
-  records are pushed into the directory through the normal UM pipeline
-  (so other devices sharing the data converge too), and directory entries
-  claiming device data the device no longer has are cleaned up.
+* :meth:`Synchronizer.synchronize` — the device is authoritative.  Inside
+  the quiesce it runs the consistency oracle's comparison
+  (``MetaComm._compare``, against the auditor's maintained view, so only
+  records that changed since the last comparison are imaged), then
+  repairs exactly the drift records it returned through the normal UM
+  pipeline, so other devices sharing the data converge too: a
+  ``missing`` record is added, a record's ``mismatch`` attributes are
+  modified (those only), and an ``unknown`` entry has the device's data
+  stripped.  A consistent fleet is left untouched.
 * :meth:`Synchronizer.push_directory` — the directory is authoritative:
   device records are created/updated/deleted to match the directory
   (initial provisioning of a fresh device).
@@ -20,7 +25,8 @@ Two directions are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from ..ldap.protocol import Session
 from ..lexpress.descriptor import (
@@ -33,7 +39,8 @@ from ..obs.events import SYNC_PROGRESS
 from .filters.base import FilterError
 from .update_manager import DeviceBinding, UpdateManager
 
-#: One ``sync.progress`` batch event per this many examined records.
+#: One ``sync.progress`` batch event per this many entries a directory
+#: push examines.
 PROGRESS_EVERY = 25
 
 
@@ -62,17 +69,14 @@ class SyncReport:
         )
 
 
-def _held(values, stored: tuple[str, ...]) -> bool:
-    """Is every value of a device image's attribute among the entry's
-    stored values of it?"""
-    return all(value in stored for value in values)
-
-
 class Synchronizer:
-    """Drives full-device synchronization through the UM pipeline."""
+    """Drives full-device synchronization through the UM pipeline.
+    *compare(binding, dump)* returns a binding's drift records
+    (``MetaComm.binding_drift``)."""
 
-    def __init__(self, um: UpdateManager):
+    def __init__(self, um: UpdateManager, compare: Callable[..., list]):
         self.um = um
+        self.compare = compare
 
     def _progress(self, report: SyncReport, phase: str) -> None:
         """One ``sync.progress`` journal event."""
@@ -87,10 +91,6 @@ class Synchronizer:
             errors=len(report.errors),
         )
 
-    def _batch_progress(self, report: SyncReport) -> None:
-        if report.examined and report.examined % PROGRESS_EVERY == 0:
-            self._progress(report, "batch")
-
     # -- device-authoritative ---------------------------------------------------
 
     def synchronize(self, device_name: str) -> SyncReport:
@@ -101,95 +101,63 @@ class Synchronizer:
         self._progress(report, "start")
         with self.um.gateway.quiesce(session):
             with self.um.connections.open(persistent=True) as connection:
-                device_keys = self._sync_records_in(binding, report, session, connection)
-                self._cleanup_directory(binding, device_keys, report, session, connection)
+                unknown = self._sync_records_in(binding, report, session, connection)
+                self._cleanup_directory(binding, unknown, report, session, connection)
         self._progress(report, "end")
         return report
 
     def _sync_records_in(
         self, binding: DeviceBinding, report: SyncReport, session: Session, connection
-    ) -> set[str]:
-        """Push every device record through the pipeline; returns the set of
-        LDAP key values the device accounts for."""
-        seen: set[str] = set()
-        for record in binding.filter.dump():
-            report.examined += 1
-            self._batch_progress(report)
-            image = binding.to_ldap.image(record) or {}
-            ldap_key = binding.to_ldap.key_of(image)
-            if ldap_key is not None:
-                seen.add(ldap_key.lower())
-            key_attr = binding.to_ldap.key_target
-            entry = (
-                self.um.ldap_filter.locate(key_attr, ldap_key)
-                if key_attr and ldap_key
-                else None
-            )
-            if entry is None:
+    ) -> list:
+        """Compare the device's dump with the directory, then repair each
+        record found missing (an ADD through ``to_ldap``) or mismatched
+        (one MODIFY of its mismatched attributes only).  Returns the
+        ``unknown`` drift records, for :meth:`_cleanup_directory`."""
+        records = binding.filter.dump()
+        repairs: dict[int, list] = {}
+        unknown = []
+        for drift in self.compare(binding, records):
+            if drift.kind == "unknown":
+                unknown.append(drift)
+            else:
+                repairs.setdefault(id(drift.record), []).append(drift)
+        report.examined += len(records)
+        report.skipped += len(records) - len(repairs)
+        for found in repairs.values():
+            first = found[0]
+            if first.kind == "missing":
                 descriptor = UpdateDescriptor(
                     UpdateOp.ADD, binding.to_ldap.source,
-                    self._device_key(binding, record), new=record,
+                    self._device_key(binding, first.record), new=first.record,
                 )
                 self._forward(binding, descriptor, report, session, connection)
                 continue
-            # Compare the device's desired LDAP image against the live
-            # entry — translate()'s own diff would recompute derived
-            # attributes from the entry and mask gaps in the directory.
-            # The rule is the consistency oracle's (MetaComm._compare):
-            # the image's values must be among the entry's, which may
-            # hold more (an RDN disambiguator on cn, say).
-            stored = entry.attributes.lowered()
-            diff = {
-                name: values
-                for name, values in image.items()
-                if name.lower() != "lastupdater"
-                and not _held(values, stored.get(name.lower(), ()))
-            }
-            if not diff:
-                report.skipped += 1
-                continue
             update = TargetUpdate(
-                action=TargetAction.MODIFY,
-                target="ldap",
-                key=ldap_key,
-                old_key=ldap_key,
-                key_attribute=key_attr,
-                attributes=image,
-                old_attributes=entry.attributes.to_dict(),
-                changed=diff,
+                TargetAction.MODIFY, "ldap", first.key, old_key=first.key,
+                key_attribute=binding.to_ldap.key_target,
+                attributes=binding.to_ldap.image(first.record),
+                old_attributes=first.entry.attributes.to_dict(),
+                changed={drift.attribute: drift.device for drift in found},
                 mapping=binding.to_ldap.name,
             )
             self._forward_update(binding, update, report, session, connection)
-        return seen
+        return unknown
 
     def _cleanup_directory(
         self,
         binding: DeviceBinding,
-        device_keys: set[str],
+        unknown: list,
         report: SyncReport,
         session: Session,
         connection,
     ) -> None:
-        """Strip device data from entries the device no longer knows.
-
-        Only entries inside the binding's partition are this device's to
-        clean up: on a partitioned fleet the other PBXes' stations are
-        absent from this device by design."""
-        key_attr = binding.to_ldap.key_target
-        if key_attr is None:
-            return
-        for entry in self.um.ldap_filter.person_entries():
-            values = entry.get(key_attr)
-            if not values:
-                continue
-            if values[0].lower() in device_keys:
-                continue
-            old_device = binding.from_ldap.image(entry.attributes.to_dict()) or {}
-            if old_device and not binding.from_ldap.claims(
-                old_device, binding.partition
-            ):
-                continue  # another device's data (e.g. a different PBX prefix)
-            report.examined += 1
+        """Strip device data from the entries the comparison found
+        ``unknown`` to the device.  Those are the entries the binding's
+        partition claims: on a partitioned fleet the other PBXes'
+        stations are absent from this device by design."""
+        report.examined += len(unknown)
+        for drift in unknown:
+            old_device = binding.from_ldap.image(drift.entry.attributes.to_dict())
             if not old_device:
                 report.skipped += 1
                 continue
@@ -250,7 +218,8 @@ class Synchronizer:
         self._progress(report, "start")
         for entry in self.um.ldap_filter.person_entries():
             report.examined += 1
-            self._batch_progress(report)
+            if report.examined % PROGRESS_EVERY == 0:
+                self._progress(report, "batch")
             attrs = entry.attributes.to_dict()
             descriptor = UpdateDescriptor(
                 UpdateOp.ADD, "ldap", str(entry.dn), new=attrs
@@ -279,10 +248,8 @@ class Synchronizer:
                     if not changed:
                         report.skipped += 1
                         continue
-                    from dataclasses import replace as _replace
-
                     binding.filter.apply(
-                        _replace(
+                        replace(
                             update,
                             action=TargetAction.MODIFY,
                             old_key=update.key,

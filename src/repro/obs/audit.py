@@ -312,9 +312,9 @@ class DirectoryView:
         self._verified[self._index(binding)] = verified
         self.imaged += imaged
 
-    def unheld(self, binding, device_keys: set[str]) -> list[tuple[DN, str]]:
+    def unheld(self, binding, device_keys: set[str]) -> list[tuple[Entry, str]]:
         """The entries *binding*'s partition claims whose key value (lower
-        case) is not in *device_keys*, as (DN, key value) in DN order."""
+        case) is not in *device_keys*, as (entry, key value) in DN order."""
         index = self._index(binding)
         attr = self._key_attrs[index]
         missing = sorted(
@@ -322,7 +322,7 @@ class DirectoryView:
             for key, value in self._claimed[index].items()
             if value not in device_keys
         )
-        return [(self._entries[key].dn, self._keys[key][attr][0]) for key in missing]
+        return [(self._entries[key], self._keys[key][attr][0]) for key in missing]
 
 
 @dataclass

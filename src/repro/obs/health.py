@@ -196,16 +196,6 @@ class DeviceHealth:
                 if not ok:
                     self.link_errors += 1
 
-    def record_link(self, seconds: float, ok: bool) -> None:
-        """One raw device operation."""
-        self.record_links(((seconds, ok),))
-
-    def note_applied(self, serial: int) -> None:
-        with self._lock:
-            if serial > self.last_applied_serial:
-                self.last_applied_serial = serial
-                self.last_applied_at = time.time()
-
     # -- derived -----------------------------------------------------------
 
     @property
@@ -426,11 +416,6 @@ class HealthBoard:
             self.record_link(name, ((seconds, ok),))
 
         return observer
-
-    def note_applied(self, name: str, serial: int) -> None:
-        if not self.enabled:
-            return
-        self.device(name).note_applied(serial)
 
     # -- derived / export --------------------------------------------------
 

@@ -105,27 +105,27 @@ class TestDeviceHealth:
     def test_latency_policy_degrades(self):
         health = DeviceHealth("pbx", self.policy(degraded_p95=0.1))
         for _ in range(10):
-            health.record_link(0.5, True)
+            health.record_links([(0.5, True)])
         assert health.state == DEGRADED
 
     def test_link_feed_does_not_touch_streak(self):
         health = DeviceHealth("pbx", self.policy())
         for _ in range(10):
-            health.record_link(0.01, False)
+            health.record_links([(0.01, False)])
         assert health.streak == 0
         assert health.state == HEALTHY
         assert health.link_errors == 10
 
     def test_note_applied_is_monotonic(self):
         health = DeviceHealth("pbx")
-        health.note_applied(5)
-        health.note_applied(3)
+        health.record_outcome(0.01, True, serial=5)
+        health.record_outcome(0.01, True, serial=3)
         assert health.last_applied_serial == 5
 
     def test_snapshot_shape(self):
         health = DeviceHealth("pbx")
         health.record_outcome(0.01, True)
-        health.record_link(0.02, True)
+        health.record_links([(0.02, True)])
         snap = health.snapshot()
         assert snap["device"] == "pbx"
         assert snap["state"] == HEALTHY
@@ -193,8 +193,7 @@ class TestHealthBoard:
 
     def test_refresh_gauges_publishes_percentiles_and_lag(self):
         board, registry, _ = self.board()
-        board.record_outcome("pbx", 0.01, True)
-        board.note_applied("pbx", 7)
+        board.record_outcome("pbx", 0.01, True, serial=7)
         observer = board.link_observer("pbx")
         for ms in (10, 20, 30):
             observer("add", "k", ms / 1000.0, True)
@@ -212,9 +211,8 @@ class TestHealthBoard:
 
     def test_disabled_board_is_inert(self):
         board = HealthBoard(MetricsRegistry(), enabled=False)
-        board.record_outcome("pbx", 0.01, False)
+        board.record_outcome("pbx", 0.01, False, serial=3)
         board.record_link("pbx", [(0.01, True)])
-        board.note_applied("pbx", 3)
         board.refresh_gauges(last_serial=5)
         assert board.devices() == []
 

@@ -3,7 +3,8 @@ full MetaComm deployment, with global consistency as the invariant.
 
 This is the strongest oracle we have for the paper's headline claim: after
 *any* interleaving of WBA-style LDAP updates, craft-terminal DDUs, user
-deletions and resynchronizations, every repository agrees.
+deletions, changes at the switch behind MetaComm's back and
+resynchronizations, every repository agrees.
 """
 
 import hypothesis.strategies as st
@@ -16,6 +17,12 @@ from repro.schemas import PERSON_CLASSES
 
 _EXTENSIONS = [str(4100 + i) for i in range(4)]
 _ROOMS = ["1A", "2B", "3C"]
+
+
+def _name(ext: str, same_name: bool) -> str:
+    """A station's name: everyone hired with *same_name* is called
+    "Doe, John", so their entries' RDNs need a disambiguator."""
+    return "Doe, John" if same_name else f"{ext}, User"
 
 
 class MetaCommMachine(RuleBasedStateMachine):
@@ -54,12 +61,12 @@ class MetaCommMachine(RuleBasedStateMachine):
             )
         self.live.add(ext)
 
-    @rule(ext=st.sampled_from(_EXTENSIONS))
-    def hire_via_terminal(self, ext):
+    @rule(ext=st.sampled_from(_EXTENSIONS), same_name=st.booleans())
+    def hire_via_terminal(self, ext, same_name):
         if ext in self.live:
             return
         response = self.terminal.execute(
-            f'add station {ext} name "{ext}, User"'
+            f'add station {ext} name "{_name(ext, same_name)}"'
         )
         assert response.ok, response.text
         self.live.add(ext)
@@ -107,6 +114,34 @@ class MetaCommMachine(RuleBasedStateMachine):
     def resynchronize(self):
         report = self.system.sync.synchronize("definity")
         assert not report.errors, report.errors
+
+    @rule(
+        ext=st.sampled_from(_EXTENSIONS),
+        drift=st.sampled_from(["room", "remove", "add"]),
+        room=st.sampled_from(_ROOMS),
+        same_name=st.booleans(),
+    )
+    def drift_then_resync(self, ext, drift, room, same_name):
+        """A change at the switch behind MetaComm's back (a disconnected
+        device), then a resync: it repairs exactly the drift records."""
+        records = self.system.pbx()._records
+        if drift == "room" and ext in records:
+            records[ext]["Room"] = room
+        elif drift == "remove" and ext in records:
+            del records[ext]
+            self.live.discard(ext)
+        elif drift == "add" and ext not in records:
+            records[ext] = {"Extension": ext, "Name": _name(ext, same_name)}
+            self.live.add(ext)
+        binding = self.system.um.binding("definity")
+        drifted = {
+            record.key
+            for record in self.system.binding_drift(binding, binding.filter.dump())
+        }
+        report = self.system.sync.synchronize("definity")
+        assert not report.errors, report.errors
+        assert report.applied == len(drifted), (report, drifted)
+        assert self.system.consistent(), self.system.inconsistencies()
 
     @invariant()
     def globally_consistent(self):
