@@ -22,11 +22,13 @@ check:
 	$(PYTHON) -m repro check --fail-on=warning
 
 ## LX5xx: concurrency lints over the runtime source (docs/CONCURRENCY.md)
-## plus the witness-enabled concurrent-client stress tests.  Fails on any
-## unsuppressed warning or error, or on a witness.violation.
+## plus the witness-enabled concurrent-client stress tests and the check
+## that no link metric is bound or written under the dispatcher's
+## condition.  Fails on any unsuppressed warning or error, or on a
+## witness.violation.
 check-concur:
 	$(PYTHON) -m repro check --concurrency --fail-on=warning
-	$(PYTHON) -m pytest tests/test_threaded_coordinator.py tests/test_stateful_system.py tests/test_lockwitness.py tests/test_incremental_audit.py tests/test_telemetry_golden.py tests/test_journal_invariants.py tests/test_telemetry_writers.py -x -q
+	$(PYTHON) -m pytest tests/test_threaded_coordinator.py tests/test_stateful_system.py tests/test_lockwitness.py tests/test_incremental_audit.py tests/test_telemetry_golden.py tests/test_journal_invariants.py tests/test_telemetry_writers.py tests/test_device_links.py::TestMetricsOutsideDispatcherCondition -x -q
 
 ## Every bench-* gate below uses one method (benchmarks/conftest.py):
 ## its cells run in alternation, each 5 times (bench-health: 8), and the

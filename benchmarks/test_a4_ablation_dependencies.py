@@ -1,16 +1,17 @@
 """Ablation A4 — lexpress dependency analysis on vs off.
 
-The compiler records the source attributes each rule reads; the
-translation path uses those sets to (a) skip mappings untouched by a
-modify and (b) re-evaluate only affected rules in the closure.  We ablate
-the analysis (pretend every rule depends on everything) and measure the
-extra evaluation work on a realistic modify-heavy stream.
+The compiler records the source attributes each rule reads; the closure
+engine uses those sets to (a) skip mappings untouched by a modify and
+(b) re-evaluate only the rules a changed attribute feeds, hop by hop.
+(Translation images whole records, so the ablation runs the closure.)
+We ablate the analysis (pretend every rule depends on everything) and
+measure the extra evaluation work on a realistic modify-heavy stream.
 """
 
 import pytest
 from conftest import report
 
-from repro.lexpress import UpdateDescriptor, UpdateOp
+from repro.lexpress import ClosureEngine, UpdateDescriptor, UpdateOp
 from repro.lexpress.mapping import CompiledMapping
 from repro.schemas import standard_mappings
 
@@ -70,9 +71,10 @@ def counting_evaluate(original_evaluate):
 
 @pytest.mark.parametrize("analysis", ["on", "off"])
 def test_a4_rule_evaluations(benchmark, analysis, monkeypatch):
-    mapping = standard_mappings()["pbx_to_ldap"]
+    mappings = list(standard_mappings().values())
     if analysis == "off":
-        mapping = ablate_dependencies(mapping)
+        mappings = [ablate_dependencies(mapping) for mapping in mappings]
+    engine = ClosureEngine(mappings)
     descriptors = make_descriptors(60)
 
     COUNTER["evaluations"] = 0
@@ -82,7 +84,9 @@ def test_a4_rule_evaluations(benchmark, analysis, monkeypatch):
 
     def run():
         for descriptor in descriptors:
-            mapping.translate(descriptor)
+            engine.propagate(
+                "pbx", descriptor.new, changed=descriptor.changed_attributes()
+            )
 
     benchmark.pedantic(run, rounds=1)
     ROWS.append((analysis, len(descriptors), COUNTER["evaluations"]))

@@ -11,7 +11,9 @@ import itertools
 from conftest import fresh_system, person_attrs, report
 
 
-_counter = itertools.count(4100)
+#: Unique 5-digit extensions inside the PBX's "4" prefix (a station
+#: extension has 3–5 digits): one per round, for up to 10,000 rounds.
+_extensions = (str(n) for n in range(40000, 50000))
 
 
 def test_f1_ldap_path_full_stack(benchmark):
@@ -20,9 +22,7 @@ def test_f1_ldap_path_full_stack(benchmark):
     conn = system.connection()
 
     def add_user():
-        ext = str(next(_counter) % 10000)
-        if len(ext) < 4:
-            ext = "4" + ext.zfill(3)
+        ext = next(_extensions)
         conn.add(
             f"cn=User {ext},o=Marketing,o=Lucent",
             person_attrs(f"User {ext}", "User", definityExtension=ext),

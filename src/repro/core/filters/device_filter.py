@@ -19,7 +19,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from typing import Mapping
 
 from ...devices.base import Device, DeviceError, NoSuchRecordError
@@ -122,23 +121,6 @@ class DeviceFilter(Filter):
             except DeviceError as exc:
                 self._count("failed")
                 raise FilterError(self.name, str(exc)) from exc
-
-    def submit(self, update: TargetUpdate) -> "Future[ApplyResult]":
-        """Queue ``update`` on the device's pipelined link; returns a Future.
-
-        The non-blocking sibling of :meth:`apply` for callers that overlap
-        device round-trips (the event-driven fan-out stage).  The Future
-        resolves to the same :class:`ApplyResult` — or raises the same
-        :class:`FilterError` — that a blocking :meth:`apply` would have
-        produced.  Requires a link attached to the device."""
-        link = self.device.link
-        if link is None:
-            raise FilterError(self.name, "no device link attached")
-        return link.submit(
-            lambda: self.apply(update),
-            op=update.action.value,
-            key=str(update.key),
-        )
 
     def _apply(self, update: TargetUpdate) -> ApplyResult:
         action = update.action

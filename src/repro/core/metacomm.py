@@ -343,7 +343,7 @@ class MetaComm:
                 }
             )
         if self.config.lane_depth_limit is not None:
-            # Close the backpressure loop: saturated lanes surface at the
+            # Close the backpressure loop: full lanes surface at the
             # gateway as typed ServerBusy results, before any write.
             self.gateway.admission = self.um.admission_check
 

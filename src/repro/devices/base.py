@@ -19,12 +19,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (links imports base)
-    from concurrent.futures import Future
-
-    from .links import DeviceLink
+from typing import Callable, Iterable, Mapping
 
 
 # Thread-local marker set by the link dispatcher while it executes queued
@@ -144,9 +139,6 @@ class Device:
         self.link_commands: int = 1
         self._channel_lock = threading.Lock()
         self._channel_free_at = 0.0
-        #: Attached :class:`repro.devices.links.DeviceLink` (if any) — set
-        #: by :meth:`attach_link`, used by the non-blocking :meth:`submit`.
-        self.link: "DeviceLink | None" = None
         #: Optional fault hook: called as (op, key) before each update and
         #: may raise to simulate device errors.
         self.fault_injector: Callable[[str, str], None] | None = None
@@ -400,33 +392,6 @@ class Device:
             )
         self._notify(notification)
         return dict(current)
-
-    # -- non-blocking link API ---------------------------------------------------
-
-    def attach_link(self, link: "DeviceLink") -> None:
-        """Attach the event-driven device link used by :meth:`submit`."""
-        self.link = link
-
-    def submit(
-        self, op: str, *args, agent: str = "local", **kwargs
-    ) -> "Future[dict[str, str]]":
-        """Queue one write on the device link; returns a Future.
-
-        The legacy blocking calls (:meth:`add` …) remain the standalone
-        DDU surface; this is the pipelined alternative for callers that
-        can overlap round-trips.  Requires an attached link."""
-        if self.link is None:
-            raise DeviceError(f"{self.name}: no device link attached")
-        if op not in ("add", "modify", "delete"):
-            raise InvalidFieldError(f"{self.name}: cannot submit op {op!r}")
-        method = getattr(self, op)
-        if op == "add":
-            key = str(args[0].get(self.key_field, "")) if args else ""
-        else:
-            key = str(args[0]) if args else ""
-        return self.link.submit(
-            lambda: method(*args, agent=agent, **kwargs), op=op, key=key
-        )
 
     # -- reads -----------------------------------------------------------------
 

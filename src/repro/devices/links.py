@@ -109,16 +109,6 @@ class DeviceLink:
         self._pending: deque[_LinkOp] = deque()
         self._inflight: deque[_Batch] = deque()
         self._paused = False
-        self._batch_hist: dict[int, int] = {}
-        self._stats = {
-            "submitted": 0,
-            "completed": 0,
-            "failed": 0,
-            "flushes": 0,
-            "deferred": 0,
-            "rejected": 0,
-            "peak_pending": 0,
-        }
 
     # -- submit side (any thread) ------------------------------------------------
 
@@ -150,21 +140,15 @@ class DeviceLink:
                     if deadline is not None:
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
-                            self._stats["rejected"] += 1
                             rejected = True
                             raise LinkBusy(
                                 f"{self.name}: link queue full "
                                 f"({self.config.queue_limit} ops pending)"
                             )
                         remaining = min(remaining, 0.25)
-                    if not waited:
-                        waited = True
-                        self._stats["deferred"] += 1
+                    waited = True
                     dispatcher._cond.wait(remaining)
                 self._pending.append(entry)
-                self._stats["submitted"] += 1
-                if len(self._pending) > self._stats["peak_pending"]:
-                    self._stats["peak_pending"] = len(self._pending)
                 dispatcher._cond.notify_all()
         finally:
             # Counted once the condition is released: binding a child by
@@ -189,21 +173,14 @@ class DeviceLink:
 
     # -- introspection -----------------------------------------------------------
 
-    def saturated(self) -> bool:
-        """True when both the in-flight window and the submit queue are full."""
-        with self._dispatcher._cond:
-            return (
-                len(self._inflight) >= self.config.window
-                and len(self._pending) >= self.config.queue_limit
-            )
-
     def snapshot(self) -> dict:
+        """The link's queue state, read under the dispatcher's condition,
+        and its counts, read from the registry once the condition is
+        released (all 0 in a registry built disabled)."""
         with self._dispatcher._cond:
             pending = len(self._pending)
             inflight = len(self._inflight)
             inflight_ops = sum(len(b.ops) for b in self._inflight)
-            stats = dict(self._stats)
-            hist = dict(sorted(self._batch_hist.items()))
             paused = self._paused
         return {
             "device": self.name,
@@ -214,8 +191,7 @@ class DeviceLink:
             "inflight": inflight,
             "inflight_ops": inflight_ops,
             "paused": paused,
-            "batch_sizes": hist,
-            **stats,
+            **self._dispatcher._counts(self.name),
         }
 
 
@@ -252,8 +228,11 @@ class LinkDispatcher:
         self._notify_stop = False
         self._notifier: threading.Thread | None = None
         metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Where every link count lives: the dispatcher writes it, and
+        #: :meth:`DeviceLink.snapshot` reads it back (:meth:`_counts`).
+        self._registry = metrics
         # The flush counters and the batch-size histogram, per device;
-        # updated right after each link's ``_stats``, outside ``_cond``.
+        # updated outside ``_cond``.
         ops = metrics.counter(
             "metacomm_link_ops_total",
             "Operations completed over device links",
@@ -273,7 +252,9 @@ class LinkDispatcher:
                 "metacomm_link_batch_ops",
                 "Operations coalesced per flushed command stream",
                 labelnames=("device",),
-                buckets=(1, 2, 4, 8, 16, 32, 64),
+                # One bucket per size up to the default batch of 8, so
+                # a snapshot's ``batch_sizes`` is exact for those.
+                buckets=(1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64),
             )
         )
         self._m_inflight = metrics.gauge(
@@ -301,7 +282,6 @@ class LinkDispatcher:
                 raise DeviceError("link dispatcher stopped")
             self._links.append(link)
             self._by_name[link.name] = link
-        device.attach_link(link)
         return link
 
     def link(self, name: str) -> DeviceLink:
@@ -441,16 +421,10 @@ class LinkDispatcher:
         fail_count = sum(exc is not None for _, _, exc in results)
         ok_count = size - fail_count
         # Counted before any future resolves, so a submitter that wakes
-        # on its result already sees its flush in the stats and metrics.
-        # The metric children are updated after ``_cond`` is released:
-        # the first flush of a device binds them, which takes the metric
-        # family's lock.
+        # on its result already sees its flush in the metrics.  No lock
+        # is held: the first flush of a device binds its children, which
+        # takes the metric family's lock.
         name = link.name
-        with self._cond:
-            link._stats["completed"] += ok_count
-            link._stats["failed"] += fail_count
-            link._stats["flushes"] += 1
-            link._batch_hist[size] = link._batch_hist.get(size, 0) + 1
         self._m_flushes[name].inc()
         self._m_batch_ops[name].observe(size)
         if ok_count:
@@ -497,6 +471,35 @@ class LinkDispatcher:
                 # waiting on: the shutdown cut it short, not a fault.
 
     # -- introspection -----------------------------------------------------------
+
+    def _counts(self, name: str) -> dict:
+        """Link *name*'s counts, read from the registry without binding a
+        series: a link that never flushed reads 0.  ``batch_sizes`` maps
+        each bucket bound of ``metacomm_link_batch_ops`` to the flushes
+        it holds — exact sizes up to 8 ops."""
+        registry = self._registry
+        value = registry.value
+        sizes: dict[float, int] = {}
+        batches = registry.child("metacomm_link_batch_ops", device=name)
+        if batches is not None:
+            below = 0
+            for bound, running in batches.cumulative():
+                if running > below:
+                    sizes[bound] = running - below
+                below = running
+        ops = "metacomm_link_ops_total"
+        return {
+            "completed": int(value(ops, device=name, outcome="ok")),
+            "failed": int(value(ops, device=name, outcome="error")),
+            "flushes": int(value("metacomm_link_flushes_total", device=name)),
+            "deferred": int(
+                value("metacomm_link_submit_deferred_total", device=name)
+            ),
+            "rejected": int(
+                value("metacomm_link_submit_rejected_total", device=name)
+            ),
+            "batch_sizes": sizes,
+        }
 
     def snapshot(self) -> list[dict]:
         with self._cond:

@@ -18,7 +18,6 @@ is deliberately *not* a modern API.
 from __future__ import annotations
 
 import shlex
-from concurrent.futures import Future
 from dataclasses import dataclass
 
 from ..base import (
@@ -57,28 +56,6 @@ class OssiTerminal:
 
     def execute(self, command: str) -> TerminalResponse:
         self.history.append(command)
-        return self._execute(command)
-
-    def submit(self, command: str) -> "Future[TerminalResponse]":
-        """Queue one command on the switch's pipelined device link.
-
-        The non-blocking sibling of :meth:`execute`: the command rides the
-        next flushed OSSI command stream instead of paying its own
-        round-trip, and the returned Future resolves to the same
-        :class:`TerminalResponse` ``execute`` would have produced.
-        Requires a :class:`repro.devices.links.DeviceLink` attached to the
-        switch; raises :class:`DeviceError` otherwise."""
-        self.history.append(command)
-        link = self.pbx.link
-        if link is None:
-            raise DeviceError(f"{self.pbx.name}: no device link attached")
-        words = command.split()
-        key = words[2] if len(words) > 2 else ""
-        return link.submit(
-            lambda: self._execute(command), op="terminal", key=key
-        )
-
-    def _execute(self, command: str) -> TerminalResponse:
         try:
             words = shlex.split(command)
         except ValueError as exc:

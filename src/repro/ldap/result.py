@@ -96,6 +96,6 @@ class BusyError(LdapError):
 
 class ServerBusyError(BusyError):
     """Admission control turned the write away: the Update Manager's
-    device links and coordinator lanes are saturated, and the system
+    device links and coordinator lanes are full, and the system
     prefers a typed busy answer over unbounded queueing.  Clients should
     back off and retry; the rejected write never reached the directory."""

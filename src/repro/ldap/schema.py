@@ -151,9 +151,6 @@ class Schema:
     def attribute_names(self) -> list[str]:
         return sorted({a.name for a in self._attributes.values()})
 
-    def class_names(self) -> list[str]:
-        return sorted(c.name for c in self._classes.values())
-
     def superclass_chain(self, name: str) -> list[ObjectClass]:
         """The class and its transitive superclasses, nearest first."""
         chain: list[ObjectClass] = []

@@ -11,7 +11,7 @@ originally entered the system.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 
@@ -163,16 +163,6 @@ class UpdateDescriptor:
 
     def get_old(self, name: str) -> list[str]:
         return list((self.lowered()[0] or {}).get(name.lower(), ()))
-
-    def with_new_attribute(self, name: str, values: Sequence[str]) -> "UpdateDescriptor":
-        """A copy with one attribute of the new image replaced/added —
-        used to fold device-generated information back in (section 5.5)."""
-        new = dict(self.new or {})
-        for key in list(new):
-            if key.lower() == name.lower():
-                del new[key]
-        new[name] = [str(v) for v in values]
-        return replace(self, new=new)
 
 
 def changed_names(

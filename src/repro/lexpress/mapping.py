@@ -311,40 +311,16 @@ class CompiledMapping:
         self,
         old_low: Mapping[str, Sequence[str]],
         new_low: Mapping[str, Sequence[str]],
-        changed: frozenset[str],
     ) -> tuple[
         tuple[dict[str, list[str]], dict[str, list[str]]],
         tuple[dict[str, list[str]], dict[str, list[str]]],
     ]:
         """Old and new target images (each spelled and lower-keyed, as
         :meth:`_image`) for a modify of the lower-keyed source records
-        *old_low* and *new_low*.
-
-        A kernel images both records whole: one call each costs less than
-        deciding rule by rule.  The interpreter evaluates rules whose
-        dependencies did not change only once (identical inputs produce
-        identical outputs) — the payoff of dependency analysis where each
-        evaluation is dear."""
-        if self.mode != "interpret":
-            image = self.imager()
-            return image(old_low), image(new_low)
-        old_image: dict[str, list[str]] = {}
-        new_image: dict[str, list[str]] = {}
-        old_out: dict[str, list[str]] = {}
-        new_out: dict[str, list[str]] = {}
-        for rule in self.rules:
-            old_values = self.evaluate(rule, old_low, canonical=True)
-            if rule.deps & changed:
-                new_values = self.evaluate(rule, new_low, canonical=True)
-            else:
-                new_values = list(old_values) if old_values is not None else None
-            if old_values is not None:
-                old_image[rule.target] = old_out[rule.target_low] = old_values
-            if new_values is not None:
-                new_image[rule.target] = new_out[rule.target_low] = new_values
-        self._key_fallback(old_image, old_out, old_low)
-        self._key_fallback(new_image, new_out, new_low)
-        return (old_image, old_out), (new_image, new_out)
+        *old_low* and *new_low*: one whole-record :meth:`imager` call
+        each, which costs less than deciding rule by rule."""
+        image = self.imager()
+        return image(old_low), image(new_low)
 
     def key_of(self, image: Mapping[str, Sequence[str]] | None) -> str | None:
         return self._key_in(lower_attrs(image)) if image is not None else None
@@ -407,7 +383,7 @@ class CompiledMapping:
         old_src, new_src = descriptor.lowered()
         if descriptor.op is UpdateOp.MODIFY:
             (old_image, old_low), (new_image, new_low) = self._dual_images(
-                old_src, new_src, descriptor.changed_attributes()
+                old_src, new_src
             )
         else:
             old_image = old_low = new_image = new_low = None

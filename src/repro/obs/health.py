@@ -133,7 +133,8 @@ class HealthPolicy:
 class DeviceHealth:
     """Rolling health facts for one device link, all guarded by one lock
     (the latency reservoir too, which has none of its own), so each feed
-    takes it once."""
+    takes it once.  How many outcomes it saw is a registry count,
+    ``metacomm_device_attempts_total`` (:meth:`HealthBoard.snapshot`)."""
 
     def __init__(self, name: str, policy: HealthPolicy | None = None):
         self.name = name
@@ -145,8 +146,6 @@ class DeviceHealth:
         #: The state the last outcome left, for transition detection.
         self._state = HEALTHY
         self.streak = 0  # consecutive failures
-        self.successes = 0
-        self.failures = 0
         self.link_ops = 0
         self.link_errors = 0
         self.last_success_at: float | None = None
@@ -170,7 +169,6 @@ class DeviceHealth:
                 self._window_failures -= 1  # the append evicts a failure
             window.append(ok)
             if ok:
-                self.successes += 1
                 self.streak = 0
                 self.last_success_at = now
                 if serial > self.last_applied_serial:
@@ -178,7 +176,6 @@ class DeviceHealth:
                     self.last_applied_at = now
             else:
                 self._window_failures += 1
-                self.failures += 1
                 self.streak += 1
                 self.last_failure_at = now
             previous = self._state
@@ -220,8 +217,6 @@ class DeviceHealth:
             return {
                 "device": self.name,
                 "state": self._state_locked(),
-                "successes": self.successes,
-                "failures": self.failures,
                 "streak": self.streak,
                 "error_rate": (
                     self._window_failures / len(self._window)
@@ -280,18 +275,13 @@ class HealthBoard:
         self.journal.subscribe(
             self._on_outcome, kinds=(DEVICE_COMMIT, DEVICE_FAILURE)
         )
+        self._registry = registry
         self._devices: dict[str, DeviceHealth] = {}
         self._lock = threading.Lock()
-        #: name -> its DeviceHealth, for the feeds: filled from
+        #: name -> its :class:`_Record`, for the feeds: filled from
         #: :meth:`device` on first use and never guarded, so a feed takes
         #: no board lock (a stale miss just asks :meth:`device` again).
-        self._health: dict[str, DeviceHealth] = {}
-        #: name -> (health, ok counter, error counter, streak gauge, state
-        #: gauge) children, resolved once per device — ``.labels()`` key
-        #: building is measurable on the per-outcome hot path.
-        self._hot_children: dict[str, tuple] = {}
-        #: name -> the children :meth:`refresh_gauges` sets, likewise.
-        self._gauge_children: dict[str, tuple] = {}
+        self._records: dict[str, _Record] = {}
         self._state_gauge = registry.gauge(
             "metacomm_device_health",
             "Derived device-link health (0=healthy 1=degraded 2=unreachable)",
@@ -343,24 +333,27 @@ class HealthBoard:
 
     # -- feeds -------------------------------------------------------------
 
-    def _device(self, name: str) -> DeviceHealth:
-        health = self._health.get(name)
-        if health is None:
-            health = self._health[name] = self.device(name)
-        return health
+    def _record(self, name: str) -> "_Record":
+        record = self._records.get(name)
+        if record is None:
+            # Benign race: both threads wrap the same DeviceHealth, and a
+            # lost record's children are bound again from the registry.
+            record = self._records[name] = _Record(self.device(name))
+        return record
 
-    def _hot(self, name: str) -> tuple:
-        children = self._hot_children.get(name)
+    def _outcome_children(self, record: "_Record") -> tuple:
+        """(ok counter, error counter, streak gauge, state gauge), bound
+        once per device — ``.labels()`` key building is measurable on
+        the per-outcome hot path."""
+        children = record.outcome
         if children is None:
-            # Benign race: both threads resolve the same registry children.
-            children = (
-                self._device(name),
+            name = record.health.name
+            children = record.outcome = (
                 self._attempts.labels(device=name, outcome="ok"),
                 self._attempts.labels(device=name, outcome="error"),
                 self._streak_gauge.labels(device=name),
                 self._state_gauge.labels(device=name),
             )
-            self._hot_children[name] = children
         return children
 
     def _on_outcome(self, event) -> None:
@@ -382,7 +375,11 @@ class HealthBoard:
         ``health.transition`` if the state flipped."""
         if not self.enabled:
             return
-        health, ok_child, error_child, streak_child, state_child = self._hot(name)
+        record = self._record(name)
+        health = record.health
+        ok_child, error_child, streak_child, state_child = (
+            record.outcome or self._outcome_children(record)
+        )
         streak, previous, state = health.record_outcome(seconds, ok, serial)
         (ok_child if ok else error_child).inc()
         streak_child.set(streak)
@@ -407,7 +404,7 @@ class HealthBoard:
         (the link dispatcher reports each flush in one call)."""
         if not self.enabled:
             return
-        self._device(name).record_links(samples)
+        self._record(name).health.record_links(samples)
 
     def link_observer(self, name: str):
         """An ``op_observer`` callable for :class:`repro.devices.base.Device`."""
@@ -419,22 +416,17 @@ class HealthBoard:
 
     # -- derived / export --------------------------------------------------
 
-    def _gauges(self, name: str) -> tuple:
-        """The low-rate gauge children of one device, resolved once:
-        error rate, streak, state, lag and quantile → latency child."""
-        children = self._gauge_children.get(name)
+    def _gauge_children(self, record: "_Record") -> tuple:
+        """The low-rate gauge children of one device, bound once: error
+        rate, lag and quantile → latency child (filled as it goes)."""
+        children = record.gauges
         if children is None:
-            # Benign race, as in _hot: concurrent cycles resolve the same
-            # registry children.
-            _, _, _, streak_child, state_child = self._hot(name)
-            children = (
+            name = record.health.name
+            children = record.gauges = (
                 self._error_rate_gauge.labels(device=name),
-                streak_child,
-                state_child,
                 self._lag_gauge.labels(device=name),
                 {},
             )
-            self._gauge_children[name] = children
         return children
 
     def refresh_gauges(
@@ -453,9 +445,9 @@ class HealthBoard:
             return
         for health in self.devices():
             name = health.name
-            error_child, streak_child, state_child, lag_child, latency = (
-                self._gauges(name)
-            )
+            record = self._record(name)
+            _, _, streak_child, state_child = self._outcome_children(record)
+            error_child, lag_child, latency = self._gauge_children(record)
             error_child.set(health.error_rate)
             streak_child.set(health.streak)
             state_child.set(STATE_CODES[health.state])
@@ -473,4 +465,32 @@ class HealthBoard:
                 lag_child.set(lag)
 
     def snapshot(self) -> dict:
-        return {h.name: h.snapshot() for h in self.devices()}
+        """Every device's :meth:`DeviceHealth.snapshot` plus its fan-out
+        ``successes`` and ``failures``, read from
+        ``metacomm_device_attempts_total`` without binding a series (so
+        both read 0 in a registry built disabled)."""
+        value = self._registry.value
+        attempts = "metacomm_device_attempts_total"
+        out: dict[str, dict] = {}
+        for health in self.devices():
+            name = health.name
+            out[name] = {
+                **health.snapshot(),
+                "successes": int(value(attempts, device=name, outcome="ok")),
+                "failures": int(value(attempts, device=name, outcome="error")),
+            }
+        return out
+
+
+class _Record:
+    """One device as the board's feeds see it: its :class:`DeviceHealth`
+    and the metric children bound for it, each group bound lazily — the
+    outcome children at the first outcome or gauge refresh, the gauge
+    children at the first refresh."""
+
+    __slots__ = ("health", "outcome", "gauges")
+
+    def __init__(self, health: DeviceHealth):
+        self.health = health
+        self.outcome: tuple | None = None
+        self.gauges: tuple | None = None

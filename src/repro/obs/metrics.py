@@ -512,16 +512,21 @@ class MetricsRegistry:
         with self._lock:
             return len(self._metrics)
 
+    def child(self, name: str, **labels: str):
+        """The child of *name* bound to *labels*, or None if that series
+        was never bound (or *name* never registered); binds nothing."""
+        metric = self.get(name)
+        if metric is None:
+            return None
+        return metric._children.get(_label_key(metric.labelnames, labels))
+
     def value(self, name: str, **labels: str) -> float:
         """Convenience: current value of a counter/gauge child (0 if absent)."""
+        if labels:
+            return getattr(self.child(name, **labels), "value", 0.0)
         metric = self.get(name)
         if metric is None:
             return 0.0
-        if labels:
-            child = metric._children.get(
-                _label_key(metric.labelnames, labels)
-            )
-            return getattr(child, "value", 0.0) if child is not None else 0.0
         if isinstance(metric, Counter) and metric.labelnames:
             return metric.total()
         return getattr(metric, "value", 0.0)

@@ -190,7 +190,7 @@ class TestMonitorCommand:
         for row in links.values():
             assert row["window"] == 4
             assert row["pending"] == 0 and row["inflight"] == 0
-            assert row["completed"] == row["submitted"]
+            assert row["failed"] == 0
             assert row["deferred"] == 0 and row["rejected"] == 0
             assert row["flushes"] >= 1
             assert sum(row["batch_sizes"].values()) == row["flushes"]

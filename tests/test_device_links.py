@@ -1,8 +1,8 @@
 """Tests for the event-driven device-link layer (repro.devices.links).
 
 Covers the link unit semantics (batching, bounded in-flight window,
-queue-limit defer/reject, FIFO order, clean shutdown), the non-blocking
-``submit`` surfaces on devices / OSSI terminals / device filters, the
+queue-limit defer/reject, FIFO order, clean shutdown), ``DeviceLink.submit``
+— the one way onto a link — with device writes and OSSI commands, the
 window=1/batch=1 equivalence guarantee against the paper-serial fan-out,
 the HealthBoard dual feed under a flapping link, and the backpressure
 chain from a stalled link through the sharded queue's lane depth limit
@@ -22,12 +22,13 @@ from repro.devices import (
     InvalidFieldError,
 )
 from repro.devices.links import LinkBusy, LinkConfig, LinkDispatcher
-from repro.core.filters.base import FilterError
 from repro.ldap import LdapError
 from repro.ldap.result import ResultCode
 from repro.lexpress.descriptor import UpdateDescriptor, UpdateOp
 from repro.obs.alerts import AlertRule
 from repro.obs.events import (
+    DEVICE_COMMIT,
+    DEVICE_FAILURE,
     UPDATE_ACCEPTED,
     UPDATE_DEFERRED,
     UPDATE_REJECTED,
@@ -90,6 +91,13 @@ def make_device(name="dev", latency=0.0):
     return device
 
 
+def add(link, device, extension):
+    """Queue one add of *extension* at *device* on its *link*."""
+    return link.submit(
+        lambda: device.add({"Extension": extension}), op="add", key=extension
+    )
+
+
 def wait_until(predicate, timeout=5.0, message="condition"):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -113,33 +121,23 @@ class TestDeviceLinkUnit:
 
     def test_submit_applies_and_resolves_future(self, dispatcher):
         device = make_device()
-        dispatcher.register(device)
+        link = dispatcher.register(device)
         dispatcher.start()
-        future = device.submit("add", {"Extension": "100", "Name": "A"})
+        future = link.submit(
+            lambda: device.add({"Extension": "100", "Name": "A"}),
+            op="add",
+            key="100",
+        )
         record = future.result(timeout=5)
         assert record == {"Extension": "100", "Name": "A"}
         assert device.contains("100")
-
-    def test_submit_validates_op(self, dispatcher):
-        device = make_device()
-        dispatcher.register(device)
-        with pytest.raises(InvalidFieldError):
-            device.submit("dump")
-
-    def test_submit_without_link_raises(self):
-        device = make_device()
-        with pytest.raises(DeviceError, match="no device link"):
-            device.submit("add", {"Extension": "100"})
 
     def test_pause_coalesces_one_batch(self, dispatcher):
         device = make_device(latency=0.01)
         link = dispatcher.register(device)
         dispatcher.start()
         link.pause()
-        futures = [
-            device.submit("add", {"Extension": str(100 + i)})
-            for i in range(5)
-        ]
+        futures = [add(link, device, str(100 + i)) for i in range(5)]
         link.resume()
         for future in futures:
             future.result(timeout=5)
@@ -153,10 +151,7 @@ class TestDeviceLinkUnit:
         device = make_device(latency=0.05)
         link = dispatcher.register(device, LinkConfig(window=2, batch=1))
         dispatcher.start()
-        futures = [
-            device.submit("add", {"Extension": str(100 + i)})
-            for i in range(6)
-        ]
+        futures = [add(link, device, str(100 + i)) for i in range(6)]
         peak = 0
         while not all(f.done() for f in futures):
             peak = max(peak, link.snapshot()["inflight"])
@@ -184,9 +179,9 @@ class TestDeviceLinkUnit:
         link = dispatcher.register(device)
         dispatcher.start()
         link.pause()
-        good = device.submit("add", {"Extension": "100"})
-        dup = device.submit("add", {"Extension": "100"})
-        after = device.submit("add", {"Extension": "101"})
+        good = add(link, device, "100")
+        dup = add(link, device, "100")
+        after = add(link, device, "101")
         link.resume()
         assert good.result(timeout=5)["Extension"] == "100"
         with pytest.raises(DeviceError):
@@ -200,8 +195,8 @@ class TestDeviceLinkUnit:
         link = dispatcher.register(device, LinkConfig(queue_limit=2))
         dispatcher.start()
         link.pause()
-        device.submit("add", {"Extension": "100"})
-        device.submit("add", {"Extension": "101"})
+        add(link, device, "100")
+        add(link, device, "101")
         with pytest.raises(LinkBusy):
             link.submit(lambda: None, timeout=0)
         assert link.snapshot()["rejected"] == 1
@@ -212,22 +207,25 @@ class TestDeviceLinkUnit:
         link = dispatcher.register(device, LinkConfig(queue_limit=1))
         dispatcher.start()
         link.pause()
-        first = device.submit("add", {"Extension": "100"})
+        first = add(link, device, "100")
         second = []
 
         def blocked_submit():
-            second.append(device.submit("add", {"Extension": "101"}))
+            second.append(add(link, device, "101"))
 
         thread = threading.Thread(target=blocked_submit)
         thread.start()
-        wait_until(
-            lambda: link.snapshot()["deferred"] >= 1, message="deferred submit"
-        )
+        # The submit waits for queue space; it counts as deferred once
+        # it returns.
+        time.sleep(0.1)
+        assert thread.is_alive() and not second
+        assert link.snapshot()["deferred"] == 0
         link.resume()
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert first.result(timeout=5)
         assert second[0].result(timeout=5)
+        assert link.snapshot()["deferred"] == 1
 
     def test_stop_fails_orphan_futures(self):
         dispatcher = LinkDispatcher()
@@ -235,12 +233,12 @@ class TestDeviceLinkUnit:
         link = dispatcher.register(device)
         dispatcher.start()
         link.pause()
-        orphan = device.submit("add", {"Extension": "100"})
+        orphan = add(link, device, "100")
         dispatcher.stop()
         with pytest.raises(DeviceError, match="link stopped"):
             orphan.result(timeout=5)
         with pytest.raises(DeviceError, match="link stopped"):
-            device.submit("add", {"Extension": "101"})
+            add(link, device, "101")
 
     def test_stop_releases_a_notifier_waiting_on_a_link_future(self):
         # A DDU delivered on the notifier thread fans out into another
@@ -248,13 +246,13 @@ class TestDeviceLinkUnit:
         # before joining the notifier, or the join never returns.
         dispatcher = LinkDispatcher()
         source, target = make_device("src"), make_device("dst")
-        dispatcher.register(source)
+        source_link = dispatcher.register(source)
         target_link = dispatcher.register(target)
         waiting = threading.Event()
         outcome = []
 
         def fan_out(_notification):
-            future = target.submit("add", {"Extension": "200"})
+            future = add(target_link, target, "200")
             waiting.set()
             try:
                 future.result()
@@ -264,7 +262,7 @@ class TestDeviceLinkUnit:
         source.add_listener(fan_out)
         dispatcher.start()
         target_link.pause()  # the fan-out's op can never flush
-        source.submit("add", {"Extension": "100"}).result(timeout=5)
+        add(source_link, source, "100").result(timeout=5)
         assert waiting.wait(timeout=5), "notifier never delivered the DDU"
         stopper = threading.Thread(target=dispatcher.stop, daemon=True)
         stopper.start()
@@ -294,7 +292,7 @@ class TestDeviceLinkUnit:
 
     def test_notifications_are_deferred_and_delivered(self, dispatcher):
         device = make_device()
-        dispatcher.register(device)
+        link = dispatcher.register(device)
         dispatcher.start()
         seen = []
         threads = []
@@ -304,13 +302,15 @@ class TestDeviceLinkUnit:
             threads.append(threading.current_thread().name)
 
         device.add_listener(listener)
-        device.submit("add", {"Extension": "100"}).result(timeout=5)
+        add(link, device, "100").result(timeout=5)
         wait_until(lambda: seen == ["100"], message="deferred notification")
         # Delivered by the notifier thread, never the dispatcher itself.
         assert threads == ["metacomm-link-notify"]
 
 
 class TestSubmitSurfaces:
+    """What rides a link: any call wrapped in ``DeviceLink.submit``."""
+
     def test_ossi_terminal_submit(self):
         system = linked_fleet(1)
         try:
@@ -319,32 +319,18 @@ class TestSubmitSurfaces:
                 person_attrs("A B", "B", definityExtension="4100"),
             )
             terminal = system.terminal("pbx-1")
-            future = terminal.submit("change station 4100 room 2B-110")
+            command = "change station 4100 room 2B-110"
+            future = system.links.link("pbx-1").submit(
+                lambda: terminal.execute(command), op="terminal", key="4100"
+            )
             response = future.result(timeout=5)
             assert response.ok, response.text
-            assert terminal.history[-1] == "change station 4100 room 2B-110"
+            assert terminal.history[-1] == command
             wait_until(
                 lambda: system.pbx("pbx-1").station("4100").get("Room")
                 == "2B-110",
                 message="DDU room change",
             )
-        finally:
-            system.close()
-
-    def test_ossi_terminal_submit_requires_link(self):
-        system = MetaComm(MetaCommConfig())
-        try:
-            with pytest.raises(DeviceError, match="no device link"):
-                system.terminal().submit("display station 4100")
-        finally:
-            system.close()
-
-    def test_device_filter_submit_requires_link(self):
-        system = MetaComm(MetaCommConfig())
-        try:
-            binding = system.um.bindings[0]
-            with pytest.raises(FilterError, match="no device link"):
-                binding.filter.submit(None)
         finally:
             system.close()
 
@@ -357,24 +343,63 @@ class TestSubmitSurfaces:
             )
             # Counted before the flush resolves its futures: the submitter
             # sees every flush of its own fan-out as soon as it returns.
+            # Each fan-out apply is one link op and journals one outcome.
             registry = system.obs.registry
+            events = list(system.obs.journal)
             for row in system.links.snapshot():
                 device = row["device"]
-                assert row["flushes"] >= 1, device
-                assert registry.value(
-                    "metacomm_link_flushes_total", device=device
-                ) == row["flushes"]
-                assert registry.value(
-                    "metacomm_link_ops_total", device=device, outcome="ok"
-                ) == row["completed"]
+                outcomes = sum(
+                    e.kind in (DEVICE_COMMIT, DEVICE_FAILURE)
+                    and e.attributes.get("device") == device
+                    for e in events
+                )
+                assert outcomes >= 1, device
+                assert row["completed"] + row["failed"] == outcomes, device
+                assert 1 <= row["flushes"] <= outcomes, device
                 batches = registry.get("metacomm_link_batch_ops").labels(
                     device=device
                 )
                 assert batches.count == row["flushes"]
-                assert batches.sum == row["completed"] + row["failed"]
+                assert batches.sum == outcomes
+                assert sum(
+                    size * count for size, count in row["batch_sizes"].items()
+                ) == outcomes
             # A flush is link transport, not a lifecycle fact: no event.
-            kinds = {e.kind for e in system.obs.journal}
+            kinds = {e.kind for e in events}
             assert not any(kind.startswith("link.") for kind in kinds)
+        finally:
+            system.close()
+
+    def test_snapshot_without_observability(self):
+        """A fleet built with ``observability=False`` flushes and converges;
+        its snapshot still shows the queue, and every count reads 0."""
+        system = linked_fleet(1, observability=False)
+        try:
+            system.connection().add(
+                "cn=A B,o=Lucent",
+                person_attrs("A B", "B", definityExtension="4100"),
+            )
+            assert system.pbx("pbx-1").contains("4100")
+            assert system.consistent()
+            link = system.links.link("pbx-1")
+            link.pause()
+            queued = link.submit(lambda: None)
+            assert link.snapshot()["pending"] == 1
+            system.pbxes["pbx-1"].link_latency = 0.2
+            link.resume()
+            wait_until(
+                lambda: link.snapshot()["inflight"] == 1,
+                message="in-flight command stream",
+            )
+            snapshot = link.snapshot()
+            assert snapshot["pending"] == 0 and snapshot["inflight_ops"] == 1
+            queued.result(timeout=5)
+            snapshot = link.snapshot()
+            assert snapshot["pending"] == 0 and snapshot["inflight"] == 0
+            for count in ("completed", "failed", "flushes", "deferred", "rejected"):
+                assert snapshot[count] == 0, count
+            assert snapshot["batch_sizes"] == {}
+            assert system.obs.health.snapshot() == {}
         finally:
             system.close()
 
@@ -613,7 +638,9 @@ class TestFlappingLinkHealth:
 
             # ...and a raw link-level failure feeds link_errors: a DDU
             # against a record the switch does not have.
-            raw = pbx.submit("modify", "9999", {"Room": "X"})
+            raw = link.submit(
+                lambda: pbx.modify("9999", {"Room": "X"}), op="modify", key="9999"
+            )
             with pytest.raises(DeviceError):
                 raw.result(timeout=5)
 

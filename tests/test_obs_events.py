@@ -137,7 +137,7 @@ class TestEventJournal:
         assert len(journal) == 1
         journal.emit(DEVICE_FAILURE, device="pbx", serial=1, duration=0.01)
         assert registry.value("derived_total", device="pbx") == 1
-        assert board.device("pbx").failures == 1
+        assert board.device("pbx").streak == 1
         assert registry.value(
             "metacomm_device_attempts_total", device="pbx", outcome="error"
         ) == 1

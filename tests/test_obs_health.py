@@ -129,8 +129,10 @@ class TestDeviceHealth:
         snap = health.snapshot()
         assert snap["device"] == "pbx"
         assert snap["state"] == HEALTHY
-        assert snap["successes"] == 1
+        assert snap["streak"] == 0 and snap["error_rate"] == 0.0
         assert snap["link_ops"] == 1
+        # Outcome counts are registry series (HealthBoard.snapshot).
+        assert "successes" not in snap and "failures" not in snap
         assert set(snap["latency"]) == {"p50", "p95", "p99"}
 
 
@@ -240,8 +242,15 @@ class TestPipelineHealthIntegration:
                     "definityExtension": "4100",
                 },
             )
-            health = system.obs.health.device(system.pbx().name)
-            assert health.successes >= 1
+            name = system.pbx().name
+            health = system.obs.health.device(name)
+            commits = [
+                e
+                for e in system.obs.journal
+                if e.kind == "device.commit" and e.attributes["device"] == name
+            ]
+            assert len(commits) >= 1
+            assert system.obs.health.snapshot()[name]["successes"] == len(commits)
             assert len(health.reservoir) >= 1
             assert health.last_applied_serial >= 1
             assert health.state == HEALTHY

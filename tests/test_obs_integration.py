@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import MetaComm, MetaCommConfig
 from repro.devices import InvalidFieldError
+from repro.devices.links import LinkDispatcher
 from repro.ldap import Modification
 from repro.ldap.dn import DN
 from repro.ldap.entry import Entry
@@ -235,6 +236,21 @@ class TestMetrics:
         ]
         for component in components:
             assert not hasattr(component, "statistics"), component
+        # The device plane keeps no second tally either: a link's and a
+        # device's outcome counts are registry series, and the only way
+        # onto a link is DeviceLink.submit.
+        link = LinkDispatcher().register(system.pbx())
+        for name in ("_stats", "_batch_hist"):
+            assert not hasattr(link, name), name
+        for binding in system.um.bindings:
+            health = system.obs.health.device(binding.name)
+            for name in ("successes", "failures"):
+                assert not hasattr(health, name), (binding.name, name)
+            for submitter in (binding.filter, binding.filter.device):
+                for name in ("submit", "link"):
+                    assert not hasattr(submitter, name), (submitter, name)
+        for name in ("submit", "link"):
+            assert not hasattr(system.terminal(), name), name
         reapplied = system.obs.registry.value("metacomm_um_reapplied_total")
         assert reapplied >= 1
         assert set(system.um.statistics) == {"reapplied"}

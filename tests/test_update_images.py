@@ -426,7 +426,6 @@ class TestNoConsumerMutatesAnImage:
             for module in (descriptor_module, mapping_module, closure_module):
                 spy(module, "normalize_attrs")
             spy(dataclasses, "replace")
-            spy(descriptor_module, "replace")
 
             original_intake = pipeline.intake_event
             original_build = pipeline.build_plan
