@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-isolated check check-concur bench-smoke perf-smoke bench bench-ab bench-interleave bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
+.PHONY: test test-isolated check check-concur bench-smoke perf-smoke bench bench-ab bench-interleave footprint bench-pipeline bench-lanes bench-links bench-health bench-e7 lint stats monitor
 
 ## Tier-1: the full unit/integration suite (tests/ only).
 test:
@@ -87,6 +87,15 @@ bench-interleave:
 	@[ -n "$(BASE)" ] || { echo "usage: make bench-interleave BASE=<rev> [SEEDS=1] [WORKLOADS=a,b]"; exit 2; }
 	$(PYTHON) benchmarks/ab_interleaved.py --base $(BASE) \
 		$(if $(SEEDS),--seeds $(SEEDS)) $(if $(WORKLOADS),--workloads $(WORKLOADS))
+
+## Memory footprint per workload, each in a fresh process: RSS after the
+## interpreter starts, after `import repro`, after perfbench's
+## build_system, after its preload, and the peak; then every module
+## outside the standard library the run loaded (benchmarks/footprint.py).
+## Informational, not a gate; writes nothing under perfbench/.
+## Example: make footprint [WORKLOADS=craft_ddu]
+footprint:
+	$(PYTHON) benchmarks/footprint.py $(if $(WORKLOADS),--workloads $(WORKLOADS))
 
 ## Serial vs device-link fan-out throughput at 1, 2 and 4 PBXes; writes
 ## BENCH_pipeline.json and fails when links/serial at 4 PBXes < 1.5.

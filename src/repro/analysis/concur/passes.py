@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import Counter as _Counter
 from dataclasses import dataclass, field
 
+from ...digraph import strongly_connected_components
 from ...lexpress.ast import Span
 from ..diagnostics import Diagnostic
 from .model import Blocking, CallSite, ClassModel, PackageModel
@@ -291,7 +292,7 @@ def _check_lock_order(graph: LockOrderGraph) -> list[Diagnostic]:
 def _cycles(successors: dict[str, set[str]]) -> list[list[str]]:
     """Elementary cycles, one representative per strongly-connected
     component (enough for reporting; the fix collapses the whole SCC)."""
-    sccs = _tarjan(successors)
+    sccs = strongly_connected_components(successors)
     out: list[list[str]] = []
     for scc in sccs:
         members = set(scc)
@@ -313,60 +314,6 @@ def _cycles(successors: dict[str, set[str]]) -> list[list[str]]:
             path.append(node)
             seen.add(node)
     return out
-
-
-def _tarjan(successors: dict[str, set[str]]) -> list[list[str]]:
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    sccs: list[list[str]] = []
-    nodes = set(successors)
-    for targets in successors.values():
-        nodes.update(targets)
-
-    def strongconnect(v: str) -> None:
-        # Iterative Tarjan: (node, iterator) frames.
-        work = [(v, iter(sorted(successors.get(v, set()))))]
-        index[v] = lowlink[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(successors.get(w, set())))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[node] = min(lowlink[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                sccs.append(sorted(scc))
-
-    for v in sorted(nodes):
-        if v not in index:
-            strongconnect(v)
-    return sccs
 
 
 # -- LX502 --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ The machine is a small stack VM.  Runtime values are ``None`` (null),
 from __future__ import annotations
 
 import enum
-import hashlib
+import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -118,23 +118,22 @@ class CodeObject:
         return keys
 
     def fingerprint(self) -> str:
-        """Stable content hash of the instruction stream and constant pool.
+        """Stable 64-bit content checksum of the instruction stream and
+        constant pool, as 16 hex digits: CRC-32 then Adler-32 of the same
+        canonical bytes (``zlib``, so no hash library is loaded).
 
-        A lowered closure carries it
+        A label, not a key — nothing is cached or looked up by it.  A
+        lowered closure carries it
         (:class:`~repro.lexpress.codegen.CompiledClosure`) to name the
         code it was built from, and each bound runner reports its prefix
         in ``lexpress.compiled`` events (:func:`~repro.lexpress.codegen.bind`)."""
         cached = self._fingerprint
         if cached is not None:
             return cached
-        digest = hashlib.sha1()
-        for ins in self.instructions:
-            digest.update(str(ins).encode())
-            digest.update(b";")
-        for const in self.consts:
-            digest.update(_const_key(const).encode())
-            digest.update(b";")
-        cached = digest.hexdigest()
+        parts = [f"{ins};" for ins in self.instructions]
+        parts.extend(f"{_const_key(const)};" for const in self.consts)
+        data = "".join(parts).encode()
+        cached = f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
         self._fingerprint = cached
         return cached
 

@@ -16,8 +16,11 @@ Cycle handling — the enhancement the paper says was in progress — is
 implemented both ways:
 
 * **compile time**: :func:`analyze_cycles` builds the cross-schema
-  attribute dependency graph (networkx), finds cycles, and probes each
-  composed transformation for idempotence; :func:`check_cycles` raises
+  attribute dependency graph (a dict of dicts), enumerates its
+  elementary cycles (Johnson's algorithm, :mod:`repro.digraph`), and
+  probes each composed transformation — every choice of rule where two
+  rules write the same attribute from the same one — for idempotence;
+  :func:`check_cycles` raises
   :class:`~repro.lexpress.errors.CyclicDependencyError` for cycles that
   can never reach a fixpoint.
 * **execution time**: after a propagation, the engine re-evaluates every
@@ -34,10 +37,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
-import networkx as nx
-
+from ..digraph import simple_cycles
 from .descriptor import normalize_attrs
 from .errors import CyclicDependencyError, FixpointError
 from .interpreter import execute
@@ -325,24 +328,32 @@ class CycleReport:
 _PROBE_VALUES = ("4100", "Doe, John", "+1 908 582 9100", "x")
 
 
-def dependency_graph(mappings: Iterable[CompiledMapping]) -> "nx.DiGraph":
-    """Cross-schema attribute dependency graph.
+#: A ``(schema, attribute)`` node of the dependency graph (lower-case).
+Node = tuple[str, str]
+
+
+def dependency_graph(
+    mappings: Iterable[CompiledMapping],
+) -> dict[Node, dict[Node, list[CompiledRule]]]:
+    """Cross-schema attribute dependency graph, ``{node: {successor:
+    rules}}`` in insertion order.
 
     Nodes are ``(schema, attribute)`` (lower-case); an edge dep → target
-    exists for every rule reading *dep* and writing *target*, annotated
-    with the rule."""
-    graph = nx.DiGraph()
+    exists for every rule reading *dep* and writing *target*, and keeps
+    every distinct such rule: two mappings between the same schemas may
+    both write one attribute from the same one."""
+    graph: dict[Node, dict[Node, list[CompiledRule]]] = {}
     for mapping in mappings:
         source = mapping.source.lower()
         target = mapping.target.lower()
         for rule in mapping.rules:
-            for dep in rule.deps:
-                graph.add_edge(
-                    (source, dep),
-                    (target, rule.target.lower()),
-                    rule=rule,
-                    mapping=mapping.name,
-                )
+            head = (target, rule.target_low)
+            for dep in sorted(rule.deps):
+                edges = graph.setdefault((source, dep), {})
+                graph.setdefault(head, {})
+                rules = edges.setdefault(head, [])
+                if rule not in rules:
+                    rules.append(rule)
     return graph
 
 
@@ -353,32 +364,49 @@ def _apply_rule(rule: CompiledRule, dep: str, value: str) -> str | None:
     return values[0] if values else None
 
 
+def _probe(
+    cycle: Sequence[Node], rules: Sequence[CompiledRule]
+) -> tuple[bool, tuple[str | None, ...]]:
+    """Run each probe value twice round *cycle*, ``rules[i]`` on the edge
+    leaving ``cycle[i]``: unstable when the second lap moves a value the
+    first produced.  Returns the verdict and the trace shown for it."""
+    trace: tuple[str | None, ...] = ()
+    for probe in _PROBE_VALUES:
+        value: str | None = probe
+        laps: list[str | None] = [probe]
+        for lap in range(2):
+            for node, rule in zip(cycle, rules):
+                if value is None:
+                    break
+                value = _apply_rule(rule, node[1], value)
+            laps.append(value)
+        if laps[1] is not None and laps[1] != laps[2]:
+            return False, tuple(laps)
+        if not trace:
+            trace = tuple(laps)
+    return True, trace
+
+
 def analyze_cycles(mappings: Iterable[CompiledMapping]) -> list[CycleReport]:
-    """Find dependency cycles and probe each for fixpoint stability."""
-    mappings = list(mappings)
+    """Find dependency cycles and probe each for fixpoint stability.
+
+    Where an edge carries several rules, every choice of one rule per
+    edge is probed: the closure's first-win rule lets any of them be the
+    one that fires, so a cycle is stable only if every choice is."""
     graph = dependency_graph(mappings)
     reports: list[CycleReport] = []
-    for cycle in nx.simple_cycles(graph):
-        stable = True
-        trace: tuple[str | None, ...] = ()
-        for probe in _PROBE_VALUES:
-            value: str | None = probe
-            laps: list[str | None] = [probe]
-            for lap in range(2):
-                for i, node in enumerate(cycle):
-                    succ = cycle[(i + 1) % len(cycle)]
-                    edge = graph.get_edge_data(node, succ)
-                    if edge is None or value is None:
-                        value = None
-                        break
-                    value = _apply_rule(edge["rule"], node[1], value)
-                laps.append(value)
-            if laps[1] is not None and laps[1] != laps[2]:
-                stable = False
-                trace = tuple(laps)
+    for cycle in simple_cycles(graph):
+        choices = product(*(
+            graph[node][cycle[(i + 1) % len(cycle)]]
+            for i, node in enumerate(cycle)
+        ))
+        stable, trace = True, ()
+        for rules in choices:
+            verdict, seen = _probe(cycle, rules)
+            if not verdict:
+                stable, trace = False, seen
                 break
-            if not trace:
-                trace = tuple(laps)
+            trace = trace or seen
         reports.append(CycleReport(tuple(cycle), stable, trace))
     return reports
 

@@ -18,6 +18,7 @@ from repro.lexpress import (
     compile_description,
     dependency_graph,
 )
+from repro.schemas.mappings import standard_mappings
 
 # The three-repository mapping web from the paper: PBX <-> LDAP <-> MP.
 DESCRIPTIONS = """
@@ -204,6 +205,29 @@ mapping b_to_a {
 }
 """
 
+# Two mappings between the same schemas write b.x from a.x2: the first
+# is unstable round the cycle, the second is not.
+PARALLEL = """
+mapping a_to_b_bang {
+    source a;
+    target b;
+    key k -> k;
+    map x = concat(x2, "!");
+}
+mapping a_to_b_plain {
+    source a;
+    target b;
+    key k -> k;
+    map x = x2;
+}
+mapping b_to_a {
+    source b;
+    target a;
+    key k -> k;
+    map x2 = x;
+}
+"""
+
 
 class TestCycleAnalysis:
     def test_dependency_graph_shape(self, engine):
@@ -211,7 +235,7 @@ class TestCycleAnalysis:
             compile_description(DESCRIPTIONS).values()
         )
         assert ("pbx", "extension") in graph
-        assert graph.has_edge(("pbx", "extension"), ("ldap", "telephonenumber"))
+        assert ("ldap", "telephonenumber") in graph[("pbx", "extension")]
 
     def test_stable_cycle_detected_as_stable(self):
         reports = analyze_cycles(compile_description(STABLE_CYCLE).values())
@@ -234,6 +258,56 @@ class TestCycleAnalysis:
     def test_paper_mappings_are_fixpoint_safe(self, engine):
         reports = check_cycles(compile_description(DESCRIPTIONS).values())
         assert all(r.stable for r in reports)
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ("a_to_b_bang", "a_to_b_plain", "b_to_a"),
+            ("a_to_b_plain", "a_to_b_bang", "b_to_a"),
+        ],
+        ids=["bang-first", "plain-first"],
+    )
+    def test_every_parallel_rule_is_probed(self, order):
+        """Either rule on the a.x2 -> b.x edge may be the one the
+        closure fires first, so the verdict must not depend on which
+        mapping was registered last."""
+        compiled = compile_description(PARALLEL)
+        mappings = [compiled[name] for name in order]
+        graph = dependency_graph(mappings)
+        assert len(graph[("a", "x2")][("b", "x")]) == 2
+        reports = analyze_cycles(mappings)
+        assert [str(r) for r in reports if ("b", "x") in r.nodes] == [
+            "UNSTABLE cycle: a.x2 -> b.x"
+        ]
+        with pytest.raises(CyclicDependencyError):
+            check_cycles(mappings)
+
+    def test_shipped_mappings_cycles(self):
+        """The standard mapping library: 14 two-node round trips between
+        a device attribute and an ``ldap`` attribute, all stable."""
+        reports = analyze_cycles(standard_mappings().values())
+        assert all(r.stable for r in reports)
+        assert len(reports) == 14
+        round_trips = [
+            ("mp", "language", "mplanguage"),
+            ("mp", "cos", "mpcos"),
+            ("mp", "subscribername", "mpsubscribername"),
+            ("pbx", "coveragepath", "definitycoveragepath"),
+            ("pbx", "type", "definitytype"),
+            ("pbx", "cos", "definitycos"),
+            ("pbx", "cor", "definitycor"),
+            ("pbx", "port", "definityport"),
+            ("pbx", "building", "definitybuilding"),
+            ("pbx", "room", "definityroom"),
+            ("pbx", "name", "cn"),
+            ("pbx", "extension", "definityextension"),
+            ("pbx", "extension", "telephonenumber"),
+            ("mp", "telephonenumber", "telephonenumber"),
+        ]
+        assert {frozenset(r.nodes) for r in reports} == {
+            frozenset({(device, attr), ("ldap", ldap_attr)})
+            for device, attr, ldap_attr in round_trips
+        }
 
     def test_runtime_unstable_conflict_surfaces(self):
         engine = ClosureEngine(compile_description(UNSTABLE).values())
